@@ -4,7 +4,6 @@ from gridlang import (
     GenParams,
     LexiconMode,
     Style,
-    ast_equal,
     control_depth,
     generate_instance,
     parse,
@@ -14,7 +13,7 @@ for depth in (2, 5, 10):
     params = GenParams(max_depth=depth, else_prob=0.5, expr_depth=2, seed=3)
     g, code, tree = generate_instance(Style.BLOCK, LexiconMode.NATURAL,
                                       params)
-    assert ast_equal(parse(code, g), tree)
+    assert parse(code, g) == tree
     print(f"--- D={depth} (control depth {control_depth(tree)}) ---")
     print(code)
     print()
@@ -24,4 +23,4 @@ params = GenParams(max_depth=3, seed=3)
 g, code, tree = generate_instance(Style.SEXPR, LexiconMode.ALIEN, params)
 print("--- same machinery, alien lexicon, s-expression style ---")
 print(code)
-assert ast_equal(parse(code, g), tree)
+assert parse(code, g) == tree

@@ -24,7 +24,6 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
-    ast_equal,
     canon_parse,
     canon_serialize,
     control_depth,
@@ -86,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArithOp", "BinaryArith", "BinaryBool", "BoolOp", "Grab", "Holding",
     "If", "ItemToken", "Literal", "Loop", "Move", "MoveDir", "Not",
-    "Program", "Turn", "TurnDir", "ast_equal", "canon_parse",
+    "Program", "Turn", "TurnDir", "canon_parse",
     "canon_serialize", "control_depth", "expr_depth",
     "ParseError", "linearize", "parse", "tokenize",
     "GrammarSpec", "LexiconMode", "Style", "TerminalRole", "build_grammar",

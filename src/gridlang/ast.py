@@ -42,7 +42,6 @@ __all__ = [
     "Program",
     "control_depth",
     "expr_depth",
-    "ast_equal",
     "canon_serialize",
     "canon_parse",
     "CanonParseError",
@@ -260,11 +259,6 @@ def expr_depth(expr: ArithExpr | BoolExpr) -> int:
     if isinstance(expr, (BinaryArith, BinaryBool)):
         return 1 + max(expr_depth(expr.left), expr_depth(expr.right))
     raise TypeError(f"not an expression: {expr!r}")
-
-
-def ast_equal(a: Program, b: Program) -> bool:
-    """Structural equality, ignoring surface-only flags; never evaluates."""
-    return a == b
 
 
 # --- canonical text form ----------------------------------------------------

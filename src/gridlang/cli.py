@@ -18,9 +18,8 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from gridlang.ast import control_depth
-from gridlang.codec import ParseError, parse
-from gridlang.grammar import LexiconMode, Style, grammar_from_text
+from gridlang.codec import ParseError
+from gridlang.grammar import LexiconMode, Style
 from gridlang.harness import (
     EndpointConfig,
     HarnessError,
@@ -158,13 +157,9 @@ def _print_gen_summary(instances: list[TaskInstance]) -> None:
     depths: Counter = Counter()
     categories: Counter = Counter()
     for inst in instances:
-        code = inst.gold_code if inst.gold_code is not None else (
-            inst.candidate if inst.gold_label == "VALID" else None
-        )
-        if code is not None:
-            g = grammar_from_text(inst.style, inst.lexicon_mode,
-                                  inst.grammar_text)
-            depths[control_depth(parse(code, g))] += 1
+        # the generator plants control depth exactly D in every program
+        if inst.gold_code is not None or inst.gold_label == "VALID":
+            depths[inst.params.max_depth] += 1
         if inst.perturb_category is not None:
             categories[inst.perturb_category.value] += 1
     print(f"instances: {len(instances)}")

@@ -224,9 +224,9 @@ def _demo(inst: TaskInstance, j: int) -> tuple[str, str]:
         body = "\n".join([prompts.EBNF_HEADER, ebnf, "",
                           prompts.CANDIDATE_HEADER, candidate])
         return body, answer
-    result = exec_program(tree, inst.start_state)
-    assert isinstance(result, Final)
     if inst.kind is TaskKind.GOAL:
+        result = exec_program(tree, inst.start_state)
+        assert isinstance(result, Final)
         payload = prompts.STATE_LINE.format(
             start=render_state(inst.start_state),
             target=render_state(result.state),

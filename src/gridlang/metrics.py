@@ -19,7 +19,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from gridlang.ast import ast_equal, canon_parse
+from gridlang.ast import canon_parse
 from gridlang.codec import ParseError, parse
 from gridlang.grammar import GrammarSpec
 from gridlang.tasks import TaskInstance, TaskKind
@@ -140,7 +140,7 @@ def score_generation(
     behavioral = isinstance(result, Final) and result.state == inst.target_state
     semantic = None
     if has_semantics:
-        semantic = ast_equal(tree, canon_parse(inst.gold_ast))
+        semantic = tree == canon_parse(inst.gold_ast)
     return EvalRecord(
         instance_id=inst.id,
         parsed_ok=True,

@@ -62,7 +62,7 @@ __all__ = [
     "MalformedRecordError",
     "perturb",
     "make_judgment_set",
-    "make_goal_instance",
+    "make_instance",
     "make_dataset",
     "render_instruction",
     "render_state",
@@ -323,14 +323,14 @@ def make_judgment_set(
     for i in range(n):
         seed = derive_seed(params.seed, "judgment", i)
         inst_params = replace(params, seed=seed)
-        g, code, _tree = generate_instance(style, mode, inst_params)
         if i % 2 == 0:
-            parse(code, g)  # re-verify the gold label
-            candidate, label, category = code, "VALID", None
+            g, candidate, _tree = generate_instance(style, mode, inst_params)
+            parse(candidate, g)  # re-verify the gold label
+            label, category = "VALID", None
         else:
             category = _CATEGORIES[invalid_index % len(_CATEGORIES)]
             invalid_index += 1
-            candidate = _perturbed_candidate(
+            g, candidate = _perturbed_candidate(
                 style, mode, inst_params, category
             )
             label = "INVALID"
@@ -353,8 +353,12 @@ def _perturbed_candidate(
     mode: LexiconMode,
     params: GenParams,
     category: PerturbCategory,
-) -> str:
-    # a degenerate base program (no viable perturbation site) is resampled
+) -> tuple[GrammarSpec, str]:
+    """The grammar a perturbed candidate was verified against, and the text.
+
+    A degenerate base program (no viable perturbation site) is resampled,
+    and with it the grammar, which is drawn from the same seed.
+    """
     for retry in range(10):
         retry_params = params if retry == 0 else replace(
             params, seed=derive_seed(params.seed, "retry", retry)
@@ -363,7 +367,7 @@ def _perturbed_candidate(
         rng = random.Random(derive_seed(retry_params.seed, "perturb"))
         try:
             text, _cat = perturb(code, g, rng, category)
-            return text
+            return g, text
         except PerturbationError:
             continue
     raise PerturbationError(
@@ -372,51 +376,35 @@ def _perturbed_candidate(
     )
 
 
-def make_goal_instance(
+def make_instance(
+    kind: TaskKind,
     style: Style,
     mode: LexiconMode,
     params: GenParams,
-    identifier: str = "goal-00000",
+    identifier: str | None = None,
     start_state: RobotState = START_STATE,
 ) -> TaskInstance:
-    """One goal-conditioned instance; the target is the gold final state."""
+    """One goal or instruction instance; the target is the gold final state.
+
+    Only instruction instances carry the program as English steps.  The id
+    defaults to the kind's first dataset id.
+    """
     g, code, tree = generate_instance(style, mode, params)
     result = exec_program(tree, start_state)
     assert isinstance(result, Final), "generator admitted over-budget gold"
+    instruction = None
+    if kind is TaskKind.INSTRUCTION:
+        instruction = render_instruction(tree)
     return TaskInstance(
-        id=identifier,
-        kind=TaskKind.GOAL,
+        id=identifier or f"{kind.value}-00000",
+        kind=kind,
         style=style,
         lexicon_mode=mode,
         params=params,
         grammar_text=render_ebnf(g),
         start_state=start_state,
         target_state=result.state,
-        gold_code=code,
-        gold_ast=canon_serialize(tree),
-    )
-
-
-def _make_instruction_instance(
-    style: Style,
-    mode: LexiconMode,
-    params: GenParams,
-    identifier: str,
-    start_state: RobotState,
-) -> TaskInstance:
-    g, code, tree = generate_instance(style, mode, params)
-    result = exec_program(tree, start_state)
-    assert isinstance(result, Final), "generator admitted over-budget gold"
-    return TaskInstance(
-        id=identifier,
-        kind=TaskKind.INSTRUCTION,
-        style=style,
-        lexicon_mode=mode,
-        params=params,
-        grammar_text=render_ebnf(g),
-        start_state=start_state,
-        target_state=result.state,
-        instruction=render_instruction(tree),
+        instruction=instruction,
         gold_code=code,
         gold_ast=canon_serialize(tree),
     )
@@ -440,15 +428,10 @@ def make_dataset(
         inst_params = replace(
             params, seed=derive_seed(params.seed, kind.value, i)
         )
-        identifier = f"{kind.value}-{i:05d}"
-        if kind is TaskKind.GOAL:
-            instances.append(make_goal_instance(
-                style, mode, inst_params, identifier, start_state
-            ))
-        else:
-            instances.append(_make_instruction_instance(
-                style, mode, inst_params, identifier, start_state
-            ))
+        instances.append(make_instance(
+            kind, style, mode, inst_params, f"{kind.value}-{i:05d}",
+            start_state,
+        ))
     return instances
 
 

@@ -4,6 +4,10 @@ A robot lives on an unbounded integer grid with a facing and an inventory
 multiset.  Programs execute under a step budget where every primitive action
 costs exactly one step (a Move of n cells is still one step), loop counts are
 evaluated once on entry, and conditionals read the current inventory.
+
+``exec_program`` is the one interpreter: a tree walker that applies the
+iterations of a loop in closed form once they stop changing which item
+kinds are held.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from gridlang.ast import (
     MoveDir,
     Not,
     Program,
-    Stmt,
     Turn,
     TurnDir,
 )
@@ -46,10 +49,7 @@ __all__ = [
     "BudgetExceeded",
     "ExecResult",
     "eval_arith",
-    "eval_bool",
-    "step",
     "exec_program",
-    "states_equal",
     "step_bound",
 ]
 
@@ -61,12 +61,9 @@ class Facing(enum.Enum):
     W = "W"
 
 
-_LEFT = {Facing.N: Facing.W, Facing.W: Facing.S,
-         Facing.S: Facing.E, Facing.E: Facing.N}
-_RIGHT = {Facing.N: Facing.E, Facing.E: Facing.S,
-          Facing.S: Facing.W, Facing.W: Facing.N}
-_DELTA = {Facing.N: (0, 1), Facing.E: (1, 0),
-          Facing.S: (0, -1), Facing.W: (-1, 0)}
+# clockwise, so a right turn adds one to the index
+_FACINGS = (Facing.N, Facing.E, Facing.S, Facing.W)
+_DELTA = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -140,45 +137,36 @@ def eval_arith(expr: ArithExpr) -> int:
     raise TypeError(f"not an arithmetic expression: {expr!r}")
 
 
-def eval_bool(cond: BoolExpr, state: RobotState) -> bool:
+def _holds(cond: BoolExpr, inventory: Counter) -> bool:
     if isinstance(cond, Holding):
-        return cond.item in state.inventory
+        return cond.item in inventory
     if isinstance(cond, Not):
-        return not eval_bool(cond.inner, state)
+        return not _holds(cond.inner, inventory)
     if isinstance(cond, BinaryBool):
-        left, right = eval_bool(cond.left, state), eval_bool(cond.right, state)
-        return (left and right) if cond.op is BoolOp.AND else (left or right)
+        left = _holds(cond.left, inventory)
+        if cond.op is BoolOp.AND:
+            return left and _holds(cond.right, inventory)
+        return left or _holds(cond.right, inventory)
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def step(action: Action, state: RobotState) -> RobotState:
-    """Apply one primitive action; one budget step regardless of distance."""
-    if isinstance(action, Move):
-        n = eval_arith(action.steps)
-        if action.dir is MoveDir.BACKWARD:
-            n = -n
-        dx, dy = _DELTA[state.facing]
-        return RobotState(state.x + dx * n, state.y + dy * n,
-                          state.facing, state.inventory)
-    if isinstance(action, Turn):
-        table = _LEFT if action.dir is TurnDir.LEFT else _RIGHT
-        return RobotState(state.x, state.y, table[state.facing],
-                          state.inventory)
-    if isinstance(action, Grab):
-        return RobotState(state.x, state.y, state.facing,
-                          state.inventory + (action.item,))
-    raise TypeError(f"not an action: {action!r}")
+def _rotate(dx: int, dy: int, quarter_turns: int) -> tuple[int, int]:
+    """A displacement as seen after that many right turns."""
+    for _ in range(quarter_turns):
+        dx, dy = dy, -dx
+    return dx, dy
 
 
 class _BudgetStop(Exception):
     pass
 
 
-class _Ctx:
-    """Mutable machine registers shared by the compiled closures.
+class _Machine:
+    """Registers of one run.
 
-    The inventory is a multiset counter rather than a list: grabbing in a
-    large loop would otherwise make every holding-check a linear scan.
+    The inventory counts copies per held kind, so holding-checks and the
+    loop summary never touch one entry per copy.  Facing is an index into
+    ``_FACINGS``; a right turn adds one.
     """
 
     __slots__ = ("x", "y", "facing", "inventory", "steps", "budget")
@@ -186,92 +174,76 @@ class _Ctx:
     def __init__(self, state: RobotState, budget: int) -> None:
         self.x = state.x
         self.y = state.y
-        self.facing = state.facing
+        self.facing = _FACINGS.index(state.facing)
         self.inventory = Counter(state.inventory)
         self.steps = 0
         self.budget = budget
 
-    def inventory_tuple(self) -> tuple[ItemToken, ...]:
-        return tuple(self.inventory.elements())
+    def charge(self, steps: int) -> None:
+        self.steps += steps
+        if self.steps > self.budget:
+            raise _BudgetStop
 
+    def run(self, block: Block) -> None:
+        for stmt in block:
+            if isinstance(stmt, ActionStmt):
+                self.act(stmt.action)
+            elif isinstance(stmt, Loop):
+                self.loop(eval_arith(stmt.count), stmt.body)
+            elif isinstance(stmt, If):
+                if _holds(stmt.cond, self.inventory):
+                    self.run(stmt.then)
+                elif stmt.orelse is not None:
+                    self.run(stmt.orelse)
+            else:
+                raise TypeError(f"not a statement: {stmt!r}")
 
-def _compile_cond(cond: BoolExpr):
-    if isinstance(cond, Holding):
-        item = cond.item
-        return lambda ctx: item in ctx.inventory
-    if isinstance(cond, Not):
-        inner = _compile_cond(cond.inner)
-        return lambda ctx: not inner(ctx)
-    if isinstance(cond, BinaryBool):
-        left, right = _compile_cond(cond.left), _compile_cond(cond.right)
-        if cond.op is BoolOp.AND:
-            return lambda ctx: left(ctx) and right(ctx)
-        return lambda ctx: left(ctx) or right(ctx)
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def _compile_stmt(stmt: Stmt):
-    if isinstance(stmt, ActionStmt):
-        action = stmt.action
+    def act(self, action: Action) -> None:
+        self.charge(1)
         if isinstance(action, Move):
-            # arithmetic is state-free, so the distance folds at compile
-            # time; one budget step regardless of distance
             n = eval_arith(action.steps)
             if action.dir is MoveDir.BACKWARD:
                 n = -n
+            dx, dy = _DELTA[self.facing]
+            self.x += dx * n
+            self.y += dy * n
+        elif isinstance(action, Turn):
+            turn = 1 if action.dir is TurnDir.RIGHT else 3
+            self.facing = (self.facing + turn) % 4
+        elif isinstance(action, Grab):
+            self.inventory[action.item] += 1
+        else:
+            raise TypeError(f"not an action: {action!r}")
 
-            def op(ctx):
-                ctx.steps += 1
-                if ctx.steps > ctx.budget:
-                    raise _BudgetStop
-                dx, dy = _DELTA[ctx.facing]
-                ctx.x += dx * n
-                ctx.y += dy * n
-            return op
-        if isinstance(action, Turn):
-            table = _LEFT if action.dir is TurnDir.LEFT else _RIGHT
-
-            def op(ctx):
-                ctx.steps += 1
-                if ctx.steps > ctx.budget:
-                    raise _BudgetStop
-                ctx.facing = table[ctx.facing]
-            return op
-        if isinstance(action, Grab):
-            item = action.item
-
-            def op(ctx):
-                ctx.steps += 1
-                if ctx.steps > ctx.budget:
-                    raise _BudgetStop
-                ctx.inventory[item] += 1
-            return op
-        raise TypeError(f"not an action: {action!r}")
-    if isinstance(stmt, Loop):
-        count = eval_arith(stmt.count)
-        body = _compile_block(stmt.body)
-
-        def op(ctx):
-            for _ in range(count):
-                for f in body:
-                    f(ctx)
-        return op
-    if isinstance(stmt, If):
-        cond = _compile_cond(stmt.cond)
-        then = _compile_block(stmt.then)
-        orelse = _compile_block(stmt.orelse) if stmt.orelse is not None \
-            else ()
-
-        def op(ctx):
-            branch = then if cond(ctx) else orelse
-            for f in branch:
-                f(ctx)
-        return op
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _compile_block(block: Block) -> tuple:
-    return tuple(_compile_stmt(stmt) for stmt in block)
+    def loop(self, count: int, body: Block) -> None:
+        # run iterations until one adds no new kind; that one is stable
+        while count:
+            count -= 1
+            x, y, facing, steps = self.x, self.y, self.facing, self.steps
+            before = dict(self.inventory)
+            self.run(body)
+            if len(self.inventory) == len(before):
+                break
+        if not count:
+            return
+        # the remaining iterations repeat the stable one, each turned by its
+        # rotation; steps are charged first, so counts stay within budget
+        self.charge(count * (self.steps - steps))
+        for item, held in before.items():
+            self.inventory[item] += count * (self.inventory[item] - held)
+        turn = (self.facing - facing) % 4
+        dx, dy = self.x - x, self.y - y
+        if turn == 0:
+            self.x += count * dx
+            self.y += count * dy
+            return
+        # iteration j after the stable one moves by dx, dy turned j * turn
+        # times; any four consecutive such moves cancel
+        for _ in range(count % 4):
+            dx, dy = _rotate(dx, dy, turn)
+            self.x += dx
+            self.y += dy
+        self.facing = (self.facing + count * turn) % 4
 
 
 def exec_program(
@@ -281,28 +253,28 @@ def exec_program(
 ) -> ExecResult:
     """Run a program to completion or until the step budget is exhausted.
 
-    The program is compiled to closures first: the sampler admits ground
-    truth up to half the default budget, and a naive tree walk that builds
-    a frozen state per action turns large-count loops into seconds.
+    Returns ``BudgetExceeded`` exactly when running every iteration would
+    take more than ``budget`` steps.  Loops are not run to the end: once an
+    iteration adds no new item kind, every later one takes the same path
+    (conditions read only which kinds are held, and kinds are never lost)
+    and repeats that iteration's rotation, displacement relative to its
+    starting facing, grabs and steps.  The remaining iterations then apply
+    in closed form, with the budget checked before any count grows, so
+    cost follows program size and the number of kinds rather than the
+    steps taken, and memory stays bounded by the budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    ops = _compile_block(program.body)
-    ctx = _Ctx(state, budget)
+    machine = _Machine(state, budget)
     try:
-        for op in ops:
-            op(ctx)
+        machine.run(program.body)
     except _BudgetStop:
         return BudgetExceeded()
     return Final(
-        RobotState(ctx.x, ctx.y, ctx.facing, ctx.inventory_tuple()),
-        ctx.steps,
+        RobotState(machine.x, machine.y, _FACINGS[machine.facing],
+                   tuple(machine.inventory.elements())),
+        machine.steps,
     )
-
-
-def states_equal(a: RobotState, b: RobotState) -> bool:
-    """Position, facing, and inventory-as-multiset all equal."""
-    return a == b
 
 
 def step_bound(program: Program, cap: int = DEFAULT_BUDGET) -> int:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from gridlang.ast import ast_equal, control_depth, expr_depth
+from gridlang.ast import control_depth, expr_depth
 from gridlang.cli import main as cli_main
 from gridlang.codec import ParseError, parse
 from gridlang.grammar import LexiconMode, Style, grammar_from_text
@@ -28,8 +28,6 @@ from gridlang.world import (
     Final,
     RobotState,
     exec_program,
-    states_equal,
-    step,
 )
 from gridlang.ast import ActionStmt, If, Literal, Loop, Program, Turn, TurnDir
 
@@ -57,7 +55,7 @@ class TestAcceptance:
                                    seed=depth * 100_000 + i)
                 g, code, tree = generate_instance(style, mode, params)
                 total += 1
-                if not ast_equal(parse(code, g), tree):
+                if parse(code, g) != tree:
                     failures += 1
         elapsed = time.perf_counter() - start
         ok = failures == 0 and total >= 10_000 and elapsed < 60.0
@@ -126,7 +124,7 @@ class TestAcceptance:
             r1 = exec_program(looped, START_STATE)
             r2 = exec_program(unrolled, START_STATE)
             if not (isinstance(r1, Final) and isinstance(r2, Final)
-                    and states_equal(r1.state, r2.state)):
+                    and r1.state == r2.state):
                 unroll_bad += 1
 
         shift_bad = 0
@@ -153,7 +151,9 @@ class TestAcceptance:
             for direction in (TurnDir.LEFT, TurnDir.RIGHT):
                 current = state
                 for _ in range(4):
-                    current = step(Turn(direction), current)
+                    current = exec_program(
+                        Program((ActionStmt(Turn(direction)),)), current
+                    ).state
                 if current != state:
                     cycle_bad += 1
         ok = unroll_bad == shift_bad == cycle_bad == 0

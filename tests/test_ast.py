@@ -24,7 +24,6 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
-    ast_equal,
     canon_parse,
     canon_serialize,
     control_depth,
@@ -110,26 +109,26 @@ class TestDepthMetrics:
 class TestEquality:
     def test_flattened_literal_differs_from_expression(self):
         # same evaluated value, different structure
-        assert not ast_equal(Program((Loop(Literal(19), (turn(),)),)),
-                             Program((Loop(NINETEEN, (turn(),)),)))
+        assert (Program((Loop(Literal(19), (turn(),)),))
+                != Program((Loop(NINETEEN, (turn(),)),)))
 
     def test_else_presence_distinguishes(self):
         cond = Holding(ItemToken("key", None))
         with_else = Program((If(cond, (turn(),), (turn(),)),))
         without = Program((If(cond, (turn(),), None),))
-        assert not ast_equal(with_else, without)
+        assert with_else != without
 
     def test_operand_order_distinguishes(self):
         a = BinaryArith(ArithOp.ADD, Literal(1), Literal(2))
         b = BinaryArith(ArithOp.ADD, Literal(2), Literal(1))
-        assert not ast_equal(Program((Loop(a, (turn(),)),)),
-                             Program((Loop(b, (turn(),)),)))
+        assert (Program((Loop(a, (turn(),)),))
+                != Program((Loop(b, (turn(),)),)))
 
     def test_move_count_omission_is_surface_only(self):
         explicit = ActionStmt(Move(MoveDir.FORWARD, Literal(1)))
         omitted = ActionStmt(Move(MoveDir.FORWARD, Literal(1),
                                   steps_omitted=True))
-        assert ast_equal(Program((explicit,)), Program((omitted,)))
+        assert Program((explicit,)) == Program((omitted,))
 
 
 class TestNodeValidation:
@@ -176,7 +175,7 @@ class TestCanonicalForm:
                None),
             ActionStmt(Move(MoveDir.BACKWARD, NINETEEN)),
         ))
-        assert ast_equal(canon_parse(canon_serialize(prog)), prog)
+        assert canon_parse(canon_serialize(prog)) == prog
 
     def test_round_trip_sampled(self):
         for seed in range(10):
@@ -184,7 +183,7 @@ class TestCanonicalForm:
                 Style.SEXPR, LexiconMode.NATURAL,
                 GenParams(max_depth=6, seed=seed),
             )
-            assert ast_equal(canon_parse(canon_serialize(tree)), tree)
+            assert canon_parse(canon_serialize(tree)) == tree
 
     def test_parse_rejects_trailing_tokens(self):
         text = canon_serialize(loop_tower(1)) + " (turn L)"
@@ -251,15 +250,15 @@ class TestCanonicalFormProperties:
     @settings(max_examples=200, deadline=None)
     @given(_programs)
     def test_canonical_round_trip(self, prog):
-        assert ast_equal(canon_parse(canon_serialize(prog)), prog)
+        assert canon_parse(canon_serialize(prog)) == prog
 
     @settings(max_examples=200, deadline=None)
     @given(_programs, _programs)
     def test_serialization_injective(self, a, b):
         if canon_serialize(a) == canon_serialize(b):
-            assert ast_equal(a, b)
+            assert a == b
         else:
-            assert not ast_equal(a, b)
+            assert a != b
 
     @settings(max_examples=100, deadline=None)
     @given(_programs)

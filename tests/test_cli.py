@@ -63,6 +63,29 @@ class TestGen:
         stdout = capsys.readouterr().out
         assert "VALID" in stdout or "valid" in stdout
 
+    def test_summary_counts_valid_programs_by_depth(self, tmp_path, capsys):
+        out = tmp_path / "j.jsonl"
+        rc = _run("gen", "--task", "judgment", "--n", "8", "--depth", "4",
+                  "--seed", "7", "--out", str(out))
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}\n"
+            "instances: 8\n"
+            "control depth histogram (valid programs):\n"
+            "  depth 4: 4\n"
+            "perturbation mix:\n"
+            "  delimiter_delete: 1\n"
+            "  delimiter_swap: 1\n"
+            "  illegal_nesting: 1\n"
+            "  keyword_corrupt: 1\n"
+        )
+        _gen(tmp_path, "g.jsonl")
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "instances: 4",
+            "control depth histogram (valid programs):",
+            "  depth 4: 4",
+        ]
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config(self, tmp_path):

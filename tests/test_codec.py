@@ -22,7 +22,6 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
-    ast_equal,
 )
 from gridlang.codec import ParseError, TokenKind, linearize, parse, tokenize
 from gridlang.grammar import (
@@ -135,7 +134,7 @@ class TestFrozenSurfaces:
     def test_frozen_surfaces_reparse(self):
         for g, surface in ((BLOCK_G, BLOCK_SURFACE), (C_G, C_SURFACE),
                            (SEXPR_G, SEXPR_SURFACE)):
-            assert ast_equal(parse(surface, g), REFERENCE_PROGRAM)
+            assert parse(surface, g) == REFERENCE_PROGRAM
 
     def test_nested_condition_rendering(self):
         # binary condition children keep their own parentheses
@@ -209,13 +208,13 @@ class TestRoundTrip:
             for seed in range(8):
                 params = GenParams(max_depth=6, seed=seed)
                 g, code, tree = generate_instance(style, mode, params)
-                assert ast_equal(parse(code, g), tree), (style, mode, seed)
+                assert parse(code, g) == tree, (style, mode, seed)
 
     def test_alien_round_trip_specifically(self):
         g = build_grammar(Style.SEXPR, LexiconMode.ALIEN, 77)
         code = linearize(REFERENCE_PROGRAM, g)
         assert "turn" not in code  # keywords really are opaque
-        assert ast_equal(parse(code, g), REFERENCE_PROGRAM)
+        assert parse(code, g) == REFERENCE_PROGRAM
 
     def test_linearize_deterministic(self):
         g = build_grammar(Style.C, LexiconMode.ALIEN, 3)
@@ -259,7 +258,7 @@ def test_rendering_injective_over_small_program_space():
         rendered = {}
         for prog in _small_programs():
             code = linearize(prog, g)
-            assert code not in rendered or ast_equal(rendered[code], prog), \
+            assert code not in rendered or rendered[code] == prog, \
                 f"collision under {style}: {code!r}"
             rendered[code] = prog
-            assert ast_equal(parse(code, g), prog)
+            assert parse(code, g) == prog

@@ -24,7 +24,6 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
-    ast_equal,
     canon_parse,
 )
 from gridlang.codec import ParseError, parse, tokenize
@@ -37,7 +36,7 @@ from gridlang.tasks import (
     TaskInstance,
     TaskKind,
     make_dataset,
-    make_goal_instance,
+    make_instance,
     make_judgment_set,
     perturb,
     read_dataset,
@@ -180,11 +179,12 @@ class TestJudgmentSets:
 class TestGoalInstances:
     def test_self_consistency(self):
         params = GenParams(max_depth=8, seed=31)
-        inst = make_goal_instance(Style.C, LexiconMode.NATURAL, params)
+        inst = make_instance(TaskKind.GOAL, Style.C, LexiconMode.NATURAL,
+                             params)
         g = grammar_from_text(inst.style, inst.lexicon_mode,
                               inst.grammar_text)
         tree = parse(inst.gold_code, g)
-        assert ast_equal(tree, canon_parse(inst.gold_ast))
+        assert tree == canon_parse(inst.gold_ast)
         result = exec_program(tree, inst.start_state)
         assert isinstance(result, Final)
         assert result.state == inst.target_state
@@ -192,8 +192,8 @@ class TestGoalInstances:
     def test_custom_start_state(self):
         params = GenParams(max_depth=4, seed=12)
         start = RobotState(x=5, y=-3, facing=Facing.E, inventory=())
-        inst = make_goal_instance(Style.BLOCK, LexiconMode.NATURAL, params,
-                                  start_state=start)
+        inst = make_instance(TaskKind.GOAL, Style.BLOCK, LexiconMode.NATURAL,
+                             params, start_state=start)
         assert inst.start_state == start
 
 
@@ -260,7 +260,7 @@ class TestInstructionRendering:
                                            LexiconMode.NATURAL, params)
             text = render_instruction(tree)
             if text in seen:
-                assert ast_equal(seen[text], tree)
+                assert seen[text] == tree
             seen[text] = tree
 
     def test_instruction_english_survives_alien_lexicon(self):
@@ -352,7 +352,8 @@ class TestDatasets:
 class TestInstanceValidation:
     def _goal_kwargs(self):
         params = GenParams(max_depth=4, seed=1)
-        inst = make_goal_instance(Style.BLOCK, LexiconMode.NATURAL, params)
+        inst = make_instance(TaskKind.GOAL, Style.BLOCK,
+                             LexiconMode.NATURAL, params)
         return {
             "id": inst.id, "kind": inst.kind, "style": inst.style,
             "lexicon_mode": inst.lexicon_mode, "params": inst.params,

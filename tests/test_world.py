@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,21 +36,34 @@ from gridlang.world import (
     RobotState,
     START_STATE,
     eval_arith,
-    eval_bool,
     exec_program,
-    states_equal,
-    step,
     step_bound,
 )
 
+from conftest import oracle_exec
+
 KEY = ItemToken("key", None)
 BOX = ItemToken("box", None)
+BALL = ItemToken("ball", None)
 
 
 def run(program, state=START_STATE, budget=DEFAULT_BUDGET):
     result = exec_program(program, state, budget)
     assert isinstance(result, Final)
     return result.state
+
+
+def act(action, state):
+    """One primitive action, run as a one-statement program."""
+    result = exec_program(Program((ActionStmt(action),)), state)
+    assert result.steps_used == 1
+    return result.state
+
+
+def holds(cond, state):
+    """A condition, read off whether a one-statement If takes its branch."""
+    prog = Program((If(cond, (ActionStmt(Turn(TurnDir.LEFT)),)),))
+    return exec_program(prog, state).steps_used == 1
 
 
 class TestArithmetic:
@@ -77,19 +91,19 @@ class TestPredicates:
             inventory += (KEY,) if has_key else ()
             inventory += (BOX,) if has_box else ()
             state = RobotState(0, 0, Facing.N, inventory)
-            assert eval_bool(holding_key, state) is has_key
-            assert eval_bool(Not(holding_key), state) is (not has_key)
-            assert eval_bool(
+            assert holds(holding_key, state) is has_key
+            assert holds(Not(holding_key), state) is (not has_key)
+            assert holds(
                 BinaryBool(BoolOp.AND, holding_key, holding_box), state
             ) is (has_key and has_box)
-            assert eval_bool(
+            assert holds(
                 BinaryBool(BoolOp.OR, holding_key, holding_box), state
             ) is (has_key or has_box)
 
     def test_holding_distinguishes_suffixed_variants(self):
         state = RobotState(0, 0, Facing.N, (ItemToken("key", 2),))
-        assert eval_bool(Holding(ItemToken("key", 2)), state)
-        assert not eval_bool(Holding(KEY), state)
+        assert holds(Holding(ItemToken("key", 2)), state)
+        assert not holds(Holding(KEY), state)
 
 
 class TestMotion:
@@ -98,9 +112,9 @@ class TestMotion:
                  Facing.S: (0, -1), Facing.W: (-1, 0)}
         for facing, (dx, dy) in cases.items():
             state = RobotState(0, 0, facing)
-            moved = step(Move(MoveDir.FORWARD, Literal(3)), state)
+            moved = act(Move(MoveDir.FORWARD, Literal(3)), state)
             assert (moved.x, moved.y) == (3 * dx, 3 * dy)
-            back = step(Move(MoveDir.BACKWARD, Literal(2)), state)
+            back = act(Move(MoveDir.BACKWARD, Literal(2)), state)
             assert (back.x, back.y) == (-2 * dx, -2 * dy)
 
     def test_turn_cycles_are_identity(self):
@@ -108,20 +122,20 @@ class TestMotion:
             state = RobotState(0, 0, start)
             lefts = rights = state
             for _ in range(4):
-                lefts = step(Turn(TurnDir.LEFT), lefts)
-                rights = step(Turn(TurnDir.RIGHT), rights)
+                lefts = act(Turn(TurnDir.LEFT), lefts)
+                rights = act(Turn(TurnDir.RIGHT), rights)
             assert lefts == state
             assert rights == state
-            mixed = step(Turn(TurnDir.RIGHT),
-                         step(Turn(TurnDir.LEFT), state))
+            mixed = act(Turn(TurnDir.RIGHT),
+                        act(Turn(TurnDir.LEFT), state))
             assert mixed == state
 
     def test_left_cycle_order(self):
         facing = Facing.N
         seen = [facing]
         for _ in range(3):
-            facing = step(Turn(TurnDir.LEFT),
-                          RobotState(0, 0, facing)).facing
+            facing = act(Turn(TurnDir.LEFT),
+                         RobotState(0, 0, facing)).facing
             seen.append(facing)
         assert seen == [Facing.N, Facing.W, Facing.S, Facing.E]
 
@@ -149,7 +163,6 @@ class TestMotion:
         ab = run(Program((ActionStmt(Grab(KEY)), ActionStmt(Grab(BOX)))))
         ba = run(Program((ActionStmt(Grab(BOX)), ActionStmt(Grab(KEY)))))
         assert ab == ba
-        assert states_equal(ab, ba)
 
 
 class TestControlFlow:
@@ -232,6 +245,123 @@ class TestBudget:
         deep = Program((Loop(Literal(5), (Loop(Literal(5), (Loop(
             Literal(5), (ActionStmt(Turn(TurnDir.LEFT)),)),)),)),))
         assert step_bound(deep, 10) == 11  # cap + 1 signals overflow
+
+
+def assert_matches_oracle(prog, state=START_STATE):
+    """Equal to the naive walker at the default budget and, when the run
+    finishes, at one step short of, exactly at and one step over its use."""
+    expected = oracle_exec(prog, state)
+    assert exec_program(prog, state) == expected
+    if isinstance(expected, Final):
+        used = expected.steps_used
+        for budget in range(max(1, used - 1), used + 2):
+            assert (exec_program(prog, state, budget)
+                    == oracle_exec(prog, state, budget))
+
+
+def _few_kind_stmts(depth):
+    # three kinds, so grabs inside loops flip the conditions that read them
+    kind = st.sampled_from((KEY, BOX, BALL))
+    action = st.one_of(
+        st.builds(Move, st.sampled_from(MoveDir),
+                  st.integers(0, 3).map(Literal)),
+        st.builds(Turn, st.sampled_from(TurnDir)),
+        st.builds(Grab, kind),
+    ).map(ActionStmt)
+    if depth == 0:
+        return action
+    block = st.lists(_few_kind_stmts(depth - 1), max_size=3).map(tuple)
+    held = st.builds(Holding, kind)
+    cond = held | st.builds(Not, held) | st.builds(
+        BinaryBool, st.sampled_from(BoolOp), held, held)
+    return st.one_of(
+        action,
+        st.builds(Loop, st.integers(0, 6).map(Literal), block),
+        st.builds(If, cond, block, st.none() | block),
+    )
+
+
+_start_states = st.builds(
+    RobotState, st.integers(-50, 50), st.integers(-50, 50),
+    st.sampled_from(Facing),
+    st.lists(st.sampled_from(ITEM_VOCAB), max_size=5).map(tuple),
+)
+
+
+class TestLoopSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.tuples(*[st.integers(0, 4)] * 3).filter(any),
+           st.integers(1, 4), st.integers(1, 3), _start_states)
+    def test_matches_oracle_on_sampled_programs(self, seed, weights, depth,
+                                                block, state):
+        # literal counts (E = 1) keep the naive walk short
+        params = GenParams(max_depth=depth, max_block=block, expr_depth=1,
+                           node_weights=weights, seed=0)
+        prog = Program(sample_block(0, params, random.Random(seed)))
+        assert_matches_oracle(prog, state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_few_kind_stmts(3), min_size=1, max_size=4),
+           _start_states)
+    def test_matches_oracle_when_branches_flip(self, body, state):
+        assert_matches_oracle(Program(tuple(body)), state)
+
+    @pytest.mark.parametrize("direction", list(TurnDir))
+    @pytest.mark.parametrize("turns", [1, 2, 3])
+    def test_rotating_body_every_remainder(self, direction, turns):
+        body = ((ActionStmt(Move(MoveDir.FORWARD, Literal(2))),
+                 ActionStmt(Grab(KEY)))
+                + (ActionStmt(Turn(direction)),) * turns
+                + (ActionStmt(Move(MoveDir.BACKWARD, Literal(1))),))
+        for count in [*range(13), 997, 998, 999, 1000]:
+            for facing in Facing:
+                state = RobotState(3, -1, facing, (BOX,))
+                assert_matches_oracle(
+                    Program((Loop(Literal(count), body),)), state)
+
+    def test_kinds_grow_then_stabilize(self):
+        # iteration 1 grabs a key; iteration 2 grabs a box and turns left;
+        # from then on the box branch is taken and only keys and x change
+        body = (
+            If(Holding(BOX),
+               (ActionStmt(Move(MoveDir.FORWARD, Literal(1))),),
+               (If(Holding(KEY),
+                   (ActionStmt(Grab(BOX)), ActionStmt(Turn(TurnDir.LEFT))),
+                   None),)),
+            ActionStmt(Grab(KEY)),
+        )
+        for count in range(8):
+            assert_matches_oracle(Program((Loop(Literal(count), body),)))
+        result = exec_program(Program((Loop(Literal(1000), body),)))
+        assert result == Final(
+            RobotState(-998, 0, Facing.W, (BOX,) + (KEY,) * 1000), 2000)
+
+    def test_zero_step_loops_finish_at_once(self):
+        # the loop bodies take no steps, so no budget can stop them
+        taken_and_empty = If(Not(Holding(KEY)), (), None)
+        for body in ((), (taken_and_empty,)):
+            start = time.perf_counter()
+            result = exec_program(Program((Loop(Literal(10 ** 12), body),)))
+            assert time.perf_counter() - start < 1.0
+            assert result == Final(START_STATE, 0)
+
+    def test_budget_checked_before_counts_grow(self):
+        start = time.perf_counter()
+        grabs = Program((Loop(Literal(10 ** 12), (ActionStmt(Grab(KEY)),)),))
+        assert exec_program(grabs) == BudgetExceeded()
+        assert time.perf_counter() - start < 1.0
+
+    def test_deep_nest_counts_every_turn(self):
+        body = (ActionStmt(Turn(TurnDir.LEFT)),)
+        for _ in range(9):
+            body = (Loop(Literal(5), body),)
+        nest = Program(body)
+        assert exec_program(nest) == BudgetExceeded()
+        assert exec_program(nest, START_STATE, 5 ** 9 - 1) == BudgetExceeded()
+        # 5**9 is 1 mod 4: one net left turn
+        assert exec_program(nest, START_STATE, 5 ** 9) == Final(
+            RobotState(0, 0, Facing.W), 5 ** 9)
 
 
 class TestStateSerialization:
