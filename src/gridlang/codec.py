@@ -1,26 +1,40 @@
 """Surface codec: linearize ASTs to styled text and parse text back.
 
+Both directions are compiled from ``grammar.RULE_TABLES``, read from the
+lines ``render_ebnf`` prints, so the language parsed is the EBNF shown.
+
 Tokenization is whitespace-insensitive: word characters clump, every other
 non-space character stands alone, so ``repeat(3+4)iters`` and
-``repeat ( 3 + 4 ) iters`` tokenize identically.  Parsing is recursive
-descent specialized per style; errors carry the offending token index.
+``repeat ( 3 + 4 ) iters`` tokenize identically.  A word is the terminal the
+grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
+whose pattern it matches in full.
+
+The parser tries a rule's alternatives in order; every style is LL(2), so
+work stays linear.  A rejection reports the furthest token reached.  Text
+nested deeper than ``MAX_NESTING`` brackets is rejected at the first token
+past that depth before parsing, so recursion stays far from Python's limit.
+
+Layout rule: single spaces between tokens, except none after ``PAR_L`` or
+before ``PAR_R``/``SEMI``; each statement of a ``stmt+``/``stmt*`` block on
+its own line, two spaces deeper than the statement holding the block (top
+level at column 0); the token after a block on a new line at the outer
+indent.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import fields
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from gridlang.ast import (
+    MAX_NESTING,
     ActionStmt,
-    Action,
-    ArithExpr,
     ArithOp,
     BinaryArith,
     BinaryBool,
-    Block,
-    BoolExpr,
     BoolOp,
     Grab,
     Holding,
@@ -35,7 +49,14 @@ from gridlang.ast import (
     Turn,
     TurnDir,
 )
-from gridlang.grammar import GrammarSpec, Style, TerminalRole as R
+from gridlang.grammar import (
+    RULE_TABLES,
+    GrammarSpec,
+    RuleTable,
+    Symbol,
+    TerminalRole as R,
+    used_roles,
+)
 
 __all__ = [
     "TokenKind",
@@ -47,8 +68,55 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
-_ITEM_RE = re.compile(r"(?:item|key|box|ball|cube)(?:_[0-4])?\Z")
 _PUNCT_CHARS = frozenset("[]{}();")
+_NESTING_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+# Each AST class: (rule, alternative index, the symbols that carry its
+# fields, in field order).  Repeated symbols pair up in order of appearance.
+_NODES: dict[type, tuple[str, int, tuple[str, ...]]] = {
+    Program: ("start", 0, ("stmt",)),
+    ActionStmt: ("action_stmt", 0, ("action",)),
+    Loop: ("loop", 0, ("expr", "stmt")),
+    If: ("if_stmt", 0, ("cond", "stmt", "stmt")),
+    Move: ("action", 0, ("MOVE_DIR", "expr")),
+    Turn: ("action", 1, ("TURN_DIR",)),
+    Grab: ("action", 2, ("ITEM",)),
+    Literal: ("expr", 0, ("INT",)),
+    BinaryArith: ("expr", 1, ("op_arith", "expr", "expr")),
+    Holding: ("cond", 0, ("ITEM",)),
+    Not: ("cond", 1, ("cond",)),
+    BinaryBool: ("cond", 2, ("op_bool", "cond", "cond")),
+}
+_BY_ALT = {(rule, k): cls for cls, (rule, k, _) in _NODES.items()}
+
+# Terminals that stand for a value rather than only spelling structure.
+_LEAVES: dict[R, enum.Enum] = {
+    R.DIR_FWD: MoveDir.FORWARD,
+    R.DIR_BWD: MoveDir.BACKWARD,
+    R.DIR_LEFT: TurnDir.LEFT,
+    R.DIR_RIGHT: TurnDir.RIGHT,
+    R.OP_ADD: ArithOp.ADD,
+    R.OP_MUL: ArithOp.MUL,
+    R.AND: BoolOp.AND,
+    R.OR: BoolOp.OR,
+}
+
+# Literal classes: (text -> value, value -> text).
+_LITERALS = {"INT": (int, str), "ITEM": (ItemToken.parse, ItemToken.render)}
+
+
+def _move(dir: MoveDir, steps) -> Move:
+    """``MOVE MOVE_DIR expr?`` without the count moves one step."""
+    if steps is None:
+        return Move(dir, Literal(1), steps_omitted=True)
+    return Move(dir, steps)
+
+
+_MAKERS = {Move: _move}
+_GETTERS = {(Move, "steps"): lambda m: None if m.steps_omitted else m.steps}
+
+
+# --- tokens ------------------------------------------------------------------
 
 
 class TokenKind(enum.Enum):
@@ -59,8 +127,7 @@ class TokenKind(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: TokenKind
     role: R | None
@@ -68,24 +135,42 @@ class Token:
     end: int
 
 
+def _classifier(g: GrammarSpec) -> Callable[[str], R | str | None]:
+    """Word -> the role bound to it, else its literal class, else None."""
+    roles = g.keyword_roles.get
+    classes = [(name, pattern.fullmatch)
+               for name, pattern in RULE_TABLES[g.style].classes.items()]
+
+    def classify(word: str) -> R | str | None:
+        sym = roles(word)
+        if sym is None:
+            for name, match in classes:
+                if match(word):
+                    return name
+        return sym
+
+    return classify
+
+
 def tokenize(text: str, g: GrammarSpec) -> list[Token]:
     """Split into classified tokens; never fails, unknown text is a kind."""
+    classify = _classifier(g)
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         word = m.group()
-        role = g.keyword_roles.get(word)
+        sym = classify(word)
+        role = sym if isinstance(sym, R) else None
         if word in _PUNCT_CHARS:
             kind = TokenKind.PUNCT
         elif role is not None:
             kind = TokenKind.KEYWORD
-        elif word.isdigit():
-            kind = TokenKind.INT
-        elif _ITEM_RE.match(word):
-            kind = TokenKind.ITEM
-        else:
-            kind = TokenKind.UNKNOWN
+        else:  # a literal class name is its token kind
+            kind = TokenKind((sym or "unknown").lower())
         tokens.append(Token(word, kind, role, m.start(), m.end()))
     return tokens
+
+
+# --- parsing -----------------------------------------------------------------
 
 
 class ParseError(ValueError):
@@ -100,407 +185,242 @@ class ParseError(ValueError):
         self.found = found
 
 
+# A compiled alternative is (items, width, make): ``items`` are (is_rule,
+# ref, quant, slot, convert), ``width`` counts the value slots and ``make``
+# builds the node from them (None passes slot 0 on).  A terminal that fills
+# a slot puts ``convert(word)`` there.
+
+
 def parse(code: str, g: GrammarSpec) -> Program:
     """Parse styled code under grammar ``g``; raises ParseError to reject.
 
     The whole token stream must be consumed: trailing tokens reject.
     """
-    parser = _Parser(tokenize(code, g), g)
-    body = parser.stmt_seq(at_top=True)
-    if parser.i != len(parser.tokens):
-        parser.fail("end of input")
-    if not body:
-        raise ParseError(0, "statement", "end of input")
-    return Program(tuple(body))
+    words = _TOKEN_RE.findall(code)
+    if words.count("(") + words.count("[") + words.count("{") > MAX_NESTING:
+        depth = 0
+        for position, word in enumerate(words):
+            depth += _NESTING_STEP.get(word, 0)
+            if depth > MAX_NESTING:
+                raise ParseError(position, f"at most {MAX_NESTING} nested "
+                                 "brackets", repr(word))
+    rules, n = _RULES[g.style], len(words)
+    syms = list(map(_classifier(g), words))
+    far, want = 0, "statement"  # furthest token a terminal failed at
 
-
-class _Parser:
-    def __init__(self, tokens: list[Token], g: GrammarSpec) -> None:
-        self.tokens = tokens
-        self.g = g
-        self.style = g.style
-        self.i = 0
-
-    # --- plumbing ---------------------------------------------------------
-
-    def fail(self, expected: str):
-        if self.i < len(self.tokens):
-            found = repr(self.tokens[self.i].text)
-        else:
-            found = "end of input"
-        raise ParseError(self.i, expected, found)
-
-    def role(self, offset: int = 0) -> R | None:
-        pos = self.i + offset
-        if pos < len(self.tokens):
-            return self.tokens[pos].role
+    def rule(name: str, i: int):
+        """(value, next position), or None when no alternative matches."""
+        nonlocal far, want
+        for items, width, make in rules[name]:
+            values = [None] * width
+            j = i
+            for is_rule, ref, quant, slot, convert in items:
+                if is_rule:
+                    result = rule(ref, j)
+                    if quant == "*" or quant == "+":
+                        block = []
+                        while result is not None:
+                            block.append(result[0])
+                            j = result[1]
+                            result = rule(ref, j)
+                        if block or quant == "*":
+                            result = tuple(block), j
+                    if result is not None:
+                        values[slot], j = result
+                    elif quant != "?":
+                        break
+                elif j < n and syms[j] == ref:
+                    if slot is not None:
+                        try:
+                            values[slot] = convert(words[j])
+                        except ValueError:  # e.g. past int()'s digit limit
+                            raise ParseError(j, ref, repr(words[j])) from None
+                    j += 1
+                elif not quant:
+                    if j >= far:
+                        far, want = j, ref
+                    break
+            else:
+                return (values[0] if make is None else make(*values)), j
         return None
 
-    def at(self, role: R, offset: int = 0) -> bool:
-        return self.role(offset) is role
-
-    def expect(self, role: R) -> None:
-        if not self.at(role):
-            self.fail(repr(self.g.token(role)))
-        self.i += 1
-
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    # --- statements -------------------------------------------------------
-
-    def stmt_seq(self, at_top: bool = False, stop: tuple[R, ...] = ()) -> list:
-        """Parse statements until a stop role (or end of input at top)."""
-        stmts = []
-        while True:
-            if at_top:
-                if self.i == len(self.tokens):
-                    return stmts
-            elif self.role() in stop:
-                return stmts
-            stmts.append(self.stmt())
-
-    def stmt(self):
-        if self.style is Style.SEXPR:
-            return self._sexpr_stmt()
-        role = self.role()
-        if self.style is Style.BLOCK:
-            if role is R.DO:
-                self.i += 1
-                action = self.action(end_role=R.END)
-                self.expect(R.END)
-                return ActionStmt(action)
-        elif role in (R.MOVE, R.TURN, R.GRAB):
-            action = self.action(end_role=R.SEMI)
-            self.expect(R.SEMI)
-            return ActionStmt(action)
-        if role is R.LOOP:
-            return self._loop()
-        if role is R.IF:
-            return self._if()
-        self.fail("statement")
-
-    def _loop(self):
-        self.i += 1
-        if self.style is Style.BLOCK:
-            count = self.arith()
-            self.expect(R.TIMES)
-        else:  # C style
-            self.expect(R.PAR_L)
-            count = self.arith()
-            self.expect(R.PAR_R)
-        return Loop(count, self._braced_block())
-
-    def _if(self):
-        self.i += 1
-        if self.style is Style.BLOCK:
-            cond = self.cond()
-            self.expect(R.THEN)
-        else:
-            self.expect(R.PAR_L)
-            cond = self.cond()
-            self.expect(R.PAR_R)
-        then = self._braced_block()
-        orelse = None
-        if self.at(R.ELSE):
-            self.i += 1
-            orelse = self._braced_block()
-        return If(cond, then, orelse)
-
-    def _braced_block(self) -> Block:
-        """LBR stmt+ RBR for block style; LBR stmt* RBR for C style."""
-        self.expect(R.LBR)
-        stmts = self.stmt_seq(stop=(R.RBR,))
-        if not stmts and self.style is Style.BLOCK:
-            self.fail("statement")
-        self.expect(R.RBR)
-        return tuple(stmts)
-
-    def _sexpr_stmt(self):
-        self.expect(R.PAR_L)
-        role = self.role()
-        if role is R.LOOP:
-            self.i += 1
-            count = self.arith()
-            body = self._sexpr_stmts(stop=(R.PAR_R,))
-            self.expect(R.PAR_R)
-            return Loop(count, body)
-        if role is R.IF:
-            self.i += 1
-            cond = self.cond()
-            self.expect(R.THEN)
-            then = self._sexpr_stmts(stop=(R.ELSE, R.PAR_R))
-            orelse = None
-            if self.at(R.ELSE):
-                self.i += 1
-                orelse = self._sexpr_stmts(stop=(R.PAR_R,))
-            self.expect(R.PAR_R)
-            return If(cond, then, orelse)
-        if role in (R.MOVE, R.TURN, R.GRAB):
-            action = self.action(end_role=R.PAR_R)
-            self.expect(R.PAR_R)
-            return ActionStmt(action)
-        self.fail("statement keyword")
-
-    def _sexpr_stmts(self, stop: tuple[R, ...]) -> Block:
-        stmts = self.stmt_seq(stop=stop)
-        if not stmts:
-            self.fail("statement")
-        return tuple(stmts)
-
-    # --- actions ----------------------------------------------------------
-
-    def action(self, end_role: R) -> Action:
-        role = self.role()
-        if role is R.MOVE:
-            self.i += 1
-            direction = self._move_dir()
-            if self.at(end_role):
-                # surface omitted the count: default one step
-                return Move(direction, Literal(1), steps_omitted=True)
-            return Move(direction, self.arith())
-        if role is R.TURN:
-            self.i += 1
-            return Turn(self._turn_dir())
-        if role is R.GRAB:
-            self.i += 1
-            return Grab(self.item())
-        self.fail("action keyword")
-
-    def _move_dir(self) -> MoveDir:
-        if self.at(R.DIR_FWD):
-            self.i += 1
-            return MoveDir.FORWARD
-        if self.at(R.DIR_BWD):
-            self.i += 1
-            return MoveDir.BACKWARD
-        self.fail("move direction")
-
-    def _turn_dir(self) -> TurnDir:
-        if self.at(R.DIR_LEFT):
-            self.i += 1
-            return TurnDir.LEFT
-        if self.at(R.DIR_RIGHT):
-            self.i += 1
-            return TurnDir.RIGHT
-        self.fail("turn direction")
-
-    def item(self) -> ItemToken:
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            if tok.kind is TokenKind.ITEM:
-                self.i += 1
-                return ItemToken.parse(tok.text)
-        self.fail("item token")
-
-    # --- expressions ------------------------------------------------------
-
-    def arith(self) -> ArithExpr:
-        if self.style is Style.SEXPR:
-            return self._sexpr_arith()
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            if tok.kind is TokenKind.INT:
-                self.i += 1
-                return Literal(int(tok.text))
-        if self.at(R.PAR_L):
-            self.i += 1
-            left = self.arith()
-            op = self._arith_op()
-            right = self.arith()
-            self.expect(R.PAR_R)
-            return BinaryArith(op, left, right)
-        self.fail("expression")
-
-    def _sexpr_arith(self) -> ArithExpr:
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            if tok.kind is TokenKind.INT:
-                self.i += 1
-                return Literal(int(tok.text))
-        self.expect(R.PAR_L)
-        op = self._arith_op()
-        left = self._sexpr_arith()
-        right = self._sexpr_arith()
-        self.expect(R.PAR_R)
-        return BinaryArith(op, left, right)
-
-    def _arith_op(self) -> ArithOp:
-        if self.at(R.OP_ADD):
-            self.i += 1
-            return ArithOp.ADD
-        if self.at(R.OP_MUL):
-            self.i += 1
-            return ArithOp.MUL
-        self.fail("arithmetic operator")
-
-    def cond(self) -> BoolExpr:
-        if self.style is Style.SEXPR:
-            return self._sexpr_cond()
-        role = self.role()
-        if role is R.HOLDING:
-            self.i += 1
-            return Holding(self.item())
-        if role is R.NOT:
-            self.i += 1
-            self.expect(R.PAR_L)
-            inner = self.cond()
-            self.expect(R.PAR_R)
-            return Not(inner)
-        if role is R.PAR_L:
-            self.i += 1
-            left = self.cond()
-            op = self._bool_op()
-            right = self.cond()
-            self.expect(R.PAR_R)
-            return BinaryBool(op, left, right)
-        self.fail("condition")
-
-    def _sexpr_cond(self) -> BoolExpr:
-        self.expect(R.PAR_L)
-        role = self.role()
-        if role is R.HOLDING:
-            self.i += 1
-            item = self.item()
-            self.expect(R.PAR_R)
-            return Holding(item)
-        if role is R.NOT:
-            self.i += 1
-            inner = self._sexpr_cond()
-            self.expect(R.PAR_R)
-            return Not(inner)
-        if role in (R.AND, R.OR):
-            op = self._bool_op()
-            left = self._sexpr_cond()
-            right = self._sexpr_cond()
-            self.expect(R.PAR_R)
-            return BinaryBool(op, left, right)
-        self.fail("condition keyword")
-
-    def _bool_op(self) -> BoolOp:
-        if self.at(R.AND):
-            self.i += 1
-            return BoolOp.AND
-        if self.at(R.OR):
-            self.i += 1
-            return BoolOp.OR
-        self.fail("boolean operator")
+    result = rule("start", 0)
+    if result is not None:
+        if result[1] == n:
+            return result[0]
+        if result[1] >= far:
+            far, want = result[1], "end of input"
+    found = repr(words[far]) if far < n else "end of input"
+    raise ParseError(far, repr(g.token(want)) if isinstance(want, R) else want,
+                     found)
 
 
-# --- linearization ---------------------------------------------------------
+def _group(table: RuleTable, sym: Symbol) -> tuple[Symbol, ...] | None:
+    """The one alternative of a rule that builds no node, such as a
+    parenthesized group: it stands for the one value it carries."""
+    if sym.kind == "rule" and len(table.rules[sym.ref]) == 1 and \
+            (sym.ref, 0) not in _BY_ALT:
+        return table.rules[sym.ref][0]
+    return None
+
+
+def _value_name(table: RuleTable, sym: Symbol) -> str | None:
+    """The field symbol an item fills, or None when it only spells syntax."""
+    if sym.kind == "role":
+        return sym.ref.name if sym.ref in _LEAVES else None
+    alt = _group(table, sym)
+    if alt is not None:
+        (name,) = filter(None, (_value_name(table, s) for s in alt))
+        return name
+    return sym.ref
+
+
+def _slots(table: RuleTable, rule: str, k: int) -> list[int | None]:
+    """The value slot each item of an alternative fills, if any; raises
+    ValueError unless the items fill exactly the node's fields."""
+    names = [_value_name(table, sym) for sym in table.rules[rule][k]]
+    cls = _BY_ALT.get((rule, k))
+    free = list(_NODES[cls][2]) if cls else [n for n in names if n][:1]
+    slots = []
+    for name in names:
+        slots.append(None if name is None else free.index(name))
+        if name is not None:
+            free[slots[-1]] = ""
+    if any(free):
+        raise ValueError(f"{rule} alternative {k} lacks a field of {cls}")
+    return slots
+
+
+def _compile_rules(table: RuleTable) -> dict[str, tuple]:
+    rules = {}
+    for rule, alts in table.rules.items():
+        compiled = []
+        for k, alt in enumerate(alts):
+            items = []
+            for sym, slot in zip(alt, _slots(table, rule, k)):
+                if sym.kind == "class":
+                    convert = _LITERALS[sym.ref][0]
+                elif slot is not None and sym.kind == "role":
+                    convert = (lambda _, leaf=_LEAVES[sym.ref]: leaf)
+                else:
+                    convert = None
+                items.append((sym.kind == "rule", sym.ref, sym.quant, slot,
+                              convert))
+            cls = _BY_ALT.get((rule, k))
+            compiled.append((tuple(items), len(_NODES[cls][2]) if cls else 1,
+                             cls and _MAKERS.get(cls, cls)))
+        rules[rule] = tuple(compiled)
+    return rules
+
+
+_RULES = {style: _compile_rules(table) for style, table in RULE_TABLES.items()}
+
+
+# --- linearization -----------------------------------------------------------
+
+# Template piece ops; plain strings are literal text.
+_NODE, _TEXT, _BLOCK, _OPTIONAL = range(4)
 
 
 def linearize(program: Program, g: GrammarSpec) -> str:
-    """Render a program under ``g``: one statement per line, two-space
-    indent per nesting level.  parse(linearize(t, g), g) recovers t."""
-    lines: list[str] = []
-    for stmt in program.body:
-        _stmt_lines(stmt, g, 0, lines)
-    return "\n".join(lines)
+    """Render a program under ``g`` by the layout rule in the module
+    docstring; parse(linearize(t, g), g) recovers t.  Layouts spell roles
+    as numbered format fields, filled in once at the end."""
+    roles, templates = _LAYOUTS[g.style]
+    out: list[str] = []
+    _emit(program, templates[Program], "", out, templates)
+    text = "".join(out).format(*[g.terminals[role] for role in roles])
+    return text.strip("\n")
 
 
-def _stmt_lines(stmt, g: GrammarSpec, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    t = g.token
-    if g.style is Style.BLOCK:
-        if isinstance(stmt, ActionStmt):
-            lines.append(f"{pad}{t(R.DO)} {_action(stmt.action, g)} {t(R.END)}")
-        elif isinstance(stmt, Loop):
-            lines.append(f"{pad}{t(R.LOOP)} {_arith(stmt.count, g)} "
-                         f"{t(R.TIMES)} {t(R.LBR)}")
-            _block_lines(stmt.body, g, depth + 1, lines)
-            lines.append(pad + t(R.RBR))
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}{t(R.IF)} {_cond(stmt.cond, g)} "
-                         f"{t(R.THEN)} {t(R.LBR)}")
-            _block_lines(stmt.then, g, depth + 1, lines)
-            if stmt.orelse is not None:
-                lines.append(f"{pad}{t(R.RBR)} {t(R.ELSE)} {t(R.LBR)}")
-                _block_lines(stmt.orelse, g, depth + 1, lines)
-            lines.append(pad + t(R.RBR))
+def _emit(node, pieces: tuple, pad: str, out: list[str],
+          templates: dict) -> None:
+    for piece in pieces:
+        if piece.__class__ is str:
+            out.append(piece)
+            continue
+        op, get, arg = piece
+        if op is _NODE:
+            child = get(node)
+            _emit(child, templates[child.__class__], pad, out, templates)
+        elif op is _TEXT:
+            out.append(arg(get(node)))
+        elif op is _BLOCK:
+            inner = pad + arg
+            for stmt in get(node):
+                out.append("\n" + inner)
+                _emit(stmt, templates[stmt.__class__], inner, out, templates)
+            out.append("\n" + pad)  # the token after a block
+        elif get(node) is not None:  # _OPTIONAL: arg spells it when present
+            _emit(node, arg, pad, out, templates)
+
+
+def _layout(style) -> tuple[tuple[R, ...], dict[type, tuple]]:
+    """The style's roles, and per AST class the pieces that spell it."""
+    table, roles = RULE_TABLES[style], used_roles(style)
+    numbers = {role: k for k, role in enumerate(roles)}
+    layouts = {}
+    for cls, (rule, k, _) in _NODES.items():
+        attrs = [f.name for f in fields(cls)]
+        getters = [None if slot is None else _GETTERS.get(
+            (cls, attrs[slot]), attrgetter(attrs[slot]))
+            for slot in _slots(table, rule, k)]
+        layouts[cls] = _pieces(table, table.rules[rule][k], getters, numbers,
+                               "" if rule == "start" else "  ")
+    return roles, layouts
+
+
+def _pieces(table: RuleTable, items: tuple[Symbol, ...], getters: list,
+            numbers: dict, indent: str) -> tuple:
+    """Lay out one alternative, merging adjacent literal text.  An optional
+    item must leave its neighbours' layout as its absence would."""
+    pieces: list = []
+    prev = None
+    for sym, get in zip(items, getters):
+        if sym.kind == "role":
+            spelled = ["{%d}" % numbers[sym.ref]]
+        elif sym.kind == "class":
+            spelled = [(_TEXT, get, _LITERALS[sym.ref][1])]
+        elif sym.quant in ("*", "+"):
+            spelled = [(_BLOCK, get, indent)]
+        elif _group(table, sym):
+            alt = _group(table, sym)
+            spelled = list(_pieces(table, alt, [get] * len(alt), numbers,
+                                   indent))
+        elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
+            spelled = [(_TEXT, get, {
+                _LEAVES[alt[0].ref]: "{%d}" % numbers[alt[0].ref]
+                for alt in table.rules[sym.ref]}.__getitem__)]
         else:
-            raise TypeError(f"not a statement: {stmt!r}")
-    elif g.style is Style.C:
-        if isinstance(stmt, ActionStmt):
-            lines.append(f"{pad}{_action(stmt.action, g)}{t(R.SEMI)}")
-        elif isinstance(stmt, Loop):
-            lines.append(f"{pad}{t(R.LOOP)} ({_arith(stmt.count, g)}) "
-                         f"{t(R.LBR)}")
-            _block_lines(stmt.body, g, depth + 1, lines)
-            lines.append(pad + t(R.RBR))
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}{t(R.IF)} ({_cond(stmt.cond, g)}) {t(R.LBR)}")
-            _block_lines(stmt.then, g, depth + 1, lines)
-            if stmt.orelse is not None:
-                lines.append(f"{pad}{t(R.RBR)} {t(R.ELSE)} {t(R.LBR)}")
-                _block_lines(stmt.orelse, g, depth + 1, lines)
-            lines.append(pad + t(R.RBR))
+            spelled = [(_NODE, get, None)]
+        sep = [] if prev is None else _separator(table, prev, sym)
+        if sym.quant == "?":
+            pieces.append((_OPTIONAL, get, _merge(sep + spelled)))
         else:
-            raise TypeError(f"not a statement: {stmt!r}")
-    else:  # S-expressions
-        if isinstance(stmt, ActionStmt):
-            lines.append(f"{pad}({_action(stmt.action, g)})")
-        elif isinstance(stmt, Loop):
-            lines.append(f"{pad}({t(R.LOOP)} {_arith(stmt.count, g)}")
-            _block_lines(stmt.body, g, depth + 1, lines)
-            lines.append(pad + ")")
-        elif isinstance(stmt, If):
-            lines.append(f"{pad}({t(R.IF)} {_cond(stmt.cond, g)} {t(R.THEN)}")
-            _block_lines(stmt.then, g, depth + 1, lines)
-            if stmt.orelse is not None:
-                lines.append(pad + t(R.ELSE))
-                _block_lines(stmt.orelse, g, depth + 1, lines)
-            lines.append(pad + ")")
+            pieces.extend(sep + spelled)
+            prev = sym
+    return _merge(pieces)
+
+
+def _separator(table: RuleTable, a: Symbol, b: Symbol) -> list[str]:
+    """The layout rule between adjacent items ``a`` and ``b``; a block
+    itself breaks the lines around its statements."""
+    a = (_group(table, a) or (a,))[-1]
+    b = (_group(table, b) or (b,))[0]
+    if a.quant in ("*", "+") or b.quant in ("*", "+") or a.ref is R.PAR_L \
+            or b.ref in (R.PAR_R, R.SEMI):
+        return []
+    return [" "]
+
+
+def _merge(pieces: list) -> tuple:
+    merged: list = []
+    for piece in pieces:
+        if piece.__class__ is str and merged and merged[-1].__class__ is str:
+            merged[-1] += piece
         else:
-            raise TypeError(f"not a statement: {stmt!r}")
+            merged.append(piece)
+    return tuple(merged)
 
 
-def _block_lines(block: Block, g: GrammarSpec, depth: int,
-                 lines: list[str]) -> None:
-    for stmt in block:
-        _stmt_lines(stmt, g, depth, lines)
-
-
-def _action(action: Action, g: GrammarSpec) -> str:
-    t = g.token
-    if isinstance(action, Move):
-        dir_tok = t(R.DIR_FWD if action.dir is MoveDir.FORWARD else R.DIR_BWD)
-        if action.steps_omitted:
-            return f"{t(R.MOVE)} {dir_tok}"
-        return f"{t(R.MOVE)} {dir_tok} {_arith(action.steps, g)}"
-    if isinstance(action, Turn):
-        dir_tok = t(R.DIR_LEFT if action.dir is TurnDir.LEFT else R.DIR_RIGHT)
-        return f"{t(R.TURN)} {dir_tok}"
-    if isinstance(action, Grab):
-        return f"{t(R.GRAB)} {action.item.render()}"
-    raise TypeError(f"not an action: {action!r}")
-
-
-def _arith(expr: ArithExpr, g: GrammarSpec) -> str:
-    t = g.token
-    if isinstance(expr, Literal):
-        return str(expr.value)
-    op_tok = t(R.OP_ADD if expr.op is ArithOp.ADD else R.OP_MUL)
-    left, right = _arith(expr.left, g), _arith(expr.right, g)
-    if g.style is Style.SEXPR:
-        return f"({op_tok} {left} {right})"
-    return f"({left} {op_tok} {right})"
-
-
-def _cond(cond: BoolExpr, g: GrammarSpec) -> str:
-    t = g.token
-    if g.style is Style.SEXPR:
-        if isinstance(cond, Holding):
-            return f"({t(R.HOLDING)} {cond.item.render()})"
-        if isinstance(cond, Not):
-            return f"({t(R.NOT)} {_cond(cond.inner, g)})"
-        op_tok = t(R.AND if cond.op is BoolOp.AND else R.OR)
-        return f"({op_tok} {_cond(cond.left, g)} {_cond(cond.right, g)})"
-    if isinstance(cond, Holding):
-        return f"{t(R.HOLDING)} {cond.item.render()}"
-    if isinstance(cond, Not):
-        return f"{t(R.NOT)} ({_cond(cond.inner, g)})"
-    op_tok = t(R.AND if cond.op is BoolOp.AND else R.OR)
-    return f"({_cond(cond.left, g)} {op_tok} {_cond(cond.right, g)})"
+_LAYOUTS = {style: _layout(style) for style in RULE_TABLES}

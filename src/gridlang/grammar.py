@@ -6,8 +6,11 @@ draw one synonym per keyword role from small fixed pools; alien lexicons
 draw opaque ``v_xxxx`` tokens so that a model can rely on neither token
 priors nor memorized syntax.  Punctuation is never aliened.
 
-``render_ebnf`` emits the grammar exactly as the parser accepts it; the text
-is embedded verbatim in prompts and dataset records.
+The production lines are the one description of each style's syntax.  At
+import they compile into a ``RuleTable`` per style (``RULE_TABLES``), from
+which ``codec`` derives both its parser and its linearizer; ``render_ebnf``
+prints the same lines, so the text embedded verbatim in prompts and dataset
+records is by construction the language that is parsed.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import enum
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gridlang.ast import ITEM_VOCAB
 
@@ -26,6 +30,9 @@ __all__ = [
     "GrammarSpec",
     "NATURAL_POOLS",
     "PUNCT_ROLES",
+    "Symbol",
+    "RuleTable",
+    "RULE_TABLES",
     "used_roles",
     "map_lexicon",
     "build_grammar",
@@ -157,14 +164,66 @@ _ALIEN_RE = re.compile(r"v_[a-z]{4}\Z")
 _ROLE_NAMES = frozenset(r.name for r in TerminalRole)
 
 
+class Symbol(NamedTuple):
+    """One item of an alternative: a "role" (``ref`` is a TerminalRole), a
+    literal "class" or a "rule" (group ``k`` of rule ``r`` is the anonymous
+    rule ``r.k``); ``quant`` is "", "?", "*" or "+"."""
+
+    kind: str
+    ref: TerminalRole | str
+    quant: str
+
+
+class RuleTable(NamedTuple):
+    """A style's rules (name -> alternatives in source order) and literal
+    classes (name -> pattern)."""
+
+    rules: dict[str, tuple[tuple[Symbol, ...], ...]]
+    classes: dict[str, re.Pattern]
+
+
+_GROUP_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _compile_rules(lines: tuple[str, ...]) -> RuleTable:
+    """Read ``name: alt | alt`` and ``NAME: /regex/`` lines into a table."""
+    bodies: dict[str, str] = {}
+    classes = {}
+    for line in lines:
+        name, _, body = line.partition(": ")
+        if body.startswith("/"):
+            classes[name] = re.compile(body.strip("/"))
+            continue
+        parts = _GROUP_RE.split(body)
+        for k in range(1, len(parts), 2):  # odd parts are group bodies
+            group = f"{name}.{k // 2}"
+            bodies[group], parts[k] = parts[k], group
+        bodies[name] = "".join(parts)
+
+    def symbol(word: str) -> Symbol:
+        base = word.rstrip("?*+")
+        quant = word[len(base):]
+        if base in _ROLE_NAMES:
+            return Symbol("role", TerminalRole(base), quant)
+        return Symbol("class" if base in classes else "rule", base, quant)
+
+    return RuleTable({name: tuple(tuple(map(symbol, alt.split()))
+                                  for alt in body.split("|"))
+                      for name, body in bodies.items()}, classes)
+
+
+# Compiled once at import from exactly the lines ``render_ebnf`` prints.
+RULE_TABLES: dict[Style, RuleTable] = {
+    style: _compile_rules(_PRODUCTIONS[style] + _CLASS_LINES)
+    for style in Style
+}
+
+
 def used_roles(style: Style) -> tuple[TerminalRole, ...]:
-    """Roles that actually occur in the style's productions, in enum order."""
-    seen = set()
-    for line in _PRODUCTIONS[style] + _CLASS_LINES:
-        for word in re.findall(r"[A-Z_]+", line):
-            if word in _ROLE_NAMES:
-                seen.add(word)
-    return tuple(r for r in TerminalRole if r.name in seen)
+    """Roles that actually occur in the style's rule table, in enum order."""
+    seen = {sym.ref for alts in RULE_TABLES[style].rules.values()
+            for alt in alts for sym in alt if sym.kind == "role"}
+    return tuple(r for r in TerminalRole if r in seen)
 
 
 @dataclass(frozen=True)
@@ -251,8 +310,9 @@ def build_grammar(style: Style, mode: LexiconMode, seed: int) -> GrammarSpec:
 def render_ebnf(g: GrammarSpec) -> str:
     """Render the grammar: productions first, then ``ROLE: "token"`` lines.
 
-    Deterministic; the emitted text is exactly the language the parser for
-    ``g`` accepts.
+    Deterministic.  ``codec`` compiles its parser and linearizer from these
+    same production and class lines, so the text is exactly the language
+    the parser for ``g`` accepts.
     """
     lines = list(_PRODUCTIONS[g.style])
     lines.extend(_CLASS_LINES)
@@ -269,15 +329,21 @@ def grammar_from_text(
 ) -> GrammarSpec:
     """Rebuild a GrammarSpec from rendered grammar text.
 
-    Inverse of render_ebnf for the terminal bindings; used when scoring a
-    stored dataset record without replaying its generation.
+    Inverse of render_ebnf; used when scoring a stored dataset record
+    without replaying its generation.  Raises ValueError unless ``text`` is
+    exactly what render_ebnf prints for the rebuilt spec, so a record whose
+    productions were edited or are stale is rejected rather than scored
+    under another grammar.
     """
     terminals: dict[TerminalRole, str] = {}
     for line in text.splitlines():
         m = _TERMINAL_LINE_RE.match(line.strip())
         if m and m.group(1) in _ROLE_NAMES:
             terminals[TerminalRole(m.group(1))] = m.group(2)
-    return GrammarSpec(style=style, mode=mode, terminals=terminals, seed=seed)
+    g = GrammarSpec(style=style, mode=mode, terminals=terminals, seed=seed)
+    if render_ebnf(g) != text:
+        raise ValueError(f"not the rendered {style.value} grammar text")
+    return g
 
 
 def _draw_alien(rng: random.Random, taken: set[str]) -> str:

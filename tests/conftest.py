@@ -1,16 +1,20 @@
-"""Shared test helpers: pinned lexicons and independent tree walkers.
+"""Shared test helpers: pinned lexicons, independent tree walkers, and a
+random derivation generator that reads the rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
-explicit stack) so tests never validate library code against itself.
+explicit stack), and the generator reads the grammar text with its own
+reader, so tests never validate library code against itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from gridlang.ast import (
     ActionStmt,
     ArithOp,
+    BinaryArith,
     BoolOp,
     Grab,
     Holding,
@@ -23,6 +27,7 @@ from gridlang.ast import (
     Program,
     TurnDir,
 )
+from gridlang.codec import linearize
 from gridlang.grammar import (
     GrammarSpec,
     LexiconMode,
@@ -169,3 +174,119 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
                 turn = 1 if action.dir is TurnDir.RIGHT else -1
                 facing = _CLOCKWISE[(_CLOCKWISE.index(facing) + turn) % 4]
     return Final(RobotState(x, y, facing, tuple(held)), steps)
+
+
+# --- derivations from the rendered grammar text ------------------------------
+
+_EBNF_TOKEN_RE = re.compile(r'"[^"]*"|/[^/]*/|[()|]|[?*+]|[A-Za-z_]+')
+
+
+def _read_ebnf(text: str) -> tuple[dict, dict, dict]:
+    """(rules, tokens, patterns) from ``render_ebnf`` text.
+
+    rules maps a name to a list of alternatives, each a list of
+    (node, quantifier) pairs where node is a name or a nested list of
+    alternatives; tokens maps role names to their bound text, patterns
+    maps class names to their regex source.
+    """
+    rules, tokens, patterns = {}, {}, {}
+    for line in text.splitlines():
+        name, body = line.split(": ", 1)
+        if body.startswith('"'):
+            tokens[name] = body[1:-1]
+        elif body.startswith("/"):
+            patterns[name] = body[1:-1]
+        else:
+            words = _EBNF_TOKEN_RE.findall(body)
+            rules[name], rest = _read_choice(words)
+            assert not rest, line
+    return rules, tokens, patterns
+
+
+def _read_choice(words: list) -> tuple[list, list]:
+    alternatives, current = [], []
+    while words and words[0] != ")":
+        word, words = words[0], words[1:]
+        if word == "|":
+            alternatives.append(current)
+            current = []
+            continue
+        if word == "(":
+            node, words = _read_choice(words)
+            words = words[1:]  # the closing parenthesis
+        else:
+            node = word
+        quant = ""
+        if words and words[0] in ("?", "*", "+"):
+            quant, words = words[0], words[1:]
+        current.append((node, quant))
+    alternatives.append(current)
+    return alternatives, words
+
+
+def derive(text: str, choose, literal, max_depth: int = 4) -> str:
+    """One random sentence of the grammar printed in ``text``.
+
+    ``choose(n)`` picks an index below n and ``literal(pattern)`` draws a
+    string matching a class's regex.  Past ``max_depth`` nested rules the
+    expansion takes first alternatives, drops ``?`` items, repeats ``*``
+    items zero times and ``+`` items once, which terminates for every style
+    (each rule's first alternative is its least nested one).  Tokens are
+    joined by a space, a newline or, next to punctuation, nothing.
+    """
+    rules, tokens, patterns = _read_ebnf(text)
+    out: list[str] = []
+
+    def expand(alternatives: list, depth: int) -> None:
+        deep = depth > max_depth
+        alt = alternatives[0 if deep else choose(len(alternatives))]
+        for node, quant in alt:
+            if quant == "?":
+                count = 0 if deep else choose(2)
+            elif quant == "*":
+                count = 0 if deep else choose(3)
+            elif quant == "+":
+                count = 1 if deep else 1 + choose(2)
+            else:
+                count = 1
+            for _ in range(count):
+                if isinstance(node, list):
+                    expand(node, depth)
+                elif node in tokens:
+                    out.append(tokens[node])
+                elif node in patterns:
+                    out.append(literal(patterns[node]))
+                else:
+                    expand(rules[node], depth + 1)
+
+    expand(rules["start"], 0)
+    text = out[0]
+    for prev, word in zip(out, out[1:]):
+        glue = prev[-1] in "[]{}();+*" or word[0] in "[]{}();+*"
+        text += ("", " ", "\n  ")[choose(3) if glue else 1 + choose(2)]
+        text += word
+    return text
+
+
+def bracket_depth(text: str) -> int:
+    """Deepest nesting of ``([{`` brackets in ``text``."""
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch in "([{") - (ch in ")]}")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def deep_surface(g: GrammarSpec, depth: int) -> str:
+    """One move whose count nests additions so that its text under ``g``
+    nests exactly ``depth`` brackets."""
+    def program(levels: int) -> Program:
+        count = Literal(1)
+        for _ in range(levels):
+            count = BinaryArith(ArithOp.ADD, count, Literal(1))
+        return Program((ActionStmt(Move(MoveDir.FORWARD, count)),))
+
+    offset = bracket_depth(linearize(program(0), g))
+    text = linearize(program(depth - offset), g)
+    assert bracket_depth(text) == depth
+    return text

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlang.ast import (
+    MAX_NESTING,
     ActionStmt,
     ArithOp,
     BinaryArith,
@@ -194,6 +195,26 @@ class TestCanonicalForm:
         with pytest.raises(CanonParseError) as info:
             canon_parse("(prog (loop banana (turn L)))")
         assert "token" in str(info.value)
+
+    def test_nesting_limit(self):
+        def nested(levels):  # (prog (move F (add ... (int 1) ...)))
+            count = Literal(1)
+            for _ in range(levels):
+                count = BinaryArith(ArithOp.ADD, count, Literal(1))
+            return Program((ActionStmt(Move(MoveDir.FORWARD, count)),))
+
+        at_limit = nested(MAX_NESTING - 3)
+        assert canon_parse(canon_serialize(at_limit)) == at_limit
+        text = canon_serialize(nested(MAX_NESTING - 2))
+        with pytest.raises(CanonParseError) as info:
+            canon_parse(text)
+        tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+        assert tokens[:info.value.position + 1].count("(") == MAX_NESTING + 1
+        assert tokens[info.value.position] == "("
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(CanonParseError):
+            canon_parse("(prog (move F (int \u00b2)))")
 
     def test_omitted_move_count_survives_round_trip(self):
         prog = Program((ActionStmt(Move(MoveDir.FORWARD, Literal(1),

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlang.ast import (
+    MAX_NESTING,
     ActionStmt,
     ArithOp,
     BinaryArith,
@@ -29,10 +31,17 @@ from gridlang.grammar import (
     Style,
     TerminalRole as R,
     build_grammar,
+    render_ebnf,
 )
 from gridlang.sampler import GenParams, generate_instance
 
-from conftest import ALL_COMBOS, fixed_grammar
+from conftest import (
+    ALL_COMBOS,
+    bracket_depth,
+    deep_surface,
+    derive,
+    fixed_grammar,
+)
 
 BLOCK_G = fixed_grammar(Style.BLOCK)
 C_G = fixed_grammar(Style.C)
@@ -262,3 +271,66 @@ def test_rendering_injective_over_small_program_space():
                 f"collision under {style}: {code!r}"
             rendered[code] = prog
             assert parse(code, g) == prog
+
+
+class TestIntegerLiterals:
+    """INT is the class line's ASCII ``[0-9]+``; a literal that does not
+    convert is a rejection at its token, never an escaping ValueError."""
+
+    def test_superscript_digit_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse("loop (\u00b2) { turn left; }", C_G)
+        assert info.value.position == 2
+
+    def test_non_ascii_digit_is_not_an_integer(self):
+        assert tokenize("\u0663", BLOCK_G)[0].kind is TokenKind.UNKNOWN
+        with pytest.raises(ParseError) as info:
+            parse("loop \u0663 times { do turn left end }", BLOCK_G)
+        assert info.value.position == 1
+
+    def test_literal_past_int_digit_limit_rejected_at_its_token(self):
+        with pytest.raises(ParseError) as info:
+            parse("do move forward " + "9" * 5000 + " end", BLOCK_G)
+        assert info.value.position == 3
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("style", list(Style))
+    def test_limit_parses(self, style):
+        g = fixed_grammar(style)
+        text = deep_surface(g, MAX_NESTING)
+        assert bracket_depth(text) == MAX_NESTING
+        assert linearize(parse(text, g), g) == text
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_one_past_the_limit_rejected_at_that_bracket(self, style):
+        g = fixed_grammar(style)
+        text = deep_surface(g, MAX_NESTING + 1)
+        with pytest.raises(ParseError) as info:
+            parse(text, g)
+        words = [t.text for t in tokenize(text, g)]
+        opened = words[:info.value.position + 1]
+        assert opened[-1] in "([{"
+        assert bracket_depth("".join(opened)) == MAX_NESTING + 1
+
+
+class TestGrammarDerivations:
+    """Every sentence derived from the printed EBNF parses, including
+    shapes the sampler never emits (omitted move counts, multi-digit
+    literals, C-style empty blocks and else-blocks), and linearizing the
+    tree gives text that parses back to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS), st.integers(0, 10 ** 6), st.data())
+    def test_derived_sentences_parse_and_round_trip(self, combo, seed, data):
+        style, mode = combo
+        g = build_grammar(style, mode, seed)
+        text = derive(
+            render_ebnf(g),
+            lambda n: data.draw(st.integers(0, n - 1)),
+            lambda pattern: data.draw(st.from_regex(pattern, fullmatch=True)),
+        )
+        tree = parse(text, g)
+        again = linearize(tree, g)
+        assert parse(again, g) == tree
+        assert linearize(parse(again, g), g) == again

@@ -196,3 +196,13 @@ class TestGrammarFromText:
         )
         with pytest.raises(ValueError):
             grammar_from_text(Style.BLOCK, LexiconMode.NATURAL, text)
+
+    def test_altered_production_line_rejected(self):
+        g = build_grammar(Style.C, LexiconMode.NATURAL, 13)
+        text = render_ebnf(g).replace(
+            "loop: LOOP PAR_L expr PAR_R LBR stmt* RBR",
+            "loop: LOOP PAR_L expr PAR_R LBR stmt+ RBR")
+        assert text != render_ebnf(g)
+        with pytest.raises(ValueError):
+            grammar_from_text(Style.C, LexiconMode.NATURAL, text)
+

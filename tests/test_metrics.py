@@ -1,8 +1,12 @@
 """Scoring layers, aggregation arithmetic, and report rendering."""
 
-import pytest
+import functools
+import time
 
-from gridlang.ast import canon_parse
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridlang.ast import ITEM_VOCAB, MAX_NESTING, canon_parse
 from gridlang.codec import linearize
 from gridlang.grammar import (
     LexiconMode,
@@ -25,6 +29,8 @@ from gridlang.metrics import (
 from gridlang.sampler import GenParams
 from gridlang.tasks import TaskKind, make_dataset, make_instance
 
+from conftest import ALL_COMBOS, deep_surface
+
 
 def _goal_instance(seed=31, depth=6):
     params = GenParams(max_depth=depth, seed=seed)
@@ -41,6 +47,12 @@ def _instruction_instance(seed=11, depth=5):
 def _grammar(inst):
     return grammar_from_text(inst.style, inst.lexicon_mode,
                              inst.grammar_text)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_goal(style, mode):
+    return make_instance(TaskKind.GOAL, style, mode,
+                         GenParams(max_depth=3, seed=5))
 
 
 class TestEvalRecordContainment:
@@ -171,6 +183,50 @@ class TestGenerationScoring:
                             LexiconMode.NATURAL, params)[0]
         with pytest.raises(ValueError):
             score_generation("anything", inst, None)
+
+
+class TestScoringIsTotal:
+    """Untrusted answers always score; none raises or hangs."""
+
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "9" * 5000])
+    def test_unconvertible_literals_fail_at_syntax(self, count):
+        inst = _small_goal(Style.C, LexiconMode.NATURAL)
+        g = _grammar(inst)
+        t = g.token
+        answer = (f"{t(R.LOOP)} ({count}) {t(R.LBR)} {t(R.TURN)} "
+                  f"{t(R.DIR_LEFT)}; {t(R.RBR)}")
+        assert score_generation(answer, inst, g).failure_stage == "syntax"
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_nesting_limit_scores(self, style):
+        inst = _small_goal(style, LexiconMode.NATURAL)
+        g = _grammar(inst)
+        at_limit = score_generation(deep_surface(g, MAX_NESTING), inst, g)
+        assert at_limit.parsed_ok
+        past = score_generation(deep_surface(g, MAX_NESTING + 1), inst, g)
+        assert past.failure_stage == "syntax"
+
+    def test_3000_deep_c_answer_is_a_syntax_failure(self):
+        inst = _small_goal(Style.C, LexiconMode.NATURAL)
+        g = _grammar(inst)
+        nested = "(" * 3000 + "1" + " + 1)" * 3000
+        answer = f"{g.token(R.MOVE)} {g.token(R.DIR_FWD)} {nested};"
+        assert score_generation(answer, inst, g).failure_stage == "syntax"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS), st.data())
+    def test_token_soup_scores_within_a_second(self, combo, data):
+        inst = _small_goal(*combo)
+        g = _grammar(inst)
+        vocabulary = sorted(g.terminals.values()) + sorted(
+            item.render() for item in ITEM_VOCAB) + [
+            "0", "7", "12", "\u0663", "\u00b2", "\uff15", "9" * 5000,
+            "(" * 150, "zz", "@", "[", "]", "{", "}", "(", ")", ";"]
+        words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=60))
+        start = time.perf_counter()
+        rec = score_generation(" ".join(words), inst, g)
+        assert isinstance(rec, EvalRecord)
+        assert time.perf_counter() - start < 1.0
 
 
 def _instruction_population():
