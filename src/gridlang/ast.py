@@ -99,6 +99,11 @@ class ItemToken:
 
     @staticmethod
     def parse(text: str) -> ItemToken:
+        """Inverse of ``render``: the shared ``ITEM_VOCAB`` member, not a
+        copy; raises ValueError for text that names no item."""
+        item = _ITEMS_BY_TEXT.get(text)
+        if item is not None:
+            return item
         base, _, tail = text.partition("_")
         if tail:
             if not (len(tail) == 1 and tail.isdigit()):
@@ -112,6 +117,7 @@ ITEM_VOCAB = tuple(
     for base in ITEM_BASES
     for suffix in (None, 0, 1, 2, 3, 4)
 )
+_ITEMS_BY_TEXT = {item.render(): item for item in ITEM_VOCAB}
 
 
 # --- expressions -----------------------------------------------------------

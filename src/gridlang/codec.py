@@ -9,8 +9,12 @@ non-space character stands alone, so ``repeat(3+4)iters`` and
 grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
 whose pattern it matches in full.
 
-The parser tries a rule's alternatives in order; every style is LL(2), so
-work stays linear.  A rejection reports the furthest token reached.  Text
+The parser is one plain Python function per rule, generated from the
+style's rule table and compiled once at import: straight-line terminal
+tests, sub-rule calls and block loops, with no interpretation of the table
+while parsing.  Each function tries its rule's alternatives in order;
+every style is LL(2), so work stays linear.  Words are classified once per
+distinct word.  A rejection reports the furthest token reached.  Text
 nested deeper than ``MAX_NESTING`` brackets is rejected at the first token
 past that depth before parsing, so recursion stays far from Python's limit.
 
@@ -135,30 +139,30 @@ class Token(NamedTuple):
     end: int
 
 
-def _classifier(g: GrammarSpec) -> Callable[[str], R | str | None]:
-    """Word -> the role bound to it, else its literal class, else None."""
+def _word_symbols(words: list[str],
+                  g: GrammarSpec) -> dict[str, R | str | None]:
+    """Each distinct word -> the role bound to it, else its literal class,
+    else None.  A program repeats few distinct words many times."""
     roles = g.keyword_roles.get
-    classes = [(name, pattern.fullmatch)
-               for name, pattern in RULE_TABLES[g.style].classes.items()]
-
-    def classify(word: str) -> R | str | None:
+    classes = RULE_TABLES[g.style].classes.items()
+    symbols = {}
+    for word in set(words):
         sym = roles(word)
         if sym is None:
-            for name, match in classes:
-                if match(word):
-                    return name
-        return sym
-
-    return classify
+            for name, pattern in classes:
+                if pattern.fullmatch(word):
+                    sym = name
+                    break
+        symbols[word] = sym
+    return symbols
 
 
 def tokenize(text: str, g: GrammarSpec) -> list[Token]:
     """Split into classified tokens; never fails, unknown text is a kind."""
-    classify = _classifier(g)
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        word = m.group()
-        sym = classify(word)
+    matches = list(_TOKEN_RE.finditer(text))
+    words = [m.group() for m in matches]
+    kinds = {}
+    for word, sym in _word_symbols(words, g).items():
         role = sym if isinstance(sym, R) else None
         if word in _PUNCT_CHARS:
             kind = TokenKind.PUNCT
@@ -166,8 +170,9 @@ def tokenize(text: str, g: GrammarSpec) -> list[Token]:
             kind = TokenKind.KEYWORD
         else:  # a literal class name is its token kind
             kind = TokenKind((sym or "unknown").lower())
-        tokens.append(Token(word, kind, role, m.start(), m.end()))
-    return tokens
+        kinds[word] = kind, role
+    return [Token(word, *kinds[word], m.start(), m.end())
+            for word, m in zip(words, matches)]
 
 
 # --- parsing -----------------------------------------------------------------
@@ -185,12 +190,6 @@ class ParseError(ValueError):
         self.found = found
 
 
-# A compiled alternative is (items, width, make): ``items`` are (is_rule,
-# ref, quant, slot, convert), ``width`` counts the value slots and ``make``
-# builds the node from them (None passes slot 0 on).  A terminal that fills
-# a slot puts ``convert(word)`` there.
-
-
 def parse(code: str, g: GrammarSpec) -> Program:
     """Parse styled code under grammar ``g``; raises ParseError to reject.
 
@@ -204,47 +203,11 @@ def parse(code: str, g: GrammarSpec) -> Program:
             if depth > MAX_NESTING:
                 raise ParseError(position, f"at most {MAX_NESTING} nested "
                                  "brackets", repr(word))
-    rules, n = _RULES[g.style], len(words)
-    syms = list(map(_classifier(g), words))
-    far, want = 0, "statement"  # furthest token a terminal failed at
-
-    def rule(name: str, i: int):
-        """(value, next position), or None when no alternative matches."""
-        nonlocal far, want
-        for items, width, make in rules[name]:
-            values = [None] * width
-            j = i
-            for is_rule, ref, quant, slot, convert in items:
-                if is_rule:
-                    result = rule(ref, j)
-                    if quant == "*" or quant == "+":
-                        block = []
-                        while result is not None:
-                            block.append(result[0])
-                            j = result[1]
-                            result = rule(ref, j)
-                        if block or quant == "*":
-                            result = tuple(block), j
-                    if result is not None:
-                        values[slot], j = result
-                    elif quant != "?":
-                        break
-                elif j < n and syms[j] == ref:
-                    if slot is not None:
-                        try:
-                            values[slot] = convert(words[j])
-                        except ValueError:  # e.g. past int()'s digit limit
-                            raise ParseError(j, ref, repr(words[j])) from None
-                    j += 1
-                elif not quant:
-                    if j >= far:
-                        far, want = j, ref
-                    break
-            else:
-                return (values[0] if make is None else make(*values)), j
-        return None
-
-    result = rule("start", 0)
+    symbols = _word_symbols(words, g)
+    syms = [symbols[word] for word in words]
+    syms.append(None)  # past the last word no terminal matches
+    result, far, want = _PARSERS[g.style](words, syms)
+    n = len(words)
     if result is not None:
         if result[1] == n:
             return result[0]
@@ -291,29 +254,98 @@ def _slots(table: RuleTable, rule: str, k: int) -> list[int | None]:
     return slots
 
 
-def _compile_rules(table: RuleTable) -> dict[str, tuple]:
-    rules = {}
+def _function(rule: str) -> str:
+    return "r_" + rule.replace(".", "_")
+
+
+def _compile_parser(table: RuleTable) -> Callable:
+    """Generate and compile one plain function per rule of ``table``.
+
+    The rule functions nest in ``parse_words(words, syms)``, which returns
+    start's result with ``far``, the furthest token a required terminal
+    failed at, and ``want``, the last terminal expected there.  A rule
+    function returns (value, next position), or None when no alternative
+    matches.  It tries its alternatives in order, each the body of a
+    ``while True`` that a failing item leaves by ``break`` and a match
+    leaves by ``return``.  ``syms`` ends in a None that no terminal
+    matches, so no test checks the length.  The source is compiled over a
+    namespace holding only the table's constants.
+    """
+    namespace: dict = {"ParseError": ParseError}
+
+    def constant(name: str, value) -> str:
+        namespace[name] = value
+        return name
+
+    out = ["def parse_words(words, syms):",
+           "    far, want = 0, 'statement'"]
     for rule, alts in table.rules.items():
-        compiled = []
+        out += [f"    def {_function(rule)}(i):",
+                "        nonlocal far, want"]
         for k, alt in enumerate(alts):
-            items = []
-            for sym, slot in zip(alt, _slots(table, rule, k)):
-                if sym.kind == "class":
-                    convert = _LITERALS[sym.ref][0]
-                elif slot is not None and sym.kind == "role":
-                    convert = (lambda _, leaf=_LEAVES[sym.ref]: leaf)
-                else:
-                    convert = None
-                items.append((sym.kind == "rule", sym.ref, sym.quant, slot,
-                              convert))
             cls = _BY_ALT.get((rule, k))
-            compiled.append((tuple(items), len(_NODES[cls][2]) if cls else 1,
-                             cls and _MAKERS.get(cls, cls)))
-        rules[rule] = tuple(compiled)
-    return rules
+            if cls is None and len(alt) == 1 and alt[0].kind == "rule" \
+                    and not alt[0].quant:  # passes the sub-rule's value on
+                out += [f"        r = {_function(alt[0].ref)}(i)",
+                        "        if r is not None:",
+                        "            return r"]
+                continue
+            body = ["j = i"]
+            for sym, slot in zip(alt, _slots(table, rule, k)):
+                body += _item(sym, f"v{slot}", constant)
+            if cls is None:
+                body.append("return v0, j")
+            else:
+                maker = constant(cls.__name__, _MAKERS.get(cls, cls))
+                args = ", ".join(f"v{s}" for s in range(len(_NODES[cls][2])))
+                body.append(f"return {maker}({args}), j")
+            out.append("        while True:")
+            out += ["            " + line for line in body]
+        out.append("        return None")
+    out.append("    return r_start(0), far, want")
+    exec(compile("\n".join(out) + "\n", "<parser>", "exec"), namespace)
+    return namespace["parse_words"]
 
 
-_RULES = {style: _compile_rules(table) for style, table in RULE_TABLES.items()}
+def _item(sym: Symbol, value: str, constant: Callable) -> list[str]:
+    """Lines that match one item at ``j``, leaving ``j`` past it and the
+    value it carries, if any, in ``value``; a failure breaks."""
+    if sym.kind == "rule":
+        call = f"{_function(sym.ref)}(j)"
+        if sym.quant == "?":
+            return [f"{value} = None", f"r = {call}", "if r is not None:",
+                    f"    {value}, j = r"]
+        if not sym.quant:
+            return [f"r = {call}", "if r is None:", "    break",
+                    f"{value}, j = r"]
+        lines = [f"{value} = []", f"r = {call}", "while r is not None:",
+                 f"    {value}.append(r[0])", "    j = r[1]", f"    r = {call}"]
+        if sym.quant == "+":
+            lines += [f"if not {value}:", "    break"]
+        return lines + [f"{value} = tuple({value})"]
+    if sym.quant:
+        raise ValueError(f"no style quantifies a terminal, got {sym}")
+    if sym.kind == "role":
+        ref = constant(sym.ref.name, sym.ref)
+        miss = f"syms[j] is not {ref}"
+        fill = [] if sym.ref not in _LEAVES else [
+            f"{value} = {constant('V_' + ref, _LEAVES[sym.ref])}"]
+    else:
+        ref = constant(sym.ref, sym.ref)
+        miss = f"syms[j] != {ref}"
+        convert = constant("convert_" + ref, _LITERALS[sym.ref][0])
+        # a literal the class admits may still not convert, e.g. past
+        # int()'s digit limit: a rejection at its token
+        fill = ["try:",
+                f"    {value} = {convert}(words[j])",
+                "except ValueError:",
+                f"    raise ParseError(j, {ref}, repr(words[j])) from None"]
+    return [f"if {miss}:", "    if j >= far:",
+            f"        far, want = j, {ref}", "    break"] + fill + ["j += 1"]
+
+
+_PARSERS = {style: _compile_parser(table)
+            for style, table in RULE_TABLES.items()}
 
 
 # --- linearization -----------------------------------------------------------

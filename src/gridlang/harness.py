@@ -7,9 +7,11 @@ gold label or gold code, ``mock://flatten`` re-emits gold code with every
 arithmetic expression collapsed to its evaluated literal (a known failure
 shape worth keeping as a regression oracle).
 
-Responses are cached content-addressed under
-``cache/<model>/<sha256(model, prompt)>.txt``, so interrupted runs resume
-and replay runs touch the network zero times.
+Responses are cached content-addressed under ``cache/<model>/<key>.txt``,
+where the key hashes the endpoint URL, the model, the sampling settings
+(temperature, max_tokens), the prompt and a cache-format version, so
+interrupted runs resume, replay runs touch the network zero times, and a
+hit is never another endpoint's or setting's answer.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import os
 import random
 import re
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -398,12 +401,15 @@ class RunResult:
     responses_path: Path | None
 
 
-def _cache_key(model_id: str, prompt: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(model_id.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(prompt.encode("utf-8"))
-    return digest.hexdigest()
+# Versions what a cache key hashes: bumped whenever that changes, so entries
+# written under an older key read as misses.
+_CACHE_FORMAT = "gridlang-cache-2"
+
+
+def _cache_key(cfg: EndpointConfig, prompt: str) -> str:
+    parts = (_CACHE_FORMAT, cfg.base_url, cfg.model_id,
+             repr(cfg.temperature), str(cfg.max_tokens), prompt)
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 
 
 def _sanitize(name: str) -> str:
@@ -439,7 +445,9 @@ def run_evaluation(
     model_calls counts cache misses that actually invoked the model, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
     unless permissive, in which case the instance scores a syntax failure
-    with the error text preserved as its raw answer.
+    with the error text preserved as its raw answer.  A strict run stops
+    at its first failure: fetches not yet started are cancelled or skip
+    the endpoint, so no further retries or backoff delay the error.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -447,22 +455,31 @@ def run_evaluation(
     cache_root.mkdir(parents=True, exist_ok=True)
     scheme = cfg.mock_scheme
     calls = 0
+    failed = threading.Event()  # set by a strict run's first failure
 
-    def fetch(inst: TaskInstance) -> tuple[str, str, bool]:
+    def fetch(inst: TaskInstance) -> tuple[str, str, bool] | None:
+        if failed.is_set():  # the run is aborting; this result is unread
+            return None
         prompt = build_prompt(inst, pc)
-        key = _cache_key(cfg.model_id, prompt)
+        key = _cache_key(cfg, prompt)
         path = cache_root / f"{key}.txt"
         if path.exists():
             return prompt, path.read_text(encoding="utf-8"), False
         if scheme is not None:
             raw = _mock_answer(scheme, inst)
         else:
-            raw = call_model(cfg, prompt)
+            try:
+                raw = call_model(cfg, prompt)
+            except HarnessError:
+                if not permissive:
+                    failed.set()
+                raise
         _atomic_write(path, raw)
         return prompt, raw, True
 
     fetched: list[tuple[str, str] | HarnessError] = []
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+    pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
+    try:
         futures = [pool.submit(fetch, inst) for inst in dataset]
         for inst, future in zip(dataset, futures):
             try:
@@ -475,6 +492,8 @@ def run_evaluation(
                 continue
             calls += missed
             fetched.append((prompt, raw))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     records = []
     response_rows = []
@@ -550,8 +569,15 @@ def read_responses(path: str | Path) -> dict[str, dict]:
         for line_no, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if isinstance(row, dict) and set(row) == {"_config"}:
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_no}: invalid JSON: {exc.msg} "
+                                 f"at column {exc.colno}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"line {line_no}: responses row is not a "
+                                 f"JSON object")
+            if set(row) == {"_config"}:
                 continue
             if "instance_id" not in row or "response" not in row:
                 raise ValueError(

@@ -1,9 +1,12 @@
-"""Shared test helpers: pinned lexicons, independent tree walkers, and a
-random derivation generator that reads the rendered EBNF text.
+"""Shared test helpers: pinned lexicons, independent tree walkers, a
+reference parser, and a random derivation generator that reads the
+rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
-explicit stack), and the generator reads the grammar text with its own
-reader, so tests never validate library code against itself.
+explicit stack), the reference parser interprets the rule table item by
+item instead of running the codec's generated functions, and the
+generator reads the grammar text with its own reader, so tests never
+validate library code against itself.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import re
 
 from gridlang.ast import (
+    MAX_NESTING,
     ActionStmt,
     ArithOp,
     BinaryArith,
@@ -27,11 +31,24 @@ from gridlang.ast import (
     Program,
     TurnDir,
 )
-from gridlang.codec import linearize
+from gridlang.codec import (
+    _BY_ALT,
+    _LEAVES,
+    _LITERALS,
+    _MAKERS,
+    _NESTING_STEP,
+    _NODES,
+    _TOKEN_RE,
+    ParseError,
+    _slots,
+    linearize,
+)
 from gridlang.grammar import (
+    RULE_TABLES,
     GrammarSpec,
     LexiconMode,
     NATURAL_POOLS,
+    RuleTable,
     Style,
     TerminalRole as R,
     used_roles,
@@ -174,6 +191,116 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
                 turn = 1 if action.dir is TurnDir.RIGHT else -1
                 facing = _CLOCKWISE[(_CLOCKWISE.index(facing) + turn) % 4]
     return Final(RobotState(x, y, facing, tuple(held)), steps)
+
+
+# --- reference parser --------------------------------------------------------
+
+# A compiled alternative is (items, width, make): ``items`` are (is_rule,
+# ref, quant, slot, convert), ``width`` counts the value slots and ``make``
+# builds the node from them (None passes slot 0 on).  A terminal that fills
+# a slot puts ``convert(word)`` there.
+
+
+def _oracle_rules(table: RuleTable) -> dict[str, tuple]:
+    rules = {}
+    for rule, alts in table.rules.items():
+        compiled = []
+        for k, alt in enumerate(alts):
+            items = []
+            for sym, slot in zip(alt, _slots(table, rule, k)):
+                if sym.kind == "class":
+                    convert = _LITERALS[sym.ref][0]
+                elif slot is not None and sym.kind == "role":
+                    convert = (lambda _, leaf=_LEAVES[sym.ref]: leaf)
+                else:
+                    convert = None
+                items.append((sym.kind == "rule", sym.ref, sym.quant, slot,
+                              convert))
+            cls = _BY_ALT.get((rule, k))
+            compiled.append((tuple(items), len(_NODES[cls][2]) if cls else 1,
+                             cls and _MAKERS.get(cls, cls)))
+        rules[rule] = tuple(compiled)
+    return rules
+
+
+_ORACLE_RULES = {style: _oracle_rules(table)
+                 for style, table in RULE_TABLES.items()}
+
+
+def oracle_parse(code: str, g: GrammarSpec) -> Program:
+    """Reference parser: interprets the rule table one item at a time.
+
+    Same language and same rejections (``position``, ``expected``,
+    ``found``) as ``codec.parse``, which runs functions generated from the
+    table instead; it classifies every word afresh, with no per-word table.
+    """
+    words = _TOKEN_RE.findall(code)
+    if words.count("(") + words.count("[") + words.count("{") > MAX_NESTING:
+        depth = 0
+        for position, word in enumerate(words):
+            depth += _NESTING_STEP.get(word, 0)
+            if depth > MAX_NESTING:
+                raise ParseError(position, f"at most {MAX_NESTING} nested "
+                                 "brackets", repr(word))
+    rules, n = _ORACLE_RULES[g.style], len(words)
+    classes = RULE_TABLES[g.style].classes
+
+    def classify(word: str):
+        sym = g.keyword_roles.get(word)
+        if sym is None:
+            for name, pattern in classes.items():
+                if pattern.fullmatch(word):
+                    return name
+        return sym
+
+    syms = [classify(word) for word in words]
+    far, want = 0, "statement"  # furthest token a terminal failed at
+
+    def rule(name: str, i: int):
+        """(value, next position), or None when no alternative matches."""
+        nonlocal far, want
+        for items, width, make in rules[name]:
+            values = [None] * width
+            j = i
+            for is_rule, ref, quant, slot, convert in items:
+                if is_rule:
+                    result = rule(ref, j)
+                    if quant == "*" or quant == "+":
+                        block = []
+                        while result is not None:
+                            block.append(result[0])
+                            j = result[1]
+                            result = rule(ref, j)
+                        if block or quant == "*":
+                            result = tuple(block), j
+                    if result is not None:
+                        values[slot], j = result
+                    elif quant != "?":
+                        break
+                elif j < n and syms[j] == ref:
+                    if slot is not None:
+                        try:
+                            values[slot] = convert(words[j])
+                        except ValueError:  # e.g. past int()'s digit limit
+                            raise ParseError(j, ref, repr(words[j])) from None
+                    j += 1
+                elif not quant:
+                    if j >= far:
+                        far, want = j, ref
+                    break
+            else:
+                return (values[0] if make is None else make(*values)), j
+        return None
+
+    result = rule("start", 0)
+    if result is not None:
+        if result[1] == n:
+            return result[0]
+        if result[1] >= far:
+            far, want = result[1], "end of input"
+    found = repr(words[far]) if far < n else "end of input"
+    raise ParseError(far, repr(g.token(want)) if isinstance(want, R) else want,
+                     found)
 
 
 # --- derivations from the rendered grammar text ------------------------------

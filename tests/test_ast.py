@@ -57,6 +57,19 @@ class TestItems:
         for item in ITEM_VOCAB:
             assert ItemToken.parse(item.render()) == item
 
+    def test_parse_returns_the_shared_vocabulary_member(self):
+        for item in ITEM_VOCAB:
+            assert ItemToken.parse(item.render()) is item
+
+    @pytest.mark.parametrize("text, message", [
+        ("key_9", "item suffix out of range: 9"),
+        ("stone", "unknown item base 'stone'"),
+        ("key_12", "not an item token: 'key_12'"),
+    ])
+    def test_non_items_keep_their_messages(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ItemToken.parse(text)
+
     def test_vocabulary_is_five_bases_by_six_variants(self):
         assert len(ITEM_VOCAB) == 30
         assert len(set(i.render() for i in ITEM_VOCAB)) == 30

@@ -1,11 +1,14 @@
 """Tokenizer behavior, style-faithful rendering, and parse round-trips."""
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlang.ast import (
+    ITEM_VOCAB,
     MAX_NESTING,
     ActionStmt,
     ArithOp,
@@ -24,6 +27,7 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
+    canon_serialize,
 )
 from gridlang.codec import ParseError, TokenKind, linearize, parse, tokenize
 from gridlang.grammar import (
@@ -34,6 +38,7 @@ from gridlang.grammar import (
     render_ebnf,
 )
 from gridlang.sampler import GenParams, generate_instance
+from gridlang.tasks import PerturbationError, perturb
 
 from conftest import (
     ALL_COMBOS,
@@ -41,6 +46,7 @@ from conftest import (
     deep_surface,
     derive,
     fixed_grammar,
+    oracle_parse,
 )
 
 BLOCK_G = fixed_grammar(Style.BLOCK)
@@ -334,3 +340,75 @@ class TestGrammarDerivations:
         again = linearize(tree, g)
         assert parse(again, g) == tree
         assert linearize(parse(again, g), g) == again
+
+
+@functools.lru_cache(maxsize=None)
+def _gold(style, mode, depth, seed):
+    return generate_instance(style, mode, GenParams(max_depth=depth,
+                                                    seed=seed))[:2]
+
+
+def _outcome(parser, text, g):
+    """The tree with its canonical text (which keeps omitted move counts),
+    or the rejection's position, expectation and found text."""
+    try:
+        tree = parser(text, g)
+    except ParseError as err:
+        return err.position, err.expected, err.found
+    return tree, canon_serialize(tree)
+
+
+class TestReferenceParser:
+    """``parse`` runs functions generated from the rule table; the
+    reference in conftest interprets the same table item by item.  They
+    agree on every input: the tree, or where and why it is rejected."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS), st.data())
+    def test_parse_matches_reference(self, combo, data):
+        style, mode = combo
+        base = data.draw(st.sampled_from(["derive", "gold", "perturb",
+                                          "soup"]))
+        if base == "derive":
+            g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
+            text = derive(
+                render_ebnf(g),
+                lambda n: data.draw(st.integers(0, n - 1)),
+                lambda pattern: data.draw(st.from_regex(pattern,
+                                                        fullmatch=True)),
+            )
+        elif base == "soup":
+            g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
+            vocabulary = sorted(g.terminals.values()) + sorted(
+                item.render() for item in ITEM_VOCAB) + [
+                "0", "7", "12", "\u0663", "\u00b2", "9" * 5000, "(" * 150,
+                "zz", "@", "[", "]", "{", "}", "(", ")", ";"]
+            text = " ".join(data.draw(st.lists(st.sampled_from(vocabulary),
+                                               max_size=60)))
+        else:
+            g, text = _gold(style, mode, data.draw(st.sampled_from(
+                [2, 5, 10, 20])), data.draw(st.integers(0, 2)))
+            if base == "perturb":
+                rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+                try:
+                    text, _category = perturb(text, g, rng)
+                except PerturbationError:
+                    pass
+        words = [token.text for token in tokenize(text, g)]
+        edit = data.draw(st.sampled_from(["none", "delete", "duplicate",
+                                          "prefix", "literal"]))
+        if edit != "none" and words:
+            k = data.draw(st.integers(0, len(words) - 1))
+            if edit == "delete":
+                del words[k]
+            elif edit == "duplicate":
+                words.insert(k, words[k])
+            elif edit == "prefix":
+                words = words[:k]
+            else:  # where a count stands, one that INT or int() refuses
+                counts = [i for i, word in enumerate(words) if word.isdigit()]
+                words[data.draw(st.sampled_from(counts or [k]))] = \
+                    data.draw(st.sampled_from(["\u0663", "\u00b2",
+                                               "9" * 5000]))
+            text = " ".join(words)
+        assert _outcome(parse, text, g) == _outcome(oracle_parse, text, g)

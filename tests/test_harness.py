@@ -17,6 +17,7 @@ from gridlang.harness import (
     build_prompt,
     call_model,
     extract_code,
+    read_responses,
     run_evaluation,
 )
 from gridlang.prompts import (
@@ -323,6 +324,32 @@ class TestCaching:
         files = list((cache / "mock-model").glob("*.txt"))
         assert len(files) == 4
 
+    def test_other_endpoint_with_the_same_model_is_a_miss(self, tmp_path):
+        params = GenParams(max_depth=6, seed=3, expr_depth=2)
+        dataset = make_dataset(TaskKind.INSTRUCTION, 6, Style.BLOCK,
+                               LexiconMode.NATURAL, params)
+        cache = tmp_path / "cache"
+        run_evaluation(dataset, _mock_cfg("perfect"), PromptConfig(),
+                       cache_dir=cache)
+        after_perfect = run_evaluation(dataset, _mock_cfg("flatten"),
+                                       PromptConfig(), cache_dir=cache)
+        fresh = run_evaluation(dataset, _mock_cfg("flatten"), PromptConfig(),
+                               cache_dir=tmp_path / "fresh")
+        assert after_perfect.model_calls == 6
+        assert after_perfect.metrics == fresh.metrics
+        assert fresh.metrics.scr < 100.0
+
+    @pytest.mark.parametrize("change", [{"temperature": 0.7},
+                                        {"max_tokens": 256}])
+    def test_other_sampling_settings_are_a_miss(self, tmp_path, change):
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        cache = tmp_path / "cache"
+        run_evaluation(dataset, _mock_cfg(), PromptConfig(), cache_dir=cache)
+        cfg = EndpointConfig(base_url="mock://perfect", model_id="mock-model",
+                             **change)
+        again = run_evaluation(dataset, cfg, PromptConfig(), cache_dir=cache)
+        assert again.model_calls == 2
+
     def test_model_id_sanitized_for_path(self, tmp_path):
         dataset = _dataset(TaskKind.JUDGMENT, n=2)
         cfg = EndpointConfig(base_url="mock://perfect",
@@ -373,6 +400,17 @@ class TestRunArtifacts:
             run_evaluation(dataset, cfg, PromptConfig(),
                            cache_dir=tmp_path / "cache")
 
+    def test_strict_mode_stops_at_the_first_failure(self, tmp_path,
+                                                     scripted_server,
+                                                     api_token):
+        base = scripted_server([500] * 40)
+        dataset = _dataset(TaskKind.GOAL, n=20)
+        cfg = _http_cfg(base, max_retries=0, parallelism=1)
+        with pytest.raises(RetriesExhaustedError):
+            run_evaluation(dataset, cfg, PromptConfig(),
+                           cache_dir=tmp_path / "cache")
+        assert len(_ScriptedHandler.requests_seen) == 1
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_evaluation([], _mock_cfg(), PromptConfig(),
@@ -396,3 +434,18 @@ class TestEndpointConfigValidation:
         assert _mock_cfg("perfect").mock_scheme == "perfect"
         cfg = EndpointConfig(base_url="http://x", model_id="m")
         assert cfg.mock_scheme is None
+
+
+class TestReadResponses:
+    def test_row_that_is_not_an_object_rejected_with_its_line(self,
+                                                              tmp_path):
+        path = tmp_path / "responses.jsonl"
+        path.write_text('{"instance_id": "a", "response": "x"}\n5\n')
+        with pytest.raises(ValueError, match=r"^line 2: .*not a JSON object"):
+            read_responses(path)
+
+    def test_bad_json_reports_the_file_line(self, tmp_path):
+        path = tmp_path / "responses.jsonl"
+        path.write_text('{"instance_id": "a", "response": "x"}\n{oops\n')
+        with pytest.raises(ValueError, match=r"^line 2: invalid JSON"):
+            read_responses(path)
