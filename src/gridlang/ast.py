@@ -100,16 +100,19 @@ class ItemToken:
     @staticmethod
     def parse(text: str) -> ItemToken:
         """Inverse of ``render``: the shared ``ITEM_VOCAB`` member, not a
-        copy; raises ValueError for text that names no item."""
+        copy; raises ValueError for text that names no item.
+
+        Only the 30 rendered names are accepted, so ``key_`` or a suffix
+        in non-ASCII digits is not an item."""
         item = _ITEMS_BY_TEXT.get(text)
         if item is not None:
             return item
-        base, _, tail = text.partition("_")
-        if tail:
-            if not (len(tail) == 1 and tail.isdigit()):
-                raise ValueError(f"not an item token: {text!r}")
-            return ItemToken(base, int(tail))
-        return ItemToken(base)
+        base, sep, tail = text.partition("_")
+        if sep and not (len(tail) == 1 and tail in "0123456789"):
+            raise ValueError(f"not an item token: {text!r}")
+        if base not in ITEM_BASES:
+            raise ValueError(f"unknown item base {base!r}")
+        raise ValueError(f"item suffix out of range: {tail}")
 
 
 ITEM_VOCAB = tuple(

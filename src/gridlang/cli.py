@@ -39,6 +39,7 @@ from gridlang.metrics import (
 from gridlang.sampler import GenParams
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
+    DATASET_FORMAT,
     MalformedRecordError,
     TaskInstance,
     TaskKind,
@@ -145,6 +146,7 @@ def _prompt_settings(args, config) -> PromptConfig:
 def _gen_provenance(kind, n, style, mode, params) -> dict:
     return {
         "command": "gen",
+        "dataset_format": DATASET_FORMAT,
         "task": kind.value,
         "n": n,
         "style": style.value,

@@ -30,7 +30,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import fields
-from operator import attrgetter
+from functools import partial
+from itertools import accumulate
+from operator import attrgetter, sub
 from typing import Callable, NamedTuple
 
 from gridlang.ast import (
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
+_SPACED_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z0-9_]+|\S)")  # with space before
 _PUNCT_CHARS = frozenset("[]{}();")
 _NESTING_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
@@ -139,6 +142,9 @@ class Token(NamedTuple):
     end: int
 
 
+_new_token = partial(tuple.__new__, Token)  # Token from a 5-tuple
+
+
 def _word_symbols(words: list[str],
                   g: GrammarSpec) -> dict[str, R | str | None]:
     """Each distinct word -> the role bound to it, else its literal class,
@@ -158,21 +164,27 @@ def _word_symbols(words: list[str],
 
 
 def tokenize(text: str, g: GrammarSpec) -> list[Token]:
-    """Split into classified tokens; never fails, unknown text is a kind."""
-    matches = list(_TOKEN_RE.finditer(text))
-    words = [m.group() for m in matches]
-    kinds = {}
+    """Split into classified tokens; never fails, unknown text is a kind.
+
+    Tokens are built column by column, each end the running sum of the
+    lengths of the tokens and the space before them, so no match object
+    is made per token."""
+    spaced = _SPACED_TOKEN_RE.findall(text)
+    words = list(map(str.lstrip, spaced))
+    ends = list(accumulate(map(len, spaced)))
+    kinds, roles = {}, {}
     for word, sym in _word_symbols(words, g).items():
         role = sym if isinstance(sym, R) else None
         if word in _PUNCT_CHARS:
-            kind = TokenKind.PUNCT
+            kinds[word] = TokenKind.PUNCT
         elif role is not None:
-            kind = TokenKind.KEYWORD
+            kinds[word] = TokenKind.KEYWORD
         else:  # a literal class name is its token kind
-            kind = TokenKind((sym or "unknown").lower())
-        kinds[word] = kind, role
-    return [Token(word, *kinds[word], m.start(), m.end())
-            for word, m in zip(words, matches)]
+            kinds[word] = TokenKind((sym or "unknown").lower())
+        roles[word] = role
+    return list(map(_new_token, zip(
+        words, map(kinds.__getitem__, words), map(roles.__getitem__, words),
+        map(sub, ends, map(len, words)), ends)))
 
 
 # --- parsing -----------------------------------------------------------------

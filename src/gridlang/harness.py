@@ -42,7 +42,13 @@ from gridlang.ast import (
     Program,
     Stmt,
 )
-from gridlang.codec import TokenKind, linearize, parse, tokenize
+from gridlang.codec import (
+    _PUNCT_CHARS,
+    TokenKind,
+    linearize,
+    parse,
+    tokenize,
+)
 from gridlang.grammar import GrammarSpec, grammar_from_text, render_ebnf
 from gridlang.metrics import (
     EvalRecord,
@@ -307,7 +313,30 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
 
 # --- answer extraction -------------------------------------------------------
 
-_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+def _fenced_blocks(raw: str) -> list[str]:
+    """Bodies of the fenced blocks in ``raw``, left to right.
+
+    A block opens at ```` ``` ````, skips the rest of that line (an info
+    string) and ends at the next ```` ``` ````; scanning resumes after it.
+    This is what ``re.findall(r"```[^\n]*\n(.*?)```", raw, re.DOTALL)``
+    returns, found in one pass: once an opening has no newline after it,
+    or no closing after that newline, no later opening has either, so
+    the scan stops instead of retrying at every backtick.
+    """
+    blocks = []
+    pos = 0
+    while True:
+        start = raw.find("```", pos)
+        if start < 0:
+            return blocks
+        newline = raw.find("\n", start + 3)
+        if newline < 0:
+            return blocks
+        end = raw.find("```", newline + 1)
+        if end < 0:
+            return blocks
+        blocks.append(raw[newline + 1:end])
+        pos = end + 3
 
 
 def extract_code(raw: str, g: GrammarSpec) -> str:
@@ -317,20 +346,29 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
     run of tokens the grammar knows, then the whole text.  Extraction
     never fails; hopeless text simply fails to parse downstream.
     """
-    fences = _FENCE_RE.findall(raw)
+    fences = _fenced_blocks(raw)
     if fences:
         return fences[-1].strip("\n")
-    tokens = tokenize(raw, g)
-    if not tokens:
-        return raw
+    # the trailing run starts after the last mark no known token contains,
+    # so only the text after it is tokenized
+    tail = len(raw) - _code_chars(g).match(raw[::-1]).end()
+    tokens = tokenize(raw[tail:], g)
     cut = len(tokens)
-    for i in range(len(tokens) - 1, -1, -1):
-        if tokens[i].kind is TokenKind.UNKNOWN:
-            break
-        cut = i
-    if cut == 0 or cut == len(tokens):
+    while cut and tokens[cut - 1].kind is not TokenKind.UNKNOWN:
+        cut -= 1
+    if cut == len(tokens) or (cut == 0 and tail == 0):
         return raw
-    return raw[tokens[cut].start:]
+    return raw[tail + tokens[cut].start:]
+
+
+def _code_chars(g: GrammarSpec) -> re.Pattern:
+    """A run of the characters known tokens and the space between them are
+    made of: word characters, brackets and the grammar's one-character
+    operators.  Any other character is an unknown token of its own.
+    (``re`` keeps the compiled pattern of each grammar's marks.)"""
+    marks = sorted(_PUNCT_CHARS.union(
+        word for word in g.keyword_roles if len(word) == 1))
+    return re.compile(r"[\sA-Za-z0-9_" + re.escape("".join(marks)) + "]*")
 
 
 # --- mock models -------------------------------------------------------------

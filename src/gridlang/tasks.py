@@ -7,10 +7,13 @@ Three task kinds share one record schema:
 * goal — start and target world states, code withheld;
 * instruction — templated English steps to translate back into code.
 
-Records serialize as JSON Lines with fixed key order; an optional leading
-``{"_config": ...}`` line carries run provenance and is skipped on read.
-Readers are strict: an unknown field or a missing required field is a
-malformed record, reported with its line number.
+Records serialize as JSON Lines with fixed key order; a state's inventory
+is an object of counts, ``{"box": 1, "key_2": 3}``.  An optional leading
+``{"_config": ...}`` line carries run provenance and the
+``dataset_format``; it is skipped on read.  Readers are strict: an unknown
+field, a missing required field or a bad inventory count is a malformed
+record, reported with its line number.  In prompts a state reads
+``inventory [box, key_2 x3]``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,13 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_dataset_config",
+    "DATASET_FORMAT",
 ]
+
+# Version of the record layout written by ``gridlang gen``, kept in the
+# config line.  1 (or none recorded): an inventory is a list with one entry
+# per copy.  2: an inventory is an object of counts, ``{"key_2": 3}``.
+DATASET_FORMAT = 2
 
 
 class TaskKind(enum.Enum):
@@ -497,9 +506,13 @@ def _instr_cond(cond: BoolExpr) -> str:
 
 def render_state(state: RobotState) -> str:
     """Prompt-facing state text, e.g. ``pos (0, 0), facing N, inventory
-    empty``."""
+    empty`` or ``pos (2, -1), facing W, inventory [box, key_2 x3]``: each
+    held kind once, with ``xN`` after it when N > 1 copies are held."""
     if state.inventory:
-        items = ", ".join(item.render() for item in state.inventory)
+        items = ", ".join(
+            item.render() if n == 1 else f"{item.render()} x{n}"
+            for item, n in state.inventory
+        )
         inv = f"inventory [{items}]"
     else:
         inv = "inventory empty"
@@ -521,14 +534,22 @@ def write_dataset(
 
 
 def read_dataset(path) -> list[TaskInstance]:
-    """Strict reader; malformed records report their line number."""
+    """Strict reader; malformed records report their line number.
+
+    A file whose config line names a ``dataset_format`` newer than
+    ``DATASET_FORMAT`` is refused; files of any older format, or with no
+    config line, read as well (their inventories may be lists).
+    """
     instances = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            if line_no == 1 and _is_config_line(line):
-                continue
+            if line_no == 1:
+                header = _config_record(line)
+                if header is not None:
+                    _check_format(header["_config"])
+                    continue
             try:
                 instances.append(TaskInstance.from_json(line))
             except (ValueError, KeyError) as exc:
@@ -537,17 +558,31 @@ def read_dataset(path) -> list[TaskInstance]:
 
 
 def read_dataset_config(path) -> dict | None:
-    """Provenance from the leading config line, if present."""
+    """Provenance from the leading config line, if present; files written
+    by ``gridlang gen`` record their ``dataset_format`` in it."""
     with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-    if first and _is_config_line(first):
-        return json.loads(first)["_config"]
-    return None
+        header = _config_record(handle.readline())
+    return None if header is None else header["_config"]
 
 
-def _is_config_line(line: str) -> bool:
+def _config_record(line: str) -> dict | None:
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
-        return False
-    return isinstance(record, dict) and set(record) == {"_config"}
+        return None
+    if isinstance(record, dict) and set(record) == {"_config"}:
+        return record
+    return None
+
+
+def _check_format(config) -> None:
+    if not isinstance(config, dict) or "dataset_format" not in config:
+        return
+    found = config["dataset_format"]
+    if type(found) is not int or found < 1:
+        raise MalformedRecordError(
+            1, f"dataset_format must be an int >= 1, got {found!r}")
+    if found > DATASET_FORMAT:
+        raise MalformedRecordError(
+            1, f"dataset format {found} is newer than this reader's "
+               f"format {DATASET_FORMAT}")

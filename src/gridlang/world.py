@@ -1,13 +1,15 @@
 """Deterministic grid-world semantics.
 
 A robot lives on an unbounded integer grid with a facing and an inventory
-multiset.  Programs execute under a step budget where every primitive action
-costs exactly one step (a Move of n cells is still one step), loop counts are
-evaluated once on entry, and conditionals read the current inventory.
+multiset, held as one count per item kind.  Programs execute under a step
+budget where every primitive action costs exactly one step (a Move of n
+cells is still one step), loop counts are evaluated once on entry, and
+conditionals read the current inventory.
 
 ``exec_program`` is the one interpreter: a tree walker that applies the
 iterations of a loop in closed form once they stop changing which item
-kinds are held.
+kinds are held.  Neither it nor a state ever holds one entry per copy, so
+their cost follows the program and the kinds held, not the grabs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
+    ITEM_VOCAB,
     ItemToken,
     Literal,
     Loop,
@@ -68,21 +71,36 @@ _DELTA = ((0, 1), (1, 0), (0, -1), (-1, 0))
 DEFAULT_BUDGET = 1_000_000
 
 
+# render order: ``==`` and the serialized and prompt forms list kinds by name
+_ITEM_ORDER = {
+    item: rank
+    for rank, item in enumerate(sorted(ITEM_VOCAB, key=ItemToken.render))
+}
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Position, facing, and an inventory multiset.
 
-    The inventory is stored sorted so that ``==`` is multiset equality
-    regardless of grab order.
+    The inventory is a tuple of ``(item, count)`` pairs, one per held kind
+    (so at most 30), each count an int of at least 1, sorted by the item's
+    rendered name so that ``==`` is multiset equality regardless of grab
+    order.  Its size follows the kinds held, not the copies.
     """
 
     x: int
     y: int
     facing: Facing
-    inventory: tuple[ItemToken, ...] = ()
+    inventory: tuple[tuple[ItemToken, int], ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.inventory, key=lambda i: i.render()))
+        ordered = tuple(sorted(self.inventory, key=_pair_rank))
+        for item, count in ordered:
+            if type(count) is not int or count < 1:
+                raise ValueError(f"count of {item.render()} must be an int "
+                                 f">= 1, got {count!r}")
+        if len({item for item, _ in ordered}) < len(ordered):
+            raise ValueError("an item kind is listed twice in the inventory")
         object.__setattr__(self, "inventory", ordered)
 
     def to_dict(self) -> dict:
@@ -90,25 +108,48 @@ class RobotState:
             "x": self.x,
             "y": self.y,
             "facing": self.facing.value,
-            "inventory": [item.render() for item in self.inventory],
+            "inventory": {item.render(): n for item, n in self.inventory},
         }
 
     @staticmethod
     def from_dict(data: dict) -> RobotState:
+        """Inverse of ``to_dict``.  Also reads the older list form, one
+        entry per copy (``["key", "key"]``), into the same state."""
+        if not isinstance(data, dict):
+            raise ValueError(f"state is not an object: {data!r}")
         extra = set(data) - {"x", "y", "facing", "inventory"}
         if extra:
             raise ValueError(f"unknown state field {sorted(extra)[0]!r}")
         try:
+            held = data["inventory"]
+            if isinstance(held, list):
+                held = Counter(_item(text) for text in held).items()
+            elif isinstance(held, dict):
+                held = [(_item(text), n) for text, n in held.items()]
+            else:
+                raise ValueError(
+                    f"inventory must be an object or a list, got {held!r}")
             return RobotState(
                 x=int(data["x"]),
                 y=int(data["y"]),
                 facing=Facing(data["facing"]),
-                inventory=tuple(
-                    ItemToken.parse(t) for t in data["inventory"]
-                ),
+                inventory=tuple(held),
             )
         except KeyError as exc:
             raise ValueError(f"state missing field {exc.args[0]!r}") from exc
+
+
+def _pair_rank(pair) -> int:
+    if type(pair) is tuple and len(pair) == 2 and isinstance(pair[0],
+                                                             ItemToken):
+        return _ITEM_ORDER[pair[0]]
+    raise ValueError(f"not an (item, count) pair: {pair!r}")
+
+
+def _item(text) -> ItemToken:
+    if not isinstance(text, str):
+        raise ValueError(f"not an item token: {text!r}")
+    return ItemToken.parse(text)
 
 
 START_STATE = RobotState(0, 0, Facing.N)
@@ -175,7 +216,7 @@ class _Machine:
         self.x = state.x
         self.y = state.y
         self.facing = _FACINGS.index(state.facing)
-        self.inventory = Counter(state.inventory)
+        self.inventory = Counter(dict(state.inventory))
         self.steps = 0
         self.budget = budget
 
@@ -261,7 +302,8 @@ def exec_program(
     starting facing, grabs and steps.  The remaining iterations then apply
     in closed form, with the budget checked before any count grows, so
     cost follows program size and the number of kinds rather than the
-    steps taken, and memory stays bounded by the budget.
+    steps taken.  The final state holds one count per kind, so memory does
+    not grow with the number of grabs either.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -272,7 +314,7 @@ def exec_program(
         return BudgetExceeded()
     return Final(
         RobotState(machine.x, machine.y, _FACINGS[machine.facing],
-                   tuple(machine.inventory.elements())),
+                   tuple(machine.inventory.items())),
         machine.steps,
     )
 

@@ -1,6 +1,6 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
-reference parser, and a random derivation generator that reads the
-rendered EBNF text.
+reference answer extractor, a reference parser, and a random derivation
+generator that reads the rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
 explicit stack), the reference parser interprets the rule table item by
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 
 from gridlang.ast import (
     MAX_NESTING,
@@ -40,8 +41,10 @@ from gridlang.codec import (
     _NODES,
     _TOKEN_RE,
     ParseError,
+    TokenKind,
     _slots,
     linearize,
+    tokenize,
 )
 from gridlang.grammar import (
     RULE_TABLES,
@@ -160,7 +163,7 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
     cost grows with the steps taken, so use it on small programs only.
     """
     x, y, facing = state.x, state.y, state.facing
-    held = list(state.inventory)
+    held = [item for item, count in state.inventory for _ in range(count)]
     steps = 0
     stack = [iter(program.body)]
     while stack:
@@ -190,7 +193,29 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
             else:
                 turn = 1 if action.dir is TurnDir.RIGHT else -1
                 facing = _CLOCKWISE[(_CLOCKWISE.index(facing) + turn) % 4]
-    return Final(RobotState(x, y, facing, tuple(held)), steps)
+    return Final(RobotState(x, y, facing, tuple(Counter(held).items())),
+                 steps)
+
+
+# --- reference answer extraction ---------------------------------------------
+
+# the fenced blocks ``extract_code`` reads, as a pattern; it backtracks
+# quadratically on backticks no newline follows, so keep inputs short
+FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+
+def oracle_extract_code(raw: str, g: GrammarSpec) -> str:
+    """``extract_code`` by its definition: the last fenced block, else the
+    longest trailing run of known tokens of the whole text, else the text."""
+    fences = FENCE_RE.findall(raw)
+    if fences:
+        return fences[-1].strip("\n")
+    tokens = tokenize(raw, g)
+    known = list(itertools.takewhile(
+        lambda token: token.kind is not TokenKind.UNKNOWN, reversed(tokens)))
+    if not known or len(known) == len(tokens):
+        return raw
+    return raw[known[-1].start:]
 
 
 # --- reference parser --------------------------------------------------------

@@ -70,6 +70,17 @@ class TestItems:
         with pytest.raises(ValueError, match=message):
             ItemToken.parse(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("key_x", "not an item token: 'key_x'"),
+        ("bogus", "unknown item base 'bogus'"),
+        ("key_\u0663", "not an item token: 'key_\u0663'"),
+        ("key_", "not an item token: 'key_'"),
+        ("bogus_3", "unknown item base 'bogus'"),
+    ])
+    def test_only_rendered_names_are_items(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ItemToken.parse(text)
+
     def test_vocabulary_is_five_bases_by_six_variants(self):
         assert len(ITEM_VOCAB) == 30
         assert len(set(i.render() for i in ITEM_VOCAB)) == 30
@@ -228,6 +239,10 @@ class TestCanonicalForm:
     def test_non_ascii_digits_rejected(self):
         with pytest.raises(CanonParseError):
             canon_parse("(prog (move F (int \u00b2)))")
+
+    def test_non_ascii_item_suffix_rejected(self):
+        with pytest.raises(CanonParseError):
+            canon_parse("(prog (grab key_\u0663))")
 
     def test_omitted_move_count_survives_round_trip(self):
         prog = Program((ActionStmt(Move(MoveDir.FORWARD, Literal(1),

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gridlang.cli import main
+from gridlang.tasks import DATASET_FORMAT, read_dataset_config
 
 
 def _run(*argv):
@@ -29,6 +30,10 @@ class TestGen:
         assert header["_config"]["task"] == "goal"
         assert header["_config"]["params"]["D"] == 4
         assert "wrote" in capsys.readouterr().out
+
+    def test_config_line_records_the_dataset_format(self, tmp_path):
+        out = _gen(tmp_path)
+        assert read_dataset_config(out)["dataset_format"] == DATASET_FORMAT
 
     def test_byte_identical_across_runs(self, tmp_path):
         a = _gen(tmp_path, "a.jsonl")

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,19 @@ class TestTokenizer:
         assert tokenize("", BLOCK_G) == []
         assert [t.kind for t in tokenize("@#%", BLOCK_G)] == [
             TokenKind.UNKNOWN] * 3
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "loop", "key_2", "7", "zz", "_", "{", "(", ";", "@", "+", "`",
+        "\u00e9", "\u0663", " ", "\t", "\n", "\x1c", "\u00a0", "\u2028",
+        "\u3000", "\u200b"]), max_size=20).map("".join))
+    def test_spans_are_the_token_pattern_matches(self, text):
+        # words of ASCII letters, digits and _, else single non-space
+        # characters, with Unicode space between them
+        spans = [(m.group(), m.start(), m.end()) for m in
+                 re.finditer(r"[A-Za-z0-9_]+|\S", text)]
+        assert [(t.text, t.start, t.end)
+                for t in tokenize(text, BLOCK_G)] == spans
 
 
 class TestFrozenSurfaces:

@@ -1,13 +1,23 @@
 """Prompt assembly, answer extraction, HTTP behavior, and caching."""
 
+import gc
 import http.server
 import json
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridlang.grammar import LexiconMode, Style, grammar_from_text
+from gridlang.codec import tokenize
+from gridlang.grammar import (
+    LexiconMode,
+    Style,
+    build_grammar,
+    grammar_from_text,
+)
 from gridlang.harness import (
+    _fenced_blocks,
     AuthFailedError,
     EndpointConfig,
     EndpointUnreachableError,
@@ -19,7 +29,9 @@ from gridlang.harness import (
     extract_code,
     read_responses,
     run_evaluation,
+    score_instance,
 )
+from gridlang.metrics import _LABEL_RE
 from gridlang.prompts import (
     GENERATION_OPENER,
     JUDGMENT_OPENER,
@@ -29,7 +41,12 @@ from gridlang.prompts import (
 from gridlang.sampler import GenParams
 from gridlang.tasks import TaskKind, make_dataset
 
-from conftest import fixed_grammar
+from conftest import (
+    ALL_COMBOS,
+    FENCE_RE,
+    fixed_grammar,
+    oracle_extract_code,
+)
 
 TOKEN_VAR = "GRIDLANG_TEST_TOKEN"
 
@@ -142,6 +159,73 @@ class TestExtractCode:
 
     def test_empty_answer(self):
         assert extract_code("", self.G) == ""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(["`", "``", "```", "````", "\n", "a",
+                                     "b"]), max_size=16).map("".join))
+    def test_fence_scan_matches_the_regex(self, raw):
+        assert _fenced_blocks(raw) == FENCE_RE.findall(raw)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS), st.integers(0, 50), st.data())
+    def test_matches_the_whole_text_definition(self, combo, seed, data):
+        g = build_grammar(*combo, seed)
+        vocabulary = sorted(g.terminals.values()) + [
+            "key_2", "7", "x", "+", "*", "@", "\u00e9", "\u0663", "`",
+            "```", "(", ")", ";", "{", "}", " ", "\n", "\u00a0"]
+        words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=12))
+        raw = "".join(word + data.draw(st.sampled_from(("", " ", "\n")))
+                      for word in words)
+        assert extract_code(raw, g) == oracle_extract_code(raw, g)
+
+
+class TestHugeAnswers:
+    """Extraction and scoring stay linear on megabytes of fence debris."""
+
+    UNITS = pytest.mark.parametrize("unit", ["`", "```x"],
+                                    ids=["backticks", "open-fences"])
+
+    @UNITS
+    @pytest.mark.parametrize("kind", [TaskKind.GOAL, TaskKind.JUDGMENT])
+    def test_score_instance_within_a_second(self, unit, kind):
+        inst = _dataset(kind, n=2, style=Style.C)[0]
+        raw = unit * (2 ** 20 // len(unit))
+        start = time.perf_counter()
+        record = score_instance(inst, raw)
+        assert time.perf_counter() - start < 1.0
+        assert not record.parsed_ok
+
+    @UNITS
+    def test_label_search_within_a_second(self, unit):
+        raw = unit * (2 ** 20 // len(unit))
+        start = time.perf_counter()
+        assert _LABEL_RE.findall(raw) == []
+        assert time.perf_counter() - start < 1.0
+
+    @UNITS
+    def test_tokenize_grows_linearly(self, unit):
+        # one token per character, so a megabyte takes most of a second;
+        # the check is on growth (quadratic work would scale by 64), timed
+        # with the collector paused as ``timeit`` does
+        g = fixed_grammar(Style.C)
+
+        def seconds(size):
+            text = unit * (size // len(unit))
+            best = float("inf")
+            for _ in range(2):
+                start = time.perf_counter()
+                assert len(tokenize(text, g)) == len(text)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            small, large = seconds(2 ** 17), seconds(2 ** 20)
+        finally:
+            if enabled:
+                gc.enable()
+        assert large < 20 * small
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):

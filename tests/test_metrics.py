@@ -2,6 +2,7 @@
 
 import functools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,27 @@ class TestScoringIsTotal:
         nested = "(" * 3000 + "1" + " + 1)" * 3000
         answer = f"{g.token(R.MOVE)} {g.token(R.DIR_FWD)} {nested};"
         assert score_generation(answer, inst, g).failure_stage == "syntax"
+
+    def test_memory_does_not_grow_with_the_grab_count(self):
+        inst = _small_goal(Style.C, LexiconMode.NATURAL)
+        g = _grammar(inst)
+        t = g.token
+
+        def peak(count):
+            answer = (f"{t(R.LOOP)} ({count}) {t(R.LBR)} {t(R.GRAB)} key; "
+                      f"{t(R.RBR)}")
+            tracemalloc.reset_peak()
+            record = score_generation(answer, inst, g)
+            assert record.failure_stage == "behavior"
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            peak(99)  # warm caches
+            few, many = peak(9_999), peak(999_999)
+        finally:
+            tracemalloc.stop()
+        assert many - few < 64 * 1024
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(ALL_COMBOS), st.data())

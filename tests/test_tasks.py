@@ -29,7 +29,9 @@ from gridlang.ast import (
 from gridlang.codec import ParseError, parse, tokenize
 from gridlang.grammar import LexiconMode, Style, grammar_from_text
 from gridlang.sampler import GenParams, generate_instance
+from gridlang.harness import PromptConfig, build_prompt
 from gridlang.tasks import (
+    DATASET_FORMAT,
     START_STATE,
     MalformedRecordError,
     PerturbCategory,
@@ -196,6 +198,18 @@ class TestGoalInstances:
                              params, start_state=start)
         assert inst.start_state == start
 
+    def test_deep_goal_states_and_prompts_stay_small(self):
+        # deep programs grab thousands of copies; states and prompts must
+        # grow with the kinds held, not the copies
+        params = GenParams(max_depth=10, seed=5)
+        dataset = make_dataset(TaskKind.GOAL, 200, Style.C,
+                               LexiconMode.NATURAL, params)
+        assert max(sum(n for _, n in inst.target_state.inventory)
+                   for inst in dataset) > 1000
+        for inst in dataset:
+            assert len(inst.target_state.inventory) <= 30
+            assert len(build_prompt(inst, PromptConfig())) <= 32_000
+
 
 # the condition scheme: leaves bare, every operator child parenthesized,
 # top level bare
@@ -276,10 +290,17 @@ class TestInstructionRendering:
         empty = RobotState(x=0, y=0, facing=Facing.N, inventory=())
         assert render_state(empty) == "pos (0, 0), facing N, inventory empty"
         loaded = RobotState(x=-2, y=7, facing=Facing.W,
-                            inventory=(ItemToken("ball", 1),
-                                       ItemToken("key", None)))
+                            inventory=((ItemToken("ball", 1), 1),
+                                       (ItemToken("key", None), 1)))
         assert render_state(loaded) == \
             "pos (-2, 7), facing W, inventory [ball_1, key]"
+
+    def test_repeats_are_spelled_once_with_a_count(self):
+        state = RobotState(x=2, y=-1, facing=Facing.W,
+                           inventory=((ItemToken("key", 2), 3),
+                                      (ItemToken("box", None), 1)))
+        assert render_state(state) == \
+            "pos (2, -1), facing W, inventory [box, key_2 x3]"
 
 
 class TestDatasets:
@@ -337,6 +358,76 @@ class TestDatasets:
         with pytest.raises(MalformedRecordError) as info:
             read_dataset(path)
         assert info.value.line_no == 3
+
+    def _rewrite(self, path, edit):
+        lines = path.read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        edit(rows)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+    def test_list_form_file_reads_to_equal_states(self, tmp_path):
+        data = self._dataset(TaskKind.GOAL, n=12)
+        assert any(n > 1 for inst in data
+                   for _, n in inst.target_state.inventory)
+        path = tmp_path / "listed.jsonl"
+        write_dataset(data, path)
+
+        def to_lists(rows):
+            for row in rows:
+                for name in ("start_state", "target_state"):
+                    held = row[name]["inventory"]
+                    # one entry per copy, as older files hold them
+                    row[name]["inventory"] = [
+                        item for item, n in reversed(held.items())
+                        for _ in range(n)]
+
+        self._rewrite(path, to_lists)
+        assert read_dataset(path) == data
+
+    @pytest.mark.parametrize("held", [
+        {"key": 0}, {"key": -1}, {"key": 1.5}, {"key": True}, {"key": "3"},
+        {"rock": 1}, {"key_\u0663": 1}, ["key_\u0663"],
+    ])
+    def test_bad_inventory_reported_with_its_line(self, tmp_path, held):
+        data = self._dataset(TaskKind.GOAL, n=3)
+        path = tmp_path / "bad.jsonl"
+        write_dataset(data, path, {"dataset_format": DATASET_FORMAT})
+
+        def spoil(rows):
+            rows[2]["target_state"]["inventory"] = held
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError) as info:
+            read_dataset(path)
+        assert info.value.line_no == 3
+
+    def test_newer_format_refused_naming_both_versions(self, tmp_path):
+        data = self._dataset(TaskKind.GOAL, n=2)
+        path = tmp_path / "future.jsonl"
+        newer = DATASET_FORMAT + 1
+        write_dataset(data, path, {"dataset_format": newer})
+        assert read_dataset_config(path)["dataset_format"] == newer
+        with pytest.raises(MalformedRecordError,
+                           match=f"format {newer} .*format {DATASET_FORMAT}"
+                           ) as info:
+            read_dataset(path)
+        assert info.value.line_no == 1
+
+    @pytest.mark.parametrize("version", ["2", True, 0, 1.0])
+    def test_malformed_format_refused(self, tmp_path, version):
+        path = tmp_path / "odd.jsonl"
+        write_dataset(self._dataset(TaskKind.GOAL, n=2), path,
+                      {"dataset_format": version})
+        with pytest.raises(MalformedRecordError):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("config", [{"dataset_format": 1},
+                                        {"task": "goal"}])
+    def test_older_and_unversioned_files_read(self, tmp_path, config):
+        data = self._dataset(TaskKind.GOAL, n=2)
+        path = tmp_path / "old.jsonl"
+        write_dataset(data, path, config)
+        assert read_dataset(path) == data
 
     def test_config_line_only_honored_at_top(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,8 +89,8 @@ class TestPredicates:
         holding_box = Holding(BOX)
         for has_key, has_box in itertools.product((False, True), repeat=2):
             inventory = ()
-            inventory += (KEY,) if has_key else ()
-            inventory += (BOX,) if has_box else ()
+            inventory += ((KEY, 1),) if has_key else ()
+            inventory += ((BOX, 1),) if has_box else ()
             state = RobotState(0, 0, Facing.N, inventory)
             assert holds(holding_key, state) is has_key
             assert holds(Not(holding_key), state) is (not has_key)
@@ -101,7 +102,7 @@ class TestPredicates:
             ) is (has_key or has_box)
 
     def test_holding_distinguishes_suffixed_variants(self):
-        state = RobotState(0, 0, Facing.N, (ItemToken("key", 2),))
+        state = RobotState(0, 0, Facing.N, ((ItemToken("key", 2), 1),))
         assert holds(Holding(ItemToken("key", 2)), state)
         assert not holds(Holding(KEY), state)
 
@@ -157,7 +158,7 @@ class TestMotion:
             ActionStmt(Grab(KEY)),
         ))
         state = run(prog)
-        assert state.inventory == (BOX, KEY, KEY)
+        assert state.inventory == ((BOX, 1), (KEY, 2))
 
     def test_inventory_is_order_insensitive(self):
         ab = run(Program((ActionStmt(Grab(KEY)), ActionStmt(Grab(BOX)))))
@@ -169,7 +170,7 @@ class TestControlFlow:
     def test_loop_count_evaluated_once(self):
         # a count of 3 runs the body three times even as state changes
         prog = Program((Loop(Literal(3), (ActionStmt(Grab(KEY)),)),))
-        assert len(run(prog).inventory) == 3
+        assert run(prog).inventory == ((KEY, 3),)
 
     def test_zero_count_loop_is_dead_code(self):
         prog = Program((Loop(Literal(0), (ActionStmt(Grab(KEY)),)),))
@@ -181,9 +182,9 @@ class TestControlFlow:
                (ActionStmt(Grab(BOX)),),
                (ActionStmt(Grab(KEY)),)),
         ))
-        assert run(prog).inventory == (KEY,)
-        primed = RobotState(0, 0, Facing.N, (KEY,))
-        assert run(prog, primed).inventory == (BOX, KEY)
+        assert run(prog).inventory == ((KEY, 1),)
+        primed = RobotState(0, 0, Facing.N, ((KEY, 1),))
+        assert run(prog, primed).inventory == ((BOX, 1), (KEY, 1))
 
     def test_missing_else_is_noop(self):
         prog = Program((If(Holding(KEY), (ActionStmt(Grab(BOX)),), None),))
@@ -284,11 +285,42 @@ def _few_kind_stmts(depth):
 _start_states = st.builds(
     RobotState, st.integers(-50, 50), st.integers(-50, 50),
     st.sampled_from(Facing),
-    st.lists(st.sampled_from(ITEM_VOCAB), max_size=5).map(tuple),
+    st.lists(st.sampled_from(ITEM_VOCAB), max_size=5).map(
+        lambda items: tuple(Counter(items).items())),
 )
 
 
+_counted_states = st.builds(
+    RobotState, st.integers(-50, 50), st.integers(-50, 50),
+    st.sampled_from(Facing),
+    st.dictionaries(st.sampled_from(ITEM_VOCAB), st.integers(1, 40),
+                    max_size=4).map(lambda held: tuple(held.items())),
+)
+
+
+def _grab_loops(depth):
+    # a loop whose body grabs, around more grabs, turns, moves and loops
+    grab = st.sampled_from((KEY, BOX, BALL)).map(
+        lambda item: ActionStmt(Grab(item)))
+    inner = _few_kind_stmts(1)
+    if depth:
+        inner = inner | _grab_loops(depth - 1)
+    return st.builds(
+        lambda count, first, rest: Loop(Literal(count), (first, *rest)),
+        st.integers(0, 12), grab, st.lists(inner, max_size=3))
+
+
 class TestLoopSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_grab_loops(2), min_size=1, max_size=3),
+           _counted_states)
+    def test_grabs_in_loops_match_oracle(self, body, state):
+        prog = Program(tuple(body))
+        assert_matches_oracle(prog, state)
+        final = exec_program(prog, state).state
+        assert len(final.inventory) <= 30
+        assert RobotState.from_dict(final.to_dict()) == final
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
            st.tuples(*[st.integers(0, 4)] * 3).filter(any),
@@ -316,7 +348,7 @@ class TestLoopSummary:
                 + (ActionStmt(Move(MoveDir.BACKWARD, Literal(1))),))
         for count in [*range(13), 997, 998, 999, 1000]:
             for facing in Facing:
-                state = RobotState(3, -1, facing, (BOX,))
+                state = RobotState(3, -1, facing, ((BOX, 1),))
                 assert_matches_oracle(
                     Program((Loop(Literal(count), body),)), state)
 
@@ -335,7 +367,7 @@ class TestLoopSummary:
             assert_matches_oracle(Program((Loop(Literal(count), body),)))
         result = exec_program(Program((Loop(Literal(1000), body),)))
         assert result == Final(
-            RobotState(-998, 0, Facing.W, (BOX,) + (KEY,) * 1000), 2000)
+            RobotState(-998, 0, Facing.W, ((BOX, 1), (KEY, 1000))), 2000)
 
     def test_zero_step_loops_finish_at_once(self):
         # the loop bodies take no steps, so no budget can stop them
@@ -366,8 +398,54 @@ class TestLoopSummary:
 
 class TestStateSerialization:
     def test_round_trip(self):
-        state = RobotState(-3, 9, Facing.W, (KEY, BOX, KEY))
+        state = RobotState(-3, 9, Facing.W, ((KEY, 2), (BOX, 1)))
         assert RobotState.from_dict(state.to_dict()) == state
+
+    def test_inventory_is_an_object_of_counts(self):
+        state = RobotState(1, 2, Facing.S, ((KEY, 2), (BALL, 1)))
+        assert state.to_dict() == {"x": 1, "y": 2, "facing": "S",
+                                   "inventory": {"ball": 1, "key": 2}}
+
+    def test_list_form_reads_to_the_same_state(self):
+        data = {"x": 1, "y": 2, "facing": "S"}
+        listed = RobotState.from_dict(
+            {**data, "inventory": ["key", "ball", "key"]})
+        counted = RobotState.from_dict(
+            {**data, "inventory": {"key": 2, "ball": 1}})
+        assert listed == counted
+        assert listed.inventory == ((BALL, 1), (KEY, 2))
+
+    @pytest.mark.parametrize("count", [0, -1, 1.5, True, "3", None])
+    def test_bad_counts_rejected(self, count):
+        data = {**START_STATE.to_dict(), "inventory": {"key": count}}
+        with pytest.raises(ValueError, match="count of key"):
+            RobotState.from_dict(data)
+
+    @pytest.mark.parametrize("name", ["rock", "key_9", "key_\u0663", "key_"])
+    @pytest.mark.parametrize("form", [list, dict])
+    def test_unknown_items_rejected_in_either_form(self, name, form):
+        held = [name] if form is list else {name: 1}
+        data = {**START_STATE.to_dict(), "inventory": held}
+        with pytest.raises(ValueError):
+            RobotState.from_dict(data)
+
+    @pytest.mark.parametrize("held", [None, "key", 3, [["key"]], [3]])
+    def test_inventory_of_another_shape_rejected(self, held):
+        data = {**START_STATE.to_dict(), "inventory": held}
+        with pytest.raises(ValueError):
+            RobotState.from_dict(data)
+
+    @pytest.mark.parametrize("inventory", [
+        ((KEY, 1), (KEY, 2)),
+        ((KEY, 0),),
+        ((KEY, True),),
+        (KEY,),
+        ((KEY, 1, 1),),
+        (("key", 1),),
+    ])
+    def test_constructor_checks_pairs(self, inventory):
+        with pytest.raises(ValueError):
+            RobotState(0, 0, Facing.N, inventory)
 
     def test_unknown_field_rejected(self):
         data = START_STATE.to_dict()
