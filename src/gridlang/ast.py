@@ -7,7 +7,9 @@ compare structurally with ``==``.
 
 A canonical single-line text form (``canon_serialize`` / ``canon_parse``)
 exists so gold trees can be stored in line-delimited datasets without
-depending on any surface grammar.
+depending on any surface grammar.  Its productions live in ``grammar`` beside
+the three styles', and ``codec`` compiles its parser and layout from them;
+these entry points only call into ``codec``.
 """
 
 from __future__ import annotations
@@ -291,190 +293,18 @@ def canon_serialize(node: Program) -> str:
 
     Node tags: prog loop if move turn grab holding not and or add mul int.
     Action statements serialize as their action form directly; Loop and If
-    bodies are parenthesized statement lists.
+    bodies are parenthesized statement lists.  The text follows the
+    canonical productions in ``grammar``.
     """
-    return _canon(node)
+    from gridlang import codec  # codec imports this module
 
-
-def _canon(node) -> str:
-    if isinstance(node, Program):
-        return "(prog " + " ".join(_canon(s) for s in node.body) + ")"
-    if isinstance(node, ActionStmt):
-        return _canon(node.action)
-    if isinstance(node, Loop):
-        return f"(loop {_canon(node.count)} {_canon_block(node.body)})"
-    if isinstance(node, If):
-        text = f"(if {_canon(node.cond)} {_canon_block(node.then)}"
-        if node.orelse is not None:
-            text += f" {_canon_block(node.orelse)}"
-        return text + ")"
-    if isinstance(node, Move):
-        if node.steps_omitted:
-            return f"(move {node.dir.value})"
-        return f"(move {node.dir.value} {_canon(node.steps)})"
-    if isinstance(node, Turn):
-        return f"(turn {node.dir.value})"
-    if isinstance(node, Grab):
-        return f"(grab {node.item.render()})"
-    if isinstance(node, Literal):
-        return f"(int {node.value})"
-    if isinstance(node, BinaryArith):
-        return f"({node.op.value} {_canon(node.left)} {_canon(node.right)})"
-    if isinstance(node, Holding):
-        return f"(holding {node.item.render()})"
-    if isinstance(node, Not):
-        return f"(not {_canon(node.inner)})"
-    if isinstance(node, BinaryBool):
-        return f"({node.op.value} {_canon(node.left)} {_canon(node.right)})"
-    raise TypeError(f"cannot serialize {node!r}")
-
-
-def _canon_block(block: Block) -> str:
-    return "(" + " ".join(_canon(s) for s in block) + ")"
+    return codec.render_canonical(node)
 
 
 def canon_parse(text: str) -> Program:
     """Inverse of canon_serialize.  Raises CanonParseError on bad input,
-    including parentheses nested deeper than ``MAX_NESTING``."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if tokens.count("(") > MAX_NESTING:
-        depth = 0
-        for position, tok in enumerate(tokens):
-            depth += (tok == "(") - (tok == ")")
-            if depth > MAX_NESTING:
-                raise CanonParseError(position, f"more than {MAX_NESTING} "
-                                      "nested parentheses")
-    parser = _CanonParser(tokens)
-    program = parser.program()
-    if parser.pos != len(tokens):
-        raise CanonParseError(parser.pos, "trailing tokens after program")
-    return program
+    including parentheses nested deeper than ``MAX_NESTING``, at the
+    furthest token the parse reached."""
+    from gridlang import codec
 
-
-class _CanonParser:
-    def __init__(self, tokens: list[str]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise CanonParseError(self.pos, message)
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok = self.take()
-        if tok != text:
-            self.fail(f"expected {text!r}, found {tok!r}")
-
-    def program(self) -> Program:
-        self.expect("(")
-        self.expect("prog")
-        body = []
-        while self.peek() != ")":
-            body.append(self.stmt())
-        self.expect(")")
-        if not body:
-            self.fail("empty program body")
-        return Program(tuple(body))
-
-    def stmt(self) -> Stmt:
-        self.expect("(")
-        head = self.take()
-        if head == "loop":
-            count = self.arith()
-            body = self.block()
-            self.expect(")")
-            return Loop(count, body)
-        if head == "if":
-            cond = self.bool_expr()
-            then = self.block()
-            orelse = None
-            if self.peek() == "(":
-                orelse = self.block()
-            self.expect(")")
-            return If(cond, then, orelse)
-        if head == "move":
-            dir_ = self.move_dir()
-            if self.peek() == ")":
-                self.pos += 1
-                return ActionStmt(Move(dir_, Literal(1), steps_omitted=True))
-            steps = self.arith()
-            self.expect(")")
-            return ActionStmt(Move(dir_, steps))
-        if head == "turn":
-            tok = self.take()
-            if tok not in ("L", "R"):
-                self.fail(f"expected turn direction, found {tok!r}")
-            self.expect(")")
-            return ActionStmt(Turn(TurnDir(tok)))
-        if head == "grab":
-            item = self.item()
-            self.expect(")")
-            return ActionStmt(Grab(item))
-        self.fail(f"expected statement tag, found {head!r}")
-
-    def block(self) -> Block:
-        self.expect("(")
-        stmts = []
-        while self.peek() != ")":
-            stmts.append(self.stmt())
-        self.expect(")")
-        return tuple(stmts)
-
-    def move_dir(self) -> MoveDir:
-        tok = self.take()
-        if tok not in ("F", "B"):
-            self.fail(f"expected move direction, found {tok!r}")
-        return MoveDir(tok)
-
-    def item(self) -> ItemToken:
-        tok = self.take()
-        try:
-            return ItemToken.parse(tok)
-        except ValueError:
-            self.pos -= 1
-            self.fail(f"expected item token, found {tok!r}")
-
-    def arith(self) -> ArithExpr:
-        self.expect("(")
-        head = self.take()
-        if head == "int":
-            tok = self.take()
-            if not (tok.isascii() and tok.isdigit()):
-                self.fail(f"expected integer, found {tok!r}")
-            self.expect(")")
-            return Literal(int(tok))
-        if head in ("add", "mul"):
-            left = self.arith()
-            right = self.arith()
-            self.expect(")")
-            return BinaryArith(ArithOp(head), left, right)
-        self.fail(f"expected arithmetic tag, found {head!r}")
-
-    def bool_expr(self) -> BoolExpr:
-        self.expect("(")
-        head = self.take()
-        if head == "holding":
-            item = self.item()
-            self.expect(")")
-            return Holding(item)
-        if head == "not":
-            inner = self.bool_expr()
-            self.expect(")")
-            return Not(inner)
-        if head in ("and", "or"):
-            left = self.bool_expr()
-            right = self.bool_expr()
-            self.expect(")")
-            return BinaryBool(BoolOp(head), left, right)
-        self.fail(f"expected condition tag, found {head!r}")
+    return codec.parse_canonical(text)

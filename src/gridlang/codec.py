@@ -1,7 +1,10 @@
-"""Surface codec: linearize ASTs to styled text and parse text back.
+"""Codec: linearize ASTs to styled text and parse text back.
 
 Both directions are compiled from ``grammar.RULE_TABLES``, read from the
 lines ``render_ebnf`` prints, so the language parsed is the EBNF shown.
+The canonical tree form behind ``ast.canon_serialize``/``ast.canon_parse``
+is compiled the same way from ``grammar.CANON_RULES``, with its fixed
+lexicon and every block kept on one line.
 
 Tokenization is whitespace-insensitive: word characters clump, every other
 non-space character stands alone, so ``repeat(3+4)iters`` and
@@ -22,7 +25,8 @@ Layout rule: single spaces between tokens, except none after ``PAR_L`` or
 before ``PAR_R``/``SEMI``; each statement of a ``stmt+``/``stmt*`` block on
 its own line, two spaces deeper than the statement holding the block (top
 level at column 0); the token after a block on a new line at the outer
-indent.
+indent.  The canonical form keeps a block's statements on one line, apart
+by single spaces, and spaces around a block as around any other item.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import enum
 import re
 from dataclasses import fields
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter, sub
 from typing import Callable, NamedTuple
 
@@ -42,6 +46,7 @@ from gridlang.ast import (
     BinaryArith,
     BinaryBool,
     BoolOp,
+    CanonParseError,
     Grab,
     Holding,
     If,
@@ -56,6 +61,8 @@ from gridlang.ast import (
     TurnDir,
 )
 from gridlang.grammar import (
+    CANON_RULES,
+    CANON_TERMINALS,
     RULE_TABLES,
     GrammarSpec,
     RuleTable,
@@ -145,12 +152,11 @@ class Token(NamedTuple):
 _new_token = partial(tuple.__new__, Token)  # Token from a 5-tuple
 
 
-def _word_symbols(words: list[str],
-                  g: GrammarSpec) -> dict[str, R | str | None]:
+def _word_symbols(words: list[str], roles: dict[str, R],
+                  classes: dict[str, re.Pattern]) -> dict[str, R | str | None]:
     """Each distinct word -> the role bound to it, else its literal class,
     else None.  A program repeats few distinct words many times."""
-    roles = g.keyword_roles.get
-    classes = RULE_TABLES[g.style].classes.items()
+    roles, classes = roles.get, classes.items()
     symbols = {}
     for word in set(words):
         sym = roles(word)
@@ -173,7 +179,8 @@ def tokenize(text: str, g: GrammarSpec) -> list[Token]:
     words = list(map(str.lstrip, spaced))
     ends = list(accumulate(map(len, spaced)))
     kinds, roles = {}, {}
-    for word, sym in _word_symbols(words, g).items():
+    for word, sym in _word_symbols(words, g.keyword_roles,
+                                   RULE_TABLES[g.style].classes).items():
         role = sym if isinstance(sym, R) else None
         if word in _PUNCT_CHARS:
             kinds[word] = TokenKind.PUNCT
@@ -207,18 +214,37 @@ def parse(code: str, g: GrammarSpec) -> Program:
 
     The whole token stream must be consumed: trailing tokens reject.
     """
+    return _parse(code, _PARSERS[g.style], RULE_TABLES[g.style].classes,
+                  g.keyword_roles, g.terminals)
+
+
+def parse_canonical(text: str) -> Program:
+    """The tree of canonical text; raises CanonParseError to reject."""
+    if not isinstance(text, str):
+        raise CanonParseError(0, f"expected text, found {type(text).__name__}")
+    try:
+        return _parse(text, _CANON_PARSER, CANON_RULES.classes, _CANON_ROLES,
+                      CANON_TERMINALS)
+    except ParseError as exc:
+        raise CanonParseError(exc.position, f"expected {exc.expected}, "
+                              f"found {exc.found}") from None
+
+
+def _parse(code: str, parse_words: Callable, classes: dict[str, re.Pattern],
+           roles: dict[str, R], terminals: dict[R, str]) -> Program:
+    """Run a compiled parser over ``code``, its words bound by ``roles``
+    and ``classes``; ``terminals`` spells an expected role."""
     words = _TOKEN_RE.findall(code)
-    if words.count("(") + words.count("[") + words.count("{") > MAX_NESTING:
-        depth = 0
-        for position, word in enumerate(words):
-            depth += _NESTING_STEP.get(word, 0)
-            if depth > MAX_NESTING:
-                raise ParseError(position, f"at most {MAX_NESTING} nested "
-                                 "brackets", repr(word))
-    symbols = _word_symbols(words, g)
-    syms = [symbols[word] for word in words]
+    if code.count("(") + code.count("[") + code.count("{") > MAX_NESTING:
+        depths = list(accumulate(map(_NESTING_STEP.get, words, repeat(0))))
+        if max(depths) > MAX_NESTING:  # depth moves by one word at a time
+            position = depths.index(MAX_NESTING + 1)
+            raise ParseError(position, f"at most {MAX_NESTING} nested "
+                             "brackets", repr(words[position]))
+    symbols = _word_symbols(words, roles, classes)
+    syms = list(map(symbols.__getitem__, words))
     syms.append(None)  # past the last word no terminal matches
-    result, far, want = _PARSERS[g.style](words, syms)
+    result, far, want = parse_words(words, syms)
     n = len(words)
     if result is not None:
         if result[1] == n:
@@ -226,8 +252,8 @@ def parse(code: str, g: GrammarSpec) -> Program:
         if result[1] >= far:
             far, want = result[1], "end of input"
     found = repr(words[far]) if far < n else "end of input"
-    raise ParseError(far, repr(g.token(want)) if isinstance(want, R) else want,
-                     found)
+    raise ParseError(far, repr(terminals[want]) if isinstance(want, R)
+                     else want, found)
 
 
 def _group(table: RuleTable, sym: Symbol) -> tuple[Symbol, ...] | None:
@@ -280,8 +306,11 @@ def _compile_parser(table: RuleTable) -> Callable:
     matches.  It tries its alternatives in order, each the body of a
     ``while True`` that a failing item leaves by ``break`` and a match
     leaves by ``return``.  ``syms`` ends in a None that no terminal
-    matches, so no test checks the length.  The source is compiled over a
-    namespace holding only the table's constants.
+    matches, so no test checks the length.  The rule functions call each
+    other through their closures, a reference cycle that ``parse_words``
+    breaks on leaving, so a parse leaves no garbage for the cyclic
+    collector.  The source is compiled over a namespace holding only the
+    table's constants.
     """
     namespace: dict = {"ParseError": ParseError}
 
@@ -314,7 +343,10 @@ def _compile_parser(table: RuleTable) -> Callable:
             out.append("        while True:")
             out += ["            " + line for line in body]
         out.append("        return None")
-    out.append("    return r_start(0), far, want")
+    out += ["    try:",
+            "        return r_start(0), far, want",
+            "    finally:",
+            "        del " + ", ".join(map(_function, table.rules))]
     exec(compile("\n".join(out) + "\n", "<parser>", "exec"), namespace)
     return namespace["parse_words"]
 
@@ -358,6 +390,8 @@ def _item(sym: Symbol, value: str, constant: Callable) -> list[str]:
 
 _PARSERS = {style: _compile_parser(table)
             for style, table in RULE_TABLES.items()}
+_CANON_PARSER = _compile_parser(CANON_RULES)
+_CANON_ROLES = {token: role for role, token in CANON_TERMINALS.items()}
 
 
 # --- linearization -----------------------------------------------------------
@@ -370,11 +404,20 @@ def linearize(program: Program, g: GrammarSpec) -> str:
     """Render a program under ``g`` by the layout rule in the module
     docstring; parse(linearize(t, g), g) recovers t.  Layouts spell roles
     as numbered format fields, filled in once at the end."""
-    roles, templates = _LAYOUTS[g.style]
+    text = _render(program, _LAYOUTS[g.style]).format(
+        *[g.terminals[role] for role in _ROLES[g.style]])
+    return text.strip("\n")
+
+
+def render_canonical(program: Program) -> str:
+    """The canonical text of a program; parse_canonical recovers it."""
+    return _render(program, _CANON_LAYOUT)
+
+
+def _render(program: Program, templates: dict) -> str:
     out: list[str] = []
     _emit(program, templates[Program], "", out, templates)
-    text = "".join(out).format(*[g.terminals[role] for role in roles])
-    return text.strip("\n")
+    return "".join(out)
 
 
 def _emit(node, pieces: tuple, pad: str, out: list[str],
@@ -390,6 +433,13 @@ def _emit(node, pieces: tuple, pad: str, out: list[str],
         elif op is _TEXT:
             out.append(arg(get(node)))
         elif op is _BLOCK:
+            if arg is None:  # one line, statements apart by single spaces
+                for n, stmt in enumerate(get(node)):
+                    if n:
+                        out.append(" ")
+                    _emit(stmt, templates[stmt.__class__], pad, out,
+                          templates)
+                continue
             inner = pad + arg
             for stmt in get(node):
                 out.append("\n" + inner)
@@ -399,45 +449,48 @@ def _emit(node, pieces: tuple, pad: str, out: list[str],
             _emit(node, arg, pad, out, templates)
 
 
-def _layout(style) -> tuple[tuple[R, ...], dict[type, tuple]]:
-    """The style's roles, and per AST class the pieces that spell it."""
-    table, roles = RULE_TABLES[style], used_roles(style)
-    numbers = {role: k for k, role in enumerate(roles)}
+def _layout(table: RuleTable, spell: dict[R, str],
+            one_line: bool = False) -> dict[type, tuple]:
+    """Per AST class the pieces that spell it, each role as ``spell`` has
+    it; ``one_line`` keeps each block on the line."""
     layouts = {}
     for cls, (rule, k, _) in _NODES.items():
         attrs = [f.name for f in fields(cls)]
         getters = [None if slot is None else _GETTERS.get(
             (cls, attrs[slot]), attrgetter(attrs[slot]))
             for slot in _slots(table, rule, k)]
-        layouts[cls] = _pieces(table, table.rules[rule][k], getters, numbers,
-                               "" if rule == "start" else "  ")
-    return roles, layouts
+        indent = None if one_line else "" if rule == "start" else "  "
+        layouts[cls] = _pieces(table, table.rules[rule][k], getters, spell,
+                               indent)
+    return layouts
 
 
 def _pieces(table: RuleTable, items: tuple[Symbol, ...], getters: list,
-            numbers: dict, indent: str) -> tuple:
-    """Lay out one alternative, merging adjacent literal text.  An optional
-    item must leave its neighbours' layout as its absence would."""
+            spell: dict, indent: str | None) -> tuple:
+    """Lay out one alternative, merging adjacent literal text; an indent
+    of None keeps blocks on one line.  An optional item must leave its
+    neighbours' layout as its absence would."""
     pieces: list = []
     prev = None
     for sym, get in zip(items, getters):
         if sym.kind == "role":
-            spelled = ["{%d}" % numbers[sym.ref]]
+            spelled = [spell[sym.ref]]
         elif sym.kind == "class":
             spelled = [(_TEXT, get, _LITERALS[sym.ref][1])]
         elif sym.quant in ("*", "+"):
             spelled = [(_BLOCK, get, indent)]
         elif _group(table, sym):
             alt = _group(table, sym)
-            spelled = list(_pieces(table, alt, [get] * len(alt), numbers,
+            spelled = list(_pieces(table, alt, [get] * len(alt), spell,
                                    indent))
         elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
             spelled = [(_TEXT, get, {
-                _LEAVES[alt[0].ref]: "{%d}" % numbers[alt[0].ref]
+                _LEAVES[alt[0].ref]: spell[alt[0].ref]
                 for alt in table.rules[sym.ref]}.__getitem__)]
         else:
             spelled = [(_NODE, get, None)]
-        sep = [] if prev is None else _separator(table, prev, sym)
+        sep = [] if prev is None else _separator(table, prev, sym,
+                                                 indent is None)
         if sym.quant == "?":
             pieces.append((_OPTIONAL, get, _merge(sep + spelled)))
         else:
@@ -446,13 +499,14 @@ def _pieces(table: RuleTable, items: tuple[Symbol, ...], getters: list,
     return _merge(pieces)
 
 
-def _separator(table: RuleTable, a: Symbol, b: Symbol) -> list[str]:
-    """The layout rule between adjacent items ``a`` and ``b``; a block
-    itself breaks the lines around its statements."""
+def _separator(table: RuleTable, a: Symbol, b: Symbol,
+               one_line: bool) -> list[str]:
+    """The layout rule between adjacent items ``a`` and ``b``; a block not
+    on one line itself breaks the lines around its statements."""
     a = (_group(table, a) or (a,))[-1]
     b = (_group(table, b) or (b,))[0]
-    if a.quant in ("*", "+") or b.quant in ("*", "+") or a.ref is R.PAR_L \
-            or b.ref in (R.PAR_R, R.SEMI):
+    if a.ref is R.PAR_L or b.ref in (R.PAR_R, R.SEMI) or not one_line and (
+            a.quant in ("*", "+") or b.quant in ("*", "+")):
         return []
     return [" "]
 
@@ -467,4 +521,9 @@ def _merge(pieces: list) -> tuple:
     return tuple(merged)
 
 
-_LAYOUTS = {style: _layout(style) for style in RULE_TABLES}
+# a style's layouts spell its roles as numbered format fields
+_ROLES = {style: used_roles(style) for style in RULE_TABLES}
+_LAYOUTS = {style: _layout(RULE_TABLES[style], {
+    role: "{%d}" % k for k, role in enumerate(roles)})
+    for style, roles in _ROLES.items()}
+_CANON_LAYOUT = _layout(CANON_RULES, CANON_TERMINALS, one_line=True)

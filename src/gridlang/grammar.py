@@ -6,11 +6,14 @@ draw one synonym per keyword role from small fixed pools; alien lexicons
 draw opaque ``v_xxxx`` tokens so that a model can rely on neither token
 priors nor memorized syntax.  Punctuation is never aliened.
 
-The production lines are the one description of each style's syntax.  At
-import they compile into a ``RuleTable`` per style (``RULE_TABLES``), from
-which ``codec`` derives both its parser and its linearizer; ``render_ebnf``
-prints the same lines, so the text embedded verbatim in prompts and dataset
-records is by construction the language that is parsed.
+The production lines are the one description of each style's syntax, and
+of the canonical tree form that datasets store as ``gold_ast``.  At import
+they compile into a ``RuleTable`` per style (``RULE_TABLES``) and one for
+the canonical form (``CANON_RULES``), from which ``codec`` derives both its
+parsers and its linearizers; ``render_ebnf`` prints the same lines, so the
+text embedded verbatim in prompts and dataset records is by construction
+the language that is parsed.  The canonical form is a fixed-lexicon
+S-expression (``CANON_TERMINALS``), not a ``Style``: no prompt shows it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
     "Symbol",
     "RuleTable",
     "RULE_TABLES",
+    "CANON_RULES",
+    "CANON_TERMINALS",
     "used_roles",
     "map_lexicon",
     "build_grammar",
@@ -78,6 +83,9 @@ class TerminalRole(enum.Enum):
     DIR_RIGHT = "DIR_RIGHT"
     OP_ADD = "OP_ADD"
     OP_MUL = "OP_MUL"
+    # used by the canonical form only
+    PROG = "PROG"
+    NUM = "NUM"
 
 
 R = TerminalRole
@@ -159,6 +167,30 @@ _CLASS_LINES = (
     "ITEM: /(item|key|box|ball|cube)(_[0-4])?/",
 )
 
+# The canonical tree form: same rule names and alternative order as the
+# styles, so one node map serves all four; every node is parenthesized and
+# tagged, and an action statement is its action.
+_CANON_PRODUCTIONS = (
+    "start: PAR_L PROG stmt+ PAR_R",
+    "stmt: action_stmt | loop | if_stmt",
+    "action_stmt: action",
+    "loop: PAR_L LOOP expr PAR_L stmt* PAR_R PAR_R",
+    "if_stmt: PAR_L IF cond PAR_L stmt* PAR_R (PAR_L stmt* PAR_R)? PAR_R",
+    "action: PAR_L MOVE MOVE_DIR expr? PAR_R | PAR_L TURN TURN_DIR PAR_R | PAR_L GRAB ITEM PAR_R",
+    "expr: PAR_L NUM INT PAR_R | PAR_L op_arith expr expr PAR_R",
+    "op_arith: OP_ADD | OP_MUL",
+    "cond: PAR_L HOLDING ITEM PAR_R | PAR_L NOT cond PAR_R | PAR_L op_bool cond cond PAR_R",
+    "op_bool: AND | OR",
+)
+
+CANON_TERMINALS: dict[TerminalRole, str] = {
+    R.PAR_L: "(", R.PAR_R: ")", R.PROG: "prog", R.LOOP: "loop", R.IF: "if",
+    R.MOVE: "move", R.TURN: "turn", R.GRAB: "grab", R.NUM: "int",
+    R.OP_ADD: "add", R.OP_MUL: "mul", R.HOLDING: "holding", R.NOT: "not",
+    R.AND: "and", R.OR: "or", R.DIR_FWD: "F", R.DIR_BWD: "B",
+    R.DIR_LEFT: "L", R.DIR_RIGHT: "R",
+}
+
 _ITEM_TEXTS = frozenset(item.render() for item in ITEM_VOCAB)
 _ALIEN_RE = re.compile(r"v_[a-z]{4}\Z")
 _ROLE_NAMES = frozenset(r.name for r in TerminalRole)
@@ -217,6 +249,7 @@ RULE_TABLES: dict[Style, RuleTable] = {
     style: _compile_rules(_PRODUCTIONS[style] + _CLASS_LINES)
     for style in Style
 }
+CANON_RULES = _compile_rules(_CANON_PRODUCTIONS + _CLASS_LINES)
 
 
 def used_roles(style: Style) -> tuple[TerminalRole, ...]:
@@ -254,7 +287,7 @@ class GrammarSpec:
                 if not _ALIEN_RE.match(token):
                     raise ValueError(f"alien binding {token!r} for "
                                      f"{role.name} is not v_xxxx shaped")
-            elif token not in NATURAL_POOLS[role]:
+            elif token not in NATURAL_POOLS.get(role, ()):
                 raise ValueError(f"{token!r} is outside the {role.name} pool")
         missing = [r.name for r in used_roles(self.style)
                    if r not in self.terminals]

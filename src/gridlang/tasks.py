@@ -11,8 +11,9 @@ Records serialize as JSON Lines with fixed key order; a state's inventory
 is an object of counts, ``{"box": 1, "key_2": 3}``.  An optional leading
 ``{"_config": ...}`` line carries run provenance and the
 ``dataset_format``; it is skipped on read.  Readers are strict: an unknown
-field, a missing required field or a bad inventory count is a malformed
-record, reported with its line number.  In prompts a state reads
+field, a missing required field, a text field that is no string, a
+coordinate that is no int or a bad inventory count is a malformed record,
+reported with its line number.  In prompts a state reads
 ``inventory [box, key_2 x3]``.
 """
 
@@ -116,6 +117,17 @@ _REQUIRED = {
     TaskKind.INSTRUCTION: ("instruction", "start_state", "target_state",
                            "gold_code", "gold_ast"),
 }
+_ALWAYS = _FIELDS[:6]  # id .. grammar_text: in every record
+_OPTIONAL = _FIELDS[6:13]  # candidate .. gold_ast: present by task kind
+_TEXT_FIELDS = ("id", "grammar_text", "candidate", "instruction",
+                "gold_code", "gold_ast")
+
+# record field -> reader of its JSON value; other fields are read as is
+_READERS = {
+    "kind": TaskKind, "style": Style, "lexicon_mode": LexiconMode,
+    "params": GenParams.from_dict, "start_state": RobotState.from_dict,
+    "target_state": RobotState.from_dict, "perturb_category": PerturbCategory,
+}
 
 
 @dataclass(frozen=True)
@@ -136,17 +148,13 @@ class TaskInstance:
     perturb_category: PerturbCategory | None = None
 
     def __post_init__(self) -> None:
-        optional = {
-            "candidate": self.candidate,
-            "gold_label": self.gold_label,
-            "start_state": self.start_state,
-            "target_state": self.target_state,
-            "instruction": self.instruction,
-            "gold_code": self.gold_code,
-            "gold_ast": self.gold_ast,
-        }
+        for name in _TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         required = _REQUIRED[self.kind]
-        for name, value in optional.items():
+        for name in _OPTIONAL:
+            value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError(f"{self.kind.value} instance {self.id} "
                                  f"is missing {name}")
@@ -161,30 +169,17 @@ class TaskInstance:
             raise ValueError("perturb_category only applies to INVALID")
 
     def to_json(self) -> str:
-        record: dict = {
-            "id": self.id,
-            "kind": self.kind.value,
-            "style": self.style.value,
-            "lexicon_mode": self.lexicon_mode.value,
-            "params": self.params.to_dict(),
-            "grammar_text": self.grammar_text,
-        }
-        if self.candidate is not None:
-            record["candidate"] = self.candidate
-        if self.gold_label is not None:
-            record["gold_label"] = self.gold_label
-        if self.start_state is not None:
-            record["start_state"] = self.start_state.to_dict()
-        if self.target_state is not None:
-            record["target_state"] = self.target_state.to_dict()
-        if self.instruction is not None:
-            record["instruction"] = self.instruction
-        if self.gold_code is not None:
-            record["gold_code"] = self.gold_code
-        if self.gold_ast is not None:
-            record["gold_ast"] = self.gold_ast
-        if self.perturb_category is not None:
-            record["perturb_category"] = self.perturb_category.value
+        """One record, its fields in ``_FIELDS`` order, absent ones left
+        out."""
+        record: dict = {}
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            elif isinstance(value, (GenParams, RobotState)):
+                value = value.to_dict()
+            if value is not None:
+                record[name] = value
         return json.dumps(record)
 
     @staticmethod
@@ -195,34 +190,12 @@ class TaskInstance:
         extra = set(record) - set(_FIELDS)
         if extra:
             raise ValueError(f"unknown field {sorted(extra)[0]!r}")
-        for name in ("id", "kind", "style", "lexicon_mode", "params",
-                     "grammar_text"):
+        for name in _ALWAYS:
             if name not in record:
                 raise ValueError(f"missing field {name!r}")
-        state = {
-            name: RobotState.from_dict(record[name])
-            for name in ("start_state", "target_state")
-            if name in record
-        }
-        return TaskInstance(
-            id=record["id"],
-            kind=TaskKind(record["kind"]),
-            style=Style(record["style"]),
-            lexicon_mode=LexiconMode(record["lexicon_mode"]),
-            params=GenParams.from_dict(record["params"]),
-            grammar_text=record["grammar_text"],
-            candidate=record.get("candidate"),
-            gold_label=record.get("gold_label"),
-            start_state=state.get("start_state"),
-            target_state=state.get("target_state"),
-            instruction=record.get("instruction"),
-            gold_code=record.get("gold_code"),
-            gold_ast=record.get("gold_ast"),
-            perturb_category=(
-                PerturbCategory(record["perturb_category"])
-                if "perturb_category" in record else None
-            ),
-        )
+        return TaskInstance(**{
+            name: _READERS[name](value) if name in _READERS else value
+            for name, value in record.items()})
 
 
 # --- perturbation ----------------------------------------------------------

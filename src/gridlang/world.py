@@ -94,6 +94,9 @@ class RobotState:
     inventory: tuple[tuple[ItemToken, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.x) is not int or type(self.y) is not int:
+            raise ValueError(f"coordinates must be ints, got x={self.x!r}, "
+                             f"y={self.y!r}")
         ordered = tuple(sorted(self.inventory, key=_pair_rank))
         for item, count in ordered:
             if type(count) is not int or count < 1:
@@ -130,8 +133,8 @@ class RobotState:
                 raise ValueError(
                     f"inventory must be an object or a list, got {held!r}")
             return RobotState(
-                x=int(data["x"]),
-                y=int(data["y"]),
+                x=data["x"],
+                y=data["y"],
                 facing=Facing(data["facing"]),
                 inventory=tuple(held),
             )

@@ -1,6 +1,7 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
-reference answer extractor, a reference parser, and a random derivation
-generator that reads the rendered EBNF text.
+reference answer extractor, a reference parser, a hand-written reference
+for the canonical tree form, and a random derivation generator that reads
+the rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
 explicit stack), the reference parser interprets the rule table item by
@@ -20,16 +21,20 @@ from gridlang.ast import (
     ActionStmt,
     ArithOp,
     BinaryArith,
+    BinaryBool,
     BoolOp,
+    CanonParseError,
     Grab,
     Holding,
     If,
+    ItemToken,
     Literal,
     Loop,
     Move,
     MoveDir,
     Not,
     Program,
+    Turn,
     TurnDir,
 )
 from gridlang.codec import (
@@ -326,6 +331,191 @@ def oracle_parse(code: str, g: GrammarSpec) -> Program:
     found = repr(words[far]) if far < n else "end of input"
     raise ParseError(far, repr(g.token(want)) if isinstance(want, R) else want,
                      found)
+
+
+# --- reference canonical form ------------------------------------------------
+# A hand-written serializer and recursive-descent reader of the canonical
+# text, independent of the grammar tables that ``canon_serialize`` and
+# ``canon_parse`` are compiled from.  Its tokens are the words between
+# spaces and parentheses, and its rejections carry its own positions.
+
+
+def oracle_canon_serialize(node) -> str:
+    if isinstance(node, Program):
+        return "(prog " + " ".join(map(oracle_canon_serialize, node.body)) + ")"
+    if isinstance(node, ActionStmt):
+        return oracle_canon_serialize(node.action)
+    if isinstance(node, Loop):
+        return (f"(loop {oracle_canon_serialize(node.count)} "
+                f"{_oracle_canon_block(node.body)})")
+    if isinstance(node, If):
+        text = (f"(if {oracle_canon_serialize(node.cond)} "
+                f"{_oracle_canon_block(node.then)}")
+        if node.orelse is not None:
+            text += f" {_oracle_canon_block(node.orelse)}"
+        return text + ")"
+    if isinstance(node, Move):
+        if node.steps_omitted:
+            return f"(move {node.dir.value})"
+        return f"(move {node.dir.value} {oracle_canon_serialize(node.steps)})"
+    if isinstance(node, Turn):
+        return f"(turn {node.dir.value})"
+    if isinstance(node, Grab):
+        return f"(grab {node.item.render()})"
+    if isinstance(node, Literal):
+        return f"(int {node.value})"
+    if isinstance(node, Holding):
+        return f"(holding {node.item.render()})"
+    if isinstance(node, Not):
+        return f"(not {oracle_canon_serialize(node.inner)})"
+    if isinstance(node, (BinaryArith, BinaryBool)):
+        return (f"({node.op.value} {oracle_canon_serialize(node.left)} "
+                f"{oracle_canon_serialize(node.right)})")
+    raise TypeError(f"cannot serialize {node!r}")
+
+
+def _oracle_canon_block(block) -> str:
+    return "(" + " ".join(map(oracle_canon_serialize, block)) + ")"
+
+
+def oracle_canon_parse(text: str) -> Program:
+    """Reference reader; raises CanonParseError, or ValueError where an
+    integer is past ``int()``'s digit limit."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if tokens.count("(") > MAX_NESTING:
+        depth = 0
+        for position, tok in enumerate(tokens):
+            depth += (tok == "(") - (tok == ")")
+            if depth > MAX_NESTING:
+                raise CanonParseError(position, f"more than {MAX_NESTING} "
+                                      "nested parentheses")
+    reader = _OracleCanonReader(tokens)
+    program = reader.program()
+    if reader.pos != len(tokens):
+        raise CanonParseError(reader.pos, "trailing tokens after program")
+    return program
+
+
+class _OracleCanonReader:
+    def __init__(self, tokens: list[str]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+
+    def fail(self, message: str):
+        raise CanonParseError(self.pos, message)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok = self.take()
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}")
+
+    def program(self) -> Program:
+        self.expect("(")
+        self.expect("prog")
+        body = []
+        while self.peek() != ")":
+            body.append(self.stmt())
+        self.expect(")")
+        if not body:
+            self.fail("empty program body")
+        return Program(tuple(body))
+
+    def stmt(self):
+        self.expect("(")
+        head = self.take()
+        if head == "loop":
+            count = self.arith()
+            body = self.block()
+            self.expect(")")
+            return Loop(count, body)
+        if head == "if":
+            cond = self.bool_expr()
+            then = self.block()
+            orelse = self.block() if self.peek() == "(" else None
+            self.expect(")")
+            return If(cond, then, orelse)
+        if head == "move":
+            tok = self.take()
+            if tok not in ("F", "B"):
+                self.fail(f"expected move direction, found {tok!r}")
+            if self.peek() == ")":
+                self.pos += 1
+                return ActionStmt(Move(MoveDir(tok), Literal(1),
+                                       steps_omitted=True))
+            steps = self.arith()
+            self.expect(")")
+            return ActionStmt(Move(MoveDir(tok), steps))
+        if head == "turn":
+            tok = self.take()
+            if tok not in ("L", "R"):
+                self.fail(f"expected turn direction, found {tok!r}")
+            self.expect(")")
+            return ActionStmt(Turn(TurnDir(tok)))
+        if head == "grab":
+            item = self.item()
+            self.expect(")")
+            return ActionStmt(Grab(item))
+        self.fail(f"expected statement tag, found {head!r}")
+
+    def block(self) -> tuple:
+        self.expect("(")
+        stmts = []
+        while self.peek() != ")":
+            stmts.append(self.stmt())
+        self.expect(")")
+        return tuple(stmts)
+
+    def item(self) -> ItemToken:
+        tok = self.take()
+        try:
+            return ItemToken.parse(tok)
+        except ValueError:
+            self.pos -= 1
+            self.fail(f"expected item token, found {tok!r}")
+
+    def arith(self):
+        self.expect("(")
+        head = self.take()
+        if head == "int":
+            tok = self.take()
+            if not (tok.isascii() and tok.isdigit()):
+                self.fail(f"expected integer, found {tok!r}")
+            self.expect(")")
+            return Literal(int(tok))
+        if head in ("add", "mul"):
+            left = self.arith()
+            right = self.arith()
+            self.expect(")")
+            return BinaryArith(ArithOp(head), left, right)
+        self.fail(f"expected arithmetic tag, found {head!r}")
+
+    def bool_expr(self):
+        self.expect("(")
+        head = self.take()
+        if head == "holding":
+            item = self.item()
+            self.expect(")")
+            return Holding(item)
+        if head == "not":
+            inner = self.bool_expr()
+            self.expect(")")
+            return Not(inner)
+        if head in ("and", "or"):
+            left = self.bool_expr()
+            right = self.bool_expr()
+            self.expect(")")
+            return BinaryBool(BoolOp(head), left, right)
+        self.fail(f"expected condition tag, found {head!r}")
 
 
 # --- derivations from the rendered grammar text ------------------------------

@@ -1,5 +1,7 @@
 """Tree node invariants, depth metrics, and canonical form round-trips."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +35,12 @@ from gridlang.ast import (
 from gridlang.grammar import LexiconMode, Style
 from gridlang.sampler import GenParams, generate_instance
 
-from conftest import oracle_control_depth
+from conftest import (
+    ALL_COMBOS,
+    oracle_canon_parse,
+    oracle_canon_serialize,
+    oracle_control_depth,
+)
 
 
 def turn():
@@ -313,3 +320,119 @@ class TestCanonicalFormProperties:
     @given(_programs)
     def test_depth_metric_matches_oracle(self, prog):
         assert control_depth(prog) == oracle_control_depth(prog)
+
+
+# --- the grammar-derived canonical form against the hand-written reference --
+
+
+def _free_stmt(depth):
+    """Statements in shapes the sampler never emits too: empty blocks and
+    else-blocks, omitted move counts, multi-digit counts."""
+    counts = st.integers(0, 10 ** 6).map(Literal) | _arith(3)
+    action = st.one_of(
+        st.builds(Move, st.sampled_from(MoveDir), counts),
+        st.builds(lambda d: Move(d, Literal(1), steps_omitted=True),
+                  st.sampled_from(MoveDir)),
+        st.builds(Turn, st.sampled_from(TurnDir)),
+        st.builds(Grab, _items),
+    ).map(ActionStmt)
+    if depth <= 1:
+        return action
+    block = st.lists(_free_stmt(depth - 1), max_size=3).map(tuple)
+    return st.one_of(
+        action,
+        st.builds(Loop, counts, block),
+        st.builds(If, _cond(3), block, st.none() | block),
+    )
+
+
+_free_programs = st.lists(_free_stmt(4), min_size=1, max_size=4).map(
+    lambda body: Program(tuple(body)))
+
+
+@functools.lru_cache(maxsize=None)
+def _gold_tree(style, mode, depth, seed):
+    return generate_instance(style, mode, GenParams(max_depth=depth,
+                                                    seed=seed))[2]
+
+
+def _trees(data):
+    if data.draw(st.booleans()):
+        return data.draw(_free_programs)
+    style, mode = data.draw(st.sampled_from(ALL_COMBOS))
+    return _gold_tree(style, mode, data.draw(st.sampled_from([2, 5, 10, 20])),
+                      data.draw(st.integers(0, 4)))
+
+
+def _outcome(parser, text):
+    """The tree with its reference text (which keeps omitted move counts),
+    or None for a rejection."""
+    try:
+        tree = parser(text)
+    except ValueError:  # CanonParseError, or int()'s digit limit
+        return None
+    return tree, oracle_canon_serialize(tree)
+
+
+_SUBSTITUTES = ["\u0663", "\u00b2", "key-2", "[", "]", "{", "}", "@", "zz",
+                "key_9", "9" * 5000, "(" * 120, "prog", "int", "-1", "7", "(",
+                ")"]
+_CANON_WORDS = ["(", ")", "prog", "loop", "if", "move", "turn", "grab", "int",
+                "add", "mul", "holding", "not", "and", "or", "F", "B", "L", "R",
+                "0", "12"] + [item.render() for item in ITEM_VOCAB]
+
+
+class TestCanonicalDifferential:
+    """``canon_serialize``/``canon_parse`` are compiled from the grammar
+    tables; the reference in conftest is the hand-written codec.  They
+    write the same bytes and accept the same texts with the same trees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_serialize_and_parse_match_reference(self, data):
+        tree = _trees(data)
+        text = canon_serialize(tree)
+        assert text == oracle_canon_serialize(tree)
+        assert _outcome(canon_parse, text) == (tree, text)
+        assert _outcome(oracle_canon_parse, text) == (tree, text)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_mutated_text_gets_the_reference_verdict(self, data):
+        if data.draw(st.booleans()):
+            words = data.draw(st.lists(st.sampled_from(_CANON_WORDS),
+                                       max_size=40))
+        else:
+            text = oracle_canon_serialize(_trees(data))
+            words = text.replace("(", " ( ").replace(")", " ) ").split()
+        for _ in range(data.draw(st.integers(1, 3))):
+            edit = data.draw(st.sampled_from(["delete", "duplicate", "prefix",
+                                              "substitute", "swap"]))
+            if not words:
+                break
+            k = data.draw(st.integers(0, len(words) - 1))
+            if edit == "delete":
+                del words[k]
+            elif edit == "duplicate":
+                words.insert(k, words[k])
+            elif edit == "prefix":
+                words = words[:k]
+            elif edit == "substitute":
+                words[k] = data.draw(st.sampled_from(_SUBSTITUTES))
+            else:
+                j = data.draw(st.integers(0, len(words) - 1))
+                words[j], words[k] = words[k], words[j]
+        text = data.draw(st.sampled_from([" ", "  ", "\t", "\u00a0"])).join(
+            words)
+        expected = _outcome(oracle_canon_parse, text)
+        if expected is None:
+            with pytest.raises(CanonParseError):
+                canon_parse(text)
+        else:
+            assert _outcome(canon_parse, text) == expected
+
+    @pytest.mark.parametrize("argument", [5, None, b"(prog (turn L))",
+                                          ["(prog (turn L))"]])
+    def test_non_text_is_a_parse_error(self, argument):
+        with pytest.raises(CanonParseError, match="at token 0"):
+            canon_parse(argument)

@@ -1,6 +1,7 @@
 """Tokenizer behavior, style-faithful rendering, and parse round-trips."""
 
 import functools
+import gc
 import itertools
 import random
 import re
@@ -28,6 +29,7 @@ from gridlang.ast import (
     Program,
     Turn,
     TurnDir,
+    canon_parse,
     canon_serialize,
 )
 from gridlang.codec import ParseError, TokenKind, linearize, parse, tokenize
@@ -229,6 +231,25 @@ class TestParsing:
         # flattened model output may carry values the sampler never draws
         prog = parse("loop 19 times { do turn left end }", BLOCK_G)
         assert prog.body[0].count == Literal(19)
+
+    @pytest.mark.parametrize("digits", [1, 5000])  # accepted, int() refuses
+    def test_parsing_leaves_no_cyclic_garbage(self, digits):
+        _, code, tree = generate_instance(Style.C, LexiconMode.NATURAL,
+                                          GenParams(max_depth=10, seed=3))
+        code = code.replace("(", "(" + "1" * digits + " + ", 1)
+        text = canon_serialize(tree).replace("(int ", "(int " + "1" * digits,
+                                             1)
+        gc.collect()
+        gc.disable()
+        try:
+            for run in (lambda: parse(code, C_G), lambda: canon_parse(text)):
+                try:
+                    run()
+                except ValueError:
+                    pass
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRoundTrip:

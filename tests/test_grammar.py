@@ -206,3 +206,16 @@ class TestGrammarFromText:
         with pytest.raises(ValueError):
             grammar_from_text(Style.C, LexiconMode.NATURAL, text)
 
+    @pytest.mark.parametrize("mode", list(LexiconMode))
+    @pytest.mark.parametrize("line", ['PROG: "prog"', 'NUM: "int"',
+                                      'PROG: "v_abcd"'])
+    def test_canonical_only_role_is_a_bad_text_not_a_crash(self, mode, line):
+        text = render_ebnf(build_grammar(Style.C, mode, 13)) + line + "\n"
+        with pytest.raises(ValueError):
+            grammar_from_text(Style.C, mode, text)
+
+    def test_canonical_roles_bind_in_no_style(self):
+        for style in Style:
+            assert R.PROG not in used_roles(style)
+            assert R.NUM not in used_roles(style)
+

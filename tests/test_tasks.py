@@ -401,6 +401,58 @@ class TestDatasets:
             read_dataset(path)
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("name", ["id", "kind", "style", "lexicon_mode",
+                                      "params", "grammar_text"])
+    def test_missing_field_reported_with_its_line(self, tmp_path, name):
+        path = tmp_path / "missing.jsonl"
+        write_dataset(self._dataset(TaskKind.GOAL, n=3), path)
+
+        def spoil(rows):
+            del rows[1][name]
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError,
+                           match=f"missing field '{name}'") as info:
+            read_dataset(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("value", [1.9, True, " 7 ", None])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_bad_coordinate_reported_with_its_line(self, tmp_path, name,
+                                                   value):
+        path = tmp_path / "coord.jsonl"
+        write_dataset(self._dataset(TaskKind.GOAL, n=3), path)
+
+        def spoil(rows):
+            rows[1]["start_state"][name] = value
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError,
+                           match="coordinates must be ints") as info:
+            read_dataset(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("kind, name", [
+        (TaskKind.GOAL, "id"), (TaskKind.GOAL, "grammar_text"),
+        (TaskKind.JUDGMENT, "candidate"), (TaskKind.INSTRUCTION, "instruction"),
+        (TaskKind.GOAL, "gold_code"), (TaskKind.GOAL, "gold_ast"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["text"], {"a": "b"}])
+    def test_text_field_of_another_type_reported_with_its_line(
+            self, tmp_path, kind, name, value):
+        path = tmp_path / "text.jsonl"
+        write_dataset(self._dataset(kind, n=2), path,
+                      {"dataset_format": DATASET_FORMAT})
+
+        def spoil(rows):
+            rows[2][name] = value
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError,
+                           match=f"{name} must be a string") as info:
+            read_dataset(path)
+        assert info.value.line_no == 3
+
     def test_newer_format_refused_naming_both_versions(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)
         path = tmp_path / "future.jsonl"

@@ -447,6 +447,18 @@ class TestStateSerialization:
         with pytest.raises(ValueError):
             RobotState(0, 0, Facing.N, inventory)
 
+    @pytest.mark.parametrize("value", [1.9, True, " 7 ", None, "7", 2.0])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_coordinates_must_be_ints(self, name, value):
+        data = {**START_STATE.to_dict(), name: value}
+        with pytest.raises(ValueError, match="coordinates must be ints"):
+            RobotState.from_dict(data)
+
+    @pytest.mark.parametrize("x, y", [(1.5, 0), (0, True), (0, "7")])
+    def test_constructor_checks_coordinates(self, x, y):
+        with pytest.raises(ValueError):
+            RobotState(x, y, Facing.N)
+
     def test_unknown_field_rejected(self):
         data = START_STATE.to_dict()
         data["z"] = 1
