@@ -1,11 +1,13 @@
 """Model endpoint driver: prompts, cached requests, answer extraction.
 
-Real endpoints speak the standard chat-completions wire protocol with a
-bearer token read from an environment variable.  Two built-in test
-doubles short-circuit the network: ``mock://perfect`` answers with the
-gold label or gold code, ``mock://flatten`` re-emits gold code with every
-arithmetic expression collapsed to its evaluated literal (a known failure
-shape worth keeping as a regression oracle).
+Real endpoints speak the standard chat-completions wire protocol through
+``urllib.request`` (proxies from ``HTTP(S)_PROXY``/``NO_PROXY``, certificates
+from the system store), with a bearer token read from an environment
+variable.  Two built-in test doubles short-circuit the network:
+``mock://perfect`` answers with the gold label or gold code,
+``mock://flatten`` re-emits gold code with every arithmetic expression
+collapsed to its evaluated literal (a known failure shape worth keeping as
+a regression oracle).
 
 Responses are cached content-addressed under ``cache/<model>/<key>.txt``,
 where the key hashes the endpoint URL, the model, the sampling settings
@@ -17,19 +19,21 @@ hit is never another endpoint's or setting's answer.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
+import math
 import os
 import random
 import re
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import requests
 
 from gridlang.ast import (
     ActionStmt,
@@ -121,18 +125,22 @@ class EndpointConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
+        if not self.base_url.startswith(("http://", "https://", MOCK_PREFIX)):
+            raise ValueError("base_url needs an http, https or mock scheme")
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be finite and > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
+        if not (math.isfinite(self.retry_backoff) and self.retry_backoff >= 0):
+            raise ValueError("retry_backoff must be finite and >= 0")
 
     @property
     def mock_scheme(self) -> str | None:
@@ -256,7 +264,8 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
 
     Raises AuthFailedError (unset token or 401/403, never retried),
     EndpointUnreachableError (transport faults persisted through every
-    retry), or RetriesExhaustedError (retryable HTTP statuses persisted).
+    retry), RetriesExhaustedError (retryable HTTP statuses persisted), or
+    HarnessError (any other status, or a completion without text content).
     """
     token = os.environ.get(cfg.auth_token_env_var)
     if not token:
@@ -271,35 +280,47 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_tokens,
     }
-    headers = {"Authorization": f"Bearer {token}"}
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"), method="POST",
+        # some API gateways filter urllib's default Python-urllib agent
+        headers={"Authorization": f"Bearer {token}",
+                 "Content-Type": "application/json",
+                 "User-Agent": "gridlang"},
+    )
     failure = ""
     transport_fault = False
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             time.sleep(cfg.retry_backoff * 2 ** (attempt - 1))
-        try:
-            resp = requests.post(url, json=body, headers=headers,
-                                 timeout=cfg.timeout)
-        except requests.RequestException as exc:
+        try:  # the outer handler also covers a fault reading an error body
+            try:
+                with urllib.request.urlopen(request,
+                                            timeout=cfg.timeout) as resp:
+                    status, data = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # a non-2xx reply
+                with exc:
+                    status, data = exc.code, exc.read()
+        except (OSError, http.client.HTTPException) as exc:
             failure = f"transport fault: {exc}"
             transport_fault = True
             continue
-        if resp.status_code in (401, 403):
+        if status in (401, 403):
             raise AuthFailedError(f"endpoint rejected credentials with "
-                                  f"HTTP {resp.status_code}")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            failure = f"HTTP {resp.status_code}"
+                                  f"HTTP {status}")
+        if status == 429 or status >= 500:
+            failure = f"HTTP {status}"
             transport_fault = False
             continue
-        if resp.status_code != 200:
-            raise HarnessError(
-                f"unexpected HTTP {resp.status_code}: {resp.text[:200]}"
-            )
+        if status != 200:
+            text = data.decode("utf-8", "replace")
+            raise HarnessError(f"unexpected HTTP {status}: {text[:200]}")
         try:
-            payload = resp.json()
-            return payload["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise HarnessError(f"malformed completion payload: {exc}")
+        return content
     if transport_fault:
         raise EndpointUnreachableError(
             f"{url} unreachable after {cfg.max_retries + 1} attempts "
@@ -617,10 +638,11 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                                  f"JSON object")
             if set(row) == {"_config"}:
                 continue
-            if "instance_id" not in row or "response" not in row:
+            if not (isinstance(row.get("instance_id"), str)
+                    and isinstance(row.get("response"), str)):
                 raise ValueError(
-                    f"line {line_no}: responses row needs instance_id "
-                    f"and response"
+                    f"line {line_no}: responses row needs string "
+                    f"instance_id and response"
                 )
             responses[row["instance_id"]] = row
     return responses

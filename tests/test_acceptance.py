@@ -195,16 +195,19 @@ class TestAcceptance:
                 f"SCR=39.5/SVR=68.5 -> CSCR={m.cscr}")
 
     def test_criterion_6_mock_model_end_to_end(self, tmp_path, monkeypatch):
-        import gridlang.harness as harness_mod
+        import urllib.request
 
         class _NoNetwork:
             def post(self, *args, **kwargs):
                 raise AssertionError("network touched during mock run")
 
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("network touched during mock run")
+
             def __getattr__(self, name):
                 raise AssertionError("network touched during mock run")
 
-        monkeypatch.setattr(harness_mod, "requests", _NoNetwork())
+        monkeypatch.setattr(urllib.request, "urlopen", _NoNetwork())
         start = time.perf_counter()
         perfect = EndpointConfig(base_url="mock://perfect",
                                  model_id="mock-perfect")

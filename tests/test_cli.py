@@ -1,9 +1,14 @@
 """Command-line behavior: precedence, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridlang
 from gridlang.cli import main
 from gridlang.tasks import DATASET_FORMAT, read_dataset_config
 
@@ -181,6 +186,27 @@ class TestEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_mixed_kinds_rejected_before_any_model_call(self, tmp_path,
+                                                         capsys):
+        goal = _gen(tmp_path, "goal.jsonl")
+        inst = _gen(tmp_path, "inst.jsonl", "--task", "instruction")
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(goal.read_text()
+                         + "".join(inst.read_text().splitlines(True)[1:]))
+        capsys.readouterr()
+        rc = _run("eval", "--dataset", str(mixed),
+                  "--base-url", "mock://perfect", "--model", "mock-model",
+                  "--out-dir", str(tmp_path / "run"),
+                  "--cache-dir", str(tmp_path / "cache"))
+        assert rc == 1
+        assert "mixes task kinds" in capsys.readouterr().err
+        assert not list(tmp_path.glob("cache/**/*.txt"))
+        rc = _run("score", "--dataset", str(mixed),
+                  "--responses", str(tmp_path / "absent.jsonl"),
+                  "--out-dir", str(tmp_path / "scored"))
+        assert rc == 1
+        assert "mixes task kinds" in capsys.readouterr().err
+
 
 class TestScore:
     def _evaluated(self, tmp_path):
@@ -292,6 +318,13 @@ class TestSweep:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_value_rejected_before_any_leaf_is_written(self, tmp_path):
+        out_dir = tmp_path / "s"
+        rc = _run("sweep", "--task", "goal", "--n", "2", "--axis", "depth",
+                  "--values", "2,99", "--out-dir", str(out_dir))
+        assert rc == 1
+        assert not (out_dir / "depth-2").exists()
+
     def test_bad_axis_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             _run("sweep", "--task", "goal", "--n", "2", "--axis", "speed",
@@ -305,3 +338,18 @@ class TestExitCodes:
     def test_unknown_subcommand_raises_system_exit(self):
         with pytest.raises(SystemExit):
             _run("frobnicate")
+
+
+def test_import_loads_no_http_client_package():
+    modules = ("requests", "urllib3", "certifi", "idna", "charset_normalizer")
+    # compared with the modules loaded before, since a site .pth file may
+    # import some of them at interpreter start-up
+    code = (f"import sys; before = set(sys.modules); import gridlang.cli; "
+            f"print([m for m in {modules!r} "
+            f"if m in sys.modules and m not in before])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(gridlang.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"

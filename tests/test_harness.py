@@ -232,21 +232,24 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
     """Serves scripted status codes, then 200s with a canned completion."""
 
     script: list[int] = []
+    content: object = "VALID"
     requests_seen: list[dict] = []
     auth_headers: list[str | None] = []
+    headers_seen: list = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length) or b"{}")
         type(self).requests_seen.append(body)
         type(self).auth_headers.append(self.headers.get("Authorization"))
+        type(self).headers_seen.append(self.headers)
         status = type(self).script.pop(0) if type(self).script else 200
         if status != 200:
             self.send_response(status)
             self.end_headers()
             self.wfile.write(b"{}")
             return
-        payload = {"choices": [{"message": {"content": "VALID"}}]}
+        payload = {"choices": [{"message": {"content": type(self).content}}]}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -258,16 +261,30 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _RawReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Reads the request, then writes ``reply`` verbatim and hangs up."""
+
+    reply = b""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.wfile.write(type(self).reply)
+
+    def log_message(self, *args):
+        pass
+
+
 @pytest.fixture
 def scripted_server():
     servers = []
 
-    def start(script):
+    def start(script, content="VALID", handler=_ScriptedHandler):
         _ScriptedHandler.script = list(script)
+        _ScriptedHandler.content = content
         _ScriptedHandler.requests_seen = []
         _ScriptedHandler.auth_headers = []
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
-                                                 _ScriptedHandler)
+        _ScriptedHandler.headers_seen = []
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         servers.append(server)
@@ -338,6 +355,19 @@ class TestCallModel:
         with pytest.raises(EndpointUnreachableError):
             call_model(cfg, "x")
 
+    @pytest.mark.parametrize("reply", [
+        b"garbage\r\n\r\n",  # no status line
+        b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{}",  # cut short
+        b"HTTP/1.0 404 Not Found\r\nContent-Length: 100\r\n\r\n{}",
+    ])
+    def test_broken_reply_is_a_transport_fault(self, scripted_server,
+                                               api_token, reply,
+                                               monkeypatch):
+        monkeypatch.setattr(_RawReplyHandler, "reply", reply)
+        base = scripted_server([], handler=_RawReplyHandler)
+        with pytest.raises(EndpointUnreachableError, match="transport fault"):
+            call_model(_http_cfg(base, max_retries=1), "x")
+
     def test_unexpected_status_is_plain_error(self, scripted_server,
                                               api_token):
         base = scripted_server([418])
@@ -346,6 +376,19 @@ class TestCallModel:
         assert not isinstance(info.value, (AuthFailedError,
                                            RetriesExhaustedError,
                                            EndpointUnreachableError))
+
+    @pytest.mark.parametrize("content", [
+        None, [{"type": "text", "text": "VALID"}]])
+    def test_non_text_content_is_malformed(self, scripted_server, api_token,
+                                           content):
+        base = scripted_server([200], content=content)
+        with pytest.raises(HarnessError,
+                           match="^malformed completion payload"):
+            call_model(_http_cfg(base), "x")
+        assert len(_ScriptedHandler.requests_seen) == 1
+        headers = _ScriptedHandler.headers_seen[0]
+        assert headers["Content-Type"] == "application/json"
+        assert headers["User-Agent"] == "gridlang"
 
 
 class TestMockSchemes:
@@ -484,6 +527,19 @@ class TestRunArtifacts:
             run_evaluation(dataset, cfg, PromptConfig(),
                            cache_dir=tmp_path / "cache")
 
+    def test_permissive_records_non_text_content(self, tmp_path,
+                                                 scripted_server, api_token):
+        base = scripted_server([], content=None)
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        result = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
+                                cache_dir=tmp_path / "cache",
+                                permissive=True)
+        for rec in result.records:
+            assert not rec.parsed_ok
+            assert rec.raw_answer.startswith(
+                "[endpoint error] malformed completion payload")
+        assert not list((tmp_path / "cache").rglob("*.txt"))
+
     def test_strict_mode_stops_at_the_first_failure(self, tmp_path,
                                                      scripted_server,
                                                      api_token):
@@ -513,6 +569,18 @@ class TestEndpointConfigValidation:
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_id="m",
                            parallelism=0)
+        for bad in ({"timeout": 0}, {"timeout": -1.0},
+                    {"timeout": float("nan")}, {"timeout": float("inf")},
+                    {"temperature": float("nan")},
+                    {"temperature": float("inf")},
+                    {"retry_backoff": float("nan")},
+                    {"retry_backoff": float("inf")},
+                    {"max_tokens": 0}, {"base_url": "ftp://x"},
+                    {"base_url": "api.example.com/v1"},
+                    {"base_url": "file:///etc"}):
+            with pytest.raises(ValueError):
+                EndpointConfig(**{"base_url": "http://x", "model_id": "m",
+                                  **bad})
 
     def test_mock_scheme_property(self):
         assert _mock_cfg("perfect").mock_scheme == "perfect"
@@ -526,6 +594,16 @@ class TestReadResponses:
         path = tmp_path / "responses.jsonl"
         path.write_text('{"instance_id": "a", "response": "x"}\n5\n')
         with pytest.raises(ValueError, match=r"^line 2: .*not a JSON object"):
+            read_responses(path)
+
+    @pytest.mark.parametrize("row", [
+        {"instance_id": "goal-00000", "response": 5},
+        {"instance_id": 7, "response": "x"}])
+    def test_non_string_field_rejected_with_its_line(self, tmp_path, row):
+        path = tmp_path / "responses.jsonl"
+        path.write_text('{"instance_id": "a", "response": "x"}\n'
+                        + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=r"^line 2: .*needs string"):
             read_responses(path)
 
     def test_bad_json_reports_the_file_line(self, tmp_path):
