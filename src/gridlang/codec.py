@@ -21,6 +21,12 @@ distinct word.  A rejection reports the furthest token reached.  Text
 nested deeper than ``MAX_NESTING`` brackets is rejected at the first token
 past that depth before parsing, so recursion stays far from Python's limit.
 
+The linearizer is generated and compiled at import the same way: one plain
+function per AST class that returns its node's text as one f-string, with
+no interpretation of the table while rendering.  A style's role tokens
+arrive as a tuple per call, so one compiled linearizer serves every lexicon
+of its style; the canonical form passes its fixed tokens.
+
 Layout rule: single spaces between tokens, except none after ``PAR_L`` or
 before ``PAR_R``/``SEMI``; each statement of a ``stmt+``/``stmt*`` block on
 its own line, two spaces deeper than the statement holding the block (top
@@ -36,7 +42,7 @@ import re
 from dataclasses import fields
 from functools import partial
 from itertools import accumulate, repeat
-from operator import attrgetter, sub
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple
 
 from gridlang.ast import (
@@ -127,7 +133,6 @@ def _move(dir: MoveDir, steps) -> Move:
 
 
 _MAKERS = {Move: _move}
-_GETTERS = {(Move, "steps"): lambda m: None if m.steps_omitted else m.steps}
 
 
 # --- tokens ------------------------------------------------------------------
@@ -396,134 +401,128 @@ _CANON_ROLES = {token: role for role, token in CANON_TERMINALS.items()}
 
 # --- linearization -----------------------------------------------------------
 
-# Template piece ops; plain strings are literal text.
-_NODE, _TEXT, _BLOCK, _OPTIONAL = range(4)
+# The test that an optional item is present, where its field is never None:
+# a move without a count holds Literal(1).
+_PRESENT = {(Move, "steps"): "not n.steps_omitted"}
 
 
 def linearize(program: Program, g: GrammarSpec) -> str:
     """Render a program under ``g`` by the layout rule in the module
-    docstring; parse(linearize(t, g), g) recovers t.  Layouts spell roles
-    as numbered format fields, filled in once at the end."""
-    text = _render(program, _LAYOUTS[g.style]).format(
-        *[g.terminals[role] for role in _ROLES[g.style]])
-    return text.strip("\n")
+    docstring; parse(linearize(t, g), g) recovers t."""
+    return _LINEARIZERS[g.style](program, "", _TOKENS[g.style](
+        g.terminals)).strip("\n")
 
 
 def render_canonical(program: Program) -> str:
     """The canonical text of a program; parse_canonical recovers it."""
-    return _render(program, _CANON_LAYOUT)
+    return _CANON_LINEARIZER(program, "", _CANON_TOKENS)
 
 
-def _render(program: Program, templates: dict) -> str:
-    out: list[str] = []
-    _emit(program, templates[Program], "", out, templates)
-    return "".join(out)
+def _compile_linearizer(table: RuleTable, roles: tuple[R, ...],
+                        one_line: bool = False) -> Callable:
+    """Generate and compile one plain function per AST class of ``table``.
 
+    ``e_<class>(n, pad, t)`` returns the text of node ``n`` by the layout
+    rule, as one f-string: the statements of its blocks indented past
+    ``pad`` (or on one line with ``one_line``), each role spelled by its
+    token in ``t``, which holds one token per ``roles``, and each child's
+    text from the function its class maps to in ``E``.  The functions are
+    globals of the namespace they are compiled over, so a call makes no
+    closure and leaves no garbage for the cyclic collector.  Returns the
+    function of ``Program``.
+    """
+    namespace: dict = {"E": {}}
 
-def _emit(node, pieces: tuple, pad: str, out: list[str],
-          templates: dict) -> None:
-    for piece in pieces:
-        if piece.__class__ is str:
-            out.append(piece)
-            continue
-        op, get, arg = piece
-        if op is _NODE:
-            child = get(node)
-            _emit(child, templates[child.__class__], pad, out, templates)
-        elif op is _TEXT:
-            out.append(arg(get(node)))
-        elif op is _BLOCK:
-            if arg is None:  # one line, statements apart by single spaces
-                for n, stmt in enumerate(get(node)):
-                    if n:
-                        out.append(" ")
-                    _emit(stmt, templates[stmt.__class__], pad, out,
-                          templates)
-                continue
-            inner = pad + arg
-            for stmt in get(node):
-                out.append("\n" + inner)
-                _emit(stmt, templates[stmt.__class__], inner, out, templates)
-            out.append("\n" + pad)  # the token after a block
-        elif get(node) is not None:  # _OPTIONAL: arg spells it when present
-            _emit(node, arg, pad, out, templates)
+    def constant(name: str, value) -> str:
+        namespace[name] = value
+        return name
 
-
-def _layout(table: RuleTable, spell: dict[R, str],
-            one_line: bool = False) -> dict[type, tuple]:
-    """Per AST class the pieces that spell it, each role as ``spell`` has
-    it; ``one_line`` keeps each block on the line."""
-    layouts = {}
+    out = []
     for cls, (rule, k, _) in _NODES.items():
         attrs = [f.name for f in fields(cls)]
-        getters = [None if slot is None else _GETTERS.get(
-            (cls, attrs[slot]), attrgetter(attrs[slot]))
-            for slot in _slots(table, rule, k)]
-        indent = None if one_line else "" if rule == "start" else "  "
-        layouts[cls] = _pieces(table, table.rules[rule][k], getters, spell,
-                               indent)
-    return layouts
+        slots = _slots(table, rule, k)
+        name = constant(cls.__name__, cls)
+        lines: list[str] = []
+        text = _text(table, table.rules[rule][k],
+                     [None if s is None else attrs[s] for s in slots], cls,
+                     roles, None if one_line else "" if rule == "start"
+                     else "  ", lines, constant)
+        out += [f"def e_{name}(n, pad, t):", *lines, f"    return f{text!r}",
+                f"E[{name}] = e_{name}"]
+    exec(compile("\n".join(out) + "\n", "<linearizer>", "exec"), namespace)
+    return namespace["e_Program"]
 
 
-def _pieces(table: RuleTable, items: tuple[Symbol, ...], getters: list,
-            spell: dict, indent: str | None) -> tuple:
-    """Lay out one alternative, merging adjacent literal text; an indent
-    of None keeps blocks on one line.  An optional item must leave its
+def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
+          cls: type, roles: tuple[R, ...], indent: str | None,
+          lines: list[str], constant: Callable) -> str:
+    """The f-string body that lays out one alternative, its items' fields
+    named by ``attrs``; lines to run first go to ``lines``.  An indent of
+    None keeps blocks on one line.  An optional item must leave its
     neighbours' layout as its absence would."""
-    pieces: list = []
-    prev = None
-    for sym, get in zip(items, getters):
+    text, prev = "", None
+    for sym, attr in zip(items, attrs):
+        get, var = f"n.{attr}", f"v{len(lines)}"
+        sep = "" if prev is None else _separator(table, prev, sym,
+                                                 indent is None)
+        if sym.quant == "?":  # its text, or none, in a variable first
+            mark, var = len(lines), f"o{len(lines)}"
+            spelled = _text(table, (sym._replace(quant=""),), [attr], cls,
+                            roles, indent, lines, constant)
+            test = _PRESENT.get((cls, attr), f"{get} is not None")
+            lines[mark:] = [f"    if {test}:",
+                            *["    " + line for line in lines[mark:]],
+                            f"        {var} = f{sep + spelled!r}",
+                            "    else:", f"        {var} = ''"]
+            text += f"{{{var}}}"
+            continue
         if sym.kind == "role":
-            spelled = [spell[sym.ref]]
+            spelled = "{t[%d]}" % roles.index(sym.ref)
         elif sym.kind == "class":
-            spelled = [(_TEXT, get, _LITERALS[sym.ref][1])]
+            render = constant("render_" + sym.ref, _LITERALS[sym.ref][1])
+            spelled = f"{{{render}({get})}}"
         elif sym.quant in ("*", "+"):
-            spelled = [(_BLOCK, get, indent)]
+            emit = "E[s.__class__](s, %s, t) for s in " + get
+            if indent is None:
+                lines.append(f"    {var} = ' '.join([{emit % 'pad'}])")
+                spelled = f"{{{var}}}"
+            else:
+                lines += [f"    inner = pad + {indent!r}",
+                          "    nl = '\\n' + inner",
+                          f"    {var} = ''.join([nl + {emit % 'inner'}])"]
+                spelled = f"{{{var}}}\n{{pad}}"
         elif _group(table, sym):
             alt = _group(table, sym)
-            spelled = list(_pieces(table, alt, [get] * len(alt), spell,
-                                   indent))
+            spelled = _text(table, alt, [attr] * len(alt), cls, roles,
+                            indent, lines, constant)
         elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
-            spelled = [(_TEXT, get, {
-                _LEAVES[alt[0].ref]: spell[alt[0].ref]
-                for alt in table.rules[sym.ref]}.__getitem__)]
+            *tests, last = [alt[0].ref for alt in table.rules[sym.ref]]
+            spelled = "{%st[%d]}" % ("".join(
+                f"t[{roles.index(r)}] if {get} is "
+                f"{constant('V_' + r.name, _LEAVES[r])} else "
+                for r in tests), roles.index(last))
         else:
-            spelled = [(_NODE, get, None)]
-        sep = [] if prev is None else _separator(table, prev, sym,
-                                                 indent is None)
-        if sym.quant == "?":
-            pieces.append((_OPTIONAL, get, _merge(sep + spelled)))
-        else:
-            pieces.extend(sep + spelled)
-            prev = sym
-    return _merge(pieces)
+            spelled = f"{{E[{get}.__class__]({get}, pad, t)}}"
+        text += sep + spelled
+        prev = sym
+    return text
 
 
 def _separator(table: RuleTable, a: Symbol, b: Symbol,
-               one_line: bool) -> list[str]:
+               one_line: bool) -> str:
     """The layout rule between adjacent items ``a`` and ``b``; a block not
     on one line itself breaks the lines around its statements."""
     a = (_group(table, a) or (a,))[-1]
     b = (_group(table, b) or (b,))[0]
     if a.ref is R.PAR_L or b.ref in (R.PAR_R, R.SEMI) or not one_line and (
             a.quant in ("*", "+") or b.quant in ("*", "+")):
-        return []
-    return [" "]
+        return ""
+    return " "
 
 
-def _merge(pieces: list) -> tuple:
-    merged: list = []
-    for piece in pieces:
-        if piece.__class__ is str and merged and merged[-1].__class__ is str:
-            merged[-1] += piece
-        else:
-            merged.append(piece)
-    return tuple(merged)
-
-
-# a style's layouts spell its roles as numbered format fields
-_ROLES = {style: used_roles(style) for style in RULE_TABLES}
-_LAYOUTS = {style: _layout(RULE_TABLES[style], {
-    role: "{%d}" % k for k, role in enumerate(roles)})
-    for style, roles in _ROLES.items()}
-_CANON_LAYOUT = _layout(CANON_RULES, CANON_TERMINALS, one_line=True)
+_LINEARIZERS = {style: _compile_linearizer(table, used_roles(style))
+                for style, table in RULE_TABLES.items()}
+_TOKENS = {style: itemgetter(*used_roles(style)) for style in RULE_TABLES}
+_CANON_LINEARIZER = _compile_linearizer(CANON_RULES, tuple(CANON_TERMINALS),
+                                        one_line=True)
+_CANON_TOKENS = tuple(CANON_TERMINALS.values())

@@ -251,12 +251,18 @@ RULE_TABLES: dict[Style, RuleTable] = {
 }
 CANON_RULES = _compile_rules(_CANON_PRODUCTIONS + _CLASS_LINES)
 
+# per style, the roles that occur in its rule table, in enum order
+_USED_ROLES = {
+    style: tuple(r for r in TerminalRole if r in {
+        sym.ref for alts in table.rules.values() for alt in alts
+        for sym in alt if sym.kind == "role"})
+    for style, table in RULE_TABLES.items()
+}
+
 
 def used_roles(style: Style) -> tuple[TerminalRole, ...]:
     """Roles that actually occur in the style's rule table, in enum order."""
-    seen = {sym.ref for alts in RULE_TABLES[style].rules.values()
-            for alt in alts for sym in alt if sym.kind == "role"}
-    return tuple(r for r in TerminalRole if r in seen)
+    return _USED_ROLES[style]
 
 
 @dataclass(frozen=True)

@@ -621,7 +621,8 @@ def read_responses(path: str | Path) -> dict[str, dict]:
     """Load a captured responses file as an instance_id -> row map.
 
     Each row keeps at least the response text plus any hashes recorded at
-    capture time; a leading provenance line is skipped.
+    capture time; a leading provenance line is skipped, and an instance_id
+    that repeats is refused.
     """
     responses = {}
     with open(path, encoding="utf-8") as handle:
@@ -644,5 +645,8 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                     f"line {line_no}: responses row needs string "
                     f"instance_id and response"
                 )
+            if row["instance_id"] in responses:
+                raise ValueError(f"line {line_no}: duplicate instance_id "
+                                 f"{row['instance_id']!r}")
             responses[row["instance_id"]] = row
     return responses

@@ -129,8 +129,15 @@ class ResampleLimitError(RuntimeError):
     """All resampling attempts produced over-budget ground truth."""
 
 
-def _weighted_index(rng: random.Random, weights: tuple[float, ...]) -> int:
-    r = rng.random() * sum(weights)
+# Draws go through ``Random._randbelow``, to which ``randrange(n)`` and
+# ``randint(a, b)`` reduce once their arguments are checked, so the stream is
+# the same as theirs.  The public entry points bind ``rng._randbelow`` and
+# ``rng.random`` once and hand them down as ``below`` (``below(n)`` is
+# uniform in [0, n), for n >= 1 only) and ``rand``.
+
+
+def _weighted_index(rand, weights: tuple[float, ...]) -> int:
+    r = rand() * sum(weights)
     acc = 0.0
     for idx, w in enumerate(weights):
         acc += w
@@ -141,17 +148,17 @@ def _weighted_index(rng: random.Random, weights: tuple[float, ...]) -> int:
 
 def sample_expr(params: GenParams, rng: random.Random) -> ArithExpr:
     """Arithmetic expression of node depth exactly params.expr_depth."""
-    return _arith_at(params.expr_depth, rng)
+    return _arith_at(params.expr_depth, rng._randbelow)
 
 
-def _arith_at(depth: int, rng: random.Random) -> ArithExpr:
+def _arith_at(depth: int, below) -> ArithExpr:
     if depth == 1:
-        return Literal(rng.randint(0, LITERAL_MAX))
-    op = ArithOp.ADD if rng.randrange(2) == 0 else ArithOp.MUL
-    full_left = rng.randrange(2) == 0
-    other_depth = rng.randint(1, depth - 1)
-    full = _arith_at(depth - 1, rng)
-    other = _arith_at(other_depth, rng)
+        return Literal(below(LITERAL_MAX + 1))
+    op = ArithOp.ADD if below(2) == 0 else ArithOp.MUL
+    full_left = below(2) == 0
+    other_depth = 1 + below(depth - 1)
+    full = _arith_at(depth - 1, below)
+    other = _arith_at(other_depth, below)
     if full_left:
         return BinaryArith(op, full, other)
     return BinaryArith(op, other, full)
@@ -159,95 +166,99 @@ def _arith_at(depth: int, rng: random.Random) -> ArithExpr:
 
 def sample_cond(params: GenParams, rng: random.Random) -> BoolExpr:
     """Condition of node depth exactly params.expr_depth."""
-    return _cond_at(params.expr_depth, rng)
+    return _cond_at(params.expr_depth, rng._randbelow)
 
 
-def _cond_at(depth: int, rng: random.Random) -> BoolExpr:
+def _cond_at(depth: int, below) -> BoolExpr:
     if depth == 1:
-        return Holding(_item(rng))
-    kind = rng.randrange(3)
+        return Holding(ITEM_VOCAB[below(len(ITEM_VOCAB))])
+    kind = below(3)
     if kind == 0:
-        return Not(_cond_at(depth - 1, rng))
+        return Not(_cond_at(depth - 1, below))
     op = BoolOp.AND if kind == 1 else BoolOp.OR
-    full_left = rng.randrange(2) == 0
-    other_depth = rng.randint(1, depth - 1)
-    full = _cond_at(depth - 1, rng)
-    other = _cond_at(other_depth, rng)
+    full_left = below(2) == 0
+    other_depth = 1 + below(depth - 1)
+    full = _cond_at(depth - 1, below)
+    other = _cond_at(other_depth, below)
     if full_left:
         return BinaryBool(op, full, other)
     return BinaryBool(op, other, full)
 
 
-def _item(rng: random.Random):
-    return ITEM_VOCAB[rng.randrange(len(ITEM_VOCAB))]
-
-
-def _action(params: GenParams, rng: random.Random):
-    kind = rng.randrange(3)
+def _action(params: GenParams, below) -> ActionStmt:
+    kind = below(3)
     if kind == 0:
-        direction = (MoveDir.FORWARD, MoveDir.BACKWARD)[rng.randrange(2)]
-        return Move(direction, sample_expr(params, rng))
+        direction = (MoveDir.FORWARD, MoveDir.BACKWARD)[below(2)]
+        return ActionStmt(Move(direction, _arith_at(params.expr_depth, below)))
     if kind == 1:
-        return Turn((TurnDir.LEFT, TurnDir.RIGHT)[rng.randrange(2)])
-    return Grab(_item(rng))
+        return ActionStmt(Turn((TurnDir.LEFT, TurnDir.RIGHT)[below(2)]))
+    return ActionStmt(Grab(ITEM_VOCAB[below(len(ITEM_VOCAB))]))
 
 
 def sample_node(d: int, params: GenParams, rng: random.Random) -> Stmt:
     """Categorical statement draw at nesting depth d; actions at the cap."""
+    return _node(d, params, rng._randbelow, rng.random)
+
+
+def _node(d: int, params: GenParams, below, rand) -> Stmt:
     if d >= params.max_depth:
-        return ActionStmt(_action(params, rng))
-    kind = _weighted_index(rng, params.node_weights)
+        return _action(params, below)
+    kind = _weighted_index(rand, params.node_weights)
     if kind == 0:
-        return ActionStmt(_action(params, rng))
+        return _action(params, below)
     if kind == 1:
-        return Loop(sample_expr(params, rng),
-                    sample_block(d + 1, params, rng))
-    cond = sample_cond(params, rng)
-    then = sample_block(d + 1, params, rng)
+        return Loop(_arith_at(params.expr_depth, below),
+                    _block(d + 1, params, below, rand))
+    cond = _cond_at(params.expr_depth, below)
+    then = _block(d + 1, params, below, rand)
     orelse = None
-    if rng.random() < params.else_prob:
-        orelse = sample_block(d + 1, params, rng)
+    if rand() < params.else_prob:
+        orelse = _block(d + 1, params, below, rand)
     return If(cond, then, orelse)
 
 
 def sample_block(d: int, params: GenParams, rng: random.Random) -> Block:
     """Uniform(1, max_block) statements, each drawn by sample_node."""
-    n = rng.randint(1, params.max_block)
-    return tuple(sample_node(d, params, rng) for _ in range(n))
+    return _block(d, params, rng._randbelow, rng.random)
 
 
-def _spine_kind_is_loop(params: GenParams, rng: random.Random) -> bool:
+def _block(d: int, params: GenParams, below, rand) -> Block:
+    n = 1 + below(params.max_block)
+    return tuple([_node(d, params, below, rand) for _ in range(n)])
+
+
+def _spine_kind_is_loop(params: GenParams, below, rand) -> bool:
     loop_w, if_w = params.node_weights[1], params.node_weights[2]
     if loop_w + if_w <= 0:
-        return rng.randrange(2) == 0
-    return _weighted_index(rng, (loop_w, if_w)) == 0
+        return below(2) == 0
+    return _weighted_index(rand, (loop_w, if_w)) == 0
 
 
-def _spine_node(d: int, params: GenParams, rng: random.Random) -> Stmt:
+def _spine_node(d: int, params: GenParams, below, rand) -> Stmt:
     # control node at depth d < D whose body carries the spine downward
-    if _spine_kind_is_loop(params, rng):
-        return Loop(sample_expr(params, rng),
-                    _spine_block(d + 1, params, rng))
-    cond = sample_cond(params, rng)
-    then = _spine_block(d + 1, params, rng)
+    if _spine_kind_is_loop(params, below, rand):
+        return Loop(_arith_at(params.expr_depth, below),
+                    _spine_block(d + 1, params, below, rand))
+    cond = _cond_at(params.expr_depth, below)
+    then = _spine_block(d + 1, params, below, rand)
     orelse = None
-    if rng.random() < params.else_prob:
-        orelse = sample_block(d + 1, params, rng)
+    if rand() < params.else_prob:
+        orelse = _block(d + 1, params, below, rand)
     return If(cond, then, orelse)
 
 
-def _spine_block(d: int, params: GenParams, rng: random.Random) -> Block:
-    n = rng.randint(1, params.max_block)
-    pos = rng.randrange(n)
+def _spine_block(d: int, params: GenParams, below, rand) -> Block:
+    n = 1 + below(params.max_block)
+    pos = below(n)
     stmts = []
     for j in range(n):
         if j != pos:
-            stmts.append(sample_node(d, params, rng))
+            stmts.append(_node(d, params, below, rand))
         elif d < params.max_depth:
-            stmts.append(_spine_node(d, params, rng))
+            stmts.append(_spine_node(d, params, below, rand))
         else:
             # spine bottoms out in a leaf action
-            stmts.append(ActionStmt(_action(params, rng)))
+            stmts.append(_action(params, below))
     return tuple(stmts)
 
 
@@ -267,7 +278,8 @@ def generate_instance(
     cap = budget // 2
     for attempt in range(RESAMPLE_LIMIT):
         rng = random.Random(derive_seed(params.seed, "tree", attempt))
-        tree = Program(_spine_block(0, params, rng))
+        tree = Program(_spine_block(0, params, rng._randbelow,
+                                    rng.random))
         if step_bound(tree, cap) <= cap:
             return g, linearize(tree, g), tree
     raise ResampleLimitError(

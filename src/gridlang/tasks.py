@@ -511,9 +511,11 @@ def read_dataset(path) -> list[TaskInstance]:
 
     A file whose config line names a ``dataset_format`` newer than
     ``DATASET_FORMAT`` is refused; files of any older format, or with no
-    config line, read as well (their inventories may be lists).
+    config line, read as well (their inventories may be lists).  An id
+    used twice is refused, since results and responses are keyed by id.
     """
     instances = []
+    first_line: dict[str, int] = {}  # id -> the line that first used it
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
             if not line.strip():
@@ -524,9 +526,15 @@ def read_dataset(path) -> list[TaskInstance]:
                     _check_format(header["_config"])
                     continue
             try:
-                instances.append(TaskInstance.from_json(line))
+                inst = TaskInstance.from_json(line)
             except (ValueError, KeyError) as exc:
                 raise MalformedRecordError(line_no, str(exc)) from exc
+            first = first_line.setdefault(inst.id, line_no)
+            if first != line_no:
+                raise MalformedRecordError(
+                    line_no, f"duplicate id {inst.id!r}, first used on line "
+                             f"{first}")
+            instances.append(inst)
     return instances
 
 

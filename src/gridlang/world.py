@@ -329,28 +329,28 @@ def step_bound(program: Program, cap: int = DEFAULT_BUDGET) -> int:
     conditionals; If contributes the costlier branch.  Used by the generator
     to reject over-budget ground truth without simulating it.
     """
-    sat = cap + 1
+    return _bound_block(program.body, cap + 1)
 
-    def bound_block(block: Block) -> int:
-        total = 0
-        for stmt in block:
-            total += bound_stmt(stmt)
-            if total >= sat:
-                return sat
-        return total
 
-    def bound_stmt(stmt) -> int:
-        if isinstance(stmt, ActionStmt):
-            return 1
-        if isinstance(stmt, Loop):
-            inner = bound_block(stmt.body)
-            if inner == 0:
-                return 0
-            return min(sat, eval_arith(stmt.count) * inner)
-        if isinstance(stmt, If):
-            then = bound_block(stmt.then)
-            orelse = bound_block(stmt.orelse) if stmt.orelse else 0
-            return max(then, orelse)
-        raise TypeError(f"not a statement: {stmt!r}")
+def _bound_block(block: Block, sat: int) -> int:
+    total = 0
+    for stmt in block:
+        total += _bound_stmt(stmt, sat)
+        if total >= sat:
+            return sat
+    return total
 
-    return bound_block(program.body)
+
+def _bound_stmt(stmt, sat: int) -> int:
+    if isinstance(stmt, ActionStmt):
+        return 1
+    if isinstance(stmt, Loop):
+        inner = _bound_block(stmt.body, sat)
+        if inner == 0:
+            return 0
+        return min(sat, eval_arith(stmt.count) * inner)
+    if isinstance(stmt, If):
+        then = _bound_block(stmt.then, sat)
+        orelse = _bound_block(stmt.orelse, sat) if stmt.orelse else 0
+        return max(then, orelse)
+    raise TypeError(f"not a statement: {stmt!r}")

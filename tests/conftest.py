@@ -1,23 +1,28 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
-reference answer extractor, a reference parser, a hand-written reference
-for the canonical tree form, and a random derivation generator that reads
-the rendered EBNF text.
+reference answer extractor, a reference parser and linearizer, a
+hand-written reference for the canonical tree form, a reference sampler,
+and a random derivation generator that reads the rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
-explicit stack), the reference parser interprets the rule table item by
-item instead of running the codec's generated functions, and the
-generator reads the grammar text with its own reader, so tests never
-validate library code against itself.
+explicit stack), the reference parser and linearizer interpret the rule
+table item by item instead of running the codec's generated functions, the
+reference sampler draws through ``randrange``/``randint`` rather than the
+bound ``_randbelow``, and the generator reads the grammar text with its
+own reader, so tests never validate library code against itself.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from collections import Counter
+from dataclasses import fields
+from operator import attrgetter
 
 from gridlang.ast import (
     MAX_NESTING,
+    ITEM_VOCAB,
     ActionStmt,
     ArithOp,
     BinaryArith,
@@ -47,11 +52,14 @@ from gridlang.codec import (
     _TOKEN_RE,
     ParseError,
     TokenKind,
+    _group,
     _slots,
     linearize,
     tokenize,
 )
 from gridlang.grammar import (
+    CANON_RULES,
+    CANON_TERMINALS,
     RULE_TABLES,
     GrammarSpec,
     LexiconMode,
@@ -59,8 +67,11 @@ from gridlang.grammar import (
     RuleTable,
     Style,
     TerminalRole as R,
+    build_grammar,
     used_roles,
 )
+from gridlang.sampler import LITERAL_MAX, RESAMPLE_LIMIT, ResampleLimitError
+from gridlang.seeding import derive_seed
 from gridlang.world import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -68,6 +79,7 @@ from gridlang.world import (
     Final,
     RobotState,
     START_STATE,
+    step_bound,
 )
 
 ALL_COMBOS = tuple(itertools.product(Style, LexiconMode))
@@ -331,6 +343,271 @@ def oracle_parse(code: str, g: GrammarSpec) -> Program:
     found = repr(words[far]) if far < n else "end of input"
     raise ParseError(far, repr(g.token(want)) if isinstance(want, R) else want,
                      found)
+
+
+# --- reference linearizer ----------------------------------------------------
+# Each AST class's layout as a tuple of pieces that ``_oracle_emit``
+# interprets one at a time; a style's roles are spelled as numbered format
+# fields that one ``str.format`` fills in at the end.  ``codec.linearize``
+# and ``codec.render_canonical`` run functions generated from the same
+# rule tables instead.
+
+# Template piece ops; plain strings are literal text.
+_NODE, _TEXT, _BLOCK, _OPTIONAL = range(4)
+_GETTERS = {(Move, "steps"): lambda m: None if m.steps_omitted else m.steps}
+
+
+def oracle_linearize(program: Program, g: GrammarSpec) -> str:
+    """``linearize`` by interpreting the layout pieces."""
+    text = _oracle_render(program, _ORACLE_LAYOUTS[g.style]).format(
+        *[g.terminals[role] for role in used_roles(g.style)])
+    return text.strip("\n")
+
+
+def oracle_render_canonical(program: Program) -> str:
+    """``render_canonical`` by interpreting the layout pieces."""
+    return _oracle_render(program, _ORACLE_CANON_LAYOUT)
+
+
+def _oracle_render(program: Program, templates: dict) -> str:
+    out: list[str] = []
+    _oracle_emit(program, templates[Program], "", out, templates)
+    return "".join(out)
+
+
+def _oracle_emit(node, pieces: tuple, pad: str, out: list[str],
+                 templates: dict) -> None:
+    for piece in pieces:
+        if piece.__class__ is str:
+            out.append(piece)
+            continue
+        op, get, arg = piece
+        if op is _NODE:
+            child = get(node)
+            _oracle_emit(child, templates[child.__class__], pad, out,
+                         templates)
+        elif op is _TEXT:
+            out.append(arg(get(node)))
+        elif op is _BLOCK:
+            if arg is None:  # one line, statements apart by single spaces
+                for n, stmt in enumerate(get(node)):
+                    if n:
+                        out.append(" ")
+                    _oracle_emit(stmt, templates[stmt.__class__], pad, out,
+                                 templates)
+                continue
+            inner = pad + arg
+            for stmt in get(node):
+                out.append("\n" + inner)
+                _oracle_emit(stmt, templates[stmt.__class__], inner, out,
+                             templates)
+            out.append("\n" + pad)  # the token after a block
+        elif get(node) is not None:  # _OPTIONAL: arg spells it when present
+            _oracle_emit(node, arg, pad, out, templates)
+
+
+def _oracle_layout(table: RuleTable, spell: dict[R, str],
+                   one_line: bool = False) -> dict[type, tuple]:
+    """Per AST class the pieces that spell it, each role as ``spell`` has
+    it; ``one_line`` keeps each block on the line."""
+    layouts = {}
+    for cls, (rule, k, _) in _NODES.items():
+        attrs = [f.name for f in fields(cls)]
+        getters = [None if slot is None else _GETTERS.get(
+            (cls, attrs[slot]), attrgetter(attrs[slot]))
+            for slot in _slots(table, rule, k)]
+        indent = None if one_line else "" if rule == "start" else "  "
+        layouts[cls] = _oracle_pieces(table, table.rules[rule][k], getters,
+                                      spell, indent)
+    return layouts
+
+
+def _oracle_pieces(table: RuleTable, items: tuple, getters: list,
+                   spell: dict, indent: str | None) -> tuple:
+    """Lay out one alternative, merging adjacent literal text; an indent
+    of None keeps blocks on one line."""
+    pieces: list = []
+    prev = None
+    for sym, get in zip(items, getters):
+        if sym.kind == "role":
+            spelled = [spell[sym.ref]]
+        elif sym.kind == "class":
+            spelled = [(_TEXT, get, _LITERALS[sym.ref][1])]
+        elif sym.quant in ("*", "+"):
+            spelled = [(_BLOCK, get, indent)]
+        elif _group(table, sym):
+            alt = _group(table, sym)
+            spelled = list(_oracle_pieces(table, alt, [get] * len(alt),
+                                          spell, indent))
+        elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
+            spelled = [(_TEXT, get, {
+                _LEAVES[alt[0].ref]: spell[alt[0].ref]
+                for alt in table.rules[sym.ref]}.__getitem__)]
+        else:
+            spelled = [(_NODE, get, None)]
+        sep = [] if prev is None else _oracle_separator(table, prev, sym,
+                                                        indent is None)
+        if sym.quant == "?":
+            pieces.append((_OPTIONAL, get, _oracle_merge(sep + spelled)))
+        else:
+            pieces.extend(sep + spelled)
+            prev = sym
+    return _oracle_merge(pieces)
+
+
+def _oracle_separator(table: RuleTable, a, b, one_line: bool) -> list[str]:
+    a = (_group(table, a) or (a,))[-1]
+    b = (_group(table, b) or (b,))[0]
+    if a.ref is R.PAR_L or b.ref in (R.PAR_R, R.SEMI) or not one_line and (
+            a.quant in ("*", "+") or b.quant in ("*", "+")):
+        return []
+    return [" "]
+
+
+def _oracle_merge(pieces: list) -> tuple:
+    merged: list = []
+    for piece in pieces:
+        if piece.__class__ is str and merged and merged[-1].__class__ is str:
+            merged[-1] += piece
+        else:
+            merged.append(piece)
+    return tuple(merged)
+
+
+_ORACLE_LAYOUTS = {style: _oracle_layout(RULE_TABLES[style], {
+    role: "{%d}" % k for k, role in enumerate(used_roles(style))})
+    for style in RULE_TABLES}
+_ORACLE_CANON_LAYOUT = _oracle_layout(CANON_RULES, CANON_TERMINALS,
+                                      one_line=True)
+
+
+# --- reference sampler -------------------------------------------------------
+# The sampler as it drew through ``randrange``/``randint``; ``gridlang.
+# sampler`` must return the same trees and leave the generator in the same
+# state.
+
+
+def _oracle_weighted_index(rng: random.Random, weights: tuple) -> int:
+    r = rng.random() * sum(weights)
+    acc = 0.0
+    for idx, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return idx
+    return len(weights) - 1
+
+
+def oracle_sample_expr(params, rng: random.Random):
+    return _oracle_arith_at(params.expr_depth, rng)
+
+
+def _oracle_arith_at(depth: int, rng: random.Random):
+    if depth == 1:
+        return Literal(rng.randint(0, LITERAL_MAX))
+    op = ArithOp.ADD if rng.randrange(2) == 0 else ArithOp.MUL
+    full_left = rng.randrange(2) == 0
+    other_depth = rng.randint(1, depth - 1)
+    full = _oracle_arith_at(depth - 1, rng)
+    other = _oracle_arith_at(other_depth, rng)
+    if full_left:
+        return BinaryArith(op, full, other)
+    return BinaryArith(op, other, full)
+
+
+def oracle_sample_cond(params, rng: random.Random):
+    return _oracle_cond_at(params.expr_depth, rng)
+
+
+def _oracle_cond_at(depth: int, rng: random.Random):
+    if depth == 1:
+        return Holding(ITEM_VOCAB[rng.randrange(len(ITEM_VOCAB))])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(_oracle_cond_at(depth - 1, rng))
+    op = BoolOp.AND if kind == 1 else BoolOp.OR
+    full_left = rng.randrange(2) == 0
+    other_depth = rng.randint(1, depth - 1)
+    full = _oracle_cond_at(depth - 1, rng)
+    other = _oracle_cond_at(other_depth, rng)
+    if full_left:
+        return BinaryBool(op, full, other)
+    return BinaryBool(op, other, full)
+
+
+def _oracle_action(params, rng: random.Random):
+    kind = rng.randrange(3)
+    if kind == 0:
+        direction = (MoveDir.FORWARD, MoveDir.BACKWARD)[rng.randrange(2)]
+        return Move(direction, oracle_sample_expr(params, rng))
+    if kind == 1:
+        return Turn((TurnDir.LEFT, TurnDir.RIGHT)[rng.randrange(2)])
+    return Grab(ITEM_VOCAB[rng.randrange(len(ITEM_VOCAB))])
+
+
+def oracle_sample_node(d: int, params, rng: random.Random):
+    if d >= params.max_depth:
+        return ActionStmt(_oracle_action(params, rng))
+    kind = _oracle_weighted_index(rng, params.node_weights)
+    if kind == 0:
+        return ActionStmt(_oracle_action(params, rng))
+    if kind == 1:
+        return Loop(oracle_sample_expr(params, rng),
+                    oracle_sample_block(d + 1, params, rng))
+    cond = oracle_sample_cond(params, rng)
+    then = oracle_sample_block(d + 1, params, rng)
+    orelse = None
+    if rng.random() < params.else_prob:
+        orelse = oracle_sample_block(d + 1, params, rng)
+    return If(cond, then, orelse)
+
+
+def oracle_sample_block(d: int, params, rng: random.Random) -> tuple:
+    n = rng.randint(1, params.max_block)
+    return tuple(oracle_sample_node(d, params, rng) for _ in range(n))
+
+
+def _oracle_spine_node(d: int, params, rng: random.Random):
+    loop_w, if_w = params.node_weights[1], params.node_weights[2]
+    if loop_w + if_w <= 0:
+        is_loop = rng.randrange(2) == 0
+    else:
+        is_loop = _oracle_weighted_index(rng, (loop_w, if_w)) == 0
+    if is_loop:
+        return Loop(oracle_sample_expr(params, rng),
+                    _oracle_spine_block(d + 1, params, rng))
+    cond = oracle_sample_cond(params, rng)
+    then = _oracle_spine_block(d + 1, params, rng)
+    orelse = None
+    if rng.random() < params.else_prob:
+        orelse = oracle_sample_block(d + 1, params, rng)
+    return If(cond, then, orelse)
+
+
+def _oracle_spine_block(d: int, params, rng: random.Random) -> tuple:
+    n = rng.randint(1, params.max_block)
+    pos = rng.randrange(n)
+    stmts = []
+    for j in range(n):
+        if j != pos:
+            stmts.append(oracle_sample_node(d, params, rng))
+        elif d < params.max_depth:
+            stmts.append(_oracle_spine_node(d, params, rng))
+        else:
+            stmts.append(ActionStmt(_oracle_action(params, rng)))
+    return tuple(stmts)
+
+
+def oracle_generate_instance(style, mode, params,
+                             budget: int = DEFAULT_BUDGET):
+    """``generate_instance`` over the reference sampler and linearizer."""
+    g = build_grammar(style, mode, derive_seed(params.seed, "lexicon"))
+    cap = budget // 2
+    for attempt in range(RESAMPLE_LIMIT):
+        rng = random.Random(derive_seed(params.seed, "tree", attempt))
+        tree = Program(_oracle_spine_block(0, params, rng))
+        if step_bound(tree, cap) <= cap:
+            return g, oracle_linearize(tree, g), tree
+    raise ResampleLimitError(f"{RESAMPLE_LIMIT} samples over budget")
 
 
 # --- reference canonical form ------------------------------------------------

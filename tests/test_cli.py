@@ -270,6 +270,28 @@ class TestScore:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_repeated_ids_exit_nonzero(self, tmp_path, capsys):
+        # a second instance under the first one's id, and a responses file
+        # that answers one instance twice, are refused, not merged
+        dataset, run_dir = self._evaluated(tmp_path)
+        lines = dataset.read_text().splitlines()
+        row = json.loads(lines[2])
+        row["id"] = json.loads(lines[1])["id"]
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text("\n".join(lines[:2] + [json.dumps(row)]) + "\n")
+        responses = run_dir / "responses.jsonl"
+        rows = responses.read_text().splitlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("\n".join(rows + rows[1:2]) + "\n")
+        for data, answers in ((twice, responses), (dataset, doubled)):
+            rc = _run("score", "--dataset", str(data),
+                      "--responses", str(answers),
+                      "--out-dir", str(tmp_path / "scored"))
+            assert rc == 1
+            assert "duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "scored").exists()
+
+
 class TestSweep:
     def test_depth_sweep_artifacts(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -32,7 +32,14 @@ from gridlang.ast import (
     canon_parse,
     canon_serialize,
 )
-from gridlang.codec import ParseError, TokenKind, linearize, parse, tokenize
+from gridlang.codec import (
+    ParseError,
+    TokenKind,
+    linearize,
+    parse,
+    render_canonical,
+    tokenize,
+)
 from gridlang.grammar import (
     LexiconMode,
     Style,
@@ -40,6 +47,7 @@ from gridlang.grammar import (
     build_grammar,
     render_ebnf,
 )
+from gridlang.harness import _flatten_program
 from gridlang.sampler import GenParams, generate_instance
 from gridlang.tasks import PerturbationError, perturb
 
@@ -49,7 +57,9 @@ from conftest import (
     deep_surface,
     derive,
     fixed_grammar,
+    oracle_linearize,
     oracle_parse,
+    oracle_render_canonical,
 )
 
 BLOCK_G = fixed_grammar(Style.BLOCK)
@@ -447,3 +457,61 @@ class TestReferenceParser:
                                                "9" * 5000]))
             text = " ".join(words)
         assert _outcome(parse, text, g) == _outcome(oracle_parse, text, g)
+
+
+class TestReferenceLinearizer:
+    """``linearize`` and ``render_canonical`` run functions generated from
+    the rule tables; the reference in conftest interprets layout pieces
+    built from the same tables and spells roles with one ``str.format``.
+    They agree byte for byte."""
+
+    @staticmethod
+    def _agree(tree, g) -> None:
+        assert linearize(tree, g) == oracle_linearize(tree, g)
+        assert render_canonical(tree) == oracle_render_canonical(tree)
+
+    @pytest.mark.parametrize("depth", [1, 2, 10, 20])
+    @pytest.mark.parametrize("combo", ALL_COMBOS)
+    def test_sampled_trees(self, combo, depth):
+        style, mode = combo
+        for seed in range(3):
+            g, code, tree = generate_instance(
+                style, mode, GenParams(max_depth=depth, seed=seed))
+            assert code == oracle_linearize(tree, g)
+            self._agree(tree, g)
+            # the same tree under another lexicon, e.g. the other brackets
+            self._agree(tree, build_grammar(style, mode, seed + 1000))
+
+    @pytest.mark.parametrize("style, text", [
+        (Style.C, "loop (3) { }"),
+        (Style.C, "if (holding key) { } else { }"),
+        (Style.C, "if (not (holding box_2)) { }"),
+        (Style.C, "loop (3) { if ((holding key and holding ball)) { } "
+                  "else { move forward; } }"),
+        (Style.C, "move forward; move backward 2;"),
+        (Style.BLOCK, "do move forward end do turn left end"),
+        (Style.BLOCK, "if holding key then [ do move backward end ]"),
+        (Style.SEXPR, "(move forward) (if (holding cube) then "
+                      "(move backward) else (grab item_0))"),
+        (Style.C, "move forward 1000000; loop (19) { grab key; }"),
+        (Style.SEXPR, "(loop 10 (move forward (+ 10 250)))"),
+    ])
+    def test_parsed_trees(self, style, text):
+        # empty C blocks, omitted move counts and literals of 10 or more
+        g = fixed_grammar(style)
+        if style is Style.BLOCK:
+            g = fixed_grammar(style, LBR="[", RBR="]")
+        self._agree(parse(text, g), g)
+
+    @pytest.mark.parametrize("combo", ALL_COMBOS)
+    def test_flattened_trees(self, combo):
+        style, mode = combo
+        large = 0
+        for seed in range(6):
+            g, _, tree = generate_instance(
+                style, mode, GenParams(max_depth=10, expr_depth=3, seed=seed))
+            flat = _flatten_program(tree)
+            large += bool(re.search(r"\(int [1-9][0-9]+\)",
+                                    render_canonical(flat)))
+            self._agree(flat, g)
+        assert large, "no flattened literal of 10 or more"

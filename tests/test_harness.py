@@ -9,7 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlang.codec import tokenize
+from gridlang.ast import canon_parse, canon_serialize
+from gridlang.codec import linearize, parse, tokenize
 from gridlang.grammar import (
     LexiconMode,
     Style,
@@ -18,6 +19,7 @@ from gridlang.grammar import (
 )
 from gridlang.harness import (
     _fenced_blocks,
+    _mock_answer,
     AuthFailedError,
     EndpointConfig,
     EndpointUnreachableError,
@@ -38,7 +40,7 @@ from gridlang.prompts import (
     JUDGMENT_TASK_LINE,
     MAIN_HEADER,
 )
-from gridlang.sampler import GenParams
+from gridlang.sampler import GenParams, generate_instance
 from gridlang.tasks import TaskKind, make_dataset
 
 from conftest import (
@@ -611,3 +613,47 @@ class TestReadResponses:
         path.write_text('{"instance_id": "a", "response": "x"}\n{oops\n')
         with pytest.raises(ValueError, match=r"^line 2: invalid JSON"):
             read_responses(path)
+
+    def test_repeated_instance_id_rejected_with_its_line(self, tmp_path):
+        # two rows for one instance would leave scoring to the last one
+        path = tmp_path / "responses.jsonl"
+        path.write_text('{"_config": {}}\n'
+                        '{"instance_id": "a", "response": "x"}\n'
+                        '{"instance_id": "b", "response": "y"}\n'
+                        '{"instance_id": "a", "response": "z"}\n')
+        with pytest.raises(ValueError,
+                           match=r"^line 4: duplicate instance_id 'a'"):
+            read_responses(path)
+
+
+class TestNoCyclicGarbage:
+    """What every command repeats per instance leaves no garbage for the
+    cyclic collector.  In a forked command each collection copies the
+    inherited pages it touches, so garbage costs more than its own work."""
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_repeated_paths_leave_no_cyclic_garbage(self, style):
+        params = GenParams(max_depth=10, seed=21)
+        data = {kind: make_dataset(kind, 2, style, LexiconMode.NATURAL,
+                                   params)[1] for kind in TaskKind}
+        goal = data[TaskKind.GOAL]
+        g = grammar_from_text(style, goal.lexicon_mode, goal.grammar_text)
+        tree = parse(goal.gold_code, g)
+        runs = [lambda: generate_instance(style, LexiconMode.ALIEN, params)]
+        for inst in data.values():
+            runs += [lambda inst=inst, shots=shots: build_prompt(
+                inst, PromptConfig(shots=shots)) for shots in (0, 5)]
+            runs.append(lambda inst=inst: score_instance(
+                inst, _mock_answer("flatten", inst)))
+        runs += [lambda: linearize(tree, g), lambda: parse(goal.gold_code, g),
+                 lambda: canon_parse(canon_serialize(tree))]
+        for run in runs:  # first calls may fill caches, e.g. of patterns
+            run()
+        gc.collect()
+        gc.disable()
+        try:
+            for run in runs:
+                run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()

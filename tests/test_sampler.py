@@ -12,9 +12,21 @@ from gridlang.sampler import (
     ResampleLimitError,
     generate_instance,
     sample_block,
+    sample_cond,
+    sample_expr,
+    sample_node,
 )
 
-from conftest import ALL_COMBOS, iter_expressions, iter_statements
+from conftest import (
+    ALL_COMBOS,
+    iter_expressions,
+    iter_statements,
+    oracle_generate_instance,
+    oracle_sample_block,
+    oracle_sample_cond,
+    oracle_sample_expr,
+    oracle_sample_node,
+)
 
 
 class TestGenParams:
@@ -213,3 +225,58 @@ class TestBudgetRejection:
         params = GenParams(max_depth=20, seed=99)
         _, _, tree = generate_instance(Style.C, LexiconMode.ALIEN, params)
         assert control_depth(tree) == 20
+
+
+class TestStreamMatchesReference:
+    """The sampler draws through ``Random._randbelow`` and ``random``,
+    bound once per call; the reference in conftest draws through
+    ``randrange`` and ``randint``.  Both return the same trees and leave
+    the generator in the same state, so a caller's own draws around them
+    are unchanged too."""
+
+    # the default, a spine with neither loop nor if weight, no actions
+    WEIGHTS = [(0.7, 0.15, 0.15), (1, 0, 0), (0, 1, 1)]
+
+    @pytest.mark.parametrize("max_block", [1, 3])
+    @pytest.mark.parametrize("expr_depth", [1, 2, 3])
+    @pytest.mark.parametrize("weights", WEIGHTS)
+    def test_sample_functions(self, weights, expr_depth, max_block):
+        params = GenParams(max_depth=3, expr_depth=expr_depth,
+                           max_block=max_block, node_weights=weights)
+        pairs = [
+            (lambda rng: sample_block(1, params, rng),
+             lambda rng: oracle_sample_block(1, params, rng)),
+            (lambda rng: sample_node(0, params, rng),
+             lambda rng: oracle_sample_node(0, params, rng)),
+            (lambda rng: sample_node(3, params, rng),  # at the depth cap
+             lambda rng: oracle_sample_node(3, params, rng)),
+            (lambda rng: sample_expr(params, rng),
+             lambda rng: oracle_sample_expr(params, rng)),
+            (lambda rng: sample_cond(params, rng),
+             lambda rng: oracle_sample_cond(params, rng)),
+        ]
+        for seed in range(6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for draw, oracle in pairs * 2:
+                assert draw(rng) == oracle(ref)
+                assert rng.getstate() == ref.getstate()
+                assert rng.randrange(7) == ref.randrange(7)
+
+    # loop-free trees cost a step at least, so budget 1 exhausts resampling
+    @pytest.mark.parametrize("weights", WEIGHTS + [(0.7, 0, 0.3)])
+    @pytest.mark.parametrize("combo", ALL_COMBOS)
+    def test_generate_instance(self, combo, weights):
+        style, mode = combo
+        for depth, seed in ((1, 0), (2, 1), (4, 2), (6, 3)):
+            params = GenParams(max_depth=depth, seed=seed,
+                               node_weights=weights)
+            for budget in (1, 100, 1_000_000):
+                try:
+                    expected = oracle_generate_instance(style, mode, params,
+                                                        budget)
+                except ResampleLimitError:
+                    with pytest.raises(ResampleLimitError):
+                        generate_instance(style, mode, params, budget)
+                    continue
+                assert generate_instance(style, mode, params,
+                                         budget) == expected

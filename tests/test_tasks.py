@@ -3,6 +3,7 @@
 import difflib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -345,6 +346,17 @@ class TestDatasets:
         with pytest.raises(MalformedRecordError) as info:
             read_dataset(path)
         assert info.value.line_no == 2
+
+    def test_repeated_id_rejected_naming_its_first_line(self, tmp_path):
+        data = self._dataset(TaskKind.GOAL, n=3)
+        path = tmp_path / "twice.jsonl"
+        write_dataset([data[0], data[1], replace(data[2], id=data[0].id)],
+                      path, {"task": "goal"})
+        with pytest.raises(MalformedRecordError,
+                           match="duplicate id 'goal-00000', first used on "
+                                 "line 2") as info:
+            read_dataset(path)
+        assert info.value.line_no == 4
 
     def test_unknown_field_rejected_with_line(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)
