@@ -11,27 +11,25 @@ errored; metric values never affect it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from gridlang.codec import ParseError
 from gridlang.grammar import LexiconMode, Style
 from gridlang.harness import (
     EndpointConfig,
     HarnessError,
     PromptConfig,
+    dataset_kind,
     read_responses,
     run_evaluation,
-    score_instance,
-    write_results,
+    score_answers,
 )
 from gridlang.metrics import (
+    Metrics,
     MetricsTable,
-    aggregate,
     render_csv,
     render_long_csv,
     render_report,
@@ -40,7 +38,6 @@ from gridlang.sampler import GenParams
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
     DATASET_FORMAT,
-    MalformedRecordError,
     TaskInstance,
     TaskKind,
     make_dataset,
@@ -189,28 +186,25 @@ def cmd_gen(args) -> int:
 # --- eval / score ------------------------------------------------------------
 
 
-def _dataset_kind(dataset: list[TaskInstance]) -> TaskKind:
-    kinds = {inst.kind for inst in dataset}
-    if len(kinds) != 1:
-        raise CliError("dataset mixes task kinds" if kinds
-                       else "empty dataset")
-    return kinds.pop()
-
-
-def _write_reports(table: MetricsTable, out_dir: Path,
-                   provenance: dict) -> None:
+def _write_reports(out_dir: Path, model: str, kind: TaskKind,
+                   metrics: Metrics, provenance: dict) -> str:
+    """Write report.md and report.csv for one (model, task) cell; return
+    the report text without its provenance section."""
+    table = MetricsTable()
+    table.add(model, kind, metrics)
     report = render_report(table)
-    report += ("\n## Provenance\n\n```json\n"
-               + json.dumps(provenance, indent=2) + "\n```\n")
-    (out_dir / "report.md").write_text(report, encoding="utf-8")
+    (out_dir / "report.md").write_text(
+        report + "\n## Provenance\n\n```json\n"
+        + json.dumps(provenance, indent=2) + "\n```\n", encoding="utf-8")
     csv_text = "# " + json.dumps(provenance) + "\n" + render_csv(table)
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
+    return report
 
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     dataset = read_dataset(args.dataset)
-    kind = _dataset_kind(dataset)
+    kind = dataset_kind(dataset)
     endpoint = _endpoint_settings(args, config)
     pc = _prompt_settings(args, config)
     out_dir = Path(_resolve(args, config, "out_dir", str))
@@ -232,11 +226,8 @@ def cmd_eval(args) -> int:
         permissive=args.permissive,
         provenance=provenance,
     )
-    table = MetricsTable()
-    table.add(endpoint.model_id, kind, result.metrics)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_reports(table, out_dir, provenance)
-    print(render_report(table), end="")
+    print(_write_reports(out_dir, endpoint.model_id, kind, result.metrics,
+                         provenance), end="")
     print(f"model calls: {result.model_calls}")
     print(f"wrote {result.results_path} and reports under {out_dir}")
     return 0
@@ -245,25 +236,15 @@ def cmd_eval(args) -> int:
 def cmd_score(args) -> int:
     config = _load_config(args.config)
     dataset = read_dataset(args.dataset)
-    kind = _dataset_kind(dataset)
+    kind = dataset_kind(dataset)
     responses = read_responses(args.responses)
     out_dir = Path(_resolve(args, config, "out_dir", str))
-    records = []
-    rows = []
+    answers = []
     for inst in dataset:
         if inst.id not in responses:
             raise CliError(f"no captured response for instance {inst.id}")
         row = responses[inst.id]
-        records.append(score_instance(inst, row["response"]))
-        kept = {
-            "instance_id": inst.id,
-            "response_sha256": hashlib.sha256(
-                row["response"].encode("utf-8")).hexdigest(),
-        }
-        if "prompt_sha256" in row:
-            kept["prompt_sha256"] = row["prompt_sha256"]
-        rows.append(kept)
-    metrics = aggregate(records)
+        answers.append((row.get("prompt_sha256"), row["response"]))
     model = _resolve(args, config, "model", str, "captured")
     provenance = {
         "command": "score",
@@ -271,12 +252,9 @@ def cmd_score(args) -> int:
         "responses": str(args.responses),
         "model": model,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results(records, rows, out_dir / "results.jsonl", provenance)
-    table = MetricsTable()
-    table.add(model, kind, metrics)
-    _write_reports(table, out_dir, provenance)
-    print(render_report(table), end="")
+    _records, metrics, _rows = score_answers(dataset, answers, out_dir,
+                                             provenance)
+    print(_write_reports(out_dir, model, kind, metrics, provenance), end="")
     print(f"wrote {out_dir / 'results.jsonl'} and reports under {out_dir}")
     return 0
 
@@ -347,9 +325,8 @@ def cmd_sweep(args) -> int:
                 permissive=args.permissive,
                 provenance=provenance,
             )
-            table = MetricsTable()
-            table.add(endpoint.model_id, kind, result.metrics)
-            _write_reports(table, leaf, provenance)
+            _write_reports(leaf, endpoint.model_id, kind, result.metrics,
+                           provenance)
             entries.append((value, endpoint.model_id, kind.value,
                             result.metrics))
     if entries:
@@ -441,8 +418,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError, HarnessError,
-            MalformedRecordError, ParseError) as exc:
+    except (ValueError, OSError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,17 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from gridlang.ast import (
-    ActionStmt,
-    ArithExpr,
-    Block,
-    If,
-    Literal,
-    Loop,
-    Move,
-    Program,
-    Stmt,
-)
+from gridlang.ast import BinaryArith, ItemToken, Literal
 from gridlang.codec import (
     _PUNCT_CHARS,
     TokenKind,
@@ -72,7 +62,7 @@ from gridlang.tasks import (
     render_instruction,
     render_state,
 )
-from gridlang.world import DEFAULT_BUDGET, Final, eval_arith, exec_program
+from gridlang.world import Final, eval_arith, exec_program
 
 __all__ = [
     "HarnessError",
@@ -85,9 +75,10 @@ __all__ = [
     "call_model",
     "extract_code",
     "score_instance",
+    "dataset_kind",
     "RunResult",
+    "score_answers",
     "run_evaluation",
-    "write_results",
     "read_responses",
 ]
 
@@ -410,45 +401,44 @@ def _mock_answer(scheme: str, inst: TaskInstance) -> str:
     raise ValueError(f"unknown mock scheme {scheme!r}")
 
 
-def _flatten_program(program: Program) -> Program:
-    return Program(body=_flatten_block(program.body))
+def _flatten_program(node):
+    """Fold every arithmetic expression in a tree to its literal value.
 
-
-def _flatten_block(block: Block) -> Block:
-    return tuple(_flatten_stmt(s) for s in block)
-
-
-def _flatten_stmt(stmt: Stmt) -> Stmt:
-    if isinstance(stmt, ActionStmt):
-        action = stmt.action
-        if isinstance(action, Move):
-            return ActionStmt(Move(action.dir, _flatten_expr(action.steps),
-                                   action.steps_omitted))
-        return stmt
-    if isinstance(stmt, Loop):
-        return Loop(_flatten_expr(stmt.count), _flatten_block(stmt.body))
-    if isinstance(stmt, If):
-        orelse = None if stmt.orelse is None else _flatten_block(stmt.orelse)
-        return If(stmt.cond, _flatten_block(stmt.then), orelse)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _flatten_expr(expr: ArithExpr) -> Literal:
-    return Literal(eval_arith(expr))
+    One walk over tuples and dataclass fields: a compound expression
+    becomes ``Literal(eval_arith(e))``, a node is rebuilt from its folded
+    fields in order, and literals and items are leaves, so the shared
+    ``ITEM_VOCAB`` members stay in place."""
+    if isinstance(node, tuple):
+        return tuple([_flatten_program(item) for item in node])
+    if isinstance(node, BinaryArith):
+        return Literal(eval_arith(node))
+    names = getattr(node, "__dataclass_fields__", None)
+    if names is None or isinstance(node, (Literal, ItemToken)):
+        return node
+    return type(node)(*[_flatten_program(getattr(node, name))
+                        for name in names])
 
 
 # --- evaluation runs ---------------------------------------------------------
 
 
-def score_instance(
-    inst: TaskInstance, raw: str, budget: int = DEFAULT_BUDGET
-) -> EvalRecord:
+def score_instance(inst: TaskInstance, raw: str) -> EvalRecord:
     """Route one raw answer through extraction and the task's scorer."""
     if inst.kind is TaskKind.JUDGMENT:
         return score_judgment(raw, inst.gold_label, inst.id)
     g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
     code = extract_code(raw, g)
-    return score_generation(code, inst, g, raw_answer=raw, budget=budget)
+    return score_generation(code, inst, g, raw_answer=raw)
+
+
+def dataset_kind(dataset: list[TaskInstance]) -> TaskKind:
+    """The task kind every instance shares; an empty or mixed dataset is
+    refused, since its records could not be aggregated."""
+    kinds = {inst.kind for inst in dataset}
+    if len(kinds) != 1:
+        raise ValueError("dataset mixes task kinds" if kinds
+                         else "empty dataset")
+    return kinds.pop()
 
 
 @dataclass(frozen=True)
@@ -458,6 +448,65 @@ class RunResult:
     model_calls: int
     results_path: Path | None
     responses_path: Path | None
+
+
+# One answer per instance: (prompt_sha256 or None, response), or the
+# HarnessError a permissive run kept in place of a response.
+Answer = tuple[str | None, str] | HarnessError
+
+
+def _write_jsonl(path: Path, provenance: dict | None, rows) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        if provenance is not None:
+            handle.write(json.dumps({"_config": provenance}) + "\n")
+        for row in rows:
+            handle.write(json.dumps(row) + "\n")
+
+
+def score_answers(
+    dataset: list[TaskInstance],
+    answers: list[Answer],
+    out_dir: str | Path | None = None,
+    provenance: dict | None = None,
+) -> tuple[list[EvalRecord], Metrics, list[dict]]:
+    """Score ``answers[i]`` against ``dataset[i]``, aggregate, and write
+    ``results.jsonl`` under ``out_dir`` when one is given.
+
+    An endpoint error scores a syntax failure with its text preserved as
+    the raw answer.  A response's row adds its prompt hash, when known,
+    and its response hash.  Returns the records, their metrics and the
+    rows written.
+    """
+    kind = dataset_kind(dataset)
+    records = []
+    rows = []
+    for inst, answer in zip(dataset, answers, strict=True):
+        if isinstance(answer, HarnessError):
+            record = EvalRecord(
+                instance_id=inst.id,
+                parsed_ok=False,
+                behavioral_ok=None if kind is TaskKind.JUDGMENT else False,
+                semantic_ok=False if kind is TaskKind.INSTRUCTION else None,
+                failure_stage="syntax",
+                raw_answer=f"[endpoint error] {answer}",
+            )
+            row = record.to_dict()
+        else:
+            prompt_sha256, response = answer
+            record = score_instance(inst, response)
+            row = record.to_dict()
+            if prompt_sha256 is not None:
+                row["prompt_sha256"] = prompt_sha256
+            row["response_sha256"] = hashlib.sha256(
+                response.encode("utf-8")).hexdigest()
+        records.append(record)
+        rows.append(row)
+    metrics = aggregate(records)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_jsonl(out / "results.jsonl", provenance, rows)
+    return records, metrics, rows
 
 
 # Versions what a cache key hashes: bumped whenever that changes, so entries
@@ -496,10 +545,9 @@ def run_evaluation(
     cache_dir: str | Path = "cache",
     out_dir: str | Path | None = None,
     permissive: bool = False,
-    budget: int = DEFAULT_BUDGET,
     provenance: dict | None = None,
 ) -> RunResult:
-    """Fetch (or replay) an answer per instance, score, and aggregate.
+    """Fetch (or replay) an answer per instance, then ``score_answers``.
 
     model_calls counts cache misses that actually invoked the model, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
@@ -507,9 +555,9 @@ def run_evaluation(
     with the error text preserved as its raw answer.  A strict run stops
     at its first failure: fetches not yet started are cancelled or skip
     the endpoint, so no further retries or backoff delay the error.
+    ``out_dir`` also receives ``responses.jsonl``, one row per response.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
+    dataset_kind(dataset)  # before any model call
     cache_root = Path(cache_dir) / _sanitize(cfg.model_id)
     cache_root.mkdir(parents=True, exist_ok=True)
     scheme = cfg.mock_scheme
@@ -520,10 +568,11 @@ def run_evaluation(
         if failed.is_set():  # the run is aborting; this result is unread
             return None
         prompt = build_prompt(inst, pc)
+        prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
         key = _cache_key(cfg, prompt)
         path = cache_root / f"{key}.txt"
         if path.exists():
-            return prompt, path.read_text(encoding="utf-8"), False
+            return prompt_sha256, path.read_text(encoding="utf-8"), False
         if scheme is not None:
             raw = _mock_answer(scheme, inst)
         else:
@@ -534,87 +583,43 @@ def run_evaluation(
                     failed.set()
                 raise
         _atomic_write(path, raw)
-        return prompt, raw, True
+        return prompt_sha256, raw, True
 
-    fetched: list[tuple[str, str] | HarnessError] = []
+    answers: list[Answer] = []
     pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
     try:
         futures = [pool.submit(fetch, inst) for inst in dataset]
         for inst, future in zip(dataset, futures):
             try:
-                prompt, raw, missed = future.result()
+                prompt_sha256, raw, missed = future.result()
             except HarnessError as exc:
                 log.error("instance %s: %s", inst.id, exc)
                 if not permissive:
                     raise
-                fetched.append(exc)
+                answers.append(exc)
                 continue
             calls += missed
-            fetched.append((prompt, raw))
+            answers.append((prompt_sha256, raw))
     finally:
         pool.shutdown(cancel_futures=True)
 
-    records = []
-    response_rows = []
-    for inst, item in zip(dataset, fetched):
-        if isinstance(item, HarnessError):
-            records.append(EvalRecord(
-                instance_id=inst.id,
-                parsed_ok=False,
-                behavioral_ok=None if inst.kind is TaskKind.JUDGMENT
-                else False,
-                semantic_ok=False if inst.kind is TaskKind.INSTRUCTION
-                else None,
-                failure_stage="syntax",
-                raw_answer=f"[endpoint error] {item}",
-            ))
-            continue
-        prompt, raw = item
-        records.append(score_instance(inst, raw, budget))
-        response_rows.append({
-            "instance_id": inst.id,
-            "prompt_sha256": hashlib.sha256(
-                prompt.encode("utf-8")).hexdigest(),
-            "response_sha256": hashlib.sha256(
-                raw.encode("utf-8")).hexdigest(),
-            "response": raw,
-        })
-
-    metrics = aggregate(records)
+    records, metrics, rows = score_answers(dataset, answers, out_dir,
+                                           provenance)
     results_path = responses_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        results_path = out / "results.jsonl"
-        responses_path = out / "responses.jsonl"
-        write_results(records, response_rows, results_path, provenance)
-        with open(responses_path, "w", encoding="utf-8") as handle:
-            if provenance is not None:
-                handle.write(json.dumps({"_config": provenance}) + "\n")
-            for row in response_rows:
-                handle.write(json.dumps(row) + "\n")
+        results_path = Path(out_dir) / "results.jsonl"
+        responses_path = Path(out_dir) / "responses.jsonl"
+        _write_jsonl(responses_path, provenance, (
+            {"instance_id": row["instance_id"],
+             "prompt_sha256": row["prompt_sha256"],
+             "response_sha256": row["response_sha256"],
+             "response": answer[1]}
+            for row, answer in zip(rows, answers)
+            if not isinstance(answer, HarnessError)))
     return RunResult(records, metrics, calls, results_path, responses_path)
 
 
-def write_results(
-    records: list[EvalRecord],
-    response_rows: list[dict],
-    path: str | Path,
-    provenance: dict | None = None,
-) -> None:
-    """Line-delimited records plus prompt/response hashes where known."""
-    hashes = {row["instance_id"]: row for row in response_rows}
-    with open(path, "w", encoding="utf-8") as handle:
-        if provenance is not None:
-            handle.write(json.dumps({"_config": provenance}) + "\n")
-        for record in records:
-            row = record.to_dict()
-            extra = hashes.get(record.instance_id)
-            if extra is not None:
-                if "prompt_sha256" in extra:
-                    row["prompt_sha256"] = extra["prompt_sha256"]
-                row["response_sha256"] = extra["response_sha256"]
-            handle.write(json.dumps(row) + "\n")
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def read_responses(path: str | Path) -> dict[str, dict]:
@@ -622,7 +627,8 @@ def read_responses(path: str | Path) -> dict[str, dict]:
 
     Each row keeps at least the response text plus any hashes recorded at
     capture time; a leading provenance line is skipped, and an instance_id
-    that repeats is refused.
+    that repeats, or a prompt_sha256 that is no sha256 hex digest, is
+    refused.
     """
     responses = {}
     with open(path, encoding="utf-8") as handle:
@@ -645,6 +651,11 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                     f"line {line_no}: responses row needs string "
                     f"instance_id and response"
                 )
+            if "prompt_sha256" in row and not (
+                    isinstance(row["prompt_sha256"], str)
+                    and _SHA256_RE.fullmatch(row["prompt_sha256"])):
+                raise ValueError(f"line {line_no}: prompt_sha256 is not 64 "
+                                 f"lowercase hex characters")
             if row["instance_id"] in responses:
                 raise ValueError(f"line {line_no}: duplicate instance_id "
                                  f"{row['instance_id']!r}")

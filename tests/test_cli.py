@@ -291,6 +291,47 @@ class TestScore:
             assert "duplicate" in capsys.readouterr().err
         assert not (tmp_path / "scored").exists()
 
+    def test_rescore_reproduces_the_eval_results(self, tmp_path):
+        # one scorer and one writer serve both commands, so re-scoring an
+        # eval's responses gives its rows back, prompt hashes included
+        dataset = _gen(tmp_path, "inst.jsonl", "--task", "instruction",
+                       "--style", "c", "--n", "8", "--E", "2")
+        run_dir = tmp_path / "run"
+        rc = _run("eval", "--dataset", str(dataset),
+                  "--base-url", "mock://flatten", "--model", "mock-model",
+                  "--shots", "2", "--out-dir", str(run_dir),
+                  "--cache-dir", str(tmp_path / "cache"))
+        assert rc == 0
+        out = tmp_path / "scored"
+        rc = _run("score", "--dataset", str(dataset),
+                  "--responses", str(run_dir / "responses.jsonl"),
+                  "--out-dir", str(out))
+        assert rc == 0
+        live = (run_dir / "results.jsonl").read_bytes().split(b"\n", 1)
+        scored = (out / "results.jsonl").read_bytes().split(b"\n", 1)
+        assert live[0] != scored[0]  # the provenance lines differ
+        assert live[1] == scored[1]
+        rows = [json.loads(line) for line in live[1].splitlines()]
+        assert len(rows) == 8
+        assert all(len(row["prompt_sha256"]) == 64 for row in rows)
+        assert "semantics" in {row["failure_stage"] for row in rows}
+
+    def test_malformed_prompt_hash_exits_nonzero(self, tmp_path, capsys):
+        # unchecked, it would be copied into results.jsonl verbatim
+        dataset, run_dir = self._evaluated(tmp_path)
+        lines = (run_dir / "responses.jsonl").read_text().splitlines()
+        row = json.loads(lines[2])
+        row["prompt_sha256"] = {"not": ["a", "hash"]}
+        lines[2] = json.dumps(row)
+        forged = tmp_path / "forged.jsonl"
+        forged.write_text("\n".join(lines) + "\n")
+        rc = _run("score", "--dataset", str(dataset),
+                  "--responses", str(forged),
+                  "--out-dir", str(tmp_path / "scored"))
+        assert rc == 1
+        assert "line 3: prompt_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "scored").exists()
+
 
 class TestSweep:
     def test_depth_sweep_artifacts(self, tmp_path):

@@ -1,5 +1,6 @@
 """Prompt assembly, answer extraction, HTTP behavior, and caching."""
 
+import dataclasses
 import gc
 import http.server
 import json
@@ -9,7 +10,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlang.ast import canon_parse, canon_serialize
+from gridlang.ast import (
+    ITEM_VOCAB,
+    BinaryArith,
+    Grab,
+    Holding,
+    canon_parse,
+    canon_serialize,
+)
 from gridlang.codec import linearize, parse, tokenize
 from gridlang.grammar import (
     LexiconMode,
@@ -19,6 +27,7 @@ from gridlang.grammar import (
 )
 from gridlang.harness import (
     _fenced_blocks,
+    _flatten_program,
     _mock_answer,
     AuthFailedError,
     EndpointConfig,
@@ -31,6 +40,7 @@ from gridlang.harness import (
     extract_code,
     read_responses,
     run_evaluation,
+    score_answers,
     score_instance,
 )
 from gridlang.metrics import _LABEL_RE
@@ -56,6 +66,17 @@ TOKEN_VAR = "GRIDLANG_TEST_TOKEN"
 def _dataset(kind, n=2, seed=5, style=Style.BLOCK):
     params = GenParams(max_depth=4, seed=seed)
     return make_dataset(kind, n, style, LexiconMode.NATURAL, params)
+
+
+def _walk(node):
+    """Every dataclass node of a tree, depth first."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from _walk(item)
+    elif dataclasses.is_dataclass(node):
+        yield node
+        for f in dataclasses.fields(node):
+            yield from _walk(getattr(node, f.name))
 
 
 def _mock_cfg(scheme="perfect"):
@@ -394,6 +415,17 @@ class TestCallModel:
 
 
 class TestMockSchemes:
+    def test_flatten_folds_arithmetic_and_keeps_shared_items(self):
+        for seed in range(8):
+            _g, _code, tree = generate_instance(
+                Style.BLOCK, LexiconMode.NATURAL,
+                GenParams(max_depth=10, expr_depth=3, seed=seed))
+            nodes = list(_walk(_flatten_program(tree)))
+            assert not any(isinstance(n, BinaryArith) for n in nodes)
+            shared = {id(item) for item in ITEM_VOCAB}
+            items = [n.item for n in nodes if isinstance(n, (Grab, Holding))]
+            assert items and all(id(item) in shared for item in items)
+
     def test_perfect_mock_full_marks(self, tmp_path):
         for kind in TaskKind:
             dataset = _dataset(kind, n=4)
@@ -558,6 +590,19 @@ class TestRunArtifacts:
             run_evaluation([], _mock_cfg(), PromptConfig(),
                            cache_dir=tmp_path / "cache")
 
+    def test_mixed_kinds_rejected_before_any_model_call(self, tmp_path):
+        dataset = _dataset(TaskKind.JUDGMENT) + _dataset(TaskKind.GOAL)
+        with pytest.raises(ValueError, match="mixes task kinds"):
+            run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                           cache_dir=tmp_path / "cache",
+                           out_dir=tmp_path / "out")
+        assert not list(tmp_path.rglob("*.txt"))
+        assert not (tmp_path / "out").exists()
+        answers = [(None, "VALID")] * len(dataset)
+        with pytest.raises(ValueError, match="mixes task kinds"):
+            score_answers(dataset, answers, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestEndpointConfigValidation:
     def test_bad_values_rejected(self):
@@ -591,6 +636,22 @@ class TestEndpointConfigValidation:
 
 
 class TestReadResponses:
+    def test_prompt_hash_must_be_a_sha256_hex_digest(self, tmp_path):
+        path = tmp_path / "responses.jsonl"
+        good = {"instance_id": "a", "response": "x",
+                "prompt_sha256": "0123456789abcdef" * 4}
+        for digest in ({"not": ["a", "hash"]}, None, "ab" * 31, "ab" * 33,
+                       "AB" * 32, "ab" * 31 + "g0", "ab" * 32 + "\n"):
+            bad = {"instance_id": "b", "response": "y",
+                   "prompt_sha256": digest}
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad)
+                            + "\n")
+            with pytest.raises(ValueError,
+                               match=r"^line 2: prompt_sha256 is not 64"):
+                read_responses(path)
+        path.write_text(json.dumps(good) + "\n")
+        assert read_responses(path)["a"] == good
+
     def test_row_that_is_not_an_object_rejected_with_its_line(self,
                                                               tmp_path):
         path = tmp_path / "responses.jsonl"
