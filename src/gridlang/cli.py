@@ -339,83 +339,97 @@ def cmd_sweep(args) -> int:
 # --- argument wiring ---------------------------------------------------------
 
 
-def _add_gen_flags(sub) -> None:
-    sub.add_argument("--task", choices=[k.value for k in TaskKind])
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--E", type=int)
-    sub.add_argument("--max-block", dest="max_block", type=int)
-    sub.add_argument("--style", choices=[s.value for s in Style])
-    sub.add_argument("--lexicon", choices=[m.value for m in LexiconMode])
-    sub.add_argument("--seed", type=int)
+_GEN_FLAGS = (
+    ("--task", {"choices": [k.value for k in TaskKind]}),
+    ("--n", {"type": int}),
+    ("--depth", {"type": int}),
+    ("--p", {"type": float}),
+    ("--E", {"type": int}),
+    ("--max-block", {"type": int}),
+    ("--style", {"choices": [s.value for s in Style]}),
+    ("--lexicon", {"choices": [m.value for m in LexiconMode]}),
+    ("--seed", {"type": int}),
+)
+
+_ENDPOINT_FLAGS = (
+    ("--base-url", {}),
+    ("--model", {}),
+    ("--auth-env", {}),
+    ("--temperature", {"type": float}),
+    ("--max-tokens", {"type": int}),
+    ("--timeout", {"type": float}),
+    ("--max-retries", {"type": int}),
+    ("--parallelism", {"type": int}),
+    ("--retry-backoff", {"type": float}),
+    ("--shots", {"type": int}),
+    ("--cot", {"action": argparse.BooleanOptionalAction, "default": None}),
+    ("--cache-dir", {}),
+    ("--permissive", {"action": "store_true"}),
+)
+
+# subcommand -> (help, its flags in help order, handler); a flag's dest is
+# its name with dashes as underscores
+_SUBCOMMANDS = {
+    "gen": (
+        "generate a dataset file",
+        _GEN_FLAGS + (("--out", {}), ("--config", {})),
+        cmd_gen,
+    ),
+    "sweep": (
+        "generate (and optionally evaluate) a dataset family "
+        "along one axis",
+        _GEN_FLAGS + (
+            ("--axis", {"choices": _SWEEP_AXES, "required": True}),
+            ("--values", {"required": True,
+                          "help": "comma-separated axis values"}),
+            ("--out-dir", {}),
+        ) + _ENDPOINT_FLAGS + (("--config", {}),),
+        cmd_sweep,
+    ),
+    "eval": (
+        "run a model over a dataset",
+        (("--dataset", {"required": True}), ("--out-dir", {}))
+        + _ENDPOINT_FLAGS + (("--config", {}),),
+        cmd_eval,
+    ),
+    "score": (
+        "re-score captured responses without network",
+        (("--dataset", {"required": True}),
+         ("--responses", {"required": True}),
+         ("--out-dir", {}), ("--model", {}), ("--config", {})),
+        cmd_score,
+    ),
+}
 
 
-def _add_endpoint_flags(sub) -> None:
-    sub.add_argument("--base-url", dest="base_url")
-    sub.add_argument("--model")
-    sub.add_argument("--auth-env", dest="auth_env")
-    sub.add_argument("--temperature", type=float)
-    sub.add_argument("--max-tokens", dest="max_tokens", type=int)
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--max-retries", dest="max_retries", type=int)
-    sub.add_argument("--parallelism", type=int)
-    sub.add_argument("--retry-backoff", dest="retry_backoff", type=float)
-    sub.add_argument("--shots", type=int)
-    sub.add_argument("--cot", action=argparse.BooleanOptionalAction,
-                     default=None)
-    sub.add_argument("--cache-dir", dest="cache_dir")
-    sub.add_argument("--permissive", action="store_true")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def _parser(wired) -> argparse.ArgumentParser:
+    """The command-line parser, with the flags of the subcommands named in
+    ``wired`` only; any other subcommand is listed without its flags."""
     parser = argparse.ArgumentParser(
         prog="gridlang",
         description="Generate grammar-interpretation datasets and score "
                     "model answers on them.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    gen = subs.add_parser("gen", help="generate a dataset file")
-    _add_gen_flags(gen)
-    gen.add_argument("--out")
-    gen.add_argument("--config")
-    gen.set_defaults(func=cmd_gen)
-
-    sweep = subs.add_parser(
-        "sweep", help="generate (and optionally evaluate) a dataset family "
-                      "along one axis"
-    )
-    _add_gen_flags(sweep)
-    sweep.add_argument("--axis", choices=_SWEEP_AXES, required=True)
-    sweep.add_argument("--values", required=True,
-                       help="comma-separated axis values")
-    sweep.add_argument("--out-dir", dest="out_dir")
-    _add_endpoint_flags(sweep)
-    sweep.add_argument("--config")
-    sweep.set_defaults(func=cmd_sweep)
-
-    ev = subs.add_parser("eval", help="run a model over a dataset")
-    ev.add_argument("--dataset", required=True)
-    ev.add_argument("--out-dir", dest="out_dir")
-    _add_endpoint_flags(ev)
-    ev.add_argument("--config")
-    ev.set_defaults(func=cmd_eval)
-
-    score = subs.add_parser(
-        "score", help="re-score captured responses without network"
-    )
-    score.add_argument("--dataset", required=True)
-    score.add_argument("--responses", required=True)
-    score.add_argument("--out-dir", dest="out_dir")
-    score.add_argument("--model")
-    score.add_argument("--config")
-    score.set_defaults(func=cmd_score)
+    for name, (help_text, flags, func) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if name in wired:
+            for flag, options in flags:
+                sub.add_argument(flag, **options)
+        sub.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_SUBCOMMANDS)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a subcommand parses only its own flags, so only those are wired
+    wired = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    args = _parser(wired).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, HarnessError) as exc:

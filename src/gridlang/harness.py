@@ -14,6 +14,10 @@ where the key hashes the endpoint URL, the model, the sampling settings
 (temperature, max_tokens), the prompt and a cache-format version, so
 interrupted runs resume, replay runs touch the network zero times, and a
 hit is never another endpoint's or setting's answer.
+
+An evaluation builds prompts, reads cache hits and makes mock answers in
+the calling thread, in dataset order; only cache misses to a real
+endpoint are fetched on threads, at most ``parallelism`` at once.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -549,12 +553,18 @@ def run_evaluation(
 ) -> RunResult:
     """Fetch (or replay) an answer per instance, then ``score_answers``.
 
+    The caller walks the dataset in order, building each prompt, reading
+    its cache hit and making a mock answer.  Only a cache miss to a real
+    endpoint goes to a pool of ``cfg.parallelism`` threads, created on the
+    first such miss, so a mock or fully warm run starts no thread.
+
     model_calls counts cache misses that actually invoked the model, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
     unless permissive, in which case the instance scores a syntax failure
-    with the error text preserved as its raw answer.  A strict run stops
-    at its first failure: fetches not yet started are cancelled or skip
-    the endpoint, so no further retries or backoff delay the error.
+    with the error text preserved as its raw answer.  A strict run raises
+    its first failure in dataset order and stops there: no further prompt
+    is built, and fetches not yet started are cancelled or skip the
+    endpoint, so no further retries or backoff delay the error.
     ``out_dir`` also receives ``responses.jsonl``, one row per response.
     """
     dataset_kind(dataset)  # before any model call
@@ -564,44 +574,56 @@ def run_evaluation(
     calls = 0
     failed = threading.Event()  # set by a strict run's first failure
 
-    def fetch(inst: TaskInstance) -> tuple[str, str, bool] | None:
+    def fetch(prompt: str, path: Path) -> str | None:
         if failed.is_set():  # the run is aborting; this result is unread
             return None
-        prompt = build_prompt(inst, pc)
-        prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        key = _cache_key(cfg, prompt)
-        path = cache_root / f"{key}.txt"
-        if path.exists():
-            return prompt_sha256, path.read_text(encoding="utf-8"), False
-        if scheme is not None:
-            raw = _mock_answer(scheme, inst)
-        else:
-            try:
-                raw = call_model(cfg, prompt)
-            except HarnessError:
-                if not permissive:
-                    failed.set()
-                raise
+        try:
+            raw = call_model(cfg, prompt)
+        except HarnessError:
+            if not permissive:
+                failed.set()
+            raise
         _atomic_write(path, raw)
-        return prompt_sha256, raw, True
+        return raw
 
-    answers: list[Answer] = []
-    pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
+    # (prompt_sha256, response or the pool's future of it), in dataset order
+    fetched: list[tuple[str, str | Future]] = []
+    pool = None
     try:
-        futures = [pool.submit(fetch, inst) for inst in dataset]
-        for inst, future in zip(dataset, futures):
-            try:
-                prompt_sha256, raw, missed = future.result()
-            except HarnessError as exc:
-                log.error("instance %s: %s", inst.id, exc)
-                if not permissive:
-                    raise
-                answers.append(exc)
-                continue
-            calls += missed
+        for inst in dataset:
+            if failed.is_set():  # the error is raised below
+                break
+            prompt = build_prompt(inst, pc)
+            prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+            path = cache_root / f"{_cache_key(cfg, prompt)}.txt"
+            if path.exists():
+                raw = path.read_text(encoding="utf-8")
+            elif scheme is not None:
+                raw = _mock_answer(scheme, inst)
+                _atomic_write(path, raw)
+                calls += 1
+            else:
+                if pool is None:
+                    pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
+                raw = pool.submit(fetch, prompt, path)
+            fetched.append((prompt_sha256, raw))
+
+        answers: list[Answer] = []
+        for inst, (prompt_sha256, raw) in zip(dataset, fetched):
+            if isinstance(raw, Future):
+                try:
+                    raw = raw.result()
+                except HarnessError as exc:
+                    log.error("instance %s: %s", inst.id, exc)
+                    if not permissive:
+                        raise
+                    answers.append(exc)
+                    continue
+                calls += 1
             answers.append((prompt_sha256, raw))
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     records, metrics, rows = score_answers(dataset, answers, out_dir,
                                            provenance)

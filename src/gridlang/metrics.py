@@ -19,7 +19,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from gridlang.ast import canon_parse
+from gridlang.ast import canon_parse, canon_serialize
 from gridlang.codec import ParseError, parse
 from gridlang.grammar import GrammarSpec
 from gridlang.tasks import TaskInstance, TaskKind
@@ -140,7 +140,10 @@ def score_generation(
     behavioral = isinstance(result, Final) and result.state == inst.target_state
     semantic = None
     if has_semantics:
-        semantic = tree == canon_parse(inst.gold_ast)
+        # the stored text is canonical, so equal text settles most answers;
+        # a parse still accepts an equal tree spelled otherwise
+        semantic = (canon_serialize(tree) == inst.gold_ast
+                    or tree == canon_parse(inst.gold_ast))
     return EvalRecord(
         instance_id=inst.id,
         parsed_ok=True,

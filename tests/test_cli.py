@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gridlang
-from gridlang.cli import main
+from gridlang.cli import build_parser, main
 from gridlang.tasks import DATASET_FORMAT, read_dataset_config
 
 
@@ -416,3 +416,26 @@ def test_import_loads_no_http_client_package():
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _parse_outcome(parse, argv, capsys):
+    """The exit status, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    return (exited.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["eval", "--help"], ["gen", "-h"], ["sweep", "--help"],
+    ["score", "--help"], ["evl"], [], ["eval"], ["sweep", "--axis", "zz"],
+    ["gen", "--n", "x"],
+])
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys,
+                                                     monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parse_outcome(lambda a: build_parser().parse_args(a), argv,
+                              capsys)
+    assert expected[0] == (0 if "-h" in argv or "--help" in argv else 2)
+    assert _parse_outcome(main, argv, capsys) == expected
+    monkeypatch.setattr(sys, "argv", ["gridlang", *argv])
+    assert _parse_outcome(lambda _a: main(), argv, capsys) == expected

@@ -1,5 +1,6 @@
 """Prompt assembly, answer extraction, HTTP behavior, and caching."""
 
+import contextlib
 import dataclasses
 import gc
 import http.server
@@ -18,6 +19,7 @@ from gridlang.ast import (
     canon_parse,
     canon_serialize,
 )
+from gridlang import harness
 from gridlang.codec import linearize, parse, tokenize
 from gridlang.grammar import (
     LexiconMode,
@@ -602,6 +604,101 @@ class TestRunArtifacts:
         with pytest.raises(ValueError, match="mixes task kinds"):
             score_answers(dataset, answers, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+@contextlib.contextmanager
+def _no_new_threads(monkeypatch):
+    """Refuse any thread pool, and check that no thread is running beyond
+    those alive at entry whenever a prompt is built."""
+    counts = []
+    real_build_prompt = harness.build_prompt
+
+    def counting_build_prompt(inst, pc):
+        counts.append(threading.active_count())
+        return real_build_prompt(inst, pc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    before = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "ThreadPoolExecutor", refuse)
+        patch.setattr(harness, "build_prompt", counting_build_prompt)
+        yield
+    assert counts and max(counts) <= before
+    assert threading.active_count() <= before
+
+
+class TestThreadsOnlyForTheNetwork:
+    @pytest.mark.parametrize("scheme", ["perfect", "flatten"])
+    def test_mock_runs_start_no_thread(self, tmp_path, monkeypatch, scheme):
+        dataset = _dataset(TaskKind.INSTRUCTION, n=4)
+        cache = tmp_path / "cache"
+        with _no_new_threads(monkeypatch):
+            cold = run_evaluation(dataset, _mock_cfg(scheme), PromptConfig(),
+                                  cache_dir=cache)
+            warm = run_evaluation(dataset, _mock_cfg(scheme), PromptConfig(),
+                                  cache_dir=cache)
+        assert (cold.model_calls, warm.model_calls) == (4, 0)
+        assert warm.records == cold.records
+
+    def test_warm_http_replay_starts_no_thread(self, tmp_path, monkeypatch,
+                                               scripted_server, api_token):
+        base = scripted_server([])
+        dataset = _dataset(TaskKind.JUDGMENT, n=4)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
+                              cache_dir=cache)
+        requests = len(_ScriptedHandler.requests_seen)
+        with _no_new_threads(monkeypatch):
+            warm = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
+                                  cache_dir=cache)
+        assert (cold.model_calls, warm.model_calls) == (4, 0)
+        assert len(_ScriptedHandler.requests_seen) == requests == 4
+        assert warm.records == cold.records
+
+    def test_only_misses_are_sent_and_rows_keep_dataset_order(
+            self, tmp_path, scripted_server, api_token):
+        base = scripted_server([], content="INVALID")
+        dataset = _dataset(TaskKind.JUDGMENT, n=8)
+        cfg = _http_cfg(base, parallelism=4)
+        pc = PromptConfig()
+        cache = tmp_path / "cache"
+        run_evaluation(dataset[::2], cfg, pc, cache_dir=cache)
+        _ScriptedHandler.content = "VALID"
+        _ScriptedHandler.requests_seen = []
+        out = tmp_path / "out"
+        result = run_evaluation(dataset, cfg, pc, cache_dir=cache,
+                                out_dir=out)
+        misses = dataset[1::2]
+        assert result.model_calls == len(misses)
+        sent = [body["messages"][0]["content"]
+                for body in _ScriptedHandler.requests_seen]
+        assert sorted(sent) == sorted(build_prompt(inst, pc)
+                                      for inst in misses)
+        ids = [inst.id for inst in dataset]
+        responses = [json.loads(line) for line in
+                     result.responses_path.read_text().splitlines()]
+        assert [row["instance_id"] for row in responses] == ids
+        assert [row["response"] for row in responses] == [
+            "INVALID", "VALID"] * 4
+        results = [json.loads(line) for line in
+                   result.results_path.read_text().splitlines()]
+        assert [row["instance_id"] for row in results] == ids
+        assert [rec.instance_id for rec in result.records] == ids
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_a_repeated_prompt_is_one_call_and_one_hit(self, tmp_path,
+                                                       parallelism):
+        inst = _dataset(TaskKind.GOAL, n=1)[0]
+        dataset = [inst, dataclasses.replace(inst, id=inst.id + "-again")]
+        cfg = EndpointConfig(base_url="mock://perfect",
+                             model_id="mock-model", parallelism=parallelism)
+        result = run_evaluation(dataset, cfg, PromptConfig(),
+                                cache_dir=tmp_path / "cache")
+        assert result.model_calls == 1
+        assert len(list((tmp_path / "cache").rglob("*.txt"))) == 1
+        assert result.metrics.svr == 100.0
 
 
 class TestEndpointConfigValidation:

@@ -1,5 +1,6 @@
 """Scoring layers, aggregation arithmetic, and report rendering."""
 
+import dataclasses
 import functools
 import time
 import tracemalloc
@@ -159,6 +160,17 @@ class TestGenerationScoring:
         assert rec.parsed_ok and rec.behavioral_ok
         assert rec.semantic_ok is False
         assert rec.failure_stage == "semantics"
+
+    def test_respaced_gold_ast_still_passes_semantics(self):
+        inst = _instruction_instance()
+        respaced = ("  " + inst.gold_ast.replace(" ", " \n\t ")
+                    .replace("(", "( ") + "\n")
+        assert respaced != inst.gold_ast
+        assert canon_parse(respaced) == canon_parse(inst.gold_ast)
+        rec = score_generation(inst.gold_code,
+                               dataclasses.replace(inst, gold_ast=respaced),
+                               _grammar(inst))
+        assert rec.semantic_ok and rec.failure_stage == "pass"
 
     def test_behavioral_divergence_detected(self):
         inst = _goal_instance(seed=2, depth=3)
