@@ -10,16 +10,24 @@ Tokenization is whitespace-insensitive: word characters clump, every other
 non-space character stands alone, so ``repeat(3+4)iters`` and
 ``repeat ( 3 + 4 ) iters`` tokenize identically.  A word is the terminal the
 grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
-whose pattern it matches in full.
+whose pattern it matches in full.  ``tokenize`` returns one ``Token`` per
+word, with its kind and character span; it serves ``tasks.perturb`` and
+the public API.  Parsing and answer extraction (``harness.extract_code``)
+work on plain word lists instead, with each distinct word classified once,
+so scoring untrusted text makes no token objects.
 
 The parser is one plain Python function per rule, generated from the
 style's rule table and compiled once at import: straight-line terminal
 tests, sub-rule calls and block loops, with no interpretation of the table
 while parsing.  Each function tries its rule's alternatives in order;
-every style is LL(2), so work stays linear.  Words are classified once per
-distinct word.  A rejection reports the furthest token reached.  Text
-nested deeper than ``MAX_NESTING`` brackets is rejected at the first token
-past that depth before parsing, so recursion stays far from Python's limit.
+every style is LL(2), so work stays linear.  A rejection reports the
+furthest token reached.  Before any word list is made, text nested deeper
+than ``MAX_NESTING`` brackets is rejected at the first token past that
+depth, found from the text's bracket characters alone, so recursion stays
+far from Python's limit and a megabyte of brackets costs milliseconds.
+Styled code is then split by one pattern that swallows the space before
+each word (faster on indented code); canonical text, single-spaced, by the
+plain word pattern.
 
 The linearizer is generated and compiled at import the same way: one plain
 function per AST class that returns its node's text as one f-string, with
@@ -41,8 +49,8 @@ import enum
 import re
 from dataclasses import fields
 from functools import partial
-from itertools import accumulate, repeat
-from operator import itemgetter, sub
+from itertools import accumulate, islice
+from operator import indexOf, itemgetter, sub
 from typing import Callable, NamedTuple
 
 from gridlang.ast import (
@@ -87,8 +95,11 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
-_SPACED_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z0-9_]+|\S)")  # with space before
+_WORD_RE = re.compile(r"\s*([A-Za-z0-9_]+|\S)")  # swallows the space before
+_SPACED_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z0-9_]+|\S)")  # keeps it
 _PUNCT_CHARS = frozenset("[]{}();")
+_BRACKET_RE = re.compile(r"[()\[\]{}]")
+_NOT_BRACKETS = bytes(sorted(set(range(256)).difference(b"()[]{}")))
 _NESTING_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 # Each AST class: (rule, alternative index, the symbols that carry its
@@ -174,6 +185,26 @@ def _word_symbols(words: list[str], roles: dict[str, R],
     return symbols
 
 
+def _words(text: str, pos: int = 0) -> list[str]:
+    """The words of ``text[pos:]``, split as ``tokenize`` splits them.
+
+    The pattern swallows the space before each word, so the search never
+    restarts inside a run of space.  Trailing space is cut off first: the
+    pattern would fail there at each character after scanning the rest,
+    quadratic work."""
+    return _WORD_RE.findall(text, pos, len(text.rstrip()))
+
+
+def _known_words(words: list[str], g: GrammarSpec) -> dict[str, bool]:
+    """Each distinct word -> whether ``g`` knows it: a bracket or separator
+    character, a bound terminal or a literal.  ``tokenize`` gives every
+    other word the kind ``UNKNOWN``."""
+    symbols = _word_symbols(words, g.keyword_roles,
+                            RULE_TABLES[g.style].classes)
+    return {word: sym is not None or word in _PUNCT_CHARS
+            for word, sym in symbols.items()}
+
+
 def tokenize(text: str, g: GrammarSpec) -> list[Token]:
     """Split into classified tokens; never fails, unknown text is a kind.
 
@@ -219,8 +250,8 @@ def parse(code: str, g: GrammarSpec) -> Program:
 
     The whole token stream must be consumed: trailing tokens reject.
     """
-    return _parse(code, _PARSERS[g.style], RULE_TABLES[g.style].classes,
-                  g.keyword_roles, g.terminals)
+    return _parse(code, _words, _PARSERS[g.style],
+                  RULE_TABLES[g.style].classes, g.keyword_roles, g.terminals)
 
 
 def parse_canonical(text: str) -> Program:
@@ -228,24 +259,23 @@ def parse_canonical(text: str) -> Program:
     if not isinstance(text, str):
         raise CanonParseError(0, f"expected text, found {type(text).__name__}")
     try:
-        return _parse(text, _CANON_PARSER, CANON_RULES.classes, _CANON_ROLES,
-                      CANON_TERMINALS)
+        # single-spaced text splits faster without swallowing the spaces
+        return _parse(text, _TOKEN_RE.findall, _CANON_PARSER,
+                      CANON_RULES.classes, _CANON_ROLES, CANON_TERMINALS)
     except ParseError as exc:
         raise CanonParseError(exc.position, f"expected {exc.expected}, "
                               f"found {exc.found}") from None
 
 
-def _parse(code: str, parse_words: Callable, classes: dict[str, re.Pattern],
-           roles: dict[str, R], terminals: dict[R, str]) -> Program:
-    """Run a compiled parser over ``code``, its words bound by ``roles``
-    and ``classes``; ``terminals`` spells an expected role."""
-    words = _TOKEN_RE.findall(code)
+def _parse(code: str, split: Callable, parse_words: Callable,
+           classes: dict[str, re.Pattern], roles: dict[str, R],
+           terminals: dict[R, str]) -> Program:
+    """Run a compiled parser over the words ``split`` makes of ``code``,
+    bound by ``roles`` and ``classes``; ``terminals`` spells an expected
+    role."""
     if code.count("(") + code.count("[") + code.count("{") > MAX_NESTING:
-        depths = list(accumulate(map(_NESTING_STEP.get, words, repeat(0))))
-        if max(depths) > MAX_NESTING:  # depth moves by one word at a time
-            position = depths.index(MAX_NESTING + 1)
-            raise ParseError(position, f"at most {MAX_NESTING} nested "
-                             "brackets", repr(words[position]))
+        _check_nesting(code)
+    words = split(code)
     symbols = _word_symbols(words, roles, classes)
     syms = list(map(symbols.__getitem__, words))
     syms.append(None)  # past the last word no terminal matches
@@ -259,6 +289,26 @@ def _parse(code: str, parse_words: Callable, classes: dict[str, re.Pattern],
     found = repr(words[far]) if far < n else "end of input"
     raise ParseError(far, repr(terminals[want]) if isinstance(want, R)
                      else want, found)
+
+
+def _check_nesting(code: str) -> None:
+    """Reject ``code`` at its first word nested deeper than ``MAX_NESTING``
+    brackets, before any word list is made.
+
+    Every bracket is a word of its own, and a bracket is one byte in
+    UTF-8, so depth is read from the bracket bytes alone and the scan
+    stops at the first one too deep; only then are the words before that
+    bracket counted for the position."""
+    brackets = code.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_BRACKETS).decode("ascii")
+    depths = accumulate(map(_NESTING_STEP.__getitem__, brackets))
+    try:
+        k = indexOf(map(MAX_NESTING.__lt__, depths), True)
+    except ValueError:
+        return
+    at = next(islice(_BRACKET_RE.finditer(code), k, None)).start()
+    raise ParseError(len(_TOKEN_RE.findall(code, 0, at)),
+                     f"at most {MAX_NESTING} nested brackets", repr(code[at]))
 
 
 def _group(table: RuleTable, sym: Symbol) -> tuple[Symbol, ...] | None:

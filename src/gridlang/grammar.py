@@ -87,6 +87,11 @@ class TerminalRole(enum.Enum):
     PROG = "PROG"
     NUM = "NUM"
 
+    # Members are singletons compared by identity, so the identity hash,
+    # computed in C, serves; ``Enum.__hash__`` is a Python function that
+    # every role-keyed lookup would call.
+    __hash__ = object.__hash__
+
 
 R = TerminalRole
 

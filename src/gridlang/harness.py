@@ -18,6 +18,11 @@ hit is never another endpoint's or setting's answer.
 An evaluation builds prompts, reads cache hits and makes mock answers in
 the calling thread, in dataset order; only cache misses to a real
 endpoint are fetched on threads, at most ``parallelism`` at once.
+
+An answer's code is its last fenced block, else the longest trailing run
+of words the grammar knows, else the whole text.  Extraction and parsing
+work on plain word lists and make no token objects, so the time and
+memory of scoring grow with an answer's size at a small constant.
 """
 
 from __future__ import annotations
@@ -37,15 +42,18 @@ import urllib.error
 import urllib.request
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import indexOf
 from pathlib import Path
 
 from gridlang.ast import BinaryArith, ItemToken, Literal
 from gridlang.codec import (
     _PUNCT_CHARS,
-    TokenKind,
+    _TOKEN_RE,
+    _known_words,
+    _words,
     linearize,
     parse,
-    tokenize,
 )
 from gridlang.grammar import GrammarSpec, grammar_from_text, render_ebnf
 from gridlang.metrics import (
@@ -359,22 +367,29 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
     """Pull candidate code out of a chatty answer.
 
     Preference order: last fenced code block, then the longest trailing
-    run of tokens the grammar knows, then the whole text.  Extraction
-    never fails; hopeless text simply fails to parse downstream.
+    run of words the grammar knows, then the whole text.  Extraction
+    never fails; hopeless text simply fails to parse downstream.  The run
+    is found on a plain word list, each distinct word classified once and
+    the list scanned backward, with no token objects.
     """
     fences = _fenced_blocks(raw)
     if fences:
         return fences[-1].strip("\n")
-    # the trailing run starts after the last mark no known token contains,
-    # so only the text after it is tokenized
+    # the trailing run starts after the last mark no known word contains,
+    # so only the text after it is split
     tail = len(raw) - _code_chars(g).match(raw[::-1]).end()
-    tokens = tokenize(raw[tail:], g)
-    cut = len(tokens)
-    while cut and tokens[cut - 1].kind is not TokenKind.UNKNOWN:
-        cut -= 1
-    if cut == len(tokens) or (cut == 0 and tail == 0):
+    words = _words(raw, tail)
+    known = _known_words(words, g)
+    try:  # the run follows the last unknown word
+        cut = len(words) - indexOf(map(known.__getitem__, reversed(words)),
+                                   False)
+    except ValueError:  # every word is known
+        cut = 0
+    if cut == len(words) or (cut == 0 and tail == 0):
         return raw
-    return raw[tail + tokens[cut].start:]
+    # the run's first word is match ``cut`` of the plain split
+    start = next(islice(_TOKEN_RE.finditer(raw, tail), cut, None)).start()
+    return raw[start:]
 
 
 def _code_chars(g: GrammarSpec) -> re.Pattern:

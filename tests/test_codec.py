@@ -17,6 +17,7 @@ from gridlang.ast import (
     BinaryArith,
     BinaryBool,
     BoolOp,
+    CanonParseError,
     Grab,
     Holding,
     If,
@@ -363,6 +364,59 @@ class TestNestingLimit:
         opened = words[:info.value.position + 1]
         assert opened[-1] in "([{"
         assert bracket_depth("".join(opened)) == MAX_NESTING + 1
+
+    TOO_DEEP = f"at most {MAX_NESTING} nested brackets"
+
+    def test_megabyte_of_parens_rejected_at_the_first_too_deep(self):
+        text = "(" * 2 ** 20
+        for style in Style:
+            with pytest.raises(ParseError) as info:
+                parse(text, fixed_grammar(style))
+            assert (info.value.position, info.value.expected,
+                    info.value.found) == (100, self.TOO_DEEP, "'('")
+        with pytest.raises(CanonParseError) as info:
+            canon_parse(text)
+        assert info.value.position == 100
+        assert str(info.value) == \
+            f"at token 100: expected {self.TOO_DEEP}, found '('"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["(", "[", "{", ")", "]", "}", "(" * 30, "[{" * 15, "({[" * 10,
+         "x", "move", "7", " ", "\n  ", "\u00e9", "\U0001f600", "\ud800"]),
+        max_size=60))
+    def test_mixed_runs_rejected_at_the_first_word_too_deep(self, pieces):
+        # the reference counts depth word by word, as the parser did before
+        # it read depth from the bracket characters alone
+        text = "".join(pieces)
+        depth, first = 0, None
+        for position, word in enumerate(re.findall(r"[A-Za-z0-9_]+|\S",
+                                                   text)):
+            depth += (word in ("(", "[", "{")) - (word in (")", "]", "}"))
+            if depth > MAX_NESTING:
+                first = position, self.TOO_DEEP, repr(word)
+                break
+        for style in Style:
+            try:
+                parse(text, fixed_grammar(style))
+            except ParseError as err:
+                if first is None:
+                    assert err.expected != self.TOO_DEEP
+                else:
+                    assert (err.position, err.expected, err.found) == first
+            else:
+                assert first is None
+        try:
+            canon_parse(text)
+        except CanonParseError as err:
+            if first is None:
+                assert self.TOO_DEEP not in str(err)
+            else:
+                assert (err.position, str(err)) == (first[0], (
+                    f"at token {first[0]}: expected {first[1]}, "
+                    f"found {first[2]}"))
+        else:
+            assert first is None
 
 
 class TestGrammarDerivations:

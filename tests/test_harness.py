@@ -5,21 +5,30 @@ import dataclasses
 import gc
 import http.server
 import json
+import random
+import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlang.ast import (
     ITEM_VOCAB,
+    ActionStmt,
     BinaryArith,
     Grab,
     Holding,
+    Literal,
+    Loop,
+    Program,
+    Turn,
+    TurnDir,
     canon_parse,
     canon_serialize,
 )
-from gridlang import harness
+from gridlang import codec, harness
 from gridlang.codec import linearize, parse, tokenize
 from gridlang.grammar import (
     LexiconMode,
@@ -53,7 +62,7 @@ from gridlang.prompts import (
     MAIN_HEADER,
 )
 from gridlang.sampler import GenParams, generate_instance
-from gridlang.tasks import TaskKind, make_dataset
+from gridlang.tasks import TaskKind, make_dataset, perturb
 
 from conftest import (
     ALL_COMBOS,
@@ -220,6 +229,53 @@ class TestHugeAnswers:
         assert time.perf_counter() - start < 1.0
         assert not record.parsed_ok
 
+    MB = 2 ** 20
+
+    @classmethod
+    def _answer(cls, shape: str, inst) -> tuple[str, str]:
+        """A megabyte-sized answer of ``shape`` and the stage it fails at."""
+        g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+        if shape in ("{", "(", "x "):
+            return shape * (cls.MB // len(shape)), "syntax"
+        if shape == "word soup":  # the grammar's own words among alien ones
+            rng = random.Random(0)
+            vocabulary = sorted(g.terminals.values()) + sorted(build_grammar(
+                inst.style, LexiconMode.ALIEN, 1).terminals.values())
+            words, size = [], 0
+            while size < cls.MB:
+                words.append(rng.choice(vocabulary))
+                size += len(words[-1]) + 1
+            return " ".join(words), "syntax"
+        if shape == "trailing space":
+            return inst.gold_code + " " * cls.MB, "pass"
+        # the gold program repeated, then a 5**9-turn loop nest: it parses
+        # and runs past the step budget
+        body = parse(inst.gold_code, g).body
+        nest = ActionStmt(Turn(TurnDir.LEFT))
+        for _ in range(9):
+            nest = Loop(Literal(5), (nest,))
+        copies = cls.MB // (len(inst.gold_code) + 1)
+        return linearize(Program(body * copies + (nest,)), g), "behavior"
+
+    @pytest.mark.parametrize("shape", ["{", "(", "x ", "word soup",
+                                       "over budget", "trailing space"])
+    @pytest.mark.parametrize("kind", [TaskKind.GOAL, TaskKind.INSTRUCTION])
+    def test_score_instance_bounded_in_time_and_memory(self, shape, kind):
+        inst = _dataset(kind, n=2, style=Style.C)[0]
+        raw, stage = self._answer(shape, inst)
+        assert len(raw) >= self.MB
+        start = time.perf_counter()
+        assert score_instance(inst, raw).failure_stage == stage
+        assert time.perf_counter() - start < 1.5
+        gc.collect()
+        tracemalloc.start()
+        try:
+            score_instance(inst, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+
     @UNITS
     def test_label_search_within_a_second(self, unit):
         raw = unit * (2 ** 20 // len(unit))
@@ -251,6 +307,37 @@ class TestHugeAnswers:
             if enabled:
                 gc.enable()
         assert large < 20 * small
+
+
+class TestScoringMakesNoTokens:
+    """Scoring reads plain word lists; ``tokenize`` and its ``Token``
+    objects serve only ``perturb`` and the public API."""
+
+    @pytest.mark.parametrize("style", list(Style))
+    @pytest.mark.parametrize("kind", [TaskKind.GOAL, TaskKind.INSTRUCTION])
+    def test_score_instance_never_tokenizes(self, style, kind, monkeypatch):
+        inst = _dataset(kind, n=2, style=style)[0]
+        g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+        code = inst.gold_code
+        answers = {
+            "fenced": (f"Here you go.\n```\n{code}\n```", "pass"),
+            "prose then code": (f"The program is:\n{code}", "pass"),
+            "prose words then code": (f"Answer below\n{code}", "pass"),
+            "bare": (code, "pass"),
+            "perturbed": (perturb(code, g, random.Random(3))[0], "syntax"),
+            "all prose": ("I cannot write this program, sorry!", "syntax"),
+        }
+
+        def refuse(*args):
+            raise AssertionError("scoring made Token objects")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "gridlang" and \
+                    getattr(module, "tokenize", None) is codec.tokenize:
+                monkeypatch.setattr(module, "tokenize", refuse)
+        monkeypatch.setattr(codec, "_new_token", refuse)
+        for name, (raw, stage) in answers.items():
+            assert score_instance(inst, raw).failure_stage == stage, name
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
