@@ -11,7 +11,6 @@ from gridlang import (
     EndpointConfig,
     GenParams,
     LexiconMode,
-    MetricsTable,
     PromptConfig,
     Style,
     TaskKind,
@@ -24,13 +23,13 @@ params = GenParams(max_depth=5, seed=8, expr_depth=2)
 dataset = make_dataset(TaskKind.INSTRUCTION, 20, Style.BLOCK,
                        LexiconMode.NATURAL, params)
 
-table = MetricsTable()
+rows = []
 with tempfile.TemporaryDirectory() as cache:
     for scheme in ("perfect", "flatten"):
         cfg = EndpointConfig(base_url=f"mock://{scheme}",
                              model_id=f"mock-{scheme}")
         result = run_evaluation(dataset, cfg, PromptConfig(),
                                 cache_dir=cache)
-        table.add(f"mock-{scheme}", TaskKind.INSTRUCTION, result.metrics)
+        rows.append((f"mock-{scheme}", TaskKind.INSTRUCTION, result.metrics))
 
-print(render_report(table))
+print(render_report(rows))

@@ -49,7 +49,6 @@ from gridlang.harness import (
 from gridlang.metrics import (
     EvalRecord,
     Metrics,
-    MetricsTable,
     aggregate,
     render_csv,
     render_report,
@@ -92,8 +91,8 @@ __all__ = [
     "grammar_from_text", "render_ebnf",
     "EndpointConfig", "PromptConfig", "build_prompt", "extract_code",
     "run_evaluation",
-    "EvalRecord", "Metrics", "MetricsTable", "aggregate", "render_csv",
-    "render_report", "score_generation", "score_judgment",
+    "EvalRecord", "Metrics", "aggregate", "render_csv", "render_report",
+    "score_generation", "score_judgment",
     "GenParams", "ResampleLimitError", "generate_instance",
     "derive_seed",
     "PerturbCategory", "TaskInstance", "TaskKind", "make_dataset",

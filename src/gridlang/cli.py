@@ -29,7 +29,6 @@ from gridlang.harness import (
 )
 from gridlang.metrics import (
     Metrics,
-    MetricsTable,
     render_csv,
     render_long_csv,
     render_report,
@@ -47,14 +46,14 @@ from gridlang.tasks import (
 
 _MISSING = object()
 
-_SWEEP_AXES = ("depth", "p", "E", "shots", "style")
-# value domains mirror the stress-test ranges the datasets are meant to span
-_AXIS_PARSERS = {
-    "depth": int,
-    "p": float,
-    "E": int,
-    "shots": int,
-    "style": str,
+# axis -> (value parser, the GenParams field it sets, if any); value
+# domains mirror the stress-test ranges the datasets are meant to span
+_SWEEP_AXES = {
+    "depth": (int, "max_depth"),
+    "p": (float, "else_prob"),
+    "E": (int, "expr_depth"),
+    "shots": (int, None),
+    "style": (str, None),
 }
 
 
@@ -190,13 +189,12 @@ def _write_reports(out_dir: Path, model: str, kind: TaskKind,
                    metrics: Metrics, provenance: dict) -> str:
     """Write report.md and report.csv for one (model, task) cell; return
     the report text without its provenance section."""
-    table = MetricsTable()
-    table.add(model, kind, metrics)
-    report = render_report(table)
+    rows = [(model, kind, metrics)]
+    report = render_report(rows)
     (out_dir / "report.md").write_text(
         report + "\n## Provenance\n\n```json\n"
         + json.dumps(provenance, indent=2) + "\n```\n", encoding="utf-8")
-    csv_text = "# " + json.dumps(provenance) + "\n" + render_csv(table)
+    csv_text = "# " + json.dumps(provenance) + "\n" + render_csv(rows)
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
     return report
 
@@ -265,7 +263,7 @@ def cmd_score(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     axis = args.axis
-    parse_value = _AXIS_PARSERS[axis]
+    parse_value, field = _SWEEP_AXES[axis]
     values = [parse_value(v.strip()) for v in args.values.split(",") if
               v.strip()]
     if not values:
@@ -279,25 +277,16 @@ def cmd_sweep(args) -> int:
 
     def variant(value) -> tuple[Style, GenParams, PromptConfig]:
         """Apply one axis value on top of the shared base configuration."""
-        v_style, v_params, v_pc = style, base_params, base_pc
         if axis == "shots":
             # shots only changes the prompt; every value shares one dataset
             seed = derive_seed(base_params.seed, "sweep", axis, "base")
-            return v_style, replace(v_params, seed=seed), \
+            return style, replace(base_params, seed=seed), \
                 PromptConfig(shots=value, cot=base_pc.cot)
-        v_params = replace(
-            v_params, seed=derive_seed(base_params.seed, "sweep", axis,
-                                       str(value))
-        )
-        if axis == "depth":
-            v_params = replace(v_params, max_depth=value)
-        elif axis == "p":
-            v_params = replace(v_params, else_prob=value)
-        elif axis == "E":
-            v_params = replace(v_params, expr_depth=value)
-        elif axis == "style":
-            v_style = Style(value)
-        return v_style, v_params, v_pc
+        seed = derive_seed(base_params.seed, "sweep", axis, str(value))
+        params = replace(base_params, seed=seed)
+        if field is not None:
+            params = replace(params, **{field: value})
+        return Style(value) if axis == "style" else style, params, base_pc
 
     # the constructors refuse a bad value before any leaf is written
     variants = [(value, *variant(value)) for value in values]

@@ -210,8 +210,9 @@ def tokenize(text: str, g: GrammarSpec) -> list[Token]:
 
     Tokens are built column by column, each end the running sum of the
     lengths of the tokens and the space before them, so no match object
-    is made per token."""
-    spaced = _SPACED_TOKEN_RE.findall(text)
+    is made per token.  Trailing space is cut off first, as ``_words``
+    does."""
+    spaced = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
     words = list(map(str.lstrip, spaced))
     ends = list(accumulate(map(len, spaced)))
     kinds, roles = {}, {}

@@ -62,6 +62,7 @@ from gridlang.metrics import (
     aggregate,
     score_generation,
     score_judgment,
+    syntax_failure,
 )
 from gridlang import prompts
 from gridlang.sampler import generate_instance
@@ -166,6 +167,21 @@ class PromptConfig:
 # --- prompt construction -----------------------------------------------------
 
 
+# each task's fixed wording: (opener, task line, step-by-step directive,
+# direct directive)
+_WORDING = {
+    TaskKind.JUDGMENT: (prompts.JUDGMENT_OPENER, prompts.JUDGMENT_TASK_LINE,
+                        prompts.COT_JUDGMENT_DIRECTIVE,
+                        prompts.DIRECT_JUDGMENT_DIRECTIVE),
+    TaskKind.GOAL: (prompts.GENERATION_OPENER, prompts.GOAL_TASK_LINE,
+                    prompts.COT_CODE_DIRECTIVE, prompts.DIRECT_CODE_DIRECTIVE),
+    TaskKind.INSTRUCTION: (prompts.GENERATION_OPENER,
+                           prompts.INSTRUCTION_TASK_LINE,
+                           prompts.COT_CODE_DIRECTIVE,
+                           prompts.DIRECT_CODE_DIRECTIVE),
+}
+
+
 def build_prompt(inst: TaskInstance, pc: PromptConfig) -> str:
     """Assemble the full prompt; a pure function of (instance, config).
 
@@ -173,47 +189,23 @@ def build_prompt(inst: TaskInstance, pc: PromptConfig) -> str:
     from every dataset namespace, each with its own grammar, and show the
     same input sections followed by a worked answer.
     """
-    parts = [_opener(inst.kind)]
+    opener, task_line, cot_directive, direct_directive = _WORDING[inst.kind]
+    parts = [opener]
     for j in range(pc.shots):
         demo_input, demo_answer = _demo(inst, j)
-        parts.append("")
-        parts.append(prompts.DEMO_HEADER.format(index=j + 1))
-        parts.append(demo_input)
-        parts.append(prompts.DEMO_ANSWER_HEADER)
-        parts.append(demo_answer)
+        parts += ["", prompts.DEMO_HEADER.format(index=j + 1), demo_input,
+                  prompts.DEMO_ANSWER_HEADER, demo_answer]
     if pc.shots:
-        parts.append("")
-        parts.append(prompts.MAIN_HEADER)
-    parts.append(_input_section(inst))
-    parts.append("")
-    parts.append(_task_line(inst.kind))
-    parts.append(_directive(inst.kind, pc.cot))
+        parts += ["", prompts.MAIN_HEADER]
+    parts += [_input_section(inst, inst.grammar_text.rstrip("\n")), "",
+              task_line, cot_directive if pc.cot else direct_directive]
     return "\n".join(parts)
 
 
-def _opener(kind: TaskKind) -> str:
-    if kind is TaskKind.JUDGMENT:
-        return prompts.JUDGMENT_OPENER
-    return prompts.GENERATION_OPENER
-
-
-def _task_line(kind: TaskKind) -> str:
-    if kind is TaskKind.JUDGMENT:
-        return prompts.JUDGMENT_TASK_LINE
-    if kind is TaskKind.GOAL:
-        return prompts.GOAL_TASK_LINE
-    return prompts.INSTRUCTION_TASK_LINE
-
-
-def _directive(kind: TaskKind, cot: bool) -> str:
-    if kind is TaskKind.JUDGMENT:
-        return (prompts.COT_JUDGMENT_DIRECTIVE if cot
-                else prompts.DIRECT_JUDGMENT_DIRECTIVE)
-    return prompts.COT_CODE_DIRECTIVE if cot else prompts.DIRECT_CODE_DIRECTIVE
-
-
-def _input_section(inst: TaskInstance) -> str:
-    lines = [prompts.EBNF_HEADER, inst.grammar_text.rstrip("\n"), ""]
+def _input_section(inst: TaskInstance, ebnf: str) -> str:
+    """The EBNF section, then the task's input: the code to check, the
+    start and target states, or the instructions."""
+    lines = [prompts.EBNF_HEADER, ebnf, ""]
     if inst.kind is TaskKind.JUDGMENT:
         lines += [prompts.CANDIDATE_HEADER, inst.candidate]
     elif inst.kind is TaskKind.GOAL:
@@ -227,11 +219,13 @@ def _input_section(inst: TaskInstance) -> str:
 
 
 def _demo(inst: TaskInstance, j: int) -> tuple[str, str]:
+    """Demo ``j``'s input section and answer.  The input is shown as
+    ``inst`` with the demo's program in place of its own, so it keeps the
+    instance's start state."""
     params = replace(
         inst.params, seed=derive_seed(inst.params.seed, "demo", j)
     )
     g, code, tree = generate_instance(inst.style, inst.lexicon_mode, params)
-    ebnf = render_ebnf(g)
     if inst.kind is TaskKind.JUDGMENT:
         candidate, answer = code, "VALID"
         if j % 2:
@@ -241,22 +235,17 @@ def _demo(inst: TaskInstance, j: int) -> tuple[str, str]:
                 answer = "INVALID"
             except PerturbationError:
                 pass  # keep the valid demo; labels stay correct
-        body = "\n".join([prompts.EBNF_HEADER, ebnf, "",
-                          prompts.CANDIDATE_HEADER, candidate])
-        return body, answer
-    if inst.kind is TaskKind.GOAL:
-        result = exec_program(tree, inst.start_state)
-        assert isinstance(result, Final)
-        payload = prompts.STATE_LINE.format(
-            start=render_state(inst.start_state),
-            target=render_state(result.state),
-        )
-        body = "\n".join([prompts.EBNF_HEADER, ebnf, "", payload])
+        shown = replace(inst, candidate=candidate)
     else:
-        body = "\n".join([prompts.EBNF_HEADER, ebnf, "",
-                          prompts.INSTRUCTION_HEADER,
-                          render_instruction(tree)])
-    return body, f"```\n{code}\n```"
+        answer = f"```\n{code}\n```"
+        if inst.kind is TaskKind.GOAL:
+            result = exec_program(tree, inst.start_state)
+            assert isinstance(result, Final)
+            shown = replace(inst, target_state=result.state)
+        else:
+            shown = replace(inst, instruction=render_instruction(tree))
+    # the EBNF keeps its final newline here, unlike the instance's
+    return _input_section(shown, render_ebnf(g)), answer
 
 
 # --- transport ---------------------------------------------------------------
@@ -496,19 +485,12 @@ def score_answers(
     and its response hash.  Returns the records, their metrics and the
     rows written.
     """
-    kind = dataset_kind(dataset)
+    dataset_kind(dataset)  # a mixed set's records could not be aggregated
     records = []
     rows = []
     for inst, answer in zip(dataset, answers, strict=True):
         if isinstance(answer, HarnessError):
-            record = EvalRecord(
-                instance_id=inst.id,
-                parsed_ok=False,
-                behavioral_ok=None if kind is TaskKind.JUDGMENT else False,
-                semantic_ok=False if kind is TaskKind.INSTRUCTION else None,
-                failure_stage="syntax",
-                raw_answer=f"[endpoint error] {answer}",
-            )
+            record = syntax_failure(inst, f"[endpoint error] {answer}")
             row = record.to_dict()
         else:
             prompt_sha256, response = answer

@@ -4,11 +4,13 @@ Each model answer is judged on up to three nested layers: does it parse
 (syntax), does it reach the gold final state (behavior), and is it the
 same tree as the gold program (semantics).  The layers strictly contain
 one another, so every record satisfies semantic => behavioral => parsed;
-aggregation re-asserts the containment on raw counts.
+aggregation re-asserts the containment on raw counts.  An answer that
+did not parse, or never arrived, fails every layer its task defines.
 
 Aggregate rates are percentages with one decimal.  The conditional rates
 CBER and CSCR divide by the parsed count and are undefined (rendered
-``--``) when nothing parsed.
+``--``) when nothing parsed.  ``render_report`` and ``render_csv`` take
+plain ``(model, task, metrics)`` rows.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ __all__ = [
     "STAGES",
     "EvalRecord",
     "Metrics",
-    "MetricsTable",
     "score_judgment",
     "score_generation",
+    "syntax_failure",
     "aggregate",
     "format_rate",
     "render_report",
@@ -78,17 +80,6 @@ class EvalRecord:
         }
 
 
-def _stage(parsed: bool, behavioral: bool | None,
-           semantic: bool | None) -> str:
-    if not parsed:
-        return "syntax"
-    if behavioral is False:
-        return "behavior"
-    if semantic is False:
-        return "semantics"
-    return "pass"
-
-
 def score_judgment(answer: str, gold: str, instance_id: str = "") -> EvalRecord:
     """Compare the answer's final VALID/INVALID word against the gold label.
 
@@ -124,22 +115,14 @@ def score_generation(
     if inst.kind is TaskKind.JUDGMENT:
         raise ValueError("judgment answers are scored by score_judgment")
     raw = answer_code if raw_answer is None else raw_answer
-    has_semantics = inst.kind is TaskKind.INSTRUCTION
     try:
         tree = parse(answer_code, g)
     except ParseError:
-        return EvalRecord(
-            instance_id=inst.id,
-            parsed_ok=False,
-            behavioral_ok=False,
-            semantic_ok=False if has_semantics else None,
-            failure_stage="syntax",
-            raw_answer=raw,
-        )
+        return syntax_failure(inst, raw)
     result = exec_program(tree, inst.start_state, budget)
     behavioral = isinstance(result, Final) and result.state == inst.target_state
     semantic = None
-    if has_semantics:
+    if inst.kind is TaskKind.INSTRUCTION:
         # the stored text is canonical, so equal text settles most answers;
         # a parse still accepts an equal tree spelled otherwise
         semantic = (canon_serialize(tree) == inst.gold_ast
@@ -149,7 +132,21 @@ def score_generation(
         parsed_ok=True,
         behavioral_ok=behavioral,
         semantic_ok=semantic,
-        failure_stage=_stage(True, behavioral, semantic),
+        failure_stage=("behavior" if not behavioral else
+                       "semantics" if semantic is False else "pass"),
+        raw_answer=raw,
+    )
+
+
+def syntax_failure(inst: TaskInstance, raw: str) -> EvalRecord:
+    """The record of an answer that did not parse or never arrived: it
+    fails every layer the instance's task defines."""
+    return EvalRecord(
+        instance_id=inst.id,
+        parsed_ok=False,
+        behavioral_ok=None if inst.kind is TaskKind.JUDGMENT else False,
+        semantic_ok=False if inst.kind is TaskKind.INSTRUCTION else None,
+        failure_stage="syntax",
         raw_answer=raw,
     )
 
@@ -210,76 +207,55 @@ def aggregate(records: Sequence[EvalRecord]) -> Metrics:
     )
 
 
-class MetricsTable:
-    """Ordered (model, task) -> Metrics mapping feeding the reports."""
-
-    def __init__(self) -> None:
-        self._rows: dict[tuple[str, str], Metrics] = {}
-
-    def add(self, model: str, kind: TaskKind, metrics: Metrics) -> None:
-        self._rows[(model, kind.value)] = metrics
-
-    def get(self, model: str, kind: TaskKind) -> Metrics:
-        return self._rows[(model, kind.value)]
-
-    def rows(self) -> list[tuple[str, str, Metrics]]:
-        return [(m, t, v) for (m, t), v in self._rows.items()]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 def format_rate(value: float | None) -> str:
     return "--" if value is None else f"{value:.1f}"
 
 
-_TASK_TITLES = {
-    "judgment": "Task 1: grammaticality judgment",
-    "goal": "Task 2: goal-conditioned generation",
-    "instruction": "Task 3: instruction-to-code",
-}
-
-_TASK_COLUMNS = {
-    "judgment": ("svr",),
-    "goal": ("svr", "ber", "cber"),
-    "instruction": ("svr", "ber", "scr", "cber", "cscr"),
+# each task's report section: (title, the columns its layers define)
+_TASK_SECTIONS = {
+    TaskKind.JUDGMENT: ("Task 1: grammaticality judgment", ("svr",)),
+    TaskKind.GOAL: ("Task 2: goal-conditioned generation",
+                    ("svr", "ber", "cber")),
+    TaskKind.INSTRUCTION: ("Task 3: instruction-to-code",
+                           ("svr", "ber", "scr", "cber", "cscr")),
 }
 
 
-def render_report(table: MetricsTable) -> str:
-    """Markdown report, one section per task with its applicable columns."""
-    if not len(table):
+def render_report(rows: Sequence[tuple[str, TaskKind, Metrics]]) -> str:
+    """Markdown report of (model, task, metrics) rows: one section per
+    task with its applicable columns, rows in their given order."""
+    if not rows:
         raise ValueError("no metrics to report")
     lines = ["# Evaluation report"]
-    for task in ("judgment", "goal", "instruction"):
-        rows = [(m, v) for m, t, v in table.rows() if t == task]
-        if not rows:
+    for kind, (title, cols) in _TASK_SECTIONS.items():
+        section = [(m, v) for m, k, v in rows if k is kind]
+        if not section:
             continue
-        cols = _TASK_COLUMNS[task]
         lines.append("")
-        lines.append(f"## {_TASK_TITLES[task]}")
+        lines.append(f"## {title}")
         lines.append("")
         lines.append("| model | n | " + " | ".join(c.upper() for c in cols)
                      + " |")
         lines.append("|" + " --- |" * (len(cols) + 2))
-        for model, metrics in rows:
+        for model, metrics in section:
             cells = [format_rate(getattr(metrics, c)) for c in cols]
             lines.append(f"| {model} | {metrics.n} | " + " | ".join(cells)
                          + " |")
     return "\n".join(lines) + "\n"
 
 
-def render_csv(table: MetricsTable) -> str:
-    """One row per (model, task); inapplicable cells hold ``--``."""
-    if not len(table):
+def render_csv(rows: Sequence[tuple[str, TaskKind, Metrics]]) -> str:
+    """One line per (model, task, metrics) row, in order; inapplicable
+    cells hold ``--``."""
+    if not rows:
         raise ValueError("no metrics to report")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["model", "task", "n", "svr", "ber", "scr", "cber",
                      "cscr"])
-    for model, task, m in table.rows():
+    for model, kind, m in rows:
         writer.writerow([
-            model, task, m.n, format_rate(m.svr), format_rate(m.ber),
+            model, kind.value, m.n, format_rate(m.svr), format_rate(m.ber),
             format_rate(m.scr), format_rate(m.cber), format_rate(m.cscr),
         ])
     return out.getvalue()

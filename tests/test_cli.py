@@ -10,6 +10,7 @@ import pytest
 
 import gridlang
 from gridlang.cli import build_parser, main
+from gridlang.seeding import derive_seed
 from gridlang.tasks import DATASET_FORMAT, read_dataset_config
 
 
@@ -347,6 +348,32 @@ class TestSweep:
             assert header["_config"]["axis"] == "depth"
             assert header["_config"]["value"] == value
             assert header["_config"]["params"]["D"] == value
+
+    @pytest.mark.parametrize("axis,values", [
+        ("p", (0.2, 0.9)), ("style", ("block", "sexpr")),
+    ])
+    def test_leaf_config_is_the_base_with_the_swept_value(self, tmp_path,
+                                                          axis, values):
+        base = ("--task", "goal", "--n", "2", "--depth", "3", "--p", "0.4",
+                "--E", "1", "--max-block", "2", "--style", "c",
+                "--lexicon", "alien", "--seed", "3")
+        assert _run("gen", *base, "--out", str(tmp_path / "base.jsonl")) == 0
+        out_dir = tmp_path / "sweep"
+        rc = _run("sweep", *base, "--axis", axis,
+                  "--values", ",".join(map(str, values)),
+                  "--out-dir", str(out_dir))
+        assert rc == 0
+        for value in values:
+            expected = read_dataset_config(tmp_path / "base.jsonl")
+            expected.update(command="sweep", axis=axis, value=value)
+            expected["params"]["seed"] = derive_seed(3, "sweep", axis,
+                                                     str(value))
+            if axis == "p":
+                expected["params"]["p"] = value
+            else:
+                expected["style"] = value
+            leaf = out_dir / f"{axis}-{value}" / "dataset.jsonl"
+            assert read_dataset_config(leaf) == expected
 
     def test_sweep_with_mock_eval_writes_long_csv(self, tmp_path):
         out_dir = tmp_path / "sweep"

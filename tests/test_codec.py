@@ -5,6 +5,7 @@ import gc
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,15 @@ class TestTokenizer:
         assert tokenize("", BLOCK_G) == []
         assert [t.kind for t in tokenize("@#%", BLOCK_G)] == [
             TokenKind.UNKNOWN] * 3
+
+    def test_trailing_space_costs_linear_time(self):
+        # a search retried at each character of the run is quadratic in
+        # its length: seconds for a few thousand characters
+        text = BLOCK_SURFACE + " \t\n" * 6667
+        start = time.perf_counter()
+        tokens = tokenize(text, BLOCK_G)
+        assert time.perf_counter() - start < 0.5
+        assert tokens == tokenize(text.rstrip(), BLOCK_G)
 
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.sampled_from([

@@ -19,7 +19,6 @@ from gridlang.grammar import (
 from gridlang.metrics import (
     EvalRecord,
     Metrics,
-    MetricsTable,
     aggregate,
     format_rate,
     render_csv,
@@ -328,8 +327,7 @@ class TestAggregation:
 
 
 class TestRendering:
-    def _table(self):
-        table = MetricsTable()
+    def _rows(self):
         judgment = aggregate([
             EvalRecord("a", True, None, None, "pass", "VALID"),
             EvalRecord("b", False, None, None, "syntax", "nope"),
@@ -342,10 +340,9 @@ class TestRendering:
             EvalRecord("e", True, True, True, "pass", "x"),
             EvalRecord("f", True, True, False, "semantics", "y"),
         ])
-        table.add("model-x", TaskKind.JUDGMENT, judgment)
-        table.add("model-x", TaskKind.GOAL, goal)
-        table.add("model-x", TaskKind.INSTRUCTION, instruction)
-        return table
+        return [("model-x", TaskKind.JUDGMENT, judgment),
+                ("model-x", TaskKind.GOAL, goal),
+                ("model-x", TaskKind.INSTRUCTION, instruction)]
 
     def test_format_rate(self):
         assert format_rate(None) == "--"
@@ -353,7 +350,7 @@ class TestRendering:
         assert format_rate(87.6) == "87.6"
 
     def test_report_sections_and_cells(self):
-        report = render_report(self._table())
+        report = render_report(self._rows())
         assert "## Task 1" in report
         assert "## Task 2" in report
         assert "## Task 3" in report
@@ -363,16 +360,24 @@ class TestRendering:
         assert "SCR" not in goal_section
         assert "CBER" in goal_section
 
+    def test_sections_in_task_order_rows_in_given_order(self):
+        rows = self._rows()[::-1] + [("model-y", TaskKind.GOAL,
+                                      self._rows()[1][2])]
+        report = render_report(rows)
+        assert (report.index("## Task 1") < report.index("## Task 2")
+                < report.index("## Task 3"))
+        goal_section = report.split("## Task 2")[1].split("##")[0]
+        assert goal_section.index("| model-x |") < \
+            goal_section.index("| model-y |")
+
     def test_report_skips_absent_tasks(self):
-        table = MetricsTable()
-        table.add("m", TaskKind.GOAL, aggregate([
-            EvalRecord("a", True, True, None, "pass", "x")]))
-        report = render_report(table)
+        report = render_report([("m", TaskKind.GOAL, aggregate([
+            EvalRecord("a", True, True, None, "pass", "x")]))])
         assert "## Task 2" in report
         assert "## Task 1" not in report and "## Task 3" not in report
 
     def test_csv_one_row_per_model_task(self):
-        csv_text = render_csv(self._table())
+        csv_text = render_csv(self._rows())
         lines = csv_text.strip().splitlines()
         assert lines[0] == "model,task,n,svr,ber,scr,cber,cscr"
         assert len(lines) == 4
@@ -383,9 +388,9 @@ class TestRendering:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            render_report(MetricsTable())
+            render_report([])
         with pytest.raises(ValueError):
-            render_csv(MetricsTable())
+            render_csv([])
 
     def test_long_csv(self):
         m = aggregate([EvalRecord("a", True, True, None, "pass", "x")])
