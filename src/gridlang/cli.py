@@ -2,10 +2,11 @@
 
 Option precedence is flags over config file over defaults.  The config
 file is plain ``key = value`` lines (``#`` comments allowed) using the
-flag names.  Every artifact embeds the effective configuration it was
-produced from, so a file is reproducible from its own header; nothing is
-timestamped.  The exit status is nonzero exactly when an operation
-errored; metric values never affect it.
+flag names of any subcommand; a key that names no flag is refused.
+Every artifact embeds the effective configuration it was produced from,
+so a file is reproducible from its own header; nothing is timestamped.
+The exit status is nonzero exactly when an operation errored; metric
+values never affect it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from gridlang.grammar import LexiconMode, Style
@@ -44,19 +45,6 @@ from gridlang.tasks import (
     write_dataset,
 )
 
-_MISSING = object()
-
-# axis -> (value parser, the GenParams field it sets, if any); value
-# domains mirror the stress-test ranges the datasets are meant to span
-_SWEEP_AXES = {
-    "depth": (int, "max_depth"),
-    "p": (float, "else_prob"),
-    "E": (int, "expr_depth"),
-    "shots": (int, None),
-    "style": (str, None),
-}
-
-
 class CliError(ValueError):
     pass
 
@@ -73,7 +61,12 @@ def _load_config(path: str | None) -> dict[str, str]:
             if "=" not in text:
                 raise CliError(f"{path}:{line_no}: expected key = value")
             key, _, value = text.partition("=")
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            # a key of another subcommand is allowed, so one file serves all
+            if key not in _OPTIONS:
+                raise CliError(f"{path}:{line_no}: no option is named "
+                               f"{key!r}")
+            config[key] = value.strip()
     return config
 
 
@@ -86,54 +79,39 @@ def _parse_bool(text: str) -> bool:
     raise CliError(f"expected a boolean, got {text!r}")
 
 
-def _resolve(args, config: dict, name: str, convert, default=_MISSING):
-    """flags > config file > default; _MISSING default means required."""
+def _parser_of(options: dict):
+    """How a flag's row reads a value given as text."""
+    return _parse_bool if "action" in options else options.get("type", str)
+
+
+def _resolve(args, config: dict, name: str, default=MISSING):
+    """flags > config file > default; a MISSING default means required.
+    A config value is read as the flag's own row reads it."""
     value = getattr(args, name)
     if value is not None:
         return value
     if name in config:
-        raw = config[name]
-        return _parse_bool(raw) if convert is bool else convert(raw)
-    if default is _MISSING:
+        return _parser_of(_OPTIONS[name])(config[name])
+    if default is MISSING:
         raise CliError(f"missing required option --{name.replace('_', '-')}")
     return default
 
 
+def _settings(cls, args, config, flags):
+    """A ``cls`` from the rows of ``flags`` that name one of its fields;
+    a field that no flag or config key sets keeps its default."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return cls(**{field: _resolve(args, config, _dest(flag), defaults[field])
+                  for flag, _options, field in flags if field in defaults})
+
+
 def _gen_settings(args, config):
-    kind = TaskKind(_resolve(args, config, "task", str))
-    n = _resolve(args, config, "n", int)
-    style = Style(_resolve(args, config, "style", str, "block"))
-    mode = LexiconMode(_resolve(args, config, "lexicon", str, "natural"))
-    params = GenParams(
-        max_depth=_resolve(args, config, "depth", int, 10),
-        else_prob=_resolve(args, config, "p", float, 0.5),
-        expr_depth=_resolve(args, config, "E", int, 2),
-        max_block=_resolve(args, config, "max_block", int, 3),
-        seed=_resolve(args, config, "seed", int, 0),
-    )
+    kind = TaskKind(_resolve(args, config, "task"))
+    n = _resolve(args, config, "n")
+    style = Style(_resolve(args, config, "style", "block"))
+    mode = LexiconMode(_resolve(args, config, "lexicon", "natural"))
+    params = _settings(GenParams, args, config, _GEN_FLAGS)
     return kind, n, style, mode, params
-
-
-def _endpoint_settings(args, config) -> EndpointConfig:
-    return EndpointConfig(
-        base_url=_resolve(args, config, "base_url", str),
-        model_id=_resolve(args, config, "model", str),
-        auth_token_env_var=_resolve(args, config, "auth_env", str,
-                                    "GRIDLANG_API_TOKEN"),
-        temperature=_resolve(args, config, "temperature", float, 0.0),
-        max_tokens=_resolve(args, config, "max_tokens", int, 4096),
-        timeout=_resolve(args, config, "timeout", float, 60.0),
-        max_retries=_resolve(args, config, "max_retries", int, 3),
-        parallelism=_resolve(args, config, "parallelism", int, 4),
-        retry_backoff=_resolve(args, config, "retry_backoff", float, 0.5),
-    )
-
-
-def _prompt_settings(args, config) -> PromptConfig:
-    return PromptConfig(
-        shots=_resolve(args, config, "shots", int, 0),
-        cot=_resolve(args, config, "cot", bool, True),
-    )
 
 
 # --- gen ---------------------------------------------------------------------
@@ -173,7 +151,7 @@ def _print_gen_summary(instances: list[TaskInstance]) -> None:
 def cmd_gen(args) -> int:
     config = _load_config(args.config)
     kind, n, style, mode, params = _gen_settings(args, config)
-    out = Path(_resolve(args, config, "out", str))
+    out = Path(_resolve(args, config, "out"))
     instances = make_dataset(kind, n, style, mode, params)
     write_dataset(instances, out,
                   config=_gen_provenance(kind, n, style, mode, params))
@@ -203,10 +181,10 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     dataset = read_dataset(args.dataset)
     kind = dataset_kind(dataset)
-    endpoint = _endpoint_settings(args, config)
-    pc = _prompt_settings(args, config)
-    out_dir = Path(_resolve(args, config, "out_dir", str))
-    cache_dir = _resolve(args, config, "cache_dir", str, "cache")
+    endpoint = _settings(EndpointConfig, args, config, _ENDPOINT_FLAGS)
+    pc = _settings(PromptConfig, args, config, _ENDPOINT_FLAGS)
+    out_dir = Path(_resolve(args, config, "out_dir"))
+    cache_dir = _resolve(args, config, "cache_dir", "cache")
     provenance = {
         "command": "eval",
         "dataset": str(args.dataset),
@@ -221,7 +199,7 @@ def cmd_eval(args) -> int:
         dataset, endpoint, pc,
         cache_dir=cache_dir,
         out_dir=out_dir,
-        permissive=args.permissive,
+        permissive=_resolve(args, config, "permissive", False),
         provenance=provenance,
     )
     print(_write_reports(out_dir, endpoint.model_id, kind, result.metrics,
@@ -236,14 +214,14 @@ def cmd_score(args) -> int:
     dataset = read_dataset(args.dataset)
     kind = dataset_kind(dataset)
     responses = read_responses(args.responses)
-    out_dir = Path(_resolve(args, config, "out_dir", str))
+    out_dir = Path(_resolve(args, config, "out_dir"))
     answers = []
     for inst in dataset:
         if inst.id not in responses:
             raise CliError(f"no captured response for instance {inst.id}")
         row = responses[inst.id]
         answers.append((row.get("prompt_sha256"), row["response"]))
-    model = _resolve(args, config, "model", str, "captured")
+    model = _resolve(args, config, "model", "captured")
     provenance = {
         "command": "score",
         "dataset": str(args.dataset),
@@ -263,30 +241,29 @@ def cmd_score(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     axis = args.axis
-    parse_value, field = _SWEEP_AXES[axis]
+    parse_value = _parser_of(_OPTIONS[axis])
     values = [parse_value(v.strip()) for v in args.values.split(",") if
               v.strip()]
     if not values:
         raise CliError("no sweep values given")
-    kind, n, style, mode, base_params = _gen_settings(args, config)
-    out_dir = Path(_resolve(args, config, "out_dir", str))
-    cache_dir = _resolve(args, config, "cache_dir", str, "cache")
+    kind, n, _style, mode, _params = _gen_settings(args, config)
+    out_dir = Path(_resolve(args, config, "out_dir"))
+    cache_dir = _resolve(args, config, "cache_dir", "cache")
     evaluate = args.base_url is not None or "base_url" in config
-    endpoint = _endpoint_settings(args, config) if evaluate else None
-    base_pc = _prompt_settings(args, config)
+    endpoint = (_settings(EndpointConfig, args, config, _ENDPOINT_FLAGS)
+                if evaluate else None)
+    permissive = _resolve(args, config, "permissive", False)
 
     def variant(value) -> tuple[Style, GenParams, PromptConfig]:
-        """Apply one axis value on top of the shared base configuration."""
-        if axis == "shots":
-            # shots only changes the prompt; every value shares one dataset
-            seed = derive_seed(base_params.seed, "sweep", axis, "base")
-            return style, replace(base_params, seed=seed), \
-                PromptConfig(shots=value, cot=base_pc.cot)
-        seed = derive_seed(base_params.seed, "sweep", axis, str(value))
-        params = replace(base_params, seed=seed)
-        if field is not None:
-            params = replace(params, **{field: value})
-        return Style(value) if axis == "style" else style, params, base_pc
+        """The settings of the same flags with the axis flag set to
+        ``value``, and a seed derived for the leaf."""
+        leaf_args = argparse.Namespace(**{**vars(args), axis: value})
+        pc = _settings(PromptConfig, leaf_args, config, _ENDPOINT_FLAGS)
+        _kind, _n, style, _mode, params = _gen_settings(leaf_args, config)
+        # shots only changes the prompt; every value shares one dataset
+        tag = "base" if axis == "shots" else str(value)
+        seed = derive_seed(params.seed, "sweep", axis, tag)
+        return style, replace(params, seed=seed), pc
 
     # the constructors refuse a bad value before any leaf is written
     variants = [(value, *variant(value)) for value in values]
@@ -311,7 +288,7 @@ def cmd_sweep(args) -> int:
                 instances, endpoint, v_pc,
                 cache_dir=cache_dir,
                 out_dir=leaf,
-                permissive=args.permissive,
+                permissive=permissive,
                 provenance=provenance,
             )
             _write_reports(leaf, endpoint.model_id, kind, result.metrics,
@@ -328,67 +305,84 @@ def cmd_sweep(args) -> int:
 # --- argument wiring ---------------------------------------------------------
 
 
+# Each flag row: (flag, its argparse options, the settings field it sets or
+# None).  An unset flag reads None, so the config file can fill it.
 _GEN_FLAGS = (
-    ("--task", {"choices": [k.value for k in TaskKind]}),
-    ("--n", {"type": int}),
-    ("--depth", {"type": int}),
-    ("--p", {"type": float}),
-    ("--E", {"type": int}),
-    ("--max-block", {"type": int}),
-    ("--style", {"choices": [s.value for s in Style]}),
-    ("--lexicon", {"choices": [m.value for m in LexiconMode]}),
-    ("--seed", {"type": int}),
+    ("--task", {"choices": [k.value for k in TaskKind]}, None),
+    ("--n", {"type": int}, None),
+    ("--depth", {"type": int}, "max_depth"),
+    ("--p", {"type": float}, "else_prob"),
+    ("--E", {"type": int}, "expr_depth"),
+    ("--max-block", {"type": int}, "max_block"),
+    ("--style", {"choices": [s.value for s in Style]}, None),
+    ("--lexicon", {"choices": [m.value for m in LexiconMode]}, None),
+    ("--seed", {"type": int}, "seed"),
 )
 
 _ENDPOINT_FLAGS = (
-    ("--base-url", {}),
-    ("--model", {}),
-    ("--auth-env", {}),
-    ("--temperature", {"type": float}),
-    ("--max-tokens", {"type": int}),
-    ("--timeout", {"type": float}),
-    ("--max-retries", {"type": int}),
-    ("--parallelism", {"type": int}),
-    ("--retry-backoff", {"type": float}),
-    ("--shots", {"type": int}),
-    ("--cot", {"action": argparse.BooleanOptionalAction, "default": None}),
-    ("--cache-dir", {}),
-    ("--permissive", {"action": "store_true"}),
+    ("--base-url", {}, "base_url"),
+    ("--model", {}, "model_id"),
+    ("--auth-env", {}, "auth_token_env_var"),
+    ("--temperature", {"type": float}, "temperature"),
+    ("--max-tokens", {"type": int}, "max_tokens"),
+    ("--timeout", {"type": float}, "timeout"),
+    ("--max-retries", {"type": int}, "max_retries"),
+    ("--parallelism", {"type": int}, "parallelism"),
+    ("--retry-backoff", {"type": float}, "retry_backoff"),
+    ("--shots", {"type": int}, "shots"),
+    ("--cot", {"action": argparse.BooleanOptionalAction, "default": None},
+     "cot"),
+    ("--cache-dir", {}, None),
+    ("--permissive", {"action": "store_true", "default": None}, None),
 )
 
-# subcommand -> (help, its flags in help order, handler); a flag's dest is
-# its name with dashes as underscores
+# the flags a sweep can vary; value domains mirror the stress-test ranges
+# the datasets are meant to span
+_SWEEP_AXES = ("depth", "p", "E", "shots", "style")
+
+# subcommand -> (help, its flag rows in help order, handler)
 _SUBCOMMANDS = {
     "gen": (
         "generate a dataset file",
-        _GEN_FLAGS + (("--out", {}), ("--config", {})),
+        _GEN_FLAGS + (("--out", {}, None), ("--config", {}, None)),
         cmd_gen,
     ),
     "sweep": (
         "generate (and optionally evaluate) a dataset family "
         "along one axis",
         _GEN_FLAGS + (
-            ("--axis", {"choices": _SWEEP_AXES, "required": True}),
+            ("--axis", {"choices": _SWEEP_AXES, "required": True}, None),
             ("--values", {"required": True,
-                          "help": "comma-separated axis values"}),
-            ("--out-dir", {}),
-        ) + _ENDPOINT_FLAGS + (("--config", {}),),
+                          "help": "comma-separated axis values"}, None),
+            ("--out-dir", {}, None),
+        ) + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_sweep,
     ),
     "eval": (
         "run a model over a dataset",
-        (("--dataset", {"required": True}), ("--out-dir", {}))
-        + _ENDPOINT_FLAGS + (("--config", {}),),
+        (("--dataset", {"required": True}, None), ("--out-dir", {}, None))
+        + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_eval,
     ),
     "score": (
         "re-score captured responses without network",
-        (("--dataset", {"required": True}),
-         ("--responses", {"required": True}),
-         ("--out-dir", {}), ("--model", {}), ("--config", {})),
+        (("--dataset", {"required": True}, None),
+         ("--responses", {"required": True}, None),
+         ("--out-dir", {}, None), ("--model", {}, None),
+         ("--config", {}, None)),
         cmd_score,
     ),
 }
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# every flag's dest -> its argparse options; a config file may set any of
+# them
+_OPTIONS = {_dest(flag): options for _help, flags, _func in
+            _SUBCOMMANDS.values() for flag, options, _field in flags}
 
 
 def _parser(wired) -> argparse.ArgumentParser:
@@ -403,7 +397,7 @@ def _parser(wired) -> argparse.ArgumentParser:
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         if name in wired:
-            for flag, options in flags:
+            for flag, options, _field in flags:
                 sub.add_argument(flag, **options)
         sub.set_defaults(func=func)
     return parser

@@ -12,9 +12,10 @@ non-space character stands alone, so ``repeat(3+4)iters`` and
 grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
 whose pattern it matches in full.  ``tokenize`` returns one ``Token`` per
 word, with its kind and character span; it serves ``tasks.perturb`` and
-the public API.  Parsing and answer extraction (``harness.extract_code``)
-work on plain word lists instead, with each distinct word classified once,
-so scoring untrusted text makes no token objects.
+the public API.  Parsing and ``code_start``, which finds the code at the
+end of an answer for ``harness.extract_code``, work on plain word lists
+instead, with each distinct word classified once, so scoring untrusted
+text makes no token objects.
 
 The parser is one plain Python function per rule, generated from the
 style's rule table and compiled once at import: straight-line terminal
@@ -25,9 +26,8 @@ furthest token reached.  Before any word list is made, text nested deeper
 than ``MAX_NESTING`` brackets is rejected at the first token past that
 depth, found from the text's bracket characters alone, so recursion stays
 far from Python's limit and a megabyte of brackets costs milliseconds.
-Styled code is then split by one pattern that swallows the space before
-each word (faster on indented code); canonical text, single-spaced, by the
-plain word pattern.
+Text is then split by one pattern that swallows the space before each
+word.
 
 The linearizer is generated and compiled at import the same way: one plain
 function per AST class that returns its node's text as one f-string, with
@@ -94,7 +94,6 @@ __all__ = [
     "linearize",
 ]
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 _WORD_RE = re.compile(r"\s*([A-Za-z0-9_]+|\S)")  # swallows the space before
 _SPACED_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z0-9_]+|\S)")  # keeps it
 _PUNCT_CHARS = frozenset("[]{}();")
@@ -195,14 +194,40 @@ def _words(text: str, pos: int = 0) -> list[str]:
     return _WORD_RE.findall(text, pos, len(text.rstrip()))
 
 
-def _known_words(words: list[str], g: GrammarSpec) -> dict[str, bool]:
-    """Each distinct word -> whether ``g`` knows it: a bracket or separator
-    character, a bound terminal or a literal.  ``tokenize`` gives every
-    other word the kind ``UNKNOWN``."""
+def code_start(text: str, g: GrammarSpec) -> int:
+    """Where the longest trailing run of words ``g`` knows begins in
+    ``text``; 0 when the last word is unknown, there is no word, or the
+    run is all of ``text``.
+
+    A known word is a bracket or separator character, a bound terminal or
+    a literal; ``tokenize`` gives every other word the kind ``UNKNOWN``.
+    The run starts after the last mark no known word contains, so only
+    the text after it is split, each distinct word is classified once and
+    the list is scanned backward."""
+    tail = len(text) - _code_chars(g).match(text[::-1]).end()
+    words = _words(text, tail)
     symbols = _word_symbols(words, g.keyword_roles,
                             RULE_TABLES[g.style].classes)
-    return {word: sym is not None or word in _PUNCT_CHARS
-            for word, sym in symbols.items()}
+    known = {word: sym is not None or word in _PUNCT_CHARS
+             for word, sym in symbols.items()}
+    try:  # the run follows the last unknown word
+        cut = len(words) - indexOf(map(known.__getitem__, reversed(words)),
+                                   False)
+    except ValueError:  # every word is known
+        cut = 0
+    if cut == len(words) or (cut == 0 and tail == 0):
+        return 0
+    return next(islice(_WORD_RE.finditer(text, tail), cut, None)).start(1)
+
+
+def _code_chars(g: GrammarSpec) -> re.Pattern:
+    """A run of the characters known words and the space between them are
+    made of: word characters, brackets and the grammar's one-character
+    operators.  Any other character is an unknown word of its own.
+    (``re`` keeps the compiled pattern of each grammar's marks.)"""
+    marks = sorted(_PUNCT_CHARS.union(
+        word for word in g.keyword_roles if len(word) == 1))
+    return re.compile(r"[\sA-Za-z0-9_" + re.escape("".join(marks)) + "]*")
 
 
 def tokenize(text: str, g: GrammarSpec) -> list[Token]:
@@ -251,8 +276,8 @@ def parse(code: str, g: GrammarSpec) -> Program:
 
     The whole token stream must be consumed: trailing tokens reject.
     """
-    return _parse(code, _words, _PARSERS[g.style],
-                  RULE_TABLES[g.style].classes, g.keyword_roles, g.terminals)
+    return _parse(code, _PARSERS[g.style], RULE_TABLES[g.style].classes,
+                  g.keyword_roles, g.terminals)
 
 
 def parse_canonical(text: str) -> Program:
@@ -260,23 +285,21 @@ def parse_canonical(text: str) -> Program:
     if not isinstance(text, str):
         raise CanonParseError(0, f"expected text, found {type(text).__name__}")
     try:
-        # single-spaced text splits faster without swallowing the spaces
-        return _parse(text, _TOKEN_RE.findall, _CANON_PARSER,
-                      CANON_RULES.classes, _CANON_ROLES, CANON_TERMINALS)
+        return _parse(text, _CANON_PARSER, CANON_RULES.classes, _CANON_ROLES,
+                      CANON_TERMINALS)
     except ParseError as exc:
         raise CanonParseError(exc.position, f"expected {exc.expected}, "
                               f"found {exc.found}") from None
 
 
-def _parse(code: str, split: Callable, parse_words: Callable,
+def _parse(code: str, parse_words: Callable,
            classes: dict[str, re.Pattern], roles: dict[str, R],
            terminals: dict[R, str]) -> Program:
-    """Run a compiled parser over the words ``split`` makes of ``code``,
-    bound by ``roles`` and ``classes``; ``terminals`` spells an expected
-    role."""
+    """Run a compiled parser over the words of ``code``, bound by ``roles``
+    and ``classes``; ``terminals`` spells an expected role."""
     if code.count("(") + code.count("[") + code.count("{") > MAX_NESTING:
         _check_nesting(code)
-    words = split(code)
+    words = _words(code)
     symbols = _word_symbols(words, roles, classes)
     syms = list(map(symbols.__getitem__, words))
     syms.append(None)  # past the last word no terminal matches
@@ -308,7 +331,7 @@ def _check_nesting(code: str) -> None:
     except ValueError:
         return
     at = next(islice(_BRACKET_RE.finditer(code), k, None)).start()
-    raise ParseError(len(_TOKEN_RE.findall(code, 0, at)),
+    raise ParseError(len(_words(code[:at])),
                      f"at most {MAX_NESTING} nested brackets", repr(code[at]))
 
 

@@ -277,7 +277,6 @@ class GrammarSpec:
     style: Style
     mode: LexiconMode
     terminals: dict[TerminalRole, str]
-    seed: int
     keyword_roles: dict[str, TerminalRole] = field(
         init=False, repr=False, compare=False
     )
@@ -348,7 +347,7 @@ def build_grammar(style: Style, mode: LexiconMode, seed: int) -> GrammarSpec:
     """Deterministically synthesize a grammar from (style, mode, seed)."""
     rng = random.Random(seed)
     terminals = map_lexicon(mode, style, rng)
-    return GrammarSpec(style=style, mode=mode, terminals=terminals, seed=seed)
+    return GrammarSpec(style=style, mode=mode, terminals=terminals)
 
 
 def render_ebnf(g: GrammarSpec) -> str:
@@ -368,9 +367,8 @@ def render_ebnf(g: GrammarSpec) -> str:
 _TERMINAL_LINE_RE = re.compile(r"([A-Z_]+): \"(.+)\"\Z")
 
 
-def grammar_from_text(
-    style: Style, mode: LexiconMode, text: str, seed: int = 0
-) -> GrammarSpec:
+def grammar_from_text(style: Style, mode: LexiconMode,
+                      text: str) -> GrammarSpec:
     """Rebuild a GrammarSpec from rendered grammar text.
 
     Inverse of render_ebnf; used when scoring a stored dataset record
@@ -384,7 +382,7 @@ def grammar_from_text(
         m = _TERMINAL_LINE_RE.match(line.strip())
         if m and m.group(1) in _ROLE_NAMES:
             terminals[TerminalRole(m.group(1))] = m.group(2)
-    g = GrammarSpec(style=style, mode=mode, terminals=terminals, seed=seed)
+    g = GrammarSpec(style=style, mode=mode, terminals=terminals)
     if render_ebnf(g) != text:
         raise ValueError(f"not the rendered {style.value} grammar text")
     return g

@@ -42,19 +42,10 @@ import urllib.error
 import urllib.request
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import islice
-from operator import indexOf
 from pathlib import Path
 
 from gridlang.ast import BinaryArith, ItemToken, Literal
-from gridlang.codec import (
-    _PUNCT_CHARS,
-    _TOKEN_RE,
-    _known_words,
-    _words,
-    linearize,
-    parse,
-)
+from gridlang.codec import code_start, linearize, parse
 from gridlang.grammar import GrammarSpec, grammar_from_text, render_ebnf
 from gridlang.metrics import (
     EvalRecord,
@@ -356,39 +347,14 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
     """Pull candidate code out of a chatty answer.
 
     Preference order: last fenced code block, then the longest trailing
-    run of words the grammar knows, then the whole text.  Extraction
-    never fails; hopeless text simply fails to parse downstream.  The run
-    is found on a plain word list, each distinct word classified once and
-    the list scanned backward, with no token objects.
+    run of words the grammar knows (``codec.code_start``), then the whole
+    text.  Extraction never fails; hopeless text simply fails to parse
+    downstream.
     """
     fences = _fenced_blocks(raw)
     if fences:
         return fences[-1].strip("\n")
-    # the trailing run starts after the last mark no known word contains,
-    # so only the text after it is split
-    tail = len(raw) - _code_chars(g).match(raw[::-1]).end()
-    words = _words(raw, tail)
-    known = _known_words(words, g)
-    try:  # the run follows the last unknown word
-        cut = len(words) - indexOf(map(known.__getitem__, reversed(words)),
-                                   False)
-    except ValueError:  # every word is known
-        cut = 0
-    if cut == len(words) or (cut == 0 and tail == 0):
-        return raw
-    # the run's first word is match ``cut`` of the plain split
-    start = next(islice(_TOKEN_RE.finditer(raw, tail), cut, None)).start()
-    return raw[start:]
-
-
-def _code_chars(g: GrammarSpec) -> re.Pattern:
-    """A run of the characters known tokens and the space between them are
-    made of: word characters, brackets and the grammar's one-character
-    operators.  Any other character is an unknown token of its own.
-    (``re`` keeps the compiled pattern of each grammar's marks.)"""
-    marks = sorted(_PUNCT_CHARS.union(
-        word for word in g.keyword_roles if len(word) == 1))
-    return re.compile(r"[\sA-Za-z0-9_" + re.escape("".join(marks)) + "]*")
+    return raw[code_start(raw, g):]
 
 
 # --- mock models -------------------------------------------------------------
@@ -645,9 +611,9 @@ def read_responses(path: str | Path) -> dict[str, dict]:
     """Load a captured responses file as an instance_id -> row map.
 
     Each row keeps at least the response text plus any hashes recorded at
-    capture time; a leading provenance line is skipped, and an instance_id
-    that repeats, or a prompt_sha256 that is no sha256 hex digest, is
-    refused.
+    capture time; a provenance line is skipped on line 1 only, as
+    ``read_dataset`` does, and refused anywhere else.  An instance_id that
+    repeats, or a prompt_sha256 that is no sha256 hex digest, is refused.
     """
     responses = {}
     with open(path, encoding="utf-8") as handle:
@@ -663,7 +629,10 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                 raise ValueError(f"line {line_no}: responses row is not a "
                                  f"JSON object")
             if set(row) == {"_config"}:
-                continue
+                if line_no == 1:
+                    continue
+                raise ValueError(f"line {line_no}: a _config line must be "
+                                 f"the first line")
             if not (isinstance(row.get("instance_id"), str)
                     and isinstance(row.get("response"), str)):
                 raise ValueError(

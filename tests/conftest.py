@@ -49,7 +49,6 @@ from gridlang.codec import (
     _MAKERS,
     _NESTING_STEP,
     _NODES,
-    _TOKEN_RE,
     ParseError,
     TokenKind,
     _group,
@@ -103,7 +102,7 @@ def fixed_terminals(style: Style, **overrides: str) -> dict:
 
 def fixed_grammar(style: Style = Style.BLOCK, **overrides: str) -> GrammarSpec:
     return GrammarSpec(style, LexiconMode.NATURAL,
-                       fixed_terminals(style, **overrides), seed=0)
+                       fixed_terminals(style, **overrides))
 
 
 def iter_statements(program: Program):
@@ -269,6 +268,10 @@ _ORACLE_RULES = {style: _oracle_rules(table)
                  for style, table in RULE_TABLES.items()}
 
 
+# word characters clump, every other non-space character stands alone
+_ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_]+|[^A-Za-z0-9_\s]")
+
+
 def oracle_parse(code: str, g: GrammarSpec) -> Program:
     """Reference parser: interprets the rule table one item at a time.
 
@@ -276,7 +279,7 @@ def oracle_parse(code: str, g: GrammarSpec) -> Program:
     ``found``) as ``codec.parse``, which runs functions generated from the
     table instead; it classifies every word afresh, with no per-word table.
     """
-    words = _TOKEN_RE.findall(code)
+    words = _ORACLE_WORD_RE.findall(code)
     if words.count("(") + words.count("[") + words.count("{") > MAX_NESTING:
         depth = 0
         for position, word in enumerate(words):

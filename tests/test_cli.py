@@ -136,6 +136,43 @@ class TestConfigPrecedence:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_key_that_names_no_flag_refused_with_its_line(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("task = goal\nn = 2\ndetph = 7\n")
+        out = tmp_path / "x.jsonl"
+        rc = _run("gen", "--config", str(cfg), "--out", str(out))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:3: no option is named 'detph'\n")
+        assert not out.exists()
+
+    def test_one_config_serves_gen_and_eval(self, tmp_path):
+        dataset, run = tmp_path / "data.jsonl", tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"task = goal\nn = 2\nout = {dataset}\n"
+                       f"base-url = mock://perfect\nmodel = m\n"
+                       f"out-dir = {run}\ncache-dir = {tmp_path / 'c'}\n")
+        assert _run("gen", "--config", str(cfg)) == 0
+        assert _run("eval", "--config", str(cfg),
+                    "--dataset", str(dataset)) == 0
+        assert (run / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("setting, status", [
+        ("permissive = true", 0), ("permissive = no", 1), ("", 1)])
+    def test_permissive_read_from_config(self, tmp_path, monkeypatch,
+                                         setting, status):
+        monkeypatch.delenv("GRIDLANG_UNSET_TOKEN", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        rc = _run("eval", "--dataset", str(_gen(tmp_path)), "--config",
+                  str(cfg), "--base-url", "http://127.0.0.1:9",
+                  "--model", "m", "--auth-env", "GRIDLANG_UNSET_TOKEN",
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "--out-dir", str(tmp_path / "run"))
+        assert rc == status
+        assert (tmp_path / "run" / "results.jsonl").exists() == (status == 0)
+
 
 class TestEval:
     def test_mock_eval_writes_reports(self, tmp_path, capsys):

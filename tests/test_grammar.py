@@ -115,18 +115,18 @@ class TestValidation:
         bad = dict(terminals)
         bad[R.DO] = "key"  # shadows an item token
         with pytest.raises(ValueError):
-            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, bad, seed=0)
+            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, bad)
 
     def test_duplicate_tokens_rejected(self):
         bad = fixed_terminals(Style.BLOCK, LOOP="times")  # TIMES is "times"
         with pytest.raises(ValueError):
-            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, bad, seed=0)
+            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, bad)
 
     def test_missing_role_rejected(self):
         terminals = fixed_terminals(Style.BLOCK)
         del terminals[R.LOOP]
         with pytest.raises(ValueError):
-            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, terminals, seed=0)
+            GrammarSpec(Style.BLOCK, LexiconMode.NATURAL, terminals)
 
     def test_malformed_alien_token_rejected(self):
         terminals = {
@@ -136,7 +136,7 @@ class TestValidation:
         }
         terminals[R.DO] = "v_toolong"
         with pytest.raises(ValueError):
-            GrammarSpec(Style.BLOCK, LexiconMode.ALIEN, terminals, seed=0)
+            GrammarSpec(Style.BLOCK, LexiconMode.ALIEN, terminals)
 
 
 class TestRendering:
@@ -187,6 +187,11 @@ class TestGrammarFromText:
             g = build_grammar(style, mode, 13)
             back = grammar_from_text(style, mode, render_ebnf(g))
             assert back.terminals == g.terminals
+
+    def test_round_trip_equals_the_synthesized_grammar(self):
+        for style, mode in ALL_COMBOS:
+            g = build_grammar(style, mode, 7)
+            assert grammar_from_text(style, mode, render_ebnf(g)) == g
 
     def test_missing_binding_line_rejected(self):
         g = build_grammar(Style.BLOCK, LexiconMode.NATURAL, 13)

@@ -870,6 +870,15 @@ class TestReadResponses:
                            match=r"^line 4: duplicate instance_id 'a'"):
             read_responses(path)
 
+    def test_config_line_only_honored_at_top(self, tmp_path):
+        path = tmp_path / "responses.jsonl"
+        rows = ['{"_config": {}}', '{"instance_id": "a", "response": "x"}']
+        path.write_text("\n".join(rows) + "\n")
+        assert list(read_responses(path)) == ["a"]
+        path.write_text("\n".join(rows + ['{"_config": {}}']) + "\n")
+        with pytest.raises(ValueError, match=r"^line 3: a _config line"):
+            read_responses(path)
+
 
 class TestNoCyclicGarbage:
     """What every command repeats per instance leaves no garbage for the
