@@ -2,7 +2,8 @@
 
 Option precedence is flags over config file over defaults.  The config
 file is plain ``key = value`` lines (``#`` comments allowed) using the
-flag names of any subcommand; a key that names no flag is refused.
+flag names of any subcommand; a key that names no flag, or a value that
+its flag would refuse, is refused with its line when the file is loaded.
 Every artifact embeds the effective configuration it was produced from,
 so a file is reproducible from its own header; nothing is timestamped.
 The exit status is nonzero exactly when an operation errored; metric
@@ -49,7 +50,9 @@ class CliError(ValueError):
     pass
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None) -> dict:
+    """The settings of a config file, each read as its flag's row reads
+    it on the command line."""
     if path is None:
         return {}
     config = {}
@@ -66,32 +69,44 @@ def _load_config(path: str | None) -> dict[str, str]:
             if key not in _OPTIONS:
                 raise CliError(f"{path}:{line_no}: no option is named "
                                f"{key!r}")
-            config[key] = value.strip()
+            try:
+                config[key] = _read_value(_OPTIONS[key], value.strip())
+            except ValueError as exc:
+                raise CliError(f"{path}:{line_no}: {key}: {exc}") from None
     return config
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise CliError(f"expected a boolean, got {text!r}")
+_BOOLEANS = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
 
 
-def _parser_of(options: dict):
-    """How a flag's row reads a value given as text."""
-    return _parse_bool if "action" in options else options.get("type", str)
+def _read_value(options: dict, text: str):
+    """``text`` read by a flag's row: its boolean or type, then its
+    choices; raises ValueError naming what is wrong."""
+    if "action" in options:
+        value = _BOOLEANS.get(text.lower())
+        if value is None:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return value
+    kind = options.get("type", str)
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}") from None
+    choices = options.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice: {text!r} (choose from "
+                         f"{', '.join(map(repr, choices))})")
+    return value
 
 
 def _resolve(args, config: dict, name: str, default=MISSING):
-    """flags > config file > default; a MISSING default means required.
-    A config value is read as the flag's own row reads it."""
+    """flags > config file > default; a MISSING default means required."""
     value = getattr(args, name)
     if value is not None:
         return value
     if name in config:
-        return _parser_of(_OPTIONS[name])(config[name])
+        return config[name]
     if default is MISSING:
         raise CliError(f"missing required option --{name.replace('_', '-')}")
     return default
@@ -241,7 +256,7 @@ def cmd_score(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
     axis = args.axis
-    parse_value = _parser_of(_OPTIONS[axis])
+    parse_value = _OPTIONS[axis].get("type", str)
     values = [parse_value(v.strip()) for v in args.values.split(",") if
               v.strip()]
     if not values:
@@ -385,34 +400,45 @@ _OPTIONS = {_dest(flag): options for _help, flags, _func in
             _SUBCOMMANDS.values() for flag, options, _field in flags}
 
 
-def _parser(wired) -> argparse.ArgumentParser:
-    """The command-line parser, with the flags of the subcommands named in
-    ``wired`` only; any other subcommand is listed without its flags."""
+_PROG = "gridlang"
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, options, _field in flags:
+        parser.add_argument(flag, **options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser: every subcommand with its flags."""
     parser = argparse.ArgumentParser(
-        prog="gridlang",
+        prog=_PROG,
         description="Generate grammar-interpretation datasets and score "
                     "model answers on them.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        if name in wired:
-            for flag, options, _field in flags:
-                sub.add_argument(flag, **options)
+        _add_flags(sub, flags)
         sub.set_defaults(func=func)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_SUBCOMMANDS)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a subcommand parses only its own flags, so only those are wired
-    wired = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    args = _parser(wired).parse_args(argv)
+    args = rest = None
+    if argv and argv[0] in _SUBCOMMANDS:
+        # the parser ``build_parser`` hands this subcommand's flags to, so
+        # its help and its errors read the same
+        _help, flags, func = _SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"{_PROG} {argv[0]}")
+        _add_flags(parser, flags)
+        parser.set_defaults(func=func)
+        args, rest = parser.parse_known_args(argv[1:])
+    if args is None or rest:
+        # no subcommand, or arguments that no flag takes: the full parser
+        # reports them as it always has
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, HarnessError) as exc:

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import itertools
 import json
 import logging
 import math
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 import urllib.error
@@ -491,17 +491,41 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", encoding="utf-8", dir=path.parent,
-        prefix=path.name + ".", suffix=".tmp", delete=False,
-    )
+def _read_entry(path: Path) -> str | None:
+    """The cache entry at ``path``, or None if there is none; one that
+    another run removes before it is read is a miss too."""
     try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
+_write_count = itertools.count()
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a private temp file beside ``path`` (mode 0600),
+    then rename it over ``path``; no temp file is left on failure."""
+    data = text.encode("utf-8")
+    while True:
+        tmp = (f"{path}.{os.getpid()}.{threading.get_ident()}."
+               f"{next(_write_count)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            break
+        except FileExistsError:
+            continue
+    try:
+        try:
+            view = memoryview(data)
+            while view:  # one write, unless the kernel takes less
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(tmp)
         raise
 
 
@@ -559,13 +583,12 @@ def run_evaluation(
             prompt = build_prompt(inst, pc)
             prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
             path = cache_root / f"{_cache_key(cfg, prompt)}.txt"
-            if path.exists():
-                raw = path.read_text(encoding="utf-8")
-            elif scheme is not None:
+            raw = _read_entry(path)
+            if raw is None and scheme is not None:
                 raw = _mock_answer(scheme, inst)
                 _atomic_write(path, raw)
                 calls += 1
-            else:
+            elif raw is None:
                 if pool is None:
                     pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
                 raw = pool.submit(fetch, prompt, path)

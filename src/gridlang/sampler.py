@@ -131,19 +131,43 @@ class ResampleLimitError(RuntimeError):
 
 # Draws go through ``Random._randbelow``, to which ``randrange(n)`` and
 # ``randint(a, b)`` reduce once their arguments are checked, so the stream is
-# the same as theirs.  The public entry points bind ``rng._randbelow`` and
-# ``rng.random`` once and hand them down as ``below`` (``below(n)`` is
-# uniform in [0, n), for n >= 1 only) and ``rand``.
+# the same as theirs.  A ``_Plan`` binds ``rng._randbelow`` as ``below``
+# (``below(n)`` is uniform in [0, n), for n >= 1 only), ``rng.random`` as
+# ``rand`` and the dials once per generator, and the draw functions hand it
+# down.  Two rules keep a draw cheap without moving the stream:
+# - Leaves come from shared tuples built at import, indexed by the same
+#   ``below`` draw that picked them: literals, ``Holding`` conditions and
+#   the turn and grab statements.  Nodes are immutable and compare by
+#   value, so sharing one is invisible to every reader of a tree.
+# - A statement kind is picked by comparing ``rand() * sum(weights)`` with
+#   cumulative thresholds summed once, in the order a loop over the weights
+#   would add them, so every float and every branch is that loop's.
+
+_LITERALS = tuple(Literal(value) for value in range(LITERAL_MAX + 1))
+_HOLDINGS = tuple(Holding(item) for item in ITEM_VOCAB)
+_MOVE_DIRS = (MoveDir.FORWARD, MoveDir.BACKWARD)
+_TURNS = tuple(ActionStmt(Turn(d)) for d in (TurnDir.LEFT, TurnDir.RIGHT))
+_GRABS = tuple(ActionStmt(Grab(item)) for item in ITEM_VOCAB)
 
 
-def _weighted_index(rand, weights: tuple[float, ...]) -> int:
-    r = rand() * sum(weights)
-    acc = 0.0
-    for idx, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return idx
-    return len(weights) - 1
+class _Plan:
+    """One generator's draw methods, the dials and the kind thresholds."""
+
+    __slots__ = ("below", "rand", "max_depth", "expr_depth", "max_block",
+                 "else_prob", "total", "to_action", "to_loop",
+                 "spine_total", "spine_to_loop")
+
+    def __init__(self, params: GenParams, rng: random.Random) -> None:
+        self.below, self.rand = rng._randbelow, rng.random
+        self.max_depth, self.expr_depth = params.max_depth, params.expr_depth
+        self.max_block, self.else_prob = params.max_block, params.else_prob
+        w_action, w_loop, w_if = params.node_weights
+        self.total = sum(params.node_weights)
+        self.to_action = 0.0 + w_action
+        self.to_loop = self.to_action + w_loop
+        # the spine draws loop or if alone, by their weights
+        self.spine_total = sum((w_loop, w_if))
+        self.spine_to_loop = 0.0 + w_loop
 
 
 def sample_expr(params: GenParams, rng: random.Random) -> ArithExpr:
@@ -153,7 +177,7 @@ def sample_expr(params: GenParams, rng: random.Random) -> ArithExpr:
 
 def _arith_at(depth: int, below) -> ArithExpr:
     if depth == 1:
-        return Literal(below(LITERAL_MAX + 1))
+        return _LITERALS[below(LITERAL_MAX + 1)]
     op = ArithOp.ADD if below(2) == 0 else ArithOp.MUL
     full_left = below(2) == 0
     other_depth = 1 + below(depth - 1)
@@ -171,7 +195,7 @@ def sample_cond(params: GenParams, rng: random.Random) -> BoolExpr:
 
 def _cond_at(depth: int, below) -> BoolExpr:
     if depth == 1:
-        return Holding(ITEM_VOCAB[below(len(ITEM_VOCAB))])
+        return _HOLDINGS[below(len(_HOLDINGS))]
     kind = below(3)
     if kind == 0:
         return Not(_cond_at(depth - 1, below))
@@ -185,80 +209,78 @@ def _cond_at(depth: int, below) -> BoolExpr:
     return BinaryBool(op, other, full)
 
 
-def _action(params: GenParams, below) -> ActionStmt:
+def _action(plan: _Plan) -> ActionStmt:
+    below = plan.below
     kind = below(3)
     if kind == 0:
-        direction = (MoveDir.FORWARD, MoveDir.BACKWARD)[below(2)]
-        return ActionStmt(Move(direction, _arith_at(params.expr_depth, below)))
+        direction = _MOVE_DIRS[below(2)]
+        return ActionStmt(Move(direction, _arith_at(plan.expr_depth, below)))
     if kind == 1:
-        return ActionStmt(Turn((TurnDir.LEFT, TurnDir.RIGHT)[below(2)]))
-    return ActionStmt(Grab(ITEM_VOCAB[below(len(ITEM_VOCAB))]))
+        return _TURNS[below(2)]
+    return _GRABS[below(len(_GRABS))]
 
 
 def sample_node(d: int, params: GenParams, rng: random.Random) -> Stmt:
     """Categorical statement draw at nesting depth d; actions at the cap."""
-    return _node(d, params, rng._randbelow, rng.random)
+    return _node(d, _Plan(params, rng))
 
 
-def _node(d: int, params: GenParams, below, rand) -> Stmt:
-    if d >= params.max_depth:
-        return _action(params, below)
-    kind = _weighted_index(rand, params.node_weights)
-    if kind == 0:
-        return _action(params, below)
-    if kind == 1:
-        return Loop(_arith_at(params.expr_depth, below),
-                    _block(d + 1, params, below, rand))
-    cond = _cond_at(params.expr_depth, below)
-    then = _block(d + 1, params, below, rand)
+def _node(d: int, plan: _Plan) -> Stmt:
+    if d >= plan.max_depth:
+        return _action(plan)
+    r = plan.rand() * plan.total
+    if r < plan.to_action:
+        return _action(plan)
+    if r < plan.to_loop:
+        return Loop(_arith_at(plan.expr_depth, plan.below),
+                    _block(d + 1, plan))
+    return _if(d, plan, _block)
+
+
+def _if(d: int, plan: _Plan, then_block) -> If:
+    # the then-block is drawn by ``then_block``: a free one or the spine's
+    cond = _cond_at(plan.expr_depth, plan.below)
+    then = then_block(d + 1, plan)
     orelse = None
-    if rand() < params.else_prob:
-        orelse = _block(d + 1, params, below, rand)
+    if plan.rand() < plan.else_prob:
+        orelse = _block(d + 1, plan)
     return If(cond, then, orelse)
 
 
 def sample_block(d: int, params: GenParams, rng: random.Random) -> Block:
     """Uniform(1, max_block) statements, each drawn by sample_node."""
-    return _block(d, params, rng._randbelow, rng.random)
+    return _block(d, _Plan(params, rng))
 
 
-def _block(d: int, params: GenParams, below, rand) -> Block:
-    n = 1 + below(params.max_block)
-    return tuple([_node(d, params, below, rand) for _ in range(n)])
+def _block(d: int, plan: _Plan) -> Block:
+    n = 1 + plan.below(plan.max_block)
+    return tuple([_node(d, plan) for _ in range(n)])
 
 
-def _spine_kind_is_loop(params: GenParams, below, rand) -> bool:
-    loop_w, if_w = params.node_weights[1], params.node_weights[2]
-    if loop_w + if_w <= 0:
-        return below(2) == 0
-    return _weighted_index(rand, (loop_w, if_w)) == 0
-
-
-def _spine_node(d: int, params: GenParams, below, rand) -> Stmt:
+def _spine_node(d: int, plan: _Plan) -> Stmt:
     # control node at depth d < D whose body carries the spine downward
-    if _spine_kind_is_loop(params, below, rand):
-        return Loop(_arith_at(params.expr_depth, below),
-                    _spine_block(d + 1, params, below, rand))
-    cond = _cond_at(params.expr_depth, below)
-    then = _spine_block(d + 1, params, below, rand)
-    orelse = None
-    if rand() < params.else_prob:
-        orelse = _block(d + 1, params, below, rand)
-    return If(cond, then, orelse)
+    if plan.spine_total <= 0:
+        is_loop = plan.below(2) == 0
+    else:
+        is_loop = plan.rand() * plan.spine_total < plan.spine_to_loop
+    if is_loop:
+        return Loop(_arith_at(plan.expr_depth, plan.below),
+                    _spine_block(d + 1, plan))
+    return _if(d, plan, _spine_block)
 
 
-def _spine_block(d: int, params: GenParams, below, rand) -> Block:
-    n = 1 + below(params.max_block)
-    pos = below(n)
+def _spine_block(d: int, plan: _Plan) -> Block:
+    n = 1 + plan.below(plan.max_block)
+    pos = plan.below(n)
     stmts = []
     for j in range(n):
         if j != pos:
-            stmts.append(_node(d, params, below, rand))
-        elif d < params.max_depth:
-            stmts.append(_spine_node(d, params, below, rand))
+            stmts.append(_node(d, plan))
+        elif d < plan.max_depth:
+            stmts.append(_spine_node(d, plan))
         else:
             # spine bottoms out in a leaf action
-            stmts.append(_action(params, below))
+            stmts.append(_action(plan))
     return tuple(stmts)
 
 
@@ -278,8 +300,7 @@ def generate_instance(
     cap = budget // 2
     for attempt in range(RESAMPLE_LIMIT):
         rng = random.Random(derive_seed(params.seed, "tree", attempt))
-        tree = Program(_spine_block(0, params, rng._randbelow,
-                                    rng.random))
+        tree = Program(_spine_block(0, _Plan(params, rng)))
         if step_bound(tree, cap) <= cap:
             return g, linearize(tree, g), tree
     raise ResampleLimitError(

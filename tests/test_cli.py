@@ -1,5 +1,6 @@
 """Command-line behavior: precedence, artifacts, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridlang
+from gridlang import cli
 from gridlang.cli import build_parser, main
 from gridlang.seeding import derive_seed
 from gridlang.tasks import DATASET_FORMAT, read_dataset_config
@@ -172,6 +174,49 @@ class TestConfigPrecedence:
                   "--out-dir", str(tmp_path / "run"))
         assert rc == status
         assert (tmp_path / "run" / "results.jsonl").exists() == (status == 0)
+
+
+# every subcommand, each given all it needs but the bad config line; the
+# paths are relative to the test's directory
+_CONFIG_COMMANDS = {
+    "gen": ["gen", "--task", "goal", "--n", "2", "--out", "out.jsonl"],
+    "eval": ["eval", "--dataset", "data.jsonl", "--base-url",
+             "mock://perfect", "--model", "m", "--cache-dir", "cache",
+             "--out-dir", "out"],
+    "score": ["score", "--dataset", "data.jsonl", "--responses",
+              "data.jsonl", "--out-dir", "out"],
+    "sweep": ["sweep", "--task", "goal", "--n", "2", "--axis", "depth",
+              "--values", "3", "--out-dir", "out"],
+    "sweep-eval": ["sweep", "--task", "goal", "--n", "2", "--axis", "depth",
+                   "--values", "3", "--out-dir", "out", "--base-url",
+                   "mock://perfect", "--model", "m", "--cache-dir", "cache"],
+}
+
+
+@pytest.mark.parametrize("command", list(_CONFIG_COMMANDS))
+@pytest.mark.parametrize("line, message", [
+    ("cot = maybe", "cot: expected a boolean, got 'maybe'"),
+    ("permissive = perhaps", "permissive: expected a boolean, got 'perhaps'"),
+    ("temperature = x", "temperature: invalid float value: 'x'"),
+    ("n = 0x", "n: invalid int value: '0x'"),
+    ("max-block = 2.5", "max_block: invalid int value: '2.5'"),
+    ("style = zzz",
+     "style: invalid choice: 'zzz' (choose from 'block', 'c', 'sexpr')"),
+    ("axis = speed", "axis: invalid choice: 'speed' (choose from 'depth', "
+                     "'p', 'E', 'shots', 'style')"),
+])
+def test_bad_config_value_refused_with_its_line(command, line, message,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a bad value on line 2\n{line}\n")
+    capsys.readouterr()
+    assert _run(*_CONFIG_COMMANDS[command], "--config", str(cfg)) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:2: {message}\n")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestEval:
@@ -503,3 +548,71 @@ def test_help_and_usage_errors_match_the_full_parser(argv, capsys,
     assert _parse_outcome(main, argv, capsys) == expected
     monkeypatch.setattr(sys, "argv", ["gridlang", *argv])
     assert _parse_outcome(lambda _a: main(), argv, capsys) == expected
+
+
+# per subcommand: help, no flags, an unknown flag, a bad int, a bad choice,
+# --flag=value, abbreviated flags (one ambiguous), a stray positional and
+# "--"; score has no int or choice flag, eval no choice flag
+_TEXT_CASES = {
+    "gen": [["--help"], [], ["--bogus"], ["--n", "x"], ["--task", "zz"],
+            ["--depth=3", "--task=goal"], ["--ta", "goal", "--max", "2"],
+            ["--n", "2", "stray"], ["--n", "2", "--", "--depth", "3"],
+            ["--n", "2", "--bogus", "--n", "x"]],
+    "sweep": [["--help"], [], ["--axis", "p", "--values", "1", "--bogus"],
+              ["--axis", "p", "--values", "1", "--n", "x"],
+              ["--axis", "speed", "--values", "1"],
+              ["--axis=p", "--values=0.2,0.4", "--no-cot"],
+              ["--ax", "p", "--val", "1", "--ma", "3"],
+              ["--axis", "p", "--values", "1", "stray"]],
+    "eval": [["--help"], [], ["--dataset", "d", "--bogus"],
+             ["--dataset", "d", "--shots", "x"],
+             ["--dataset=d", "--cot", "--model=m"],
+             ["--dat", "d", "--tem", "0.5"], ["--dat", "d", "--ma", "3"],
+             ["--dataset", "d", "--no-cot", "--permissive"]],
+    "score": [["--help"], [], ["--dataset", "d", "--responses", "r",
+                               "--bogus"],
+              ["--dataset=d", "--responses=r", "--model=m"],
+              ["--dat", "d", "--resp", "r"], ["--dat", "d", "stray"]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [name, *case] for name, cases in _TEXT_CASES.items() for case in cases
+], ids=" ".join)
+def test_texts_and_settings_match_the_full_parser(argv, capsys, monkeypatch):
+    """``main`` parses with the subcommand's own parser; its output, exit
+    status and settings equal those of ``build_parser().parse_args``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for name, (help_text, flags, _func) in list(cli._SUBCOMMANDS.items()):
+        monkeypatch.setitem(cli._SUBCOMMANDS, name,
+                            (help_text, flags, lambda args: seen.append(
+                                vars(args)) or 0))
+
+    def outcome(parse):
+        try:
+            parse()
+        except SystemExit as exc:
+            return (exc.code, *capsys.readouterr())
+        return ("parsed", *capsys.readouterr())
+
+    expected = outcome(lambda: seen.append(vars(build_parser().parse_args(
+        argv))))
+    assert outcome(lambda: main(argv)) == expected
+    if expected[0] == "parsed":
+        parsed, ran = seen
+        del parsed["subcommand"]
+        assert ran == parsed
+
+
+def test_gen_constructs_one_argument_parser(tmp_path, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _gen(tmp_path)
+    assert made == ["gridlang gen"]

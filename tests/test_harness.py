@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import http.server
 import json
+import os
 import random
 import sys
 import threading
@@ -599,6 +600,47 @@ class TestCaching:
                              **change)
         again = run_evaluation(dataset, cfg, PromptConfig(), cache_dir=cache)
         assert again.model_calls == 2
+
+    def test_entries_are_private_and_leave_no_temp_file(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_evaluation(_dataset(TaskKind.GOAL, n=3), _mock_cfg(),
+                       PromptConfig(), cache_dir=cache)
+        entries = list((cache / "mock-model").iterdir())
+        assert len(entries) == 3
+        for entry in entries:
+            assert entry.suffix == ".txt"
+            assert entry.stat().st_mode & 0o777 == 0o600
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "entry.txt").mkdir()  # the rename onto it fails
+        with pytest.raises(OSError):
+            harness._atomic_write(tmp_path / "entry.txt", "answer")
+        with pytest.raises(UnicodeEncodeError):
+            harness._atomic_write(tmp_path / "other.txt", "\ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.txt"]
+
+    def test_write_keeps_the_answer_bytes(self, tmp_path):
+        text = "line\r\nnext\n\u00e9 tail"
+        harness._atomic_write(tmp_path / "entry.txt", text)
+        assert (tmp_path / "entry.txt").read_bytes() == text.encode()
+
+    def test_entry_removed_before_it_is_read_is_a_miss(self, tmp_path,
+                                                        monkeypatch):
+        dataset = _dataset(TaskKind.GOAL, n=3)
+        cache = tmp_path / "cache"
+        first = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                               cache_dir=cache)
+
+        def racing_open(path, *args, **kwargs):
+            # another run removes the entry after it was found
+            os.unlink(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", racing_open, raising=False)
+        again = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                               cache_dir=cache)
+        assert again.model_calls == 3
+        assert again.metrics == first.metrics
 
     def test_model_id_sanitized_for_path(self, tmp_path):
         dataset = _dataset(TaskKind.JUDGMENT, n=2)

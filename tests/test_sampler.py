@@ -1,10 +1,19 @@
 """Sampling guarantees: planted depth, expression shape, determinism."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from gridlang.ast import If, Literal, Loop, control_depth, expr_depth
+from gridlang.ast import (
+    If,
+    Literal,
+    Loop,
+    canon_serialize,
+    control_depth,
+    expr_depth,
+)
 from gridlang.grammar import LexiconMode, Style
 from gridlang.sampler import (
     LITERAL_MAX,
@@ -16,6 +25,7 @@ from gridlang.sampler import (
     sample_expr,
     sample_node,
 )
+from gridlang.world import DEFAULT_BUDGET
 
 from conftest import (
     ALL_COMBOS,
@@ -280,3 +290,37 @@ class TestStreamMatchesReference:
                     continue
                 assert generate_instance(style, mode, params,
                                          budget) == expected
+
+
+class TestStreamPinned:
+    """One sha256 over the code and canonical tree of every instance in a
+    seed x depth x weights matrix, recorded before the draw functions were
+    last reworked.  The all-if and equal weights are supercritical, so they
+    stop at the depths whose trees stay small enough to draw 50 times; the
+    equal-weights cell at budget 100 resamples most attempts."""
+
+    CELLS = [
+        ((0.7, 0.15, 0.15), (1, 5, 10, 20), DEFAULT_BUDGET),
+        ((1, 0, 0), (1, 5, 10, 20), DEFAULT_BUDGET),
+        ((0, 0, 1), (1, 5), DEFAULT_BUDGET),
+        ((1, 1, 1), (1, 5, 10), DEFAULT_BUDGET),
+        ((1, 1, 1), (5,), 100),
+    ]
+    SHA256 = (
+        "3e84965d85e9e90f234ee4be42ec4164d92c55aeaaeaeb8aaa86b804d100c763")
+
+    def test_matrix_digest(self):
+        digest = hashlib.sha256()
+        for weights, depths, budget in self.CELLS:
+            for depth, seed in itertools.product(depths, range(50)):
+                style, mode = ALL_COMBOS[seed % len(ALL_COMBOS)]
+                params = GenParams(max_depth=depth, seed=seed,
+                                   node_weights=weights)
+                try:
+                    _g, code, tree = generate_instance(style, mode, params,
+                                                       budget)
+                except ResampleLimitError as exc:
+                    digest.update(f"{exc}\n".encode())
+                    continue
+                digest.update(f"{code}\0{canon_serialize(tree)}\n".encode())
+        assert digest.hexdigest() == self.SHA256
