@@ -11,12 +11,17 @@ a regression oracle).
 
 Responses are cached content-addressed under ``cache/<model>/<key>.txt``,
 where the key hashes the endpoint URL, the model, the sampling settings
-(temperature, max_tokens), the prompt and a cache-format version, so
-interrupted runs resume, replay runs touch the network zero times, and a
-hit is never another endpoint's or setting's answer.
+(temperature, max_tokens), the prompt's sha256 and a cache-format version,
+so interrupted runs resume, replay runs touch the network zero times, and
+a hit is never another endpoint's or setting's answer.  Beside the entries,
+``cache/<model>/<key>.memo`` holds the sha256 of a prompt with demos, its
+key hashing the instance record, the shot count, the cot switch and a
+digest of this package's source and the Python version.  A warm few-shot
+replay thus finds its answers without building a prompt, and any edit to
+the package reads as a memo miss, which builds the prompt again.
 
-An evaluation builds prompts, reads cache hits and makes mock answers in
-the calling thread, in dataset order; only cache misses to a real
+An evaluation finds prompt hashes, reads cache hits and makes mock
+answers in the calling thread, in dataset order; only cache misses to a real
 endpoint are fetched on threads, at most ``parallelism`` at once.
 
 An answer's code is its last fenced block, else the longest trailing run
@@ -27,6 +32,7 @@ memory of scoring grow with an answer's size at a small constant.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import itertools
@@ -36,6 +42,7 @@ import math
 import os
 import random
 import re
+import sys
 import threading
 import time
 import urllib.error
@@ -248,7 +255,8 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     Raises AuthFailedError (unset token or 401/403, never retried),
     EndpointUnreachableError (transport faults persisted through every
     retry), RetriesExhaustedError (retryable HTTP statuses persisted), or
-    HarnessError (any other status, or a completion without text content).
+    HarnessError (any other status, or a completion without text content
+    or with text that UTF-8 cannot encode).
     """
     token = os.environ.get(cfg.auth_token_env_var)
     if not token:
@@ -301,6 +309,7 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
             content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}")
+            content.encode("utf-8")  # a lone surrogate raises here
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise HarnessError(f"malformed completion payload: {exc}")
         return content
@@ -478,12 +487,36 @@ def score_answers(
 
 # Versions what a cache key hashes: bumped whenever that changes, so entries
 # written under an older key read as misses.
-_CACHE_FORMAT = "gridlang-cache-2"
+_CACHE_FORMAT = "gridlang-cache-3"
+
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 
-def _cache_key(cfg: EndpointConfig, prompt: str) -> str:
+def _cache_key(cfg: EndpointConfig, prompt_sha256: str) -> str:
     parts = (_CACHE_FORMAT, cfg.base_url, cfg.model_id,
-             repr(cfg.temperature), str(cfg.max_tokens), prompt)
+             repr(cfg.temperature), str(cfg.max_tokens), prompt_sha256)
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def _code_digest() -> str:
+    """sha256 of the Python version and the source of every module of this
+    package, which is all a prompt is built from besides its instance and
+    config.  Read on first use, once per process, so commands that never
+    consult the memo do not pay for it."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256(sys.version.encode("utf-8"))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                source = handle.read()
+            digest.update(f"\x00{name}\x00{len(source)}\x00".encode("utf-8"))
+            digest.update(source)
+    return digest.hexdigest()
+
+
+def _memo_key(inst: TaskInstance, pc: PromptConfig) -> str:
+    parts = (_code_digest(), str(pc.shots), str(pc.cot), inst.to_json())
     return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -495,10 +528,22 @@ def _read_entry(path: Path) -> str | None:
     """The cache entry at ``path``, or None if there is none; one that
     another run removes before it is read is a miss too."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             return handle.read()
     except FileNotFoundError:
         return None
+
+
+def _read_memo(path: Path) -> str | None:
+    """The prompt sha256 memoised at ``path``; anything but 64 lowercase
+    hex characters, or no file, reads as a miss."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(65)
+    except FileNotFoundError:
+        return None
+    text = data.decode("latin-1")  # any bytes; the pattern refuses non-hex
+    return text if _SHA256_RE.fullmatch(text) else None
 
 
 _write_count = itertools.count()
@@ -540,10 +585,14 @@ def run_evaluation(
 ) -> RunResult:
     """Fetch (or replay) an answer per instance, then ``score_answers``.
 
-    The caller walks the dataset in order, building each prompt, reading
-    its cache hit and making a mock answer.  Only a cache miss to a real
-    endpoint goes to a pool of ``cfg.parallelism`` threads, created on the
-    first such miss, so a mock or fully warm run starts no thread.
+    The caller walks the dataset in order, finding each prompt's sha256,
+    reading its cache hit and making a mock answer.  A prompt with demos
+    has its sha256 memoised beside the cache, so it is built only on a
+    memo miss, or to be sent to a real endpoint; a 0-shot prompt costs
+    less to build than to look up, and is always built.  Only a cache
+    miss to a real endpoint goes to a pool of ``cfg.parallelism``
+    threads, created on the first such miss, so a mock or fully warm run
+    starts no thread.
 
     model_calls counts cache misses that actually invoked the model, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
@@ -573,6 +622,10 @@ def run_evaluation(
         _atomic_write(path, raw)
         return raw
 
+    def entry(prompt_sha256: str) -> tuple[Path, str | None]:
+        path = cache_root / f"{_cache_key(cfg, prompt_sha256)}.txt"
+        return path, _read_entry(path)
+
     # (prompt_sha256, response or the pool's future of it), in dataset order
     fetched: list[tuple[str, str | Future]] = []
     pool = None
@@ -580,10 +633,22 @@ def run_evaluation(
         for inst in dataset:
             if failed.is_set():  # the error is raised below
                 break
-            prompt = build_prompt(inst, pc)
-            prompt_sha256 = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-            path = cache_root / f"{_cache_key(cfg, prompt)}.txt"
-            raw = _read_entry(path)
+            memo = (cache_root / f"{_memo_key(inst, pc)}.memo"
+                    if pc.shots else None)
+            prompt_sha256 = raw = prompt = None
+            if memo is not None:
+                prompt_sha256 = _read_memo(memo)
+                if prompt_sha256 is not None:
+                    path, raw = entry(prompt_sha256)
+            # a mock answers from the instance; a real endpoint needs the text
+            if raw is None and (prompt_sha256 is None or scheme is None):
+                prompt = build_prompt(inst, pc)
+                built = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+                if built != prompt_sha256:
+                    prompt_sha256 = built
+                    if memo is not None:
+                        _atomic_write(memo, prompt_sha256)
+                    path, raw = entry(prompt_sha256)
             if raw is None and scheme is not None:
                 raw = _mock_answer(scheme, inst)
                 _atomic_write(path, raw)
@@ -627,16 +692,14 @@ def run_evaluation(
     return RunResult(records, metrics, calls, results_path, responses_path)
 
 
-_SHA256_RE = re.compile(r"[0-9a-f]{64}")
-
-
 def read_responses(path: str | Path) -> dict[str, dict]:
     """Load a captured responses file as an instance_id -> row map.
 
     Each row keeps at least the response text plus any hashes recorded at
     capture time; a provenance line is skipped on line 1 only, as
     ``read_dataset`` does, and refused anywhere else.  An instance_id that
-    repeats, or a prompt_sha256 that is no sha256 hex digest, is refused.
+    repeats, a response that UTF-8 cannot encode, or a prompt_sha256 that
+    is no sha256 hex digest, is refused.
     """
     responses = {}
     with open(path, encoding="utf-8") as handle:
@@ -662,6 +725,12 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                     f"line {line_no}: responses row needs string "
                     f"instance_id and response"
                 )
+            try:
+                row["response"].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(f"line {line_no}: response is not UTF-8 "
+                                 f"text: {exc.reason} at character "
+                                 f"{exc.start}") from None
             if "prompt_sha256" in row and not (
                     isinstance(row["prompt_sha256"], str)
                     and _SHA256_RE.fullmatch(row["prompt_sha256"])):

@@ -374,6 +374,24 @@ class TestScore:
             assert "duplicate" in capsys.readouterr().err
         assert not (tmp_path / "scored").exists()
 
+    def test_unencodable_response_exits_nonzero_with_its_line(
+            self, tmp_path, capsys):
+        dataset, run_dir = self._evaluated(tmp_path)
+        lines = (run_dir / "responses.jsonl").read_text().splitlines()
+        row = json.loads(lines[2])
+        row["response"] = "move \ud800"
+        lines[2] = json.dumps(row)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = _run("score", "--dataset", str(dataset), "--responses", str(bad),
+                  "--out-dir", str(tmp_path / "scored"))
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: line 3: response is not UTF-8 text: surrogates not "
+                "allowed at character 5\n")
+        assert not (tmp_path / "scored").exists()
+
     def test_rescore_reproduces_the_eval_results(self, tmp_path):
         # one scorer and one writer serve both commands, so re-scoring an
         # eval's responses gives its rows back, prompt hashes included

@@ -3,14 +3,20 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import http.server
+import itertools
 import json
 import os
 import random
+import re
+import shutil
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -503,6 +509,14 @@ class TestCallModel:
         assert headers["Content-Type"] == "application/json"
         assert headers["User-Agent"] == "gridlang"
 
+    def test_unencodable_content_is_malformed(self, scripted_server,
+                                              api_token):
+        base = scripted_server([200], content="move \ud800")
+        with pytest.raises(HarnessError, match="^malformed completion "
+                                               "payload: .*surrogates"):
+            call_model(_http_cfg(base), "x")
+        assert len(_ScriptedHandler.requests_seen) == 1
+
 
 class TestMockSchemes:
     def test_flatten_folds_arithmetic_and_keeps_shared_items(self):
@@ -642,6 +656,53 @@ class TestCaching:
         assert again.model_calls == 3
         assert again.metrics == first.metrics
 
+    @pytest.mark.parametrize("shots", [0, 2])
+    def test_crlf_answer_replays_as_sent(self, tmp_path, scripted_server,
+                                         api_token, shots):
+        base = scripted_server([], content="a\r\nb")
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _http_cfg(base), PromptConfig(shots),
+                              cache_dir=cache, out_dir=tmp_path / "cold")
+        warm = run_evaluation(dataset, _http_cfg(base), PromptConfig(shots),
+                              cache_dir=cache, out_dir=tmp_path / "warm")
+        assert (cold.model_calls, warm.model_calls) == (2, 0)
+        assert len(_ScriptedHandler.requests_seen) == 2
+        assert [rec.raw_answer for rec in warm.records] == ["a\r\nb"] * 2
+        assert _artifacts(warm) == _artifacts(cold)
+
+    def test_any_answer_text_replays_as_sent(self, tmp_path, scripted_server,
+                                             api_token):
+        base = scripted_server([])
+        dataset = _dataset(TaskKind.GOAL, n=1)
+        runs = itertools.count()
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.text(st.characters(exclude_categories=())
+                       | st.sampled_from("\r\n\u2028\x00\ud800")))
+        def replays(text):
+            _ScriptedHandler.content = text
+            run = tmp_path / str(next(runs))
+            cold, warm = (run_evaluation(dataset, _http_cfg(base),
+                                         PromptConfig(),
+                                         cache_dir=run / "cache",
+                                         out_dir=run / out_dir,
+                                         permissive=True)
+                          for out_dir in ("cold", "warm"))
+            assert _artifacts(warm) == _artifacts(cold)
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:  # an endpoint error, never cached
+                assert (cold.model_calls, warm.model_calls) == (0, 0)
+                assert cold.records[0].raw_answer.startswith(
+                    "[endpoint error] malformed completion payload")
+                assert not list((run / "cache").rglob("*.txt"))
+            else:
+                assert (cold.model_calls, warm.model_calls) == (1, 0)
+                assert warm.records[0].raw_answer == text
+
+        replays()
+
     def test_model_id_sanitized_for_path(self, tmp_path):
         dataset = _dataset(TaskKind.JUDGMENT, n=2)
         cfg = EndpointConfig(base_url="mock://perfect",
@@ -651,6 +712,247 @@ class TestCaching:
         children = [p.name for p in (tmp_path / "cache").iterdir()]
         assert len(children) == 1
         assert "/" not in children[0] and ":" not in children[0]
+
+
+def _artifacts(result):
+    return (result.results_path.read_bytes(),
+            result.responses_path.read_bytes())
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture
+def prompt_builds(monkeypatch):
+    """The ids of the instances whose prompts ``run_evaluation`` builds."""
+    built = []
+    real_build_prompt = harness.build_prompt
+
+    def counting_build_prompt(inst, pc):
+        built.append(inst.id)
+        return real_build_prompt(inst, pc)
+
+    monkeypatch.setattr(harness, "build_prompt", counting_build_prompt)
+    return built
+
+
+class TestPromptMemo:
+    @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)
+    def test_warm_few_shot_replay_builds_no_prompt(self, tmp_path, kind,
+                                                   prompt_builds):
+        dataset = _dataset(kind, n=4)
+        pc = PromptConfig(shots=2)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=cache, out_dir=tmp_path / "cold")
+        assert prompt_builds == [inst.id for inst in dataset]
+        prompt_builds.clear()
+        warm = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=cache, out_dir=tmp_path / "warm")
+        assert prompt_builds == []
+        assert (cold.model_calls, warm.model_calls) == (4, 0)
+        assert _artifacts(warm) == _artifacts(cold)
+
+    def test_memo_entry_is_the_private_prompt_sha256(self, tmp_path):
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        pc = PromptConfig(shots=1, cot=False)
+        cache = tmp_path / "cache"
+        run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
+        memos = list((cache / "mock-model").glob("*.memo"))
+        assert sorted(memo.read_text() for memo in memos) == sorted(
+            _sha256(build_prompt(inst, pc)) for inst in dataset)
+        for memo in memos:
+            assert memo.stat().st_mode & 0o777 == 0o600
+
+    def test_memo_tells_shots_and_cot_apart(self, tmp_path):
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        configs = [PromptConfig(shots, cot)
+                   for shots in (1, 2) for cot in (True, False)]
+        cache = tmp_path / "cache"
+        for pc in configs * 2:  # cold, then warm
+            result = run_evaluation(dataset, _mock_cfg(), pc,
+                                    cache_dir=cache, out_dir=tmp_path / "out")
+            rows = [json.loads(line) for line in
+                    result.responses_path.read_text().splitlines()]
+            assert [row["prompt_sha256"] for row in rows] == [
+                _sha256(build_prompt(inst, pc)) for inst in dataset]
+        assert len(list(cache.rglob("*.memo"))) == 8
+
+    def test_memo_hit_answers_a_mock_without_its_cache_entry(
+            self, tmp_path, prompt_builds):
+        dataset = _dataset(TaskKind.INSTRUCTION, n=3)
+        pc = PromptConfig(shots=2)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=cache, out_dir=tmp_path / "cold")
+        for entry in (cache / "mock-model").glob("*.txt"):
+            entry.unlink()
+        prompt_builds.clear()
+        again = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                               cache_dir=cache, out_dir=tmp_path / "again")
+        assert prompt_builds == []
+        assert again.model_calls == 3
+        assert _artifacts(again) == _artifacts(cold)
+        assert len(list((cache / "mock-model").glob("*.txt"))) == 3
+
+    def test_memo_hit_builds_what_a_real_endpoint_is_sent(
+            self, tmp_path, scripted_server, api_token, prompt_builds):
+        base = scripted_server([])
+        dataset = _dataset(TaskKind.JUDGMENT, n=4)
+        pc = PromptConfig(shots=1)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _http_cfg(base), pc, cache_dir=cache,
+                              out_dir=tmp_path / "cold")
+        for entry in (cache / "test-model").glob("*.txt"):
+            entry.unlink()
+        _ScriptedHandler.requests_seen = []
+        prompt_builds.clear()
+        again = run_evaluation(dataset, _http_cfg(base), pc,
+                               cache_dir=cache, out_dir=tmp_path / "again")
+        sent = [body["messages"][0]["content"]
+                for body in _ScriptedHandler.requests_seen]
+        assert sorted(sent) == sorted(build_prompt(inst, pc)
+                                      for inst in dataset)
+        assert prompt_builds == [inst.id for inst in dataset]
+        assert again.model_calls == 4
+        assert _artifacts(again) == _artifacts(cold)
+
+    @pytest.mark.parametrize("data", [
+        b"", b"ab" * 31, b"ab" * 33, b"AB" * 32, b"ab" * 31 + b"g0",
+        b"ab" * 32 + b"\n", "\u0661".encode() * 64, b"\xff" * 64])
+    def test_malformed_memo_entry_is_a_miss(self, tmp_path, data,
+                                            prompt_builds):
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        pc = PromptConfig(shots=1)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
+                              out_dir=tmp_path / "cold")
+        memos = list((cache / "mock-model").glob("*.memo"))
+        assert len(memos) == 2
+        shas = sorted(memo.read_text() for memo in memos)
+        for memo in memos:
+            memo.write_bytes(data)
+        prompt_builds.clear()
+        warm = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
+                              out_dir=tmp_path / "warm")
+        assert prompt_builds == [inst.id for inst in dataset]
+        assert warm.model_calls == 0
+        assert _artifacts(warm) == _artifacts(cold)
+        assert sorted(memo.read_text() for memo in memos) == shas
+
+    def test_zero_shot_runs_write_no_memo(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 0-shot run looked up the memo")
+
+        monkeypatch.setattr(harness, "_memo_key", refuse)
+        cache = tmp_path / "cache"
+        for kind in TaskKind:
+            for _ in range(2):  # cold, then warm
+                run_evaluation(_dataset(kind), _mock_cfg(), PromptConfig(),
+                               cache_dir=cache)
+        assert len(list(cache.rglob("*.txt"))) == 6
+        assert not list(cache.rglob("*.memo"))
+
+
+_CLI = "import sys; from gridlang.cli import main; sys.exit(main(sys.argv[1:]))"
+
+_PROMPT_SHAS = """
+import hashlib, json, sys
+from gridlang.harness import PromptConfig, build_prompt
+from gridlang.tasks import read_dataset
+pc = PromptConfig(shots=int(sys.argv[2]))
+print(json.dumps([hashlib.sha256(build_prompt(inst, pc).encode()).hexdigest()
+                  for inst in read_dataset(sys.argv[1])]))
+"""
+
+_DIGEST_READS = """
+import sys
+from gridlang import harness
+from gridlang.cli import main
+reads = [harness._code_digest.cache_info().currsize]
+for argv in (
+        ["gen", "--task", "goal", "--n", "2", "--depth", "4",
+         "--out", "data.jsonl"],
+        ["eval", "--dataset", "data.jsonl", "--base-url", "mock://perfect",
+         "--model", "m", "--cache-dir", "cache", "--out-dir", "run"],
+        ["score", "--dataset", "data.jsonl", "--responses",
+         "run/responses.jsonl", "--out-dir", "scored"],
+        ["eval", "--dataset", "data.jsonl", "--base-url", "mock://perfect",
+         "--model", "m", "--shots", "1", "--cache-dir", "cache",
+         "--out-dir", "run1"]):
+    assert main(argv) == 0
+    reads.append(harness._code_digest.cache_info().currsize)
+print(reads, file=sys.stderr)
+"""
+
+
+class TestMemoFollowsTheSource:
+    """Evals run in fresh interpreters on a copy of the package, so that
+    the copy can be edited between them."""
+
+    def _copy(self, tmp_path):
+        package = tmp_path / "src" / "gridlang"
+        shutil.copytree(Path(harness.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return package
+
+    def _python(self, tmp_path, code, *argv):
+        env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+        done = subprocess.run([sys.executable, "-B", "-c", code, *argv],
+                              env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    def _eval(self, tmp_path, out_dir):
+        done = self._python(tmp_path, _CLI, "eval", "--dataset", "data.jsonl",
+                            "--base-url", "mock://flatten", "--model", "m",
+                            "--shots", "1", "--cache-dir", "cache",
+                            "--out-dir", out_dir)
+        calls = int(re.search(r"model calls: (\d+)", done.stdout).group(1))
+        run = tmp_path / out_dir
+        return (calls, (run / "results.jsonl").read_bytes(),
+                (run / "responses.jsonl").read_bytes())
+
+    def test_a_source_edit_misses_the_memo(self, tmp_path):
+        package = self._copy(tmp_path)
+        self._python(tmp_path, _CLI, "gen", "--task", "instruction",
+                     "--n", "3", "--depth", "4", "--seed", "5",
+                     "--out", "data.jsonl")
+
+        def memos():
+            return len(list((tmp_path / "cache").rglob("*.memo")))
+
+        cold = self._eval(tmp_path, "cold")
+        assert (cold[0], memos()) == (3, 3)
+
+        sampler = package / "sampler.py"
+        sampler.write_text(sampler.read_text()
+                           + "# a comment shapes no prompt\n")
+        warm = self._eval(tmp_path, "warm")
+        assert memos() == 6  # a new digest: every prompt built again
+        assert warm == (0, *cold[1:])
+
+        prompts = package / "prompts.py"
+        source = prompts.read_text()
+        assert source.count('"Example {index}:"') == 1
+        prompts.write_text(source.replace('"Example {index}:"',
+                                          '"Worked example {index}:"'))
+        edited = self._eval(tmp_path, "edited")
+        assert (edited[0], memos()) == (3, 9)
+        rows = [json.loads(line) for line in edited[2].splitlines()]
+        shas = [row["prompt_sha256"] for row in rows if "_config" not in row]
+        rebuilt = self._python(tmp_path, _PROMPT_SHAS, "data.jsonl", "1")
+        assert shas == json.loads(rebuilt.stdout)
+        assert not set(shas) & set(json.loads(line).get("prompt_sha256")
+                                   for line in cold[2].splitlines())
+
+    def test_only_a_memo_lookup_reads_the_source(self, tmp_path):
+        self._copy(tmp_path)
+        done = self._python(tmp_path, _DIGEST_READS)
+        # nothing at import, gen, 0-shot eval or score; once at 1 shot
+        assert done.stderr.strip() == "[0, 0, 0, 0, 1]"
 
 
 class TestRunArtifacts:
@@ -703,6 +1005,32 @@ class TestRunArtifacts:
             assert not rec.parsed_ok
             assert rec.raw_answer.startswith(
                 "[endpoint error] malformed completion payload")
+        assert not list((tmp_path / "cache").rglob("*.txt"))
+
+    def test_permissive_records_unencodable_content(self, tmp_path,
+                                                    scripted_server,
+                                                    api_token):
+        base = scripted_server([], content="move \ud800")
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        result = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
+                                cache_dir=tmp_path / "cache",
+                                out_dir=tmp_path / "out", permissive=True)
+        assert result.model_calls == 0
+        for rec in result.records:
+            assert rec.raw_answer.startswith(
+                "[endpoint error] malformed completion payload")
+        assert result.responses_path.read_text() == ""
+        assert not list((tmp_path / "cache").rglob("*.txt"))
+
+    def test_strict_mode_raises_unencodable_content(self, tmp_path,
+                                                    scripted_server,
+                                                    api_token):
+        base = scripted_server([], content="move \ud800")
+        dataset = _dataset(TaskKind.GOAL, n=2)
+        with pytest.raises(HarnessError,
+                           match="^malformed completion payload"):
+            run_evaluation(dataset, _http_cfg(base), PromptConfig(),
+                           cache_dir=tmp_path / "cache")
         assert not list((tmp_path / "cache").rglob("*.txt"))
 
     def test_strict_mode_stops_at_the_first_failure(self, tmp_path,
@@ -910,6 +1238,16 @@ class TestReadResponses:
                         '{"instance_id": "a", "response": "z"}\n')
         with pytest.raises(ValueError,
                            match=r"^line 4: duplicate instance_id 'a'"):
+            read_responses(path)
+
+    def test_unencodable_response_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "responses.jsonl"
+        path.write_text('{"_config": {}}\n'
+                        '{"instance_id": "a", "response": "x"}\n'
+                        + json.dumps({"instance_id": "b",
+                                      "response": "move \ud800"}) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"^line 3: response is not UTF-8 text"):
             read_responses(path)
 
     def test_config_line_only_honored_at_top(self, tmp_path):
