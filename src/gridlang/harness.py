@@ -66,12 +66,15 @@ from gridlang import prompts
 from gridlang.sampler import generate_instance
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
+    MalformedRecordError,
     PerturbationError,
     TaskInstance,
     TaskKind,
     perturb,
+    read_jsonl,
     render_instruction,
     render_state,
+    write_jsonl,
 )
 from gridlang.world import Final, eval_arith, exec_program
 
@@ -438,14 +441,6 @@ class RunResult:
 Answer = tuple[str | None, str] | HarnessError
 
 
-def _write_jsonl(path: Path, provenance: dict | None, rows) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        if provenance is not None:
-            handle.write(json.dumps({"_config": provenance}) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
-
-
 def score_answers(
     dataset: list[TaskInstance],
     answers: list[Answer],
@@ -481,7 +476,7 @@ def score_answers(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_jsonl(out / "results.jsonl", provenance, rows)
+        write_jsonl(out / "results.jsonl", provenance, map(json.dumps, rows))
     return records, metrics, rows
 
 
@@ -682,11 +677,11 @@ def run_evaluation(
     if out_dir is not None:
         results_path = Path(out_dir) / "results.jsonl"
         responses_path = Path(out_dir) / "responses.jsonl"
-        _write_jsonl(responses_path, provenance, (
-            {"instance_id": row["instance_id"],
-             "prompt_sha256": row["prompt_sha256"],
-             "response_sha256": row["response_sha256"],
-             "response": answer[1]}
+        write_jsonl(responses_path, provenance, (
+            json.dumps({"instance_id": row["instance_id"],
+                        "prompt_sha256": row["prompt_sha256"],
+                        "response_sha256": row["response_sha256"],
+                        "response": answer[1]})
             for row, answer in zip(rows, answers)
             if not isinstance(answer, HarnessError)))
     return RunResult(records, metrics, calls, results_path, responses_path)
@@ -696,48 +691,30 @@ def read_responses(path: str | Path) -> dict[str, dict]:
     """Load a captured responses file as an instance_id -> row map.
 
     Each row keeps at least the response text plus any hashes recorded at
-    capture time; a provenance line is skipped on line 1 only, as
-    ``read_dataset`` does, and refused anywhere else.  An instance_id that
-    repeats, a response that UTF-8 cannot encode, or a prompt_sha256 that
-    is no sha256 hex digest, is refused.
+    capture time.  Lines are read by ``tasks.read_jsonl``, which refuses
+    what it refuses in a dataset, a repeated instance_id included; a row
+    without string instance_id and response, a response that UTF-8 cannot
+    encode, or a prompt_sha256 that is no sha256 hex digest, is refused too.
     """
+    rows = read_jsonl(path, "instance_id")
+    next(rows, None)  # the provenance
     responses = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON: {exc.msg} "
-                                 f"at column {exc.colno}") from None
-            if not isinstance(row, dict):
-                raise ValueError(f"line {line_no}: responses row is not a "
-                                 f"JSON object")
-            if set(row) == {"_config"}:
-                if line_no == 1:
-                    continue
-                raise ValueError(f"line {line_no}: a _config line must be "
-                                 f"the first line")
-            if not (isinstance(row.get("instance_id"), str)
-                    and isinstance(row.get("response"), str)):
-                raise ValueError(
-                    f"line {line_no}: responses row needs string "
-                    f"instance_id and response"
-                )
-            try:
-                row["response"].encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"line {line_no}: response is not UTF-8 "
-                                 f"text: {exc.reason} at character "
-                                 f"{exc.start}") from None
-            if "prompt_sha256" in row and not (
-                    isinstance(row["prompt_sha256"], str)
-                    and _SHA256_RE.fullmatch(row["prompt_sha256"])):
-                raise ValueError(f"line {line_no}: prompt_sha256 is not 64 "
-                                 f"lowercase hex characters")
-            if row["instance_id"] in responses:
-                raise ValueError(f"line {line_no}: duplicate instance_id "
-                                 f"{row['instance_id']!r}")
-            responses[row["instance_id"]] = row
+    for line_no, row in rows:
+        if not (isinstance(row.get("instance_id"), str)
+                and isinstance(row.get("response"), str)):
+            raise MalformedRecordError(
+                line_no, "responses row needs string instance_id and "
+                         "response")
+        try:
+            row["response"].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecordError(
+                line_no, f"response is not UTF-8 text: {exc.reason} at "
+                         f"character {exc.start}") from None
+        if "prompt_sha256" in row and not (
+                isinstance(row["prompt_sha256"], str)
+                and _SHA256_RE.fullmatch(row["prompt_sha256"])):
+            raise MalformedRecordError(
+                line_no, "prompt_sha256 is not 64 lowercase hex characters")
+        responses[row["instance_id"]] = row
     return responses

@@ -48,10 +48,7 @@ from gridlang.world import DEFAULT_BUDGET, step_bound
 __all__ = [
     "GenParams",
     "ResampleLimitError",
-    "sample_node",
     "sample_block",
-    "sample_expr",
-    "sample_cond",
     "generate_instance",
     "RESAMPLE_LIMIT",
 ]
@@ -59,6 +56,10 @@ __all__ = [
 RESAMPLE_LIMIT = 100
 
 LITERAL_MAX = 5  # sampled literals lie in [0, LITERAL_MAX]
+
+# (params record key, GenParams field), in record order
+_PARAM_KEYS = (("D", "max_depth"), ("p", "else_prob"), ("E", "expr_depth"),
+               ("B_max", "max_block"), ("seed", "seed"))
 
 
 @dataclass(frozen=True)
@@ -98,27 +99,15 @@ class GenParams:
                              "values with a positive sum")
 
     def to_dict(self) -> dict:
-        return {
-            "D": self.max_depth,
-            "p": self.else_prob,
-            "E": self.expr_depth,
-            "B_max": self.max_block,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, name) for key, name in _PARAM_KEYS}
 
     @staticmethod
     def from_dict(data: dict) -> GenParams:
-        extra = set(data) - {"D", "p", "E", "B_max", "seed"}
+        extra = set(data) - {key for key, _name in _PARAM_KEYS}
         if extra:
             raise ValueError(f"unknown params field {sorted(extra)[0]!r}")
         try:
-            return GenParams(
-                max_depth=data["D"],
-                else_prob=data["p"],
-                expr_depth=data["E"],
-                max_block=data["B_max"],
-                seed=data["seed"],
-            )
+            return GenParams(**{name: data[key] for key, name in _PARAM_KEYS})
         except KeyError as exc:
             raise ValueError(
                 f"params missing field {exc.args[0]!r}"
@@ -170,11 +159,6 @@ class _Plan:
         self.spine_to_loop = 0.0 + w_loop
 
 
-def sample_expr(params: GenParams, rng: random.Random) -> ArithExpr:
-    """Arithmetic expression of node depth exactly params.expr_depth."""
-    return _arith_at(params.expr_depth, rng._randbelow)
-
-
 def _arith_at(depth: int, below) -> ArithExpr:
     if depth == 1:
         return _LITERALS[below(LITERAL_MAX + 1)]
@@ -186,11 +170,6 @@ def _arith_at(depth: int, below) -> ArithExpr:
     if full_left:
         return BinaryArith(op, full, other)
     return BinaryArith(op, other, full)
-
-
-def sample_cond(params: GenParams, rng: random.Random) -> BoolExpr:
-    """Condition of node depth exactly params.expr_depth."""
-    return _cond_at(params.expr_depth, rng._randbelow)
 
 
 def _cond_at(depth: int, below) -> BoolExpr:
@@ -220,11 +199,6 @@ def _action(plan: _Plan) -> ActionStmt:
     return _GRABS[below(len(_GRABS))]
 
 
-def sample_node(d: int, params: GenParams, rng: random.Random) -> Stmt:
-    """Categorical statement draw at nesting depth d; actions at the cap."""
-    return _node(d, _Plan(params, rng))
-
-
 def _node(d: int, plan: _Plan) -> Stmt:
     if d >= plan.max_depth:
         return _action(plan)
@@ -248,7 +222,8 @@ def _if(d: int, plan: _Plan, then_block) -> If:
 
 
 def sample_block(d: int, params: GenParams, rng: random.Random) -> Block:
-    """Uniform(1, max_block) statements, each drawn by sample_node."""
+    """Uniform(1, max_block) statements drawn at nesting depth d, actions
+    at the depth cap."""
     return _block(d, _Plan(params, rng))
 
 

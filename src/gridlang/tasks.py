@@ -1,4 +1,4 @@
-"""Task instance synthesis and line-delimited dataset IO.
+"""Task instance synthesis and gridlang's JSON Lines files.
 
 Three task kinds share one record schema:
 
@@ -7,14 +7,19 @@ Three task kinds share one record schema:
 * goal — start and target world states, code withheld;
 * instruction — templated English steps to translate back into code.
 
-Records serialize as JSON Lines with fixed key order; a state's inventory
-is an object of counts, ``{"box": 1, "key_2": 3}``.  An optional leading
-``{"_config": ...}`` line carries run provenance and the
-``dataset_format``; it is skipped on read.  Readers are strict: an unknown
-field, a missing required field, a text field that is no string, a
-coordinate that is no int or a bad inventory count is a malformed record,
-reported with its line number.  In prompts a state reads
-``inventory [box, key_2 x3]``.
+``make_dataset`` draws every kind in one loop.  Records serialize with
+fixed key order; a state's inventory is an object of counts,
+``{"box": 1, "key_2": 3}``, and reads ``inventory [box, key_2 x3]`` in
+prompts.
+
+Datasets, results and responses are written by ``write_jsonl`` and read
+by ``read_jsonl``: an optional ``{"_config": ...}`` provenance line on
+line 1 (a dataset's records its ``dataset_format``), then one JSON object
+per line.  Invalid JSON, a line that is no object, a late provenance line
+and a repeated id are refused in the same words in every file, with the
+line number; so is a malformed dataset record (an unknown or missing
+field, a text field that is no string, a coordinate that is no int, a bad
+inventory count).
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ __all__ = [
     "PerturbationError",
     "MalformedRecordError",
     "perturb",
-    "make_judgment_set",
     "make_instance",
     "make_dataset",
     "render_instruction",
@@ -73,6 +77,8 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_dataset_config",
+    "read_jsonl",
+    "write_jsonl",
     "DATASET_FORMAT",
 ]
 
@@ -183,10 +189,9 @@ class TaskInstance:
         return json.dumps(record)
 
     @staticmethod
-    def from_json(text: str) -> TaskInstance:
-        record = json.loads(text)
-        if not isinstance(record, dict):
-            raise ValueError("record is not an object")
+    def from_dict(record: dict) -> TaskInstance:
+        """The instance a decoded record holds; ``ValueError`` or
+        ``KeyError`` names what is malformed."""
         extra = set(record) - set(_FIELDS)
         if extra:
             raise ValueError(f"unknown field {sorted(extra)[0]!r}")
@@ -289,47 +294,6 @@ def _fresh_token(g: GrammarSpec, rng: random.Random) -> str:
 # --- dataset builders ------------------------------------------------------
 
 
-def make_judgment_set(
-    n: int, style: Style, mode: LexiconMode, params: GenParams
-) -> list[TaskInstance]:
-    """n/2 valid and n/2 perturbed instances, labels re-verified by parse.
-
-    Valid and invalid instances alternate; perturbation categories cycle
-    uniformly over the invalid half.
-    """
-    if n <= 0 or n % 2:
-        raise ValueError(f"judgment set size must be positive and even, "
-                         f"got {n}")
-    instances = []
-    invalid_index = 0
-    for i in range(n):
-        seed = derive_seed(params.seed, "judgment", i)
-        inst_params = replace(params, seed=seed)
-        if i % 2 == 0:
-            g, candidate, _tree = generate_instance(style, mode, inst_params)
-            parse(candidate, g)  # re-verify the gold label
-            label, category = "VALID", None
-        else:
-            category = _CATEGORIES[invalid_index % len(_CATEGORIES)]
-            invalid_index += 1
-            g, candidate = _perturbed_candidate(
-                style, mode, inst_params, category
-            )
-            label = "INVALID"
-        instances.append(TaskInstance(
-            id=f"judgment-{i:05d}",
-            kind=TaskKind.JUDGMENT,
-            style=style,
-            lexicon_mode=mode,
-            params=inst_params,
-            grammar_text=render_ebnf(g),
-            candidate=candidate,
-            gold_label=label,
-            perturb_category=category,
-        ))
-    return instances
-
-
 def _perturbed_candidate(
     style: Style,
     mode: LexiconMode,
@@ -400,9 +364,15 @@ def make_dataset(
     params: GenParams,
     start_state: RobotState = START_STATE,
 ) -> list[TaskInstance]:
-    """Build n instances of one task kind from a global seed."""
-    if kind is TaskKind.JUDGMENT:
-        return make_judgment_set(n, style, mode, params)
+    """Build n instances of one task kind from a global seed.
+
+    Instance i draws from ``derive_seed(params.seed, kind, i)``.  A judgment
+    set alternates valid instances (even i), their labels re-verified by
+    parse, with perturbed ones whose categories cycle uniformly.
+    """
+    if kind is TaskKind.JUDGMENT and (n <= 0 or n % 2):
+        raise ValueError(f"judgment set size must be positive and even, "
+                         f"got {n}")
     if n <= 0:
         raise ValueError(f"dataset size must be positive, got {n}")
     instances = []
@@ -410,9 +380,32 @@ def make_dataset(
         inst_params = replace(
             params, seed=derive_seed(params.seed, kind.value, i)
         )
-        instances.append(make_instance(
-            kind, style, mode, inst_params, f"{kind.value}-{i:05d}",
-            start_state,
+        identifier = f"{kind.value}-{i:05d}"
+        if kind is not TaskKind.JUDGMENT:
+            instances.append(make_instance(
+                kind, style, mode, inst_params, identifier, start_state,
+            ))
+            continue
+        if i % 2 == 0:
+            g, candidate, _tree = generate_instance(style, mode, inst_params)
+            parse(candidate, g)  # re-verify the gold label
+            label, category = "VALID", None
+        else:
+            category = _CATEGORIES[(i // 2) % len(_CATEGORIES)]
+            g, candidate = _perturbed_candidate(
+                style, mode, inst_params, category
+            )
+            label = "INVALID"
+        instances.append(TaskInstance(
+            id=identifier,
+            kind=kind,
+            style=style,
+            lexicon_mode=mode,
+            params=inst_params,
+            grammar_text=render_ebnf(g),
+            candidate=candidate,
+            gold_label=label,
+            perturb_category=category,
         ))
     return instances
 
@@ -495,15 +488,62 @@ def render_state(state: RobotState) -> str:
 # --- dataset files ----------------------------------------------------------
 
 
+def write_jsonl(path, config: dict | None, lines) -> None:
+    """A provenance line when ``config`` is given, then each of ``lines``
+    (one JSON text each) on a line of its own."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if config is not None:
+            handle.write(json.dumps({"_config": config}) + "\n")
+        handle.writelines(line + "\n" for line in lines)
+
+
+def read_jsonl(path, id_field: str):
+    """Read a JSON Lines file written by ``write_jsonl``, one line at a time.
+
+    The first value yielded is the provenance of a ``{"_config": ...}``
+    line on physical line 1, else None; then comes ``(line_no, row)`` for
+    every other non-blank line, each decoded once.  A line that is not a
+    JSON object, a provenance line anywhere below line 1, and a row whose
+    string ``id_field`` an earlier row used, raise MalformedRecordError.
+    """
+    first_line: dict[str, int] = {}  # id -> the line that first used it
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, 1):
+            if not line.strip():
+                if line_no == 1:
+                    yield None
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(
+                    line_no, f"invalid JSON: {exc.msg} at column "
+                             f"{exc.colno}") from None
+            if not isinstance(row, dict):
+                raise MalformedRecordError(line_no, "not a JSON object")
+            if len(row) == 1 and "_config" in row:
+                if line_no > 1:
+                    raise MalformedRecordError(
+                        line_no, "a _config line must be the first line")
+                yield row["_config"]
+                continue
+            if line_no == 1:
+                yield None
+            key = row.get(id_field)
+            if isinstance(key, str):
+                first = first_line.setdefault(key, line_no)
+                if first != line_no:
+                    raise MalformedRecordError(
+                        line_no, f"duplicate {id_field} {key!r}, first used "
+                                 f"on line {first}")
+            yield line_no, row
+
+
 def write_dataset(
     instances: list[TaskInstance], path, config: dict | None = None
 ) -> None:
     """One JSON record per line; optional leading provenance line."""
-    with open(path, "w", encoding="utf-8") as handle:
-        if config is not None:
-            handle.write(json.dumps({"_config": config}) + "\n")
-        for inst in instances:
-            handle.write(inst.to_json() + "\n")
+    write_jsonl(path, config, (inst.to_json() for inst in instances))
 
 
 def read_dataset(path) -> list[TaskInstance]:
@@ -514,46 +554,22 @@ def read_dataset(path) -> list[TaskInstance]:
     config line, read as well (their inventories may be lists).  An id
     used twice is refused, since results and responses are keyed by id.
     """
+    rows = read_jsonl(path, "id")
+    _check_format(next(rows, None))
     instances = []
-    first_line: dict[str, int] = {}  # id -> the line that first used it
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            if line_no == 1:
-                header = _config_record(line)
-                if header is not None:
-                    _check_format(header["_config"])
-                    continue
-            try:
-                inst = TaskInstance.from_json(line)
-            except (ValueError, KeyError) as exc:
-                raise MalformedRecordError(line_no, str(exc)) from exc
-            first = first_line.setdefault(inst.id, line_no)
-            if first != line_no:
-                raise MalformedRecordError(
-                    line_no, f"duplicate id {inst.id!r}, first used on line "
-                             f"{first}")
-            instances.append(inst)
+    for line_no, row in rows:
+        try:
+            instances.append(TaskInstance.from_dict(row))
+        except (ValueError, KeyError) as exc:
+            raise MalformedRecordError(line_no, str(exc)) from exc
     return instances
 
 
 def read_dataset_config(path) -> dict | None:
     """Provenance from the leading config line, if present; files written
-    by ``gridlang gen`` record their ``dataset_format`` in it."""
-    with open(path, encoding="utf-8") as handle:
-        header = _config_record(handle.readline())
-    return None if header is None else header["_config"]
-
-
-def _config_record(line: str) -> dict | None:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(record, dict) and set(record) == {"_config"}:
-        return record
-    return None
+    by ``gridlang gen`` record their ``dataset_format`` in it.  A first
+    line that is no JSON object is refused."""
+    return next(read_jsonl(path, "id"), None)
 
 
 def _check_format(config) -> None:

@@ -21,7 +21,7 @@ from gridlang.grammar import LexiconMode, Style, grammar_from_text
 from gridlang.harness import EndpointConfig, PromptConfig, run_evaluation
 from gridlang.metrics import EvalRecord, aggregate
 from gridlang.sampler import GenParams, generate_instance, sample_block
-from gridlang.tasks import TaskKind, make_dataset, make_judgment_set
+from gridlang.tasks import TaskKind, make_dataset
 from gridlang.world import (
     START_STATE,
     Facing,
@@ -93,8 +93,8 @@ class TestAcceptance:
 
     def test_criterion_3_perturbation_soundness(self):
         params = GenParams(max_depth=6, seed=2024)
-        instances = make_judgment_set(200, Style.BLOCK,
-                                      LexiconMode.NATURAL, params)
+        instances = make_dataset(TaskKind.JUDGMENT, 200, Style.BLOCK,
+                                 LexiconMode.NATURAL, params)
         n_valid = sum(1 for i in instances if i.gold_label == "VALID")
         wrong = 0
         for inst in instances:

@@ -19,11 +19,12 @@ from gridlang.sampler import (
     LITERAL_MAX,
     GenParams,
     ResampleLimitError,
+    _Plan,
+    _arith_at,
+    _cond_at,
+    _node,
     generate_instance,
     sample_block,
-    sample_cond,
-    sample_expr,
-    sample_node,
 )
 from gridlang.world import DEFAULT_BUDGET
 
@@ -256,13 +257,13 @@ class TestStreamMatchesReference:
         pairs = [
             (lambda rng: sample_block(1, params, rng),
              lambda rng: oracle_sample_block(1, params, rng)),
-            (lambda rng: sample_node(0, params, rng),
+            (lambda rng: _node(0, _Plan(params, rng)),
              lambda rng: oracle_sample_node(0, params, rng)),
-            (lambda rng: sample_node(3, params, rng),  # at the depth cap
+            (lambda rng: _node(3, _Plan(params, rng)),  # at the depth cap
              lambda rng: oracle_sample_node(3, params, rng)),
-            (lambda rng: sample_expr(params, rng),
+            (lambda rng: _arith_at(params.expr_depth, rng._randbelow),
              lambda rng: oracle_sample_expr(params, rng)),
-            (lambda rng: sample_cond(params, rng),
+            (lambda rng: _cond_at(params.expr_depth, rng._randbelow),
              lambda rng: oracle_sample_cond(params, rng)),
         ]
         for seed in range(6):

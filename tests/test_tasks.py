@@ -30,7 +30,7 @@ from gridlang.ast import (
 from gridlang.codec import ParseError, parse, tokenize
 from gridlang.grammar import LexiconMode, Style, grammar_from_text
 from gridlang.sampler import GenParams, generate_instance
-from gridlang.harness import PromptConfig, build_prompt
+from gridlang.harness import PromptConfig, build_prompt, read_responses
 from gridlang.tasks import (
     DATASET_FORMAT,
     START_STATE,
@@ -40,7 +40,6 @@ from gridlang.tasks import (
     TaskKind,
     make_dataset,
     make_instance,
-    make_judgment_set,
     perturb,
     read_dataset,
     read_dataset_config,
@@ -135,8 +134,8 @@ class TestPerturbations:
 class TestJudgmentSets:
     def test_alternation_balance_and_categories(self):
         params = GenParams(max_depth=6, seed=17)
-        instances = make_judgment_set(40, Style.BLOCK, LexiconMode.NATURAL,
-                                      params)
+        instances = make_dataset(TaskKind.JUDGMENT, 40, Style.BLOCK,
+                                 LexiconMode.NATURAL, params)
         assert len(instances) == 40
         labels = [inst.gold_label for inst in instances]
         assert labels == ["VALID", "INVALID"] * 20
@@ -151,8 +150,8 @@ class TestJudgmentSets:
 
     def test_labels_verified_by_parser(self):
         params = GenParams(max_depth=5, seed=2)
-        for inst in make_judgment_set(20, Style.SEXPR, LexiconMode.ALIEN,
-                                      params):
+        for inst in make_dataset(TaskKind.JUDGMENT, 20, Style.SEXPR,
+                                 LexiconMode.ALIEN, params):
             g = grammar_from_text(inst.style, inst.lexicon_mode,
                                   inst.grammar_text)
             if inst.gold_label == "VALID":
@@ -165,13 +164,13 @@ class TestJudgmentSets:
         params = GenParams(max_depth=4, seed=0)
         for bad in (0, -2, 7):
             with pytest.raises(ValueError):
-                make_judgment_set(bad, Style.BLOCK, LexiconMode.NATURAL,
-                                  params)
+                make_dataset(TaskKind.JUDGMENT, bad, Style.BLOCK,
+                             LexiconMode.NATURAL, params)
 
     def test_valid_candidates_keep_gold_fields_empty(self):
         params = GenParams(max_depth=4, seed=6)
-        for inst in make_judgment_set(8, Style.C, LexiconMode.NATURAL,
-                                      params):
+        for inst in make_dataset(TaskKind.JUDGMENT, 8, Style.C,
+                                 LexiconMode.NATURAL, params):
             assert inst.kind is TaskKind.JUDGMENT
             assert inst.start_state is None
             assert inst.gold_code is None
@@ -504,6 +503,47 @@ class TestDatasets:
             read_dataset(path)
 
 
+class TestOneReader:
+    """Datasets and responses files are read by one line reader, so a
+    fault they can both hold is reported in the same words."""
+
+    GOAL = GenParams(max_depth=3, seed=7)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("{oops", "invalid JSON: Expecting property name enclosed in double "
+                  "quotes at column 2"),
+        ("5", "not a JSON object"),
+        ('{"_config": {}}', "a _config line must be the first line"),
+        (None, "duplicate {id_field} 'goal-00000', first used on line 2"),
+    ])
+    @pytest.mark.parametrize("reader", ["dataset", "responses"])
+    def test_same_fault_same_message(self, tmp_path, reader, fault,
+                                     message):
+        if reader == "dataset":
+            row = make_instance(TaskKind.GOAL, Style.C, LexiconMode.NATURAL,
+                                self.GOAL).to_json()
+            read, id_field = read_dataset, "id"
+        else:
+            row = json.dumps({"instance_id": "goal-00000", "response": "x"})
+            read, id_field = read_responses, "instance_id"
+        path = tmp_path / f"{reader}.jsonl"
+        path.write_text('{"_config": {}}\n' + row + "\n"
+                        + (row if fault is None else fault) + "\n")
+        with pytest.raises(MalformedRecordError) as info:
+            read(path)
+        assert str(info.value) == "line 3: " + message.format(
+            id_field=id_field)
+        assert info.value.line_no == 3
+
+    @pytest.mark.parametrize("first", ["{oops", "[1]"])
+    def test_config_reader_refuses_a_first_line_that_is_no_object(
+            self, tmp_path, first):
+        path = tmp_path / "data.jsonl"
+        path.write_text(first + "\n")
+        with pytest.raises(MalformedRecordError, match="^line 1: "):
+            read_dataset_config(path)
+
+
 class TestInstanceValidation:
     def _goal_kwargs(self):
         params = GenParams(max_depth=4, seed=1)
@@ -533,7 +573,8 @@ class TestInstanceValidation:
     def test_bad_label_rejected(self):
         kwargs = self._goal_kwargs()
         params = GenParams(max_depth=4, seed=3)
-        j = make_judgment_set(2, Style.BLOCK, LexiconMode.NATURAL, params)[0]
+        j = make_dataset(TaskKind.JUDGMENT, 2, Style.BLOCK,
+                         LexiconMode.NATURAL, params)[0]
         with pytest.raises(ValueError):
             TaskInstance(
                 id=j.id, kind=j.kind, style=j.style,
@@ -544,7 +585,8 @@ class TestInstanceValidation:
 
     def test_category_only_on_invalid(self):
         params = GenParams(max_depth=4, seed=3)
-        j = make_judgment_set(2, Style.BLOCK, LexiconMode.NATURAL, params)[0]
+        j = make_dataset(TaskKind.JUDGMENT, 2, Style.BLOCK,
+                         LexiconMode.NATURAL, params)[0]
         assert j.gold_label == "VALID"
         with pytest.raises(ValueError):
             TaskInstance(
@@ -560,4 +602,5 @@ class TestInstanceValidation:
         for kind in TaskKind:
             for inst in make_dataset(kind, 2, Style.SEXPR,
                                      LexiconMode.ALIEN, params):
-                assert TaskInstance.from_json(inst.to_json()) == inst
+                assert TaskInstance.from_dict(json.loads(inst.to_json())) \
+                    == inst
