@@ -11,11 +11,12 @@ non-space character stands alone, so ``repeat(3+4)iters`` and
 ``repeat ( 3 + 4 ) iters`` tokenize identically.  A word is the terminal the
 grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
 whose pattern it matches in full.  ``tokenize`` returns one ``Token`` per
-word, with its kind and character span; it serves ``tasks.perturb`` and
-the public API.  Parsing and ``code_start``, which finds the code at the
-end of an answer for ``harness.extract_code``, work on plain word lists
-instead, with each distinct word classified once, so scoring untrusted
-text makes no token objects.
+word, with its kind and character span; it serves only the public API.
+Parsing, ``code_start``, which finds the code at the end of an answer for
+``harness.extract_code``, and ``scan``, which gives ``tasks.perturb`` each
+word's symbol and offset, work on plain word lists instead, with each
+distinct word classified once, so neither scoring untrusted text nor
+generating a judgment set makes token objects.
 
 The parser is one plain Python function per rule, generated from the
 style's rule table and compiled once at import: straight-line terminal
@@ -49,7 +50,7 @@ import enum
 import re
 from dataclasses import fields
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import indexOf, itemgetter, sub
 from typing import Callable, NamedTuple
 
@@ -192,6 +193,20 @@ def _words(text: str, pos: int = 0) -> list[str]:
     pattern would fail there at each character after scanning the rest,
     quadratic work."""
     return _WORD_RE.findall(text, pos, len(text.rstrip()))
+
+
+def scan(text: str, g: GrammarSpec
+         ) -> tuple[list[str], list[R | str | None], list[int]]:
+    """The words of ``text`` as ``parse`` splits them, the symbol ``g``
+    gives each (its role, else its literal class name, else None) and the
+    offset each starts at: what ``tokenize`` tells, without an object per
+    word."""
+    words = _words(text)
+    symbols = _word_symbols(words, g.keyword_roles,
+                            RULE_TABLES[g.style].classes)
+    starts = list(map(re.Match.start, _WORD_RE.finditer(
+        text, 0, len(text.rstrip())), repeat(1)))
+    return words, list(map(symbols.__getitem__, words)), starts
 
 
 def code_start(text: str, g: GrammarSpec) -> int:

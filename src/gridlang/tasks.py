@@ -3,7 +3,8 @@
 Three task kinds share one record schema:
 
 * judgment — a candidate string labeled VALID/INVALID, invalid halves made
-  by small verified corruptions of valid code (bounded to a <= 3 token edit);
+  by small verified corruptions of valid code (one word deleted or
+  replaced);
 * goal — start and target world states, code withheld;
 * instruction — templated English steps to translate back into code.
 
@@ -50,7 +51,7 @@ from gridlang.ast import (
     TurnDir,
     canon_serialize,
 )
-from gridlang.codec import ParseError, Token, TokenKind, parse, tokenize
+from gridlang.codec import ParseError, parse, scan
 from gridlang.grammar import (
     GrammarSpec,
     LexiconMode,
@@ -205,9 +206,20 @@ class TaskInstance:
 
 # --- perturbation ----------------------------------------------------------
 
-_DELIM_ROLES = (R.LBR, R.RBR, R.END, R.PAR_L, R.PAR_R)
 _SWAP = {R.LBR: R.RBR, R.RBR: R.LBR, R.PAR_L: R.PAR_R, R.PAR_R: R.PAR_L}
 _CATEGORIES = tuple(PerturbCategory)
+
+# The symbols of the words each category edits, in groups: a category's
+# sites are the words of its first group in text order, then its next.
+_SITE_SYMBOLS = {
+    PerturbCategory.DELIMITER_DELETE: (
+        frozenset({R.LBR, R.RBR, R.END, R.PAR_L, R.PAR_R}),),
+    PerturbCategory.DELIMITER_SWAP: (frozenset(_SWAP),),
+    PerturbCategory.KEYWORD_CORRUPT: (frozenset(R).difference(PUNCT_ROLES),),
+    # a control keyword dropped into expression or condition position
+    PerturbCategory.ILLEGAL_NESTING: (frozenset({"INT"}),
+                                      frozenset({R.HOLDING})),
+}
 
 
 def perturb(
@@ -218,19 +230,27 @@ def perturb(
 ) -> tuple[str, PerturbCategory]:
     """Corrupt valid code into a near-miss the parser provably rejects.
 
-    The edit touches at most three tokens (every operator here touches one).
+    Each edit deletes or replaces one word, as ``parse`` splits the code
+    (``codec.scan``): a delimiter, a keyword, a count or a condition.
     Site and, when not pinned, category are resampled until the parser
     rejects; fifty parsing survivors raise PerturbationError so the caller
     can resample the base program.
     """
-    tokens = tokenize(code, g)
+    words, syms, starts = scan(code, g)
+    sites: dict[PerturbCategory, list[int]] = {}  # found once per category
     for _ in range(50):
         cat = category
         if cat is None:
             cat = _CATEGORIES[rng.randrange(len(_CATEGORIES))]
-        text = _apply_perturbation(cat, code, tokens, g, rng)
-        if text is None:
+        found = sites.get(cat)
+        if found is None:
+            found = sites[cat] = [k for group in _SITE_SYMBOLS[cat]
+                                  for k, sym in enumerate(syms) if sym in group]
+        if not found:
             continue
+        k = found[rng.randrange(len(found))]
+        text = (code[:starts[k]] + _replacement(cat, syms[k], g, rng)
+                + code[starts[k] + len(words[k]):])
         try:
             parse(text, g)
         except ParseError:
@@ -241,53 +261,23 @@ def perturb(
     )
 
 
-def _apply_perturbation(
-    cat: PerturbCategory,
-    code: str,
-    tokens: list[Token],
-    g: GrammarSpec,
-    rng: random.Random,
-) -> str | None:
+def _replacement(cat: PerturbCategory, sym, g: GrammarSpec,
+                 rng: random.Random) -> str:
+    """The text that takes the place of a site word bound to ``sym``."""
     if cat is PerturbCategory.DELIMITER_DELETE:
-        sites = [t for t in tokens if t.role in _DELIM_ROLES]
-        if not sites:
-            return None
-        site = sites[rng.randrange(len(sites))]
-        return code[:site.start] + code[site.end:]
+        return ""
     if cat is PerturbCategory.DELIMITER_SWAP:
-        sites = [t for t in tokens if t.role in _SWAP]
-        if not sites:
-            return None
-        site = sites[rng.randrange(len(sites))]
-        return _splice(code, site, g.token(_SWAP[site.role]))
+        return g.token(_SWAP[sym])
     if cat is PerturbCategory.KEYWORD_CORRUPT:
-        sites = [t for t in tokens
-                 if t.kind is TokenKind.KEYWORD and t.role not in PUNCT_ROLES]
-        if not sites:
-            return None
-        site = sites[rng.randrange(len(sites))]
-        return _splice(code, site, _fresh_token(g, rng))
-    # illegal nesting: drop a control keyword into expression or
-    # condition position
-    int_sites = [t for t in tokens if t.kind is TokenKind.INT]
-    cond_sites = [t for t in tokens if t.role is R.HOLDING]
-    sites = int_sites + cond_sites
-    if not sites:
-        return None
-    site = sites[rng.randrange(len(sites))]
-    role = R.LOOP if site.kind is TokenKind.INT else R.IF
-    return _splice(code, site, g.token(role))
-
-
-def _splice(code: str, token: Token, replacement: str) -> str:
-    return code[:token.start] + replacement + code[token.end:]
+        return _fresh_token(g, rng)
+    return g.token(R.IF if sym is R.HOLDING else R.LOOP)
 
 
 def _fresh_token(g: GrammarSpec, rng: random.Random) -> str:
     letters = "abcdefghijklmnopqrstuvwxyz"
     while True:
         word = "".join(letters[rng.randrange(26)] for _ in range(5))
-        if word not in g.keyword_roles and not word.isdigit():
+        if word not in g.keyword_roles:
             return word
 
 

@@ -1,14 +1,17 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
 reference answer extractor, a reference parser and linearizer, a
 hand-written reference for the canonical tree form, a reference sampler,
-and a random derivation generator that reads the rendered EBNF text.
+a reference perturber, and a random derivation generator that reads the
+rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
 explicit stack), the reference parser and linearizer interpret the rule
 table item by item instead of running the codec's generated functions, the
 reference sampler draws through ``randrange``/``randint`` rather than the
-bound ``_randbelow``, and the generator reads the grammar text with its
-own reader, so tests never validate library code against itself.
+bound ``_randbelow``, the reference perturber picks its sites from
+``tokenize``'s Token objects rather than a word list, and the generator
+reads the grammar text with its own reader, so tests never validate
+library code against itself.
 """
 
 from __future__ import annotations
@@ -50,10 +53,12 @@ from gridlang.codec import (
     _NESTING_STEP,
     _NODES,
     ParseError,
+    Token,
     TokenKind,
     _group,
     _slots,
     linearize,
+    parse,
     tokenize,
 )
 from gridlang.grammar import (
@@ -63,6 +68,7 @@ from gridlang.grammar import (
     GrammarSpec,
     LexiconMode,
     NATURAL_POOLS,
+    PUNCT_ROLES,
     RuleTable,
     Style,
     TerminalRole as R,
@@ -71,6 +77,7 @@ from gridlang.grammar import (
 )
 from gridlang.sampler import LITERAL_MAX, RESAMPLE_LIMIT, ResampleLimitError
 from gridlang.seeding import derive_seed
+from gridlang.tasks import PerturbCategory, PerturbationError
 from gridlang.world import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -611,6 +618,92 @@ def oracle_generate_instance(style, mode, params,
         if step_bound(tree, cap) <= cap:
             return g, oracle_linearize(tree, g), tree
     raise ResampleLimitError(f"{RESAMPLE_LIMIT} samples over budget")
+
+
+# --- reference perturbation ------------------------------------------------
+# ``perturb`` as it was when it picked its sites from ``tokenize``'s Token
+# objects, each with its own kind, role and span; ``tasks.perturb`` finds
+# them on ``codec.scan``'s word list.
+
+_ORACLE_DELIM_ROLES = (R.LBR, R.RBR, R.END, R.PAR_L, R.PAR_R)
+_ORACLE_SWAP = {R.LBR: R.RBR, R.RBR: R.LBR, R.PAR_L: R.PAR_R,
+                R.PAR_R: R.PAR_L}
+_ORACLE_CATEGORIES = tuple(PerturbCategory)
+
+
+def oracle_perturb(
+    code: str,
+    g: GrammarSpec,
+    rng: random.Random,
+    category: PerturbCategory | None = None,
+) -> tuple[str, PerturbCategory]:
+    """Reference ``perturb``: the same rng draws, sites and texts."""
+    tokens = tokenize(code, g)
+    for _ in range(50):
+        cat = category
+        if cat is None:
+            cat = _ORACLE_CATEGORIES[rng.randrange(len(_ORACLE_CATEGORIES))]
+        text = _oracle_apply_perturbation(cat, code, tokens, g, rng)
+        if text is None:
+            continue
+        try:
+            parse(text, g)
+        except ParseError:
+            return text, cat
+    raise PerturbationError(
+        f"no rejected {category.value if category else 'any-category'} "
+        f"perturbation found in 50 attempts"
+    )
+
+
+def _oracle_apply_perturbation(
+    cat: PerturbCategory,
+    code: str,
+    tokens: list[Token],
+    g: GrammarSpec,
+    rng: random.Random,
+) -> str | None:
+    if cat is PerturbCategory.DELIMITER_DELETE:
+        sites = [t for t in tokens if t.role in _ORACLE_DELIM_ROLES]
+        if not sites:
+            return None
+        site = sites[rng.randrange(len(sites))]
+        return code[:site.start] + code[site.end:]
+    if cat is PerturbCategory.DELIMITER_SWAP:
+        sites = [t for t in tokens if t.role in _ORACLE_SWAP]
+        if not sites:
+            return None
+        site = sites[rng.randrange(len(sites))]
+        return _oracle_splice(code, site, g.token(_ORACLE_SWAP[site.role]))
+    if cat is PerturbCategory.KEYWORD_CORRUPT:
+        sites = [t for t in tokens
+                 if t.kind is TokenKind.KEYWORD and t.role not in PUNCT_ROLES]
+        if not sites:
+            return None
+        site = sites[rng.randrange(len(sites))]
+        return _oracle_splice(code, site, _oracle_fresh_token(g, rng))
+    # illegal nesting: drop a control keyword into expression or
+    # condition position
+    int_sites = [t for t in tokens if t.kind is TokenKind.INT]
+    cond_sites = [t for t in tokens if t.role is R.HOLDING]
+    sites = int_sites + cond_sites
+    if not sites:
+        return None
+    site = sites[rng.randrange(len(sites))]
+    role = R.LOOP if site.kind is TokenKind.INT else R.IF
+    return _oracle_splice(code, site, g.token(role))
+
+
+def _oracle_splice(code: str, token: Token, replacement: str) -> str:
+    return code[:token.start] + replacement + code[token.end:]
+
+
+def _oracle_fresh_token(g: GrammarSpec, rng: random.Random) -> str:
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    while True:
+        word = "".join(letters[rng.randrange(26)] for _ in range(5))
+        if word not in g.keyword_roles and not word.isdigit():
+            return word
 
 
 # --- reference canonical form ------------------------------------------------

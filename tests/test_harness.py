@@ -63,6 +63,7 @@ from gridlang.harness import (
 )
 from gridlang.metrics import _LABEL_RE
 from gridlang.prompts import (
+    DEMO_ANSWER_HEADER,
     GENERATION_OPENER,
     JUDGMENT_OPENER,
     JUDGMENT_TASK_LINE,
@@ -316,9 +317,23 @@ class TestHugeAnswers:
         assert large < 20 * small
 
 
+def _refuse_tokens(monkeypatch) -> None:
+    """Make ``tokenize``, wherever a gridlang module binds it, and every
+    ``Token`` construction raise."""
+    def refuse(*args):
+        raise AssertionError("made Token objects")
+
+    tokenize = codec.tokenize
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gridlang" and \
+                getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", refuse)
+    monkeypatch.setattr(codec, "_new_token", refuse)
+
+
 class TestScoringMakesNoTokens:
     """Scoring reads plain word lists; ``tokenize`` and its ``Token``
-    objects serve only ``perturb`` and the public API."""
+    objects serve only the public API."""
 
     @pytest.mark.parametrize("style", list(Style))
     @pytest.mark.parametrize("kind", [TaskKind.GOAL, TaskKind.INSTRUCTION])
@@ -334,17 +349,27 @@ class TestScoringMakesNoTokens:
             "perturbed": (perturb(code, g, random.Random(3))[0], "syntax"),
             "all prose": ("I cannot write this program, sorry!", "syntax"),
         }
-
-        def refuse(*args):
-            raise AssertionError("scoring made Token objects")
-
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "gridlang" and \
-                    getattr(module, "tokenize", None) is codec.tokenize:
-                monkeypatch.setattr(module, "tokenize", refuse)
-        monkeypatch.setattr(codec, "_new_token", refuse)
+        _refuse_tokens(monkeypatch)
         for name, (raw, stage) in answers.items():
             assert score_instance(inst, raw).failure_stage == stage, name
+
+
+class TestGenerationMakesNoTokens:
+    """Judgment candidates and demos are perturbed on ``codec.scan``'s
+    word list, so generating them makes no ``Token`` objects either."""
+
+    @pytest.mark.parametrize("style", list(Style))
+    @pytest.mark.parametrize("mode", list(LexiconMode))
+    def test_judgment_dataset_and_prompt_never_tokenize(self, style, mode,
+                                                        monkeypatch):
+        _refuse_tokens(monkeypatch)
+        instances = make_dataset(TaskKind.JUDGMENT, 8, style, mode,
+                                 GenParams(max_depth=5, seed=11))
+        assert [inst.gold_label for inst in instances] == \
+            ["VALID", "INVALID"] * 4
+        prompt = build_prompt(instances[0], PromptConfig(shots=2))
+        # the second demo is perturbed
+        assert f"{DEMO_ANSWER_HEADER}\nINVALID" in prompt
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):

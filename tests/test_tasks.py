@@ -6,8 +6,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlang.ast import (
+    ITEM_VOCAB,
     ActionStmt,
     ArithOp,
     BinaryArith,
@@ -28,7 +30,12 @@ from gridlang.ast import (
     canon_parse,
 )
 from gridlang.codec import ParseError, parse, tokenize
-from gridlang.grammar import LexiconMode, Style, grammar_from_text
+from gridlang.grammar import (
+    LexiconMode,
+    Style,
+    build_grammar,
+    grammar_from_text,
+)
 from gridlang.sampler import GenParams, generate_instance
 from gridlang.harness import PromptConfig, build_prompt, read_responses
 from gridlang.tasks import (
@@ -36,6 +43,7 @@ from gridlang.tasks import (
     START_STATE,
     MalformedRecordError,
     PerturbCategory,
+    PerturbationError,
     TaskInstance,
     TaskKind,
     make_dataset,
@@ -49,7 +57,7 @@ from gridlang.tasks import (
 )
 from gridlang.world import Facing, Final, RobotState, exec_program
 
-from conftest import fixed_grammar
+from conftest import ALL_COMBOS, fixed_grammar, oracle_perturb
 
 
 def _token_edit_size(before: str, after: str, g) -> int:
@@ -129,6 +137,42 @@ class TestPerturbations:
             text, _ = perturb(code, g, random.Random(4), category)
             with pytest.raises(ParseError):
                 parse(text, g)
+
+
+class TestPerturbMatchesReference:
+    """``perturb`` finds its sites on ``codec.scan``'s word list; the
+    reference in conftest finds them on ``tokenize``'s Token objects.  From
+    the same rng both make the same text and category, or both give up."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS),
+           st.sampled_from([*PerturbCategory, None]),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_perturb_matches_reference(self, combo, category, seed, data):
+        style, mode = combo
+        if data.draw(st.booleans(), label="word soup"):
+            g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
+            vocabulary = sorted(g.terminals.values()) + sorted(
+                item.render() for item in ITEM_VOCAB) + [
+                "0", "7", "12", "9" * 5000, "\u0663", "zz", "@"]
+            spaces = st.sampled_from(["", " ", "\n", "\t", "\r\n", "\x1c",
+                                      "\u00a0", "\u2003", "\u2028",
+                                      "\u3000"])
+            text = "".join(data.draw(spaces) + word for word in data.draw(
+                st.lists(st.sampled_from(vocabulary), max_size=40)))
+        else:
+            g, text, _tree = generate_instance(style, mode, GenParams(
+                max_depth=data.draw(st.sampled_from([2, 5, 10, 20])),
+                seed=data.draw(st.integers(0, 10 ** 6))))
+        text += data.draw(st.sampled_from(["", "\t", "\n", " \t\n\t"]))
+        outcomes = []
+        for perturber in (perturb, oracle_perturb):
+            try:
+                outcomes.append(perturber(text, g, random.Random(seed),
+                                          category))
+            except PerturbationError:
+                outcomes.append(PerturbationError)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestJudgmentSets:
