@@ -8,15 +8,14 @@ lexicon and every block kept on one line.
 
 Tokenization is whitespace-insensitive: word characters clump, every other
 non-space character stands alone, so ``repeat(3+4)iters`` and
-``repeat ( 3 + 4 ) iters`` tokenize identically.  A word is the terminal the
-grammar binds it to, else a literal of the first class (``INT``, ``ITEM``)
-whose pattern it matches in full.  ``tokenize`` returns one ``Token`` per
-word, with its kind and character span; it serves only the public API.
-Parsing, ``code_start``, which finds the code at the end of an answer for
-``harness.extract_code``, and ``scan``, which gives ``tasks.perturb`` each
-word's symbol and offset, work on plain word lists instead, with each
-distinct word classified once, so neither scoring untrusted text nor
-generating a judgment set makes token objects.
+``repeat ( 3 + 4 ) iters`` split identically.  A word's symbol is the role
+the grammar binds it to, else the first literal class (``INT``, ``ITEM``)
+whose pattern it matches in full, else None.  ``tokenize`` gives the words
+of a text, their symbols and their offsets as three plain lists, for
+``tasks.perturb``.  Parsing and ``code_start``, which finds the code at the
+end of an answer for ``harness.extract_code``, need no offsets and split
+the text themselves.  Each distinct word is classified once, and no object
+is made per word.
 
 The parser is one plain Python function per rule, generated from the
 style's rule table and compiled once at import: straight-line terminal
@@ -49,10 +48,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import fields
-from functools import partial
 from itertools import accumulate, islice, repeat
-from operator import indexOf, itemgetter, sub
-from typing import Callable, NamedTuple
+from operator import indexOf, itemgetter
+from typing import Callable
 
 from gridlang.ast import (
     MAX_NESTING,
@@ -78,6 +76,7 @@ from gridlang.ast import (
 from gridlang.grammar import (
     CANON_RULES,
     CANON_TERMINALS,
+    PUNCT_CHARS,
     RULE_TABLES,
     GrammarSpec,
     RuleTable,
@@ -87,8 +86,6 @@ from gridlang.grammar import (
 )
 
 __all__ = [
-    "TokenKind",
-    "Token",
     "tokenize",
     "ParseError",
     "parse",
@@ -96,8 +93,6 @@ __all__ = [
 ]
 
 _WORD_RE = re.compile(r"\s*([A-Za-z0-9_]+|\S)")  # swallows the space before
-_SPACED_TOKEN_RE = re.compile(r"\s*(?:[A-Za-z0-9_]+|\S)")  # keeps it
-_PUNCT_CHARS = frozenset("[]{}();")
 _BRACKET_RE = re.compile(r"[()\[\]{}]")
 _NOT_BRACKETS = bytes(sorted(set(range(256)).difference(b"()[]{}")))
 _NESTING_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
@@ -146,26 +141,7 @@ def _move(dir: MoveDir, steps) -> Move:
 _MAKERS = {Move: _move}
 
 
-# --- tokens ------------------------------------------------------------------
-
-
-class TokenKind(enum.Enum):
-    KEYWORD = "keyword"
-    INT = "int"
-    ITEM = "item"
-    PUNCT = "punct"
-    UNKNOWN = "unknown"
-
-
-class Token(NamedTuple):
-    text: str
-    kind: TokenKind
-    role: R | None
-    start: int
-    end: int
-
-
-_new_token = partial(tuple.__new__, Token)  # Token from a 5-tuple
+# --- words -------------------------------------------------------------------
 
 
 def _word_symbols(words: list[str], roles: dict[str, R],
@@ -195,12 +171,11 @@ def _words(text: str, pos: int = 0) -> list[str]:
     return _WORD_RE.findall(text, pos, len(text.rstrip()))
 
 
-def scan(text: str, g: GrammarSpec
-         ) -> tuple[list[str], list[R | str | None], list[int]]:
+def tokenize(text: str, g: GrammarSpec
+             ) -> tuple[list[str], list[R | str | None], list[int]]:
     """The words of ``text`` as ``parse`` splits them, the symbol ``g``
     gives each (its role, else its literal class name, else None) and the
-    offset each starts at: what ``tokenize`` tells, without an object per
-    word."""
+    offset each starts at.  Never fails: an unknown word's symbol is None."""
     words = _words(text)
     symbols = _word_symbols(words, g.keyword_roles,
                             RULE_TABLES[g.style].classes)
@@ -215,7 +190,7 @@ def code_start(text: str, g: GrammarSpec) -> int:
     run is all of ``text``.
 
     A known word is a bracket or separator character, a bound terminal or
-    a literal; ``tokenize`` gives every other word the kind ``UNKNOWN``.
+    a literal: one of ``PUNCT_CHARS``, or a word with a symbol.
     The run starts after the last mark no known word contains, so only
     the text after it is split, each distinct word is classified once and
     the list is scanned backward."""
@@ -223,7 +198,7 @@ def code_start(text: str, g: GrammarSpec) -> int:
     words = _words(text, tail)
     symbols = _word_symbols(words, g.keyword_roles,
                             RULE_TABLES[g.style].classes)
-    known = {word: sym is not None or word in _PUNCT_CHARS
+    known = {word: sym is not None or word in PUNCT_CHARS
              for word, sym in symbols.items()}
     try:  # the run follows the last unknown word
         cut = len(words) - indexOf(map(known.__getitem__, reversed(words)),
@@ -240,35 +215,9 @@ def _code_chars(g: GrammarSpec) -> re.Pattern:
     made of: word characters, brackets and the grammar's one-character
     operators.  Any other character is an unknown word of its own.
     (``re`` keeps the compiled pattern of each grammar's marks.)"""
-    marks = sorted(_PUNCT_CHARS.union(
+    marks = sorted(PUNCT_CHARS.union(
         word for word in g.keyword_roles if len(word) == 1))
     return re.compile(r"[\sA-Za-z0-9_" + re.escape("".join(marks)) + "]*")
-
-
-def tokenize(text: str, g: GrammarSpec) -> list[Token]:
-    """Split into classified tokens; never fails, unknown text is a kind.
-
-    Tokens are built column by column, each end the running sum of the
-    lengths of the tokens and the space before them, so no match object
-    is made per token.  Trailing space is cut off first, as ``_words``
-    does."""
-    spaced = _SPACED_TOKEN_RE.findall(text, 0, len(text.rstrip()))
-    words = list(map(str.lstrip, spaced))
-    ends = list(accumulate(map(len, spaced)))
-    kinds, roles = {}, {}
-    for word, sym in _word_symbols(words, g.keyword_roles,
-                                   RULE_TABLES[g.style].classes).items():
-        role = sym if isinstance(sym, R) else None
-        if word in _PUNCT_CHARS:
-            kinds[word] = TokenKind.PUNCT
-        elif role is not None:
-            kinds[word] = TokenKind.KEYWORD
-        else:  # a literal class name is its token kind
-            kinds[word] = TokenKind((sym or "unknown").lower())
-        roles[word] = role
-    return list(map(_new_token, zip(
-        words, map(kinds.__getitem__, words), map(roles.__getitem__, words),
-        map(sub, ends, map(len, words)), ends)))
 
 
 # --- parsing -----------------------------------------------------------------

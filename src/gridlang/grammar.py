@@ -33,13 +33,13 @@ __all__ = [
     "GrammarSpec",
     "NATURAL_POOLS",
     "PUNCT_ROLES",
+    "PUNCT_CHARS",
     "Symbol",
     "RuleTable",
     "RULE_TABLES",
     "CANON_RULES",
     "CANON_TERMINALS",
     "used_roles",
-    "map_lexicon",
     "build_grammar",
     "render_ebnf",
     "grammar_from_text",
@@ -121,6 +121,8 @@ NATURAL_POOLS: dict[TerminalRole, tuple[str, ...]] = {
 }
 
 PUNCT_ROLES = frozenset({R.LBR, R.RBR, R.PAR_L, R.PAR_R, R.SEMI})
+# the characters a punctuation role binds, one each
+PUNCT_CHARS = frozenset("[]{}();")
 
 # Block style draws its bracket pair; C style always uses braces.  S-expr
 # grammars have no bracket roles at all.
@@ -290,9 +292,9 @@ class GrammarSpec:
                 raise ValueError(f"{role.name} binding {token!r} collides "
                                  "with an item or integer literal")
             if role in PUNCT_ROLES:
-                if token not in "[]{}();":
-                    raise ValueError(f"{role.name} must bind punctuation, "
-                                     f"got {token!r}")
+                if token not in PUNCT_CHARS:
+                    raise ValueError(f"{role.name} must bind one punctuation "
+                                     f"character, got {token!r}")
             elif self.mode is LexiconMode.ALIEN:
                 if not _ALIEN_RE.match(token):
                     raise ValueError(f"alien binding {token!r} for "
@@ -314,15 +316,16 @@ class GrammarSpec:
         return self.terminals[role]
 
 
-def map_lexicon(
-    mode: LexiconMode, style: Style, rng: random.Random
-) -> dict[TerminalRole, str]:
-    """Draw one token per role used by ``style``; tokens pairwise distinct.
+def build_grammar(style: Style, mode: LexiconMode, seed: int) -> GrammarSpec:
+    """Deterministically synthesize a grammar from (style, mode, seed).
 
-    Roles are visited in enum order, each drawing from its remaining options,
-    so overlapping pools (TIMES and OP_MUL both contain "times") cannot
-    collide.  Alien draws are rejection-sampled to distinctness.
+    One token is drawn per role used by ``style``, tokens pairwise
+    distinct.  Roles are visited in enum order, each drawing from its
+    remaining options, so overlapping pools (TIMES and OP_MUL both contain
+    "times") cannot collide.  Alien draws are rejection-sampled to
+    distinctness.
     """
+    rng = random.Random(seed)
     if style is Style.BLOCK:
         lbr, rbr = _BLOCK_BRACKET_CHOICES[rng.randrange(2)]
     else:
@@ -340,13 +343,6 @@ def map_lexicon(
             token = options[rng.randrange(len(options))]
         terminals[role] = token
         taken.add(token)
-    return terminals
-
-
-def build_grammar(style: Style, mode: LexiconMode, seed: int) -> GrammarSpec:
-    """Deterministically synthesize a grammar from (style, mode, seed)."""
-    rng = random.Random(seed)
-    terminals = map_lexicon(mode, style, rng)
     return GrammarSpec(style=style, mode=mode, terminals=terminals)
 
 

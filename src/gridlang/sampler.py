@@ -48,7 +48,6 @@ from gridlang.world import DEFAULT_BUDGET, step_bound
 __all__ = [
     "GenParams",
     "ResampleLimitError",
-    "sample_block",
     "generate_instance",
     "RESAMPLE_LIMIT",
 ]
@@ -81,6 +80,14 @@ class GenParams:
     node_weights: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
     def __post_init__(self) -> None:
+        for name in ("max_depth", "expr_depth", "max_block", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, "
+                                 f"got {getattr(self, name)!r}")
+        if isinstance(self.else_prob, bool) or \
+                not isinstance(self.else_prob, (int, float)):
+            raise ValueError(f"else_prob must be a number, "
+                             f"got {self.else_prob!r}")
         if not 1 <= self.max_depth <= 20:
             raise ValueError(f"max_depth must be in [1, 20], "
                              f"got {self.max_depth}")
@@ -103,6 +110,8 @@ class GenParams:
 
     @staticmethod
     def from_dict(data: dict) -> GenParams:
+        if not isinstance(data, dict):
+            raise ValueError(f"params is not an object: {data!r}")
         extra = set(data) - {key for key, _name in _PARAM_KEYS}
         if extra:
             raise ValueError(f"unknown params field {sorted(extra)[0]!r}")
@@ -219,12 +228,6 @@ def _if(d: int, plan: _Plan, then_block) -> If:
     if plan.rand() < plan.else_prob:
         orelse = _block(d + 1, plan)
     return If(cond, then, orelse)
-
-
-def sample_block(d: int, params: GenParams, rng: random.Random) -> Block:
-    """Uniform(1, max_block) statements drawn at nesting depth d, actions
-    at the depth cap."""
-    return _block(d, _Plan(params, rng))
 
 
 def _block(d: int, plan: _Plan) -> Block:

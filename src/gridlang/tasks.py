@@ -51,7 +51,7 @@ from gridlang.ast import (
     TurnDir,
     canon_serialize,
 )
-from gridlang.codec import ParseError, parse, scan
+from gridlang.codec import ParseError, parse, tokenize
 from gridlang.grammar import (
     GrammarSpec,
     LexiconMode,
@@ -231,12 +231,12 @@ def perturb(
     """Corrupt valid code into a near-miss the parser provably rejects.
 
     Each edit deletes or replaces one word, as ``parse`` splits the code
-    (``codec.scan``): a delimiter, a keyword, a count or a condition.
+    (``codec.tokenize``): a delimiter, a keyword, a count or a condition.
     Site and, when not pinned, category are resampled until the parser
     rejects; fifty parsing survivors raise PerturbationError so the caller
     can resample the base program.
     """
-    words, syms, starts = scan(code, g)
+    words, syms, starts = tokenize(code, g)
     sites: dict[PerturbCategory, list[int]] = {}  # found once per category
     for _ in range(50):
         cat = category

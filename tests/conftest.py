@@ -1,17 +1,18 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
-reference answer extractor, a reference parser and linearizer, a
-hand-written reference for the canonical tree form, a reference sampler,
-a reference perturber, and a random derivation generator that reads the
-rendered EBNF text.
+reference word splitter, a reference answer extractor, a reference parser
+and linearizer, a hand-written reference for the canonical tree form, a
+reference sampler, a reference perturber, and a random derivation
+generator that reads the rendered EBNF text.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
-explicit stack), the reference parser and linearizer interpret the rule
-table item by item instead of running the codec's generated functions, the
-reference sampler draws through ``randrange``/``randint`` rather than the
-bound ``_randbelow``, the reference perturber picks its sites from
-``tokenize``'s Token objects rather than a word list, and the generator
-reads the grammar text with its own reader, so tests never validate
-library code against itself.
+explicit stack), the reference splitter has its own word pattern and its
+own reading of each word, which the reference answer extractor and
+perturber pick from, the reference parser and linearizer interpret the
+rule table item by item instead of running the codec's generated
+functions, the reference sampler draws through ``randrange``/``randint``
+rather than the bound ``_randbelow``, and the generator reads the grammar
+text with its own reader, so tests never validate library code against
+itself.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 from collections import Counter
 from dataclasses import fields
 from operator import attrgetter
+from typing import NamedTuple
 
 from gridlang.ast import (
     MAX_NESTING,
@@ -53,13 +55,10 @@ from gridlang.codec import (
     _NESTING_STEP,
     _NODES,
     ParseError,
-    Token,
-    TokenKind,
     _group,
     _slots,
     linearize,
     parse,
-    tokenize,
 )
 from gridlang.grammar import (
     CANON_RULES,
@@ -220,6 +219,46 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
                  steps)
 
 
+# --- reference word splitter -----------------------------------------------
+# Words of ASCII letters, digits and _, else single non-space characters.
+# A word's kind is "punct" for a bracket or separator character, else
+# "keyword" when the grammar binds it, else "int" for ASCII digits, else
+# "item" for an item name, else "unknown"; its role is the one the grammar
+# binds it to, if any.
+
+_ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_]+|\S")
+_ORACLE_PUNCT = frozenset("[]{}();")
+_ORACLE_ITEMS = frozenset(item.render() for item in ITEM_VOCAB)
+
+
+class OracleWord(NamedTuple):
+    text: str
+    kind: str
+    role: R | None
+    start: int
+    end: int
+
+
+def oracle_words(text: str, g: GrammarSpec) -> list[OracleWord]:
+    roles = {token: role for role, token in g.terminals.items()}
+    words = []
+    for m in _ORACLE_WORD_RE.finditer(text):
+        word = m.group()
+        if word in _ORACLE_PUNCT:
+            kind = "punct"
+        elif word in roles:
+            kind = "keyword"
+        elif word.isascii() and word.isdigit():
+            kind = "int"
+        elif word in _ORACLE_ITEMS:
+            kind = "item"
+        else:
+            kind = "unknown"
+        words.append(OracleWord(word, kind, roles.get(word), m.start(),
+                                m.end()))
+    return words
+
+
 # --- reference answer extraction ---------------------------------------------
 
 # the fenced blocks ``extract_code`` reads, as a pattern; it backtracks
@@ -229,14 +268,14 @@ FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 def oracle_extract_code(raw: str, g: GrammarSpec) -> str:
     """``extract_code`` by its definition: the last fenced block, else the
-    longest trailing run of known tokens of the whole text, else the text."""
+    longest trailing run of known words of the whole text, else the text."""
     fences = FENCE_RE.findall(raw)
     if fences:
         return fences[-1].strip("\n")
-    tokens = tokenize(raw, g)
+    words = oracle_words(raw, g)
     known = list(itertools.takewhile(
-        lambda token: token.kind is not TokenKind.UNKNOWN, reversed(tokens)))
-    if not known or len(known) == len(tokens):
+        lambda word: word.kind != "unknown", reversed(words)))
+    if not known or len(known) == len(words):
         return raw
     return raw[known[-1].start:]
 
@@ -621,9 +660,9 @@ def oracle_generate_instance(style, mode, params,
 
 
 # --- reference perturbation ------------------------------------------------
-# ``perturb`` as it was when it picked its sites from ``tokenize``'s Token
-# objects, each with its own kind, role and span; ``tasks.perturb`` finds
-# them on ``codec.scan``'s word list.
+# ``perturb`` with its sites picked from the reference splitter's words,
+# each with its own kind, role and span; ``tasks.perturb`` finds them on
+# the symbol list of ``codec.tokenize``.
 
 _ORACLE_DELIM_ROLES = (R.LBR, R.RBR, R.END, R.PAR_L, R.PAR_R)
 _ORACLE_SWAP = {R.LBR: R.RBR, R.RBR: R.LBR, R.PAR_L: R.PAR_R,
@@ -638,7 +677,7 @@ def oracle_perturb(
     category: PerturbCategory | None = None,
 ) -> tuple[str, PerturbCategory]:
     """Reference ``perturb``: the same rng draws, sites and texts."""
-    tokens = tokenize(code, g)
+    tokens = oracle_words(code, g)
     for _ in range(50):
         cat = category
         if cat is None:
@@ -659,7 +698,7 @@ def oracle_perturb(
 def _oracle_apply_perturbation(
     cat: PerturbCategory,
     code: str,
-    tokens: list[Token],
+    tokens: list[OracleWord],
     g: GrammarSpec,
     rng: random.Random,
 ) -> str | None:
@@ -677,24 +716,24 @@ def _oracle_apply_perturbation(
         return _oracle_splice(code, site, g.token(_ORACLE_SWAP[site.role]))
     if cat is PerturbCategory.KEYWORD_CORRUPT:
         sites = [t for t in tokens
-                 if t.kind is TokenKind.KEYWORD and t.role not in PUNCT_ROLES]
+                 if t.kind == "keyword" and t.role not in PUNCT_ROLES]
         if not sites:
             return None
         site = sites[rng.randrange(len(sites))]
         return _oracle_splice(code, site, _oracle_fresh_token(g, rng))
     # illegal nesting: drop a control keyword into expression or
     # condition position
-    int_sites = [t for t in tokens if t.kind is TokenKind.INT]
+    int_sites = [t for t in tokens if t.kind == "int"]
     cond_sites = [t for t in tokens if t.role is R.HOLDING]
     sites = int_sites + cond_sites
     if not sites:
         return None
     site = sites[rng.randrange(len(sites))]
-    role = R.LOOP if site.kind is TokenKind.INT else R.IF
+    role = R.LOOP if site.kind == "int" else R.IF
     return _oracle_splice(code, site, g.token(role))
 
 
-def _oracle_splice(code: str, token: Token, replacement: str) -> str:
+def _oracle_splice(code: str, token: OracleWord, replacement: str) -> str:
     return code[:token.start] + replacement + code[token.end:]
 
 

@@ -20,7 +20,7 @@ from gridlang.codec import ParseError, parse
 from gridlang.grammar import LexiconMode, Style, grammar_from_text
 from gridlang.harness import EndpointConfig, PromptConfig, run_evaluation
 from gridlang.metrics import EvalRecord, aggregate
-from gridlang.sampler import GenParams, generate_instance, sample_block
+from gridlang.sampler import GenParams, generate_instance
 from gridlang.tasks import TaskKind, make_dataset
 from gridlang.world import (
     START_STATE,
@@ -31,7 +31,7 @@ from gridlang.world import (
 )
 from gridlang.ast import ActionStmt, If, Literal, Loop, Program, Turn, TurnDir
 
-from conftest import iter_expressions, iter_statements
+from conftest import iter_expressions, iter_statements, oracle_sample_block
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -117,7 +117,7 @@ class TestAcceptance:
         for i in range(1000):
             rng = random.Random(i)
             params = GenParams(max_depth=3, max_block=3, seed=i)
-            body = sample_block(1, params, rng)
+            body = oracle_sample_block(1, params, rng)
             n = rng.randint(0, 5)
             looped = Program((Loop(Literal(n), body),))
             unrolled = Program(body * n)

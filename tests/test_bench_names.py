@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gridlang import codec, tasks
 from gridlang.grammar import LexiconMode, Style
 from gridlang.sampler import GenParams
 from gridlang.tasks import TaskKind, make_dataset
@@ -29,12 +30,19 @@ def _records(kind: TaskKind, style: Style) -> list[dict]:
 
 
 def test_tracer_installs_and_uninstalls():
+    # a name bound by ``from codec import tokenize`` is wrapped too, so
+    # ``perturb``'s calls are traced, and put back afterwards
+    original = codec.tokenize
     tracer = spans.Tracer()
     try:
         tracer.install()
         assert tracer._patched
+        assert tasks.tokenize is codec.tokenize
+        assert codec.tokenize is not original
+        assert codec.tokenize.__wrapped__ is original
     finally:
         tracer.uninstall()
+    assert tasks.tokenize is codec.tokenize is original
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))

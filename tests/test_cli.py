@@ -219,6 +219,23 @@ def test_bad_config_value_refused_with_its_line(command, line, message,
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_malformed_params_refused_with_its_line(tmp_path, capsys):
+    dataset = _gen(tmp_path)
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[1])
+    row["params"]["D"] = "x"
+    lines[1] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = _run("eval", "--dataset", str(dataset), "--base-url", "mock://perfect",
+              "--model", "mock-model", "--out-dir", str(tmp_path / "run"),
+              "--cache-dir", str(tmp_path / "cache"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert "Traceback" not in err
+
+
 class TestEval:
     def test_mock_eval_writes_reports(self, tmp_path, capsys):
         dataset = _gen(tmp_path)

@@ -36,7 +36,6 @@ from gridlang.ast import (
 )
 from gridlang.codec import (
     ParseError,
-    TokenKind,
     linearize,
     parse,
     render_canonical,
@@ -62,6 +61,7 @@ from conftest import (
     oracle_linearize,
     oracle_parse,
     oracle_render_canonical,
+    oracle_words,
 )
 
 BLOCK_G = fixed_grammar(Style.BLOCK)
@@ -127,28 +127,25 @@ else
 class TestTokenizer:
     def test_whitespace_free_punctuation_still_splits(self):
         g = fixed_grammar(Style.BLOCK, LOOP="repeat", TIMES="iters")
-        tokens = tokenize("repeat(3+4)iters", g)
-        assert [t.text for t in tokens] == [
+        words, _syms, _starts = tokenize("repeat(3+4)iters", g)
+        assert words == [
             "repeat", "(", "3", "+", "4", ")", "iters"
         ]
-        assert len(tokens) == 7
+        assert len(words) == 7
 
     def test_token_kinds(self):
-        tokens = tokenize("loop 3 key_2 { zzz", BLOCK_G)
-        kinds = [t.kind for t in tokens]
-        assert kinds == [TokenKind.KEYWORD, TokenKind.INT, TokenKind.ITEM,
-                         TokenKind.PUNCT, TokenKind.UNKNOWN]
-        assert tokens[0].role is R.LOOP
+        _words, syms, _starts = tokenize("loop 3 key_2 { zzz", BLOCK_G)
+        assert syms == [R.LOOP, "INT", "ITEM", R.LBR, None]
 
     def test_offsets_slice_source(self):
         text = "do  grab\tkey end"
-        for token in tokenize(text, BLOCK_G):
-            assert text[token.start:token.end] == token.text
+        words, _syms, starts = tokenize(text, BLOCK_G)
+        for word, start in zip(words, starts):
+            assert text[start:start + len(word)] == word
 
     def test_tokenizer_never_fails(self):
-        assert tokenize("", BLOCK_G) == []
-        assert [t.kind for t in tokenize("@#%", BLOCK_G)] == [
-            TokenKind.UNKNOWN] * 3
+        assert tokenize("", BLOCK_G) == ([], [], [])
+        assert tokenize("@#%", BLOCK_G)[1] == [None] * 3
 
     def test_trailing_space_costs_linear_time(self):
         # a search retried at each character of the run is quadratic in
@@ -169,8 +166,9 @@ class TestTokenizer:
         # characters, with Unicode space between them
         spans = [(m.group(), m.start(), m.end()) for m in
                  re.finditer(r"[A-Za-z0-9_]+|\S", text)]
-        assert [(t.text, t.start, t.end)
-                for t in tokenize(text, BLOCK_G)] == spans
+        words, _syms, starts = tokenize(text, BLOCK_G)
+        assert [(word, start, start + len(word))
+                for word, start in zip(words, starts)] == spans
 
 
 class TestFrozenSurfaces:
@@ -345,7 +343,7 @@ class TestIntegerLiterals:
         assert info.value.position == 2
 
     def test_non_ascii_digit_is_not_an_integer(self):
-        assert tokenize("\u0663", BLOCK_G)[0].kind is TokenKind.UNKNOWN
+        assert tokenize("\u0663", BLOCK_G)[1] == [None]
         with pytest.raises(ParseError) as info:
             parse("loop \u0663 times { do turn left end }", BLOCK_G)
         assert info.value.position == 1
@@ -370,7 +368,7 @@ class TestNestingLimit:
         text = deep_surface(g, MAX_NESTING + 1)
         with pytest.raises(ParseError) as info:
             parse(text, g)
-        words = [t.text for t in tokenize(text, g)]
+        words = tokenize(text, g)[0]
         opened = words[:info.value.position + 1]
         assert opened[-1] in "([{"
         assert bracket_depth("".join(opened)) == MAX_NESTING + 1
@@ -503,7 +501,7 @@ class TestReferenceParser:
                     text, _category = perturb(text, g, rng)
                 except PerturbationError:
                     pass
-        words = [token.text for token in tokenize(text, g)]
+        words = tokenize(text, g)[0]
         edit = data.draw(st.sampled_from(["none", "delete", "duplicate",
                                           "prefix", "literal"]))
         if edit != "none" and words:
@@ -521,6 +519,52 @@ class TestReferenceParser:
                                                "9" * 5000]))
             text = " ".join(words)
         assert _outcome(parse, text, g) == _outcome(oracle_parse, text, g)
+
+
+# the symbol ``tokenize`` gives a word of each reference kind
+_KIND_SYMBOL = {"int": "INT", "item": "ITEM", "unknown": None}
+
+
+class TestTokenizeMatchesReference:
+    """``tokenize`` splits and classifies as the reference splitter in
+    conftest does, its offsets slice the text, and a parse rejection
+    names the word at its position."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(ALL_COMBOS), st.data())
+    def test_tokenize_matches_reference(self, combo, data):
+        style, mode = combo
+        base = data.draw(st.sampled_from(["gold", "soup", "text"]))
+        if base == "gold":
+            g, text = _gold(style, mode, data.draw(st.sampled_from(
+                [2, 5, 10])), data.draw(st.integers(0, 2)))
+        else:
+            g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
+            if base == "soup":
+                vocabulary = sorted(g.terminals.values()) + [
+                    "key_2", "box", "0", "12", "\u0663", "\u00b2", "zz",
+                    "@", "[", "]", "{", "}", "(", ")", ";", "+", "*"]
+                spaces = st.sampled_from(["", " ", "\n", "\t", "\u00a0",
+                                          "\u3000"])
+                text = "".join(data.draw(st.lists(
+                    st.tuples(spaces, st.sampled_from(vocabulary)).map(
+                        "".join), max_size=40)))
+            else:
+                text = data.draw(st.text(max_size=60))
+        words, syms, starts = tokenize(text, g)
+        reference = oracle_words(text, g)
+        assert words == [w.text for w in reference]
+        assert starts == [w.start for w in reference]
+        for word, sym, start, ref in zip(words, syms, starts, reference):
+            assert text[start:start + len(word)] == word
+            assert sym == (ref.role if ref.role is not None
+                           else _KIND_SYMBOL.get(ref.kind))
+        try:
+            parse(text, g)
+        except ParseError as err:
+            assert err.found == (repr(words[err.position])
+                                 if err.position < len(words)
+                                 else "end of input")
 
 
 class TestReferenceLinearizer:

@@ -138,6 +138,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             GrammarSpec(Style.BLOCK, LexiconMode.ALIEN, terminals)
 
+    @pytest.mark.parametrize("role, token", [("SEMI", "();"), ("LBR", "{}"),
+                                             ("RBR", "")])
+    def test_punctuation_role_binds_one_character(self, role, token):
+        bad = fixed_terminals(Style.C, **{role: token})
+        with pytest.raises(ValueError, match="one punctuation character"):
+            GrammarSpec(Style.C, LexiconMode.NATURAL, bad)
+
 
 class TestRendering:
     def test_block_skeleton_lines(self):
@@ -209,6 +216,15 @@ class TestGrammarFromText:
             "loop: LOOP PAR_L expr PAR_R LBR stmt+ RBR")
         assert text != render_ebnf(g)
         with pytest.raises(ValueError):
+            grammar_from_text(Style.C, LexiconMode.NATURAL, text)
+
+    def test_two_character_bracket_rejected(self):
+        # the parser splits "{}" into two words, so no text this EBNF
+        # shows would parse
+        g = build_grammar(Style.C, LexiconMode.NATURAL, 13)
+        text = render_ebnf(g).replace('LBR: "{"', 'LBR: "{}"')
+        assert text != render_ebnf(g)
+        with pytest.raises(ValueError, match="LBR must bind one punctuation"):
             grammar_from_text(Style.C, LexiconMode.NATURAL, text)
 
     @pytest.mark.parametrize("mode", list(LexiconMode))

@@ -21,10 +21,10 @@ from gridlang.sampler import (
     ResampleLimitError,
     _Plan,
     _arith_at,
+    _block,
     _cond_at,
     _node,
     generate_instance,
-    sample_block,
 )
 from gridlang.world import DEFAULT_BUDGET
 
@@ -153,7 +153,7 @@ class TestBlockSizes:
         seen = set()
         for seed in range(200):
             rng = random.Random(seed)
-            block = sample_block(0, params, rng)
+            block = _block(0, _Plan(params, rng))
             assert 1 <= len(block) <= 3
             seen.add(len(block))
         assert seen == {1, 2, 3}
@@ -161,7 +161,7 @@ class TestBlockSizes:
     def test_max_block_one_forces_singletons(self):
         params = GenParams(max_depth=3, max_block=1, seed=0)
         for seed in range(50):
-            block = sample_block(0, params, random.Random(seed))
+            block = _block(0, _Plan(params, random.Random(seed)))
             assert len(block) == 1
 
 
@@ -255,7 +255,7 @@ class TestStreamMatchesReference:
         params = GenParams(max_depth=3, expr_depth=expr_depth,
                            max_block=max_block, node_weights=weights)
         pairs = [
-            (lambda rng: sample_block(1, params, rng),
+            (lambda rng: _block(1, _Plan(params, rng)),
              lambda rng: oracle_sample_block(1, params, rng)),
             (lambda rng: _node(0, _Plan(params, rng)),
              lambda rng: oracle_sample_node(0, params, rng)),

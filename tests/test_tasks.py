@@ -62,8 +62,8 @@ from conftest import ALL_COMBOS, fixed_grammar, oracle_perturb
 
 def _token_edit_size(before: str, after: str, g) -> int:
     """Token-level edit distance contribution of a single splice."""
-    a = [t.text for t in tokenize(before, g)]
-    b = [t.text for t in tokenize(after, g)]
+    a = tokenize(before, g)[0]
+    b = tokenize(after, g)[0]
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     changed = 0
     for op, i1, i2, j1, j2 in matcher.get_opcodes():
@@ -115,8 +115,8 @@ class TestPerturbations:
         text, _ = perturb(code, g, random.Random(0),
                           PerturbCategory.KEYWORD_CORRUPT)
         # same token count, exactly one token replaced
-        a = [t.text for t in tokenize(code, g)]
-        b = [t.text for t in tokenize(text, g)]
+        a = tokenize(code, g)[0]
+        b = tokenize(text, g)[0]
         assert len(a) == len(b)
         assert sum(x != y for x, y in zip(a, b)) == 1
 
@@ -140,8 +140,8 @@ class TestPerturbations:
 
 
 class TestPerturbMatchesReference:
-    """``perturb`` finds its sites on ``codec.scan``'s word list; the
-    reference in conftest finds them on ``tokenize``'s Token objects.  From
+    """``perturb`` finds its sites on ``codec.tokenize``'s symbol list;
+    the reference in conftest finds them on its own splitter's words.  From
     the same rng both make the same text and category, or both give up."""
 
     @settings(max_examples=400, deadline=None)
@@ -484,6 +484,24 @@ class TestDatasets:
         self._rewrite(path, spoil)
         with pytest.raises(MalformedRecordError,
                            match="coordinates must be ints") as info:
+            read_dataset(path)
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("params", [
+        [], 5, None, {"D": "x"}, {"p": None}, {"D": True}, {"seed": 1.5},
+    ])
+    def test_bad_params_reported_with_its_line(self, tmp_path, params):
+        path = tmp_path / "params.jsonl"
+        write_dataset(self._dataset(TaskKind.GOAL, n=3), path)
+
+        def spoil(rows):
+            if isinstance(params, dict):
+                rows[1]["params"].update(params)
+            else:
+                rows[1]["params"] = params
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError, match="^line 2: ") as info:
             read_dataset(path)
         assert info.value.line_no == 2
 

@@ -28,7 +28,7 @@ from gridlang.ast import (
     Turn,
     TurnDir,
 )
-from gridlang.sampler import GenParams, sample_block
+from gridlang.sampler import GenParams
 from gridlang.world import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -41,7 +41,7 @@ from gridlang.world import (
     step_bound,
 )
 
-from conftest import oracle_exec
+from conftest import oracle_exec, oracle_sample_block
 
 KEY = ItemToken("key", None)
 BOX = ItemToken("box", None)
@@ -194,7 +194,7 @@ class TestControlFlow:
         rng = random.Random(99)
         params = GenParams(max_depth=3, max_block=2, seed=0)
         for _ in range(300):
-            body = sample_block(1, params, rng)
+            body = oracle_sample_block(1, params, rng)
             n = rng.randint(0, 5)
             looped = Program((Loop(Literal(n), body),))
             unrolled = Program(body * n) if n else Program(
@@ -205,7 +205,7 @@ class TestControlFlow:
         rng = random.Random(7)
         params = GenParams(max_depth=4, seed=0)
         for _ in range(100):
-            prog = Program(sample_block(0, params, rng))
+            prog = Program(oracle_sample_block(0, params, rng))
             dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
             base = run(prog)
             shifted = run(prog, RobotState(dx, dy, Facing.N))
@@ -236,7 +236,7 @@ class TestBudget:
         rng = random.Random(5)
         params = GenParams(max_depth=5, seed=0)
         for _ in range(200):
-            prog = Program(sample_block(0, params, rng))
+            prog = Program(oracle_sample_block(0, params, rng))
             bound = step_bound(prog, DEFAULT_BUDGET)
             result = exec_program(prog)
             assert isinstance(result, Final)
@@ -330,7 +330,7 @@ class TestLoopSummary:
         # literal counts (E = 1) keep the naive walk short
         params = GenParams(max_depth=depth, max_block=block, expr_depth=1,
                            node_weights=weights, seed=0)
-        prog = Program(sample_block(0, params, random.Random(seed)))
+        prog = Program(oracle_sample_block(0, params, random.Random(seed)))
         assert_matches_oracle(prog, state)
 
     @settings(max_examples=300, deadline=None)
