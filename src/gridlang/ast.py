@@ -3,7 +3,8 @@
 Programs are trees of statements (actions, counted loops, conditionals) over
 two expression sorts: integer arithmetic (loop and move counts) and boolean
 conditions (inventory predicates).  Nodes are immutable dataclasses; trees
-compare structurally with ``==``.
+compare structurally with ``==``, and keep no record of their spelling, so
+equal trees render the same text in every form.
 
 A canonical single-line text form (``canon_serialize`` / ``canon_parse``)
 exists so gold trees can be stored in line-delimited datasets without
@@ -15,7 +16,7 @@ these entry points only call into ``codec``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "ArithOp",
@@ -181,17 +182,11 @@ BoolExpr = Holding | Not | BinaryBool
 
 @dataclass(frozen=True)
 class Move:
-    """Move ``steps`` cells along (or against) the current facing.
-
-    ``steps`` is always an explicit expression; surface syntax may omit the
-    count, in which case the parser fills in ``Literal(1)`` and sets
-    ``steps_omitted`` so the original text can be re-rendered.  The flag is
-    excluded from equality: trees differing only in it are the same program.
-    """
+    """Move ``steps`` cells along (or against) the current facing.  A
+    count the text omits parses as ``Literal(1)`` and renders as ``1``."""
 
     dir: MoveDir
     steps: ArithExpr
-    steps_omitted: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Option precedence is flags over config file over defaults.  The config
 file is plain ``key = value`` lines (``#`` comments allowed) using the
 flag names of any subcommand; a key that names no flag, or a value that
 its flag would refuse, is refused with its line when the file is loaded.
+``main`` loads it once and fills each flag left unset, so a command reads
+one namespace.
 Every artifact embeds the effective configuration it was produced from,
 so a file is reproducible from its own header; nothing is timestamped.
 The exit status is nonzero exactly when an operation errored; metric
@@ -100,32 +102,30 @@ def _read_value(options: dict, text: str):
     return value
 
 
-def _resolve(args, config: dict, name: str, default=MISSING):
-    """flags > config file > default; a MISSING default means required."""
+def _resolve(args, name: str, default=MISSING):
+    """flag or config value > default; a MISSING default means required."""
     value = getattr(args, name)
     if value is not None:
         return value
-    if name in config:
-        return config[name]
     if default is MISSING:
         raise CliError(f"missing required option --{name.replace('_', '-')}")
     return default
 
 
-def _settings(cls, args, config, flags):
+def _settings(cls, args, flags):
     """A ``cls`` from the rows of ``flags`` that name one of its fields;
     a field that no flag or config key sets keeps its default."""
     defaults = {f.name: f.default for f in fields(cls)}
-    return cls(**{field: _resolve(args, config, _dest(flag), defaults[field])
+    return cls(**{field: _resolve(args, _dest(flag), defaults[field])
                   for flag, _options, field in flags if field in defaults})
 
 
-def _gen_settings(args, config):
-    kind = TaskKind(_resolve(args, config, "task"))
-    n = _resolve(args, config, "n")
-    style = Style(_resolve(args, config, "style", "block"))
-    mode = LexiconMode(_resolve(args, config, "lexicon", "natural"))
-    params = _settings(GenParams, args, config, _GEN_FLAGS)
+def _gen_settings(args):
+    kind = TaskKind(_resolve(args, "task"))
+    n = _resolve(args, "n")
+    style = Style(_resolve(args, "style", "block"))
+    mode = LexiconMode(_resolve(args, "lexicon", "natural"))
+    params = _settings(GenParams, args, _GEN_FLAGS)
     return kind, n, style, mode, params
 
 
@@ -164,9 +164,8 @@ def _print_gen_summary(instances: list[TaskInstance]) -> None:
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(args.config)
-    kind, n, style, mode, params = _gen_settings(args, config)
-    out = Path(_resolve(args, config, "out"))
+    kind, n, style, mode, params = _gen_settings(args)
+    out = Path(_resolve(args, "out"))
     instances = make_dataset(kind, n, style, mode, params)
     write_dataset(instances, out,
                   config=_gen_provenance(kind, n, style, mode, params))
@@ -193,13 +192,12 @@ def _write_reports(out_dir: Path, model: str, kind: TaskKind,
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
     dataset = read_dataset(args.dataset)
     kind = dataset_kind(dataset)
-    endpoint = _settings(EndpointConfig, args, config, _ENDPOINT_FLAGS)
-    pc = _settings(PromptConfig, args, config, _ENDPOINT_FLAGS)
-    out_dir = Path(_resolve(args, config, "out_dir"))
-    cache_dir = _resolve(args, config, "cache_dir", "cache")
+    endpoint = _settings(EndpointConfig, args, _ENDPOINT_FLAGS)
+    pc = _settings(PromptConfig, args, _ENDPOINT_FLAGS)
+    out_dir = Path(_resolve(args, "out_dir"))
+    cache_dir = _resolve(args, "cache_dir", "cache")
     provenance = {
         "command": "eval",
         "dataset": str(args.dataset),
@@ -214,7 +212,7 @@ def cmd_eval(args) -> int:
         dataset, endpoint, pc,
         cache_dir=cache_dir,
         out_dir=out_dir,
-        permissive=_resolve(args, config, "permissive", False),
+        permissive=_resolve(args, "permissive", False),
         provenance=provenance,
     )
     print(_write_reports(out_dir, endpoint.model_id, kind, result.metrics,
@@ -225,18 +223,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _load_config(args.config)
     dataset = read_dataset(args.dataset)
     kind = dataset_kind(dataset)
     responses = read_responses(args.responses)
-    out_dir = Path(_resolve(args, config, "out_dir"))
+    out_dir = Path(_resolve(args, "out_dir"))
     answers = []
     for inst in dataset:
         if inst.id not in responses:
             raise CliError(f"no captured response for instance {inst.id}")
         row = responses[inst.id]
         answers.append((row.get("prompt_sha256"), row["response"]))
-    model = _resolve(args, config, "model", "captured")
+    model = _resolve(args, "model", "captured")
     provenance = {
         "command": "score",
         "dataset": str(args.dataset),
@@ -254,27 +251,24 @@ def cmd_score(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
     axis = args.axis
-    parse_value = _OPTIONS[axis].get("type", str)
-    values = [parse_value(v.strip()) for v in args.values.split(",") if
-              v.strip()]
+    values = [_read_value(_OPTIONS[axis], v.strip())
+              for v in args.values.split(",") if v.strip()]
     if not values:
         raise CliError("no sweep values given")
-    kind, n, _style, mode, _params = _gen_settings(args, config)
-    out_dir = Path(_resolve(args, config, "out_dir"))
-    cache_dir = _resolve(args, config, "cache_dir", "cache")
-    evaluate = args.base_url is not None or "base_url" in config
-    endpoint = (_settings(EndpointConfig, args, config, _ENDPOINT_FLAGS)
-                if evaluate else None)
-    permissive = _resolve(args, config, "permissive", False)
+    kind, n, _style, mode, _params = _gen_settings(args)
+    out_dir = Path(_resolve(args, "out_dir"))
+    cache_dir = _resolve(args, "cache_dir", "cache")
+    endpoint = (_settings(EndpointConfig, args, _ENDPOINT_FLAGS)
+                if args.base_url is not None else None)
+    permissive = _resolve(args, "permissive", False)
 
     def variant(value) -> tuple[Style, GenParams, PromptConfig]:
         """The settings of the same flags with the axis flag set to
         ``value``, and a seed derived for the leaf."""
         leaf_args = argparse.Namespace(**{**vars(args), axis: value})
-        pc = _settings(PromptConfig, leaf_args, config, _ENDPOINT_FLAGS)
-        _kind, _n, style, _mode, params = _gen_settings(leaf_args, config)
+        pc = _settings(PromptConfig, leaf_args, _ENDPOINT_FLAGS)
+        _kind, _n, style, _mode, params = _gen_settings(leaf_args)
         # shots only changes the prompt; every value shares one dataset
         tag = "base" if axis == "shots" else str(value)
         seed = derive_seed(params.seed, "sweep", axis, tag)
@@ -298,7 +292,7 @@ def cmd_sweep(args) -> int:
         provenance.update({"command": "sweep", "axis": axis, "value": value})
         write_dataset(instances, dataset_path, config=provenance)
         print(f"wrote {dataset_path}")
-        if evaluate:
+        if endpoint is not None:
             result = run_evaluation(
                 instances, endpoint, v_pc,
                 cache_dir=cache_dir,
@@ -440,6 +434,9 @@ def main(argv=None) -> int:
         # reports them as it always has
         args = build_parser().parse_args(argv)
     try:
+        for key, value in _load_config(args.config).items():
+            if getattr(args, key, MISSING) is None:  # a flag left unset
+                setattr(args, key, value)
         return args.func(args)
     except (ValueError, OSError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,9 +133,7 @@ _LITERALS = {"INT": (int, str), "ITEM": (ItemToken.parse, ItemToken.render)}
 
 def _move(dir: MoveDir, steps) -> Move:
     """``MOVE MOVE_DIR expr?`` without the count moves one step."""
-    if steps is None:
-        return Move(dir, Literal(1), steps_omitted=True)
-    return Move(dir, steps)
+    return Move(dir, Literal(1) if steps is None else steps)
 
 
 _MAKERS = {Move: _move}
@@ -439,11 +437,6 @@ _CANON_ROLES = {token: role for role, token in CANON_TERMINALS.items()}
 
 # --- linearization -----------------------------------------------------------
 
-# The test that an optional item is present, where its field is never None:
-# a move without a count holds Literal(1).
-_PRESENT = {(Move, "steps"): "not n.steps_omitted"}
-
-
 def linearize(program: Program, g: GrammarSpec) -> str:
     """Render a program under ``g`` by the layout rule in the module
     docstring; parse(linearize(t, g), g) recovers t."""
@@ -482,9 +475,9 @@ def _compile_linearizer(table: RuleTable, roles: tuple[R, ...],
         name = constant(cls.__name__, cls)
         lines: list[str] = []
         text = _text(table, table.rules[rule][k],
-                     [None if s is None else attrs[s] for s in slots], cls,
-                     roles, None if one_line else "" if rule == "start"
-                     else "  ", lines, constant)
+                     [None if s is None else attrs[s] for s in slots], roles,
+                     None if one_line else "" if rule == "start" else "  ",
+                     lines, constant)
         out += [f"def e_{name}(n, pad, t):", *lines, f"    return f{text!r}",
                 f"E[{name}] = e_{name}"]
     exec(compile("\n".join(out) + "\n", "<linearizer>", "exec"), namespace)
@@ -492,7 +485,7 @@ def _compile_linearizer(table: RuleTable, roles: tuple[R, ...],
 
 
 def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
-          cls: type, roles: tuple[R, ...], indent: str | None,
+          roles: tuple[R, ...], indent: str | None,
           lines: list[str], constant: Callable) -> str:
     """The f-string body that lays out one alternative, its items' fields
     named by ``attrs``; lines to run first go to ``lines``.  An indent of
@@ -505,10 +498,9 @@ def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
                                                  indent is None)
         if sym.quant == "?":  # its text, or none, in a variable first
             mark, var = len(lines), f"o{len(lines)}"
-            spelled = _text(table, (sym._replace(quant=""),), [attr], cls,
-                            roles, indent, lines, constant)
-            test = _PRESENT.get((cls, attr), f"{get} is not None")
-            lines[mark:] = [f"    if {test}:",
+            spelled = _text(table, (sym._replace(quant=""),), [attr], roles,
+                            indent, lines, constant)
+            lines[mark:] = [f"    if {get} is not None:",
                             *["    " + line for line in lines[mark:]],
                             f"        {var} = f{sep + spelled!r}",
                             "    else:", f"        {var} = ''"]
@@ -531,8 +523,8 @@ def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
                 spelled = f"{{{var}}}\n{{pad}}"
         elif _group(table, sym):
             alt = _group(table, sym)
-            spelled = _text(table, alt, [attr] * len(alt), cls, roles,
-                            indent, lines, constant)
+            spelled = _text(table, alt, [attr] * len(alt), roles, indent,
+                            lines, constant)
         elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
             *tests, last = [alt[0].ref for alt in table.rules[sym.ref]]
             spelled = "{%st[%d]}" % ("".join(

@@ -4,7 +4,9 @@ A grammar couples one of three fixed production skeletons (block keywords,
 C-style braces, S-expressions) with a terminal lexicon.  Natural lexicons
 draw one synonym per keyword role from small fixed pools; alien lexicons
 draw opaque ``v_xxxx`` tokens so that a model can rely on neither token
-priors nor memorized syntax.  Punctuation is never aliened.
+priors nor memorized syntax.  Punctuation is never aliened.  A binding is
+a pool word, ``v_xxxx`` or one punctuation character, never an item name
+or an integer, so this module imports no other gridlang module.
 
 The production lines are the one description of each style's syntax, and
 of the canonical tree form that datasets store as ``gold_ast``.  At import
@@ -23,8 +25,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from gridlang.ast import ITEM_VOCAB
 
 __all__ = [
     "Style",
@@ -198,7 +198,6 @@ CANON_TERMINALS: dict[TerminalRole, str] = {
     R.DIR_LEFT: "L", R.DIR_RIGHT: "R",
 }
 
-_ITEM_TEXTS = frozenset(item.render() for item in ITEM_VOCAB)
 _ALIEN_RE = re.compile(r"v_[a-z]{4}\Z")
 _ROLE_NAMES = frozenset(r.name for r in TerminalRole)
 
@@ -288,9 +287,6 @@ class GrammarSpec:
         if len(set(tokens)) != len(tokens):
             raise ValueError("terminal tokens are not pairwise distinct")
         for role, token in self.terminals.items():
-            if token in _ITEM_TEXTS or token.isdigit():
-                raise ValueError(f"{role.name} binding {token!r} collides "
-                                 "with an item or integer literal")
             if role in PUNCT_ROLES:
                 if token not in PUNCT_CHARS:
                     raise ValueError(f"{role.name} must bind one punctuation "

@@ -380,9 +380,12 @@ def _mock_answer(scheme: str, inst: TaskInstance) -> str:
     if scheme == "flatten":
         if inst.kind is TaskKind.JUDGMENT:
             return inst.gold_label
-        g = grammar_from_text(inst.style, inst.lexicon_mode,
-                              inst.grammar_text)
-        flat = _flatten_program(parse(inst.gold_code, g))
+        try:  # a fault of the record's own grammar or gold code
+            g = grammar_from_text(inst.style, inst.lexicon_mode,
+                                  inst.grammar_text)
+            flat = _flatten_program(parse(inst.gold_code, g))
+        except ValueError as exc:
+            raise ValueError(f"instance {inst.id}: {exc}") from exc
         return f"```\n{linearize(flat, g)}\n```"
     raise ValueError(f"unknown mock scheme {scheme!r}")
 
@@ -409,12 +412,15 @@ def _flatten_program(node):
 
 
 def score_instance(inst: TaskInstance, raw: str) -> EvalRecord:
-    """Route one raw answer through extraction and the task's scorer."""
+    """Route one raw answer through extraction and the task's scorer; a
+    fault of the record itself raises ValueError naming the instance."""
     if inst.kind is TaskKind.JUDGMENT:
         return score_judgment(raw, inst.gold_label, inst.id)
-    g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
-    code = extract_code(raw, g)
-    return score_generation(code, inst, g, raw_answer=raw)
+    try:
+        g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+        return score_generation(extract_code(raw, g), inst, g, raw_answer=raw)
+    except ValueError as exc:
+        raise ValueError(f"instance {inst.id}: {exc}") from exc
 
 
 def dataset_kind(dataset: list[TaskInstance]) -> TaskKind:

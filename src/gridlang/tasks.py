@@ -77,7 +77,6 @@ __all__ = [
     "render_state",
     "write_dataset",
     "read_dataset",
-    "read_dataset_config",
     "read_jsonl",
     "write_jsonl",
     "DATASET_FORMAT",
@@ -155,9 +154,10 @@ class TaskInstance:
     perturb_category: PerturbCategory | None = None
 
     def __post_init__(self) -> None:
-        for name in _TEXT_FIELDS:
+        for name in _TEXT_FIELDS:  # id and grammar_text may not be None
             value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
+            if not isinstance(value, str) and (value is not None
+                                               or name in _ALWAYS):
                 raise ValueError(f"{name} must be a string, got {value!r}")
         required = _REQUIRED[self.kind]
         for name in _OPTIONAL:
@@ -553,13 +553,6 @@ def read_dataset(path) -> list[TaskInstance]:
         except (ValueError, KeyError) as exc:
             raise MalformedRecordError(line_no, str(exc)) from exc
     return instances
-
-
-def read_dataset_config(path) -> dict | None:
-    """Provenance from the leading config line, if present; files written
-    by ``gridlang gen`` record their ``dataset_format`` in it.  A first
-    line that is no JSON object is refused."""
-    return next(read_jsonl(path, "id"), None)
 
 
 def _check_format(config) -> None:

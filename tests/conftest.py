@@ -403,7 +403,6 @@ def oracle_parse(code: str, g: GrammarSpec) -> Program:
 
 # Template piece ops; plain strings are literal text.
 _NODE, _TEXT, _BLOCK, _OPTIONAL = range(4)
-_GETTERS = {(Move, "steps"): lambda m: None if m.steps_omitted else m.steps}
 
 
 def oracle_linearize(program: Program, g: GrammarSpec) -> str:
@@ -462,9 +461,8 @@ def _oracle_layout(table: RuleTable, spell: dict[R, str],
     layouts = {}
     for cls, (rule, k, _) in _NODES.items():
         attrs = [f.name for f in fields(cls)]
-        getters = [None if slot is None else _GETTERS.get(
-            (cls, attrs[slot]), attrgetter(attrs[slot]))
-            for slot in _slots(table, rule, k)]
+        getters = [None if slot is None else attrgetter(attrs[slot])
+                   for slot in _slots(table, rule, k)]
         indent = None if one_line else "" if rule == "start" else "  "
         layouts[cls] = _oracle_pieces(table, table.rules[rule][k], getters,
                                       spell, indent)
@@ -767,8 +765,6 @@ def oracle_canon_serialize(node) -> str:
             text += f" {_oracle_canon_block(node.orelse)}"
         return text + ")"
     if isinstance(node, Move):
-        if node.steps_omitted:
-            return f"(move {node.dir.value})"
         return f"(move {node.dir.value} {oracle_canon_serialize(node.steps)})"
     if isinstance(node, Turn):
         return f"(turn {node.dir.value})"
@@ -862,8 +858,7 @@ class _OracleCanonReader:
                 self.fail(f"expected move direction, found {tok!r}")
             if self.peek() == ")":
                 self.pos += 1
-                return ActionStmt(Move(MoveDir(tok), Literal(1),
-                                       steps_omitted=True))
+                return ActionStmt(Move(MoveDir(tok), Literal(1)))
             steps = self.arith()
             self.expect(")")
             return ActionStmt(Move(MoveDir(tok), steps))

@@ -32,11 +32,14 @@ from gridlang.ast import (
     control_depth,
     expr_depth,
 )
-from gridlang.grammar import LexiconMode, Style
+from gridlang.codec import linearize, parse, tokenize
+from gridlang.grammar import LexiconMode, Style, TerminalRole as R
+from gridlang.grammar import build_grammar
 from gridlang.sampler import GenParams, generate_instance
 
 from conftest import (
     ALL_COMBOS,
+    fixed_grammar,
     oracle_canon_parse,
     oracle_canon_serialize,
     oracle_control_depth,
@@ -158,9 +161,7 @@ class TestEquality:
 
     def test_move_count_omission_is_surface_only(self):
         explicit = ActionStmt(Move(MoveDir.FORWARD, Literal(1)))
-        omitted = ActionStmt(Move(MoveDir.FORWARD, Literal(1),
-                                  steps_omitted=True))
-        assert Program((explicit,)) == Program((omitted,))
+        assert Program((explicit,)) == canon_parse("(prog (move F))")
 
 
 class TestNodeValidation:
@@ -183,8 +184,7 @@ class TestCanonicalForm:
     def test_serialize_shapes(self):
         prog = Program((
             ActionStmt(Move(MoveDir.FORWARD, Literal(2))),
-            ActionStmt(Move(MoveDir.BACKWARD, Literal(1),
-                            steps_omitted=True)),
+            ActionStmt(Move(MoveDir.BACKWARD, Literal(1))),
             ActionStmt(Grab(ItemToken("key", 2))),
             Loop(NINETEEN, (turn(),)),
             If(Not(Holding(ItemToken("cube", None))), (turn(),), (turn(),)),
@@ -192,7 +192,7 @@ class TestCanonicalForm:
         text = canon_serialize(prog)
         assert text.startswith("(prog ")
         assert "(move F (int 2))" in text
-        assert "(move B)" in text
+        assert "(move B (int 1))" in text
         assert "(grab key_2)" in text
         assert "(loop (add (mul (int 4) (int 4)) (int 3)) ((turn L)))" in text
         # if carries the condition, then-block, and optional else-block
@@ -252,12 +252,11 @@ class TestCanonicalForm:
             canon_parse("(prog (grab key_\u0663))")
 
     def test_omitted_move_count_survives_round_trip(self):
-        prog = Program((ActionStmt(Move(MoveDir.FORWARD, Literal(1),
-                                        steps_omitted=True)),))
+        prog = canon_parse("(prog (move F))")
         back = canon_parse(canon_serialize(prog))
         stmt = back.body[0]
         assert isinstance(stmt, ActionStmt)
-        assert stmt.action.steps_omitted
+        assert canon_serialize(back) == "(prog (move F (int 1)))"
         assert stmt.action.steps == Literal(1)
 
 
@@ -327,12 +326,11 @@ class TestCanonicalFormProperties:
 
 def _free_stmt(depth):
     """Statements in shapes the sampler never emits too: empty blocks and
-    else-blocks, omitted move counts, multi-digit counts."""
+    else-blocks, one-step moves, multi-digit counts."""
     counts = st.integers(0, 10 ** 6).map(Literal) | _arith(3)
     action = st.one_of(
         st.builds(Move, st.sampled_from(MoveDir), counts),
-        st.builds(lambda d: Move(d, Literal(1), steps_omitted=True),
-                  st.sampled_from(MoveDir)),
+        st.builds(lambda d: Move(d, Literal(1)), st.sampled_from(MoveDir)),
         st.builds(Turn, st.sampled_from(TurnDir)),
         st.builds(Grab, _items),
     ).map(ActionStmt)
@@ -365,8 +363,7 @@ def _trees(data):
 
 
 def _outcome(parser, text):
-    """The tree with its reference text (which keeps omitted move counts),
-    or None for a rejection."""
+    """The tree with its reference text, or None for a rejection."""
     try:
         tree = parser(text)
     except ValueError:  # CanonParseError, or int()'s digit limit
@@ -436,3 +433,45 @@ class TestCanonicalDifferential:
     def test_non_text_is_a_parse_error(self, argument):
         with pytest.raises(CanonParseError, match="at token 0"):
             canon_parse(argument)
+
+
+def _respelled(text, g):
+    """The same tree spelled another way: ``text``'s words on one line,
+    each move's count of ``1`` left out."""
+    words, syms, _starts = tokenize(text, g)
+    return " ".join(word for word, sym, prev in zip(words, syms, [None] + syms)
+                    if not (word == "1" and prev in (R.DIR_FWD, R.DIR_BWD)))
+
+
+class TestOneTextPerTree:
+    """A tree keeps no record of its spelling: equal trees, however they
+    were written, render one canonical text and one text per grammar."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_programs | st.builds(_gold_tree, st.sampled_from(Style),
+                                 st.sampled_from(LexiconMode),
+                                 st.sampled_from([2, 5, 10]),
+                                 st.integers(0, 4)), st.integers(0, 3))
+    def test_equal_trees_render_equal_texts(self, tree, seed):
+        # every style spells these trees: no block is empty
+        for style, mode in ALL_COMBOS:
+            g = build_grammar(style, mode, seed)
+            text = linearize(tree, g)
+            other = parse(_respelled(text, g), g)
+            assert other == tree
+            assert linearize(other, g) == text
+            assert canon_serialize(other) == canon_serialize(tree)
+
+    @pytest.mark.parametrize("style, text", [
+        (Style.BLOCK, "do move forward end do move backward end"),
+        (Style.C, "loop (2) { move forward; } move backward;"),
+        (Style.SEXPR, "(move forward) (loop 2 (move backward))"),
+    ])
+    def test_omitted_count_is_an_explicit_one(self, style, text):
+        g = fixed_grammar(style)
+        explicit = text.replace("forward", "forward 1").replace(
+            "backward", "backward 1")
+        tree = parse(text, g)
+        assert tree == parse(explicit, g)
+        assert linearize(tree, g) == linearize(parse(explicit, g), g)
+        assert canon_serialize(tree).count("(int 1)") == 2

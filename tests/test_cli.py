@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import gridlang
 from gridlang import cli
 from gridlang.cli import build_parser, main
 from gridlang.seeding import derive_seed
-from gridlang.tasks import DATASET_FORMAT, read_dataset_config
+from gridlang.tasks import DATASET_FORMAT, read_jsonl
 
 
 def _run(*argv):
@@ -41,7 +42,8 @@ class TestGen:
 
     def test_config_line_records_the_dataset_format(self, tmp_path):
         out = _gen(tmp_path)
-        assert read_dataset_config(out)["dataset_format"] == DATASET_FORMAT
+        config = next(read_jsonl(out, "id"), None)
+        assert config["dataset_format"] == DATASET_FORMAT
 
     def test_byte_identical_across_runs(self, tmp_path):
         a = _gen(tmp_path, "a.jsonl")
@@ -234,6 +236,55 @@ def test_malformed_params_refused_with_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: ")
     assert "Traceback" not in err
+
+
+def _spoil_line_3(dataset, field, value):
+    """Set one field of the record on line 3 of ``dataset``."""
+    lines = dataset.read_text().splitlines()
+    row = json.loads(lines[2])
+    row[field] = value(row[field]) if callable(value) else value
+    lines[2] = json.dumps(row)
+    dataset.write_text("\n".join(lines) + "\n")
+
+
+def _eval_error(tmp_path, dataset, capsys, mock="perfect"):
+    """The one error line a failing ``eval`` prints."""
+    capsys.readouterr()
+    rc = _run("eval", "--dataset", str(dataset), "--base-url",
+              f"mock://{mock}", "--model", "mock-model",
+              "--out-dir", str(tmp_path / "run"),
+              "--cache-dir", str(tmp_path / "cache"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("field", ["id", "grammar_text"])
+def test_null_field_refused_with_its_line(tmp_path, capsys, field):
+    dataset = _gen(tmp_path)
+    _spoil_line_3(dataset, field, None)
+    err = _eval_error(tmp_path, dataset, capsys)
+    assert err == f"error: line 3: {field} must be a string, got None\n"
+
+
+@pytest.mark.parametrize("mock", ["perfect", "flatten"])
+def test_bad_grammar_text_names_its_instance(tmp_path, capsys, mock):
+    dataset = _gen(tmp_path)
+    _spoil_line_3(dataset, "grammar_text",
+                  lambda text: re.sub(r'LBR: ".*"', 'LBR: "{}"', text))
+    err = _eval_error(tmp_path, dataset, capsys, mock)
+    assert err == ("error: instance goal-00001: LBR must bind one "
+                   "punctuation character, got '{}'\n")
+
+
+def test_bad_gold_ast_names_its_instance(tmp_path, capsys):
+    dataset = _gen(tmp_path, "inst.jsonl", "--task", "instruction")
+    _spoil_line_3(dataset, "gold_ast", "(prog")
+    err = _eval_error(tmp_path, dataset, capsys)
+    assert err == ("error: instance instruction-00001: at token 2: "
+                   "expected '(', found end of input\n")
 
 
 class TestEval:
@@ -481,7 +532,8 @@ class TestSweep:
                   "--out-dir", str(out_dir))
         assert rc == 0
         for value in values:
-            expected = read_dataset_config(tmp_path / "base.jsonl")
+            expected = next(read_jsonl(tmp_path / "base.jsonl", "id"),
+                            None)
             expected.update(command="sweep", axis=axis, value=value)
             expected["params"]["seed"] = derive_seed(3, "sweep", axis,
                                                      str(value))
@@ -490,7 +542,7 @@ class TestSweep:
             else:
                 expected["style"] = value
             leaf = out_dir / f"{axis}-{value}" / "dataset.jsonl"
-            assert read_dataset_config(leaf) == expected
+            assert next(read_jsonl(leaf, "id"), None) == expected
 
     def test_sweep_with_mock_eval_writes_long_csv(self, tmp_path):
         out_dir = tmp_path / "sweep"
@@ -531,6 +583,16 @@ class TestSweep:
                   "--values", "2,99", "--out-dir", str(out_dir))
         assert rc == 1
         assert not (out_dir / "depth-2").exists()
+
+    def test_bad_style_value_refused_as_the_config_file_would(self, tmp_path,
+                                                               capsys):
+        rc = _run("sweep", "--task", "goal", "--n", "2", "--axis", "style",
+                  "--values", "c,foo", "--out-dir", str(tmp_path / "s"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid choice: 'foo' (choose from 'block', 'c', "
+            "'sexpr')\n")
+        assert not (tmp_path / "s").exists()
 
     def test_bad_axis_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

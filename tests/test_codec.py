@@ -70,7 +70,7 @@ SEXPR_G = fixed_grammar(Style.SEXPR)
 
 REFERENCE_PROGRAM = Program((
     ActionStmt(Turn(TurnDir.LEFT)),
-    ActionStmt(Move(MoveDir.FORWARD, Literal(1), steps_omitted=True)),
+    ActionStmt(Move(MoveDir.FORWARD, Literal(1))),
     ActionStmt(Grab(ItemToken("key", 2))),
     Loop(BinaryArith(ArithOp.ADD,
                      BinaryArith(ArithOp.MUL, Literal(4), Literal(4)),
@@ -86,7 +86,7 @@ REFERENCE_PROGRAM = Program((
 
 BLOCK_SURFACE = """\
 do turn left end
-do move forward end
+do move forward 1 end
 do grab key_2 end
 loop ((4 * 4) + 3) times {
   do turn left end
@@ -99,7 +99,7 @@ if not ((holding cube_0 and holding cube_4)) then {
 
 C_SURFACE = """\
 turn left;
-move forward;
+move forward 1;
 grab key_2;
 loop (((4 * 4) + 3)) {
   turn left;
@@ -112,7 +112,7 @@ if (not ((holding cube_0 and holding cube_4))) {
 
 SEXPR_SURFACE = """\
 (turn left)
-(move forward)
+(move forward 1)
 (grab key_2)
 (loop (+ (* 4 4) 3)
   (turn left)
@@ -236,7 +236,6 @@ class TestParsing:
         prog = parse("do move forward end", BLOCK_G)
         action = prog.body[0].action
         assert action.steps == Literal(1)
-        assert action.steps_omitted
 
     def test_c_style_empty_blocks_parse(self):
         prog = parse("loop (2) {\n}", C_G)
@@ -301,7 +300,7 @@ def _small_programs():
         ActionStmt(Move(MoveDir.FORWARD, Literal(2))),
         ActionStmt(Move(MoveDir.BACKWARD, Literal(2))),
         ActionStmt(Move(MoveDir.FORWARD, Literal(3))),
-        ActionStmt(Move(MoveDir.FORWARD, Literal(1), steps_omitted=True)),
+        ActionStmt(Move(MoveDir.FORWARD, Literal(1))),
         ActionStmt(Move(MoveDir.FORWARD,
                         BinaryArith(ArithOp.ADD, Literal(1), Literal(2)))),
         ActionStmt(Move(MoveDir.FORWARD,

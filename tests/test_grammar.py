@@ -3,8 +3,12 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridlang.ast import ITEM_VOCAB
 from gridlang.grammar import (
+    CANON_RULES,
+    RULE_TABLES,
     GrammarSpec,
     LexiconMode,
     NATURAL_POOLS,
@@ -138,6 +142,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             GrammarSpec(Style.BLOCK, LexiconMode.ALIEN, terminals)
 
+    def test_no_role_binds_an_item_name_or_digits(self):
+        # the role checks alone refuse them: an item name is in no pool,
+        # is not v_xxxx shaped and is no punctuation character
+        words = [item.render() for item in ITEM_VOCAB] + [
+            "0", "7", "12", "007", "\u0663", "\u00b2"]
+        refused = 0
+        for style, mode in ALL_COMBOS:
+            terminals = build_grammar(style, mode, 0).terminals
+            for role in used_roles(style):
+                for word in words:
+                    with pytest.raises(ValueError):
+                        GrammarSpec(style, mode, {**terminals, role: word})
+                    refused += 1
+        assert refused == 4608
+
     @pytest.mark.parametrize("role, token", [("SEMI", "();"), ("LBR", "{}"),
                                              ("RBR", "")])
     def test_punctuation_role_binds_one_character(self, role, token):
@@ -240,3 +259,32 @@ class TestGrammarFromText:
             assert R.PROG not in used_roles(style)
             assert R.NUM not in used_roles(style)
 
+
+
+_TABLES = [*RULE_TABLES.values(), CANON_RULES]
+_ITEM_NAMES = {item.render() for item in ITEM_VOCAB}
+
+
+class TestLiteralClasses:
+    """The ``ITEM`` and ``INT`` class lines restate in ``grammar`` what
+    ``ast`` admits as an item name and a count."""
+
+    def test_item_class_admits_every_item_name(self):
+        assert len({table.classes["ITEM"] for table in _TABLES}) == 1
+        for table in _TABLES:
+            for name in _ITEM_NAMES:
+                assert table.classes["ITEM"].fullmatch(name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.from_regex(RULE_TABLES[Style.BLOCK].classes["ITEM"],
+                         fullmatch=True))
+    def test_item_class_admits_only_item_names(self, text):
+        assert text in _ITEM_NAMES
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("0123456789\u0663\u00b2\uff17a_ "),
+                   max_size=6) | st.text(max_size=4))
+    def test_int_class_admits_ascii_digits_only(self, text):
+        ascii_digits = text != "" and set(text) <= set("0123456789")
+        for table in _TABLES:
+            assert bool(table.classes["INT"].fullmatch(text)) == ascii_digits

@@ -50,7 +50,7 @@ from gridlang.tasks import (
     make_instance,
     perturb,
     read_dataset,
-    read_dataset_config,
+    read_jsonl,
     render_instruction,
     render_state,
     write_dataset,
@@ -305,8 +305,7 @@ class TestInstructionRendering:
 
     def test_move_without_count_renders_one(self):
         prog = Program((
-            ActionStmt(Move(MoveDir.FORWARD, Literal(1),
-                            steps_omitted=True)),
+            ActionStmt(Move(MoveDir.FORWARD, Literal(1))),
         ))
         assert render_instruction(prog) == "Step 1: Move forward 1 steps."
 
@@ -370,14 +369,14 @@ class TestDatasets:
         config = {"task": "instruction", "n": 6}
         write_dataset(data, path, config)
         assert read_dataset(path) == data
-        assert read_dataset_config(path) == config
+        assert next(read_jsonl(path, "id"), None) == config
 
     def test_round_trip_without_config(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)
         path = tmp_path / "plain.jsonl"
         write_dataset(data, path)
         assert read_dataset(path) == data
-        assert read_dataset_config(path) is None
+        assert next(read_jsonl(path, "id"), None) is None
 
     def test_malformed_line_number_reported(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=3)
@@ -526,12 +525,30 @@ class TestDatasets:
             read_dataset(path)
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    @pytest.mark.parametrize("name", ["id", "kind", "style", "lexicon_mode",
+                                      "params", "grammar_text"])
+    def test_always_present_field_set_to_null_reported_with_its_line(
+            self, tmp_path, kind, name):
+        path = tmp_path / "null.jsonl"
+        write_dataset(self._dataset(kind, n=2), path,
+                      {"dataset_format": DATASET_FORMAT})
+
+        def spoil(rows):
+            rows[2][name] = None
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError, match="^line 3: ") as info:
+            read_dataset(path)
+        assert info.value.line_no == 3
+
     def test_newer_format_refused_naming_both_versions(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)
         path = tmp_path / "future.jsonl"
         newer = DATASET_FORMAT + 1
         write_dataset(data, path, {"dataset_format": newer})
-        assert read_dataset_config(path)["dataset_format"] == newer
+        config = next(read_jsonl(path, "id"), None)
+        assert config["dataset_format"] == newer
         with pytest.raises(MalformedRecordError,
                            match=f"format {newer} .*format {DATASET_FORMAT}"
                            ) as info:
@@ -603,7 +620,7 @@ class TestOneReader:
         path = tmp_path / "data.jsonl"
         path.write_text(first + "\n")
         with pytest.raises(MalformedRecordError, match="^line 1: "):
-            read_dataset_config(path)
+            next(read_jsonl(path, "id"), None)
 
 
 class TestInstanceValidation:
@@ -619,6 +636,13 @@ class TestInstanceValidation:
             "target_state": inst.target_state,
             "gold_code": inst.gold_code, "gold_ast": inst.gold_ast,
         }
+
+    @pytest.mark.parametrize("name", ["id", "grammar_text"])
+    def test_always_present_text_field_may_not_be_none(self, name):
+        kwargs = self._goal_kwargs()
+        kwargs[name] = None
+        with pytest.raises(ValueError, match=f"^{name} must be a string"):
+            TaskInstance(**kwargs)
 
     def test_goal_missing_required_field(self):
         kwargs = self._goal_kwargs()
