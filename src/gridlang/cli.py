@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's first message lookup imports locale: imported here, it loads
+# with this module, not in each command forked from an interpreter that
+# has imported it
+import locale  # noqa: F401
 import sys
 from collections import Counter
 from dataclasses import MISSING, fields, replace

@@ -40,14 +40,16 @@ before ``PAR_R``/``SEMI``; each statement of a ``stmt+``/``stmt*`` block on
 its own line, two spaces deeper than the statement holding the block (top
 level at column 0); the token after a block on a new line at the outer
 indent.  The canonical form keeps a block's statements on one line, apart
-by single spaces, and spaces around a block as around any other item.
+by single spaces, and spaces around a block as around any other item.  An
+optional item is rendered when its field is set, so one whose field has
+no default, a move's count, always is.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from itertools import accumulate, islice, repeat
 from operator import indexOf, itemgetter
 from typing import Callable
@@ -471,11 +473,14 @@ def _compile_linearizer(table: RuleTable, roles: tuple[R, ...],
     out = []
     for cls, (rule, k, _) in _NODES.items():
         attrs = [f.name for f in fields(cls)]
+        # a field without a default is never None
+        nullable = {f.name for f in fields(cls) if f.default is not MISSING}
         slots = _slots(table, rule, k)
         name = constant(cls.__name__, cls)
         lines: list[str] = []
         text = _text(table, table.rules[rule][k],
-                     [None if s is None else attrs[s] for s in slots], roles,
+                     [None if s is None else attrs[s] for s in slots],
+                     nullable, roles,
                      None if one_line else "" if rule == "start" else "  ",
                      lines, constant)
         out += [f"def e_{name}(n, pad, t):", *lines, f"    return f{text!r}",
@@ -485,21 +490,24 @@ def _compile_linearizer(table: RuleTable, roles: tuple[R, ...],
 
 
 def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
-          roles: tuple[R, ...], indent: str | None,
+          nullable: set[str], roles: tuple[R, ...], indent: str | None,
           lines: list[str], constant: Callable) -> str:
     """The f-string body that lays out one alternative, its items' fields
     named by ``attrs``; lines to run first go to ``lines``.  An indent of
-    None keeps blocks on one line.  An optional item must leave its
-    neighbours' layout as its absence would."""
+    None keeps blocks on one line.  An optional item whose field is not in
+    ``nullable`` is always rendered; one whose field may be None must
+    leave its neighbours' layout as its absence would."""
     text, prev = "", None
     for sym, attr in zip(items, attrs):
         get, var = f"n.{attr}", f"v{len(lines)}"
         sep = "" if prev is None else _separator(table, prev, sym,
                                                  indent is None)
-        if sym.quant == "?":  # its text, or none, in a variable first
+        if sym.quant == "?" and attr in nullable:
+            # its text, or none, in a variable first; an optional item
+            # whose field is never None is rendered as a required one
             mark, var = len(lines), f"o{len(lines)}"
-            spelled = _text(table, (sym._replace(quant=""),), [attr], roles,
-                            indent, lines, constant)
+            spelled = _text(table, (sym._replace(quant=""),), [attr],
+                            nullable, roles, indent, lines, constant)
             lines[mark:] = [f"    if {get} is not None:",
                             *["    " + line for line in lines[mark:]],
                             f"        {var} = f{sep + spelled!r}",
@@ -523,8 +531,8 @@ def _text(table: RuleTable, items: tuple[Symbol, ...], attrs: list,
                 spelled = f"{{{var}}}\n{{pad}}"
         elif _group(table, sym):
             alt = _group(table, sym)
-            spelled = _text(table, alt, [attr] * len(alt), roles, indent,
-                            lines, constant)
+            spelled = _text(table, alt, [attr] * len(alt), nullable, roles,
+                            indent, lines, constant)
         elif all(alt[0].ref in _LEAVES for alt in table.rules[sym.ref]):
             *tests, last = [alt[0].ref for alt in table.rules[sym.ref]]
             spelled = "{%st[%d]}" % ("".join(

@@ -22,7 +22,11 @@ the package reads as a memo miss, which builds the prompt again.
 
 An evaluation finds prompt hashes, reads cache hits and makes mock
 answers in the calling thread, in dataset order; only cache misses to a real
-endpoint are fetched on threads, at most ``parallelism`` at once.
+endpoint are fetched on threads, at most ``parallelism`` at once.  The
+transport (``urllib.request`` and ``http.client``, which load ``ssl`` and
+``email``), the thread pool and ``logging`` are imported on the first
+real-endpoint request, so ``gen``, ``score`` and a mock or fully cached
+``eval`` never load them; that first request pays about 30 ms for it.
 
 An answer's code is its last fenced block, else the longest trailing run
 of words the grammar knows, else the whole text.  Extraction and parsing
@@ -34,10 +38,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import itertools
 import json
-import logging
 import math
 import os
 import random
@@ -45,9 +47,6 @@ import re
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -95,8 +94,6 @@ __all__ = [
     "run_evaluation",
     "read_responses",
 ]
-
-log = logging.getLogger("gridlang.harness")
 
 MOCK_PREFIX = "mock://"
 
@@ -261,6 +258,10 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     HarnessError (any other status, or a completion without text content
     or with text that UTF-8 cannot encode).
     """
+    import http.client  # the transport loads on the first real request
+    import urllib.error
+    import urllib.request
+
     token = os.environ.get(cfg.auth_token_env_var)
     if not token:
         raise AuthFailedError(
@@ -628,7 +629,7 @@ def run_evaluation(
         return path, _read_entry(path)
 
     # (prompt_sha256, response or the pool's future of it), in dataset order
-    fetched: list[tuple[str, str | Future]] = []
+    fetched: list[tuple[str, object]] = []
     pool = None
     try:
         for inst in dataset:
@@ -656,17 +657,20 @@ def run_evaluation(
                 calls += 1
             elif raw is None:
                 if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
                     pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
                 raw = pool.submit(fetch, prompt, path)
             fetched.append((prompt_sha256, raw))
 
         answers: list[Answer] = []
         for inst, (prompt_sha256, raw) in zip(dataset, fetched):
-            if isinstance(raw, Future):
+            if not isinstance(raw, str):  # the pool's future
                 try:
                     raw = raw.result()
                 except HarnessError as exc:
-                    log.error("instance %s: %s", inst.id, exc)
+                    import logging
+                    logging.getLogger("gridlang.harness").error(
+                        "instance %s: %s", inst.id, exc)
                     if not permissive:
                         raise
                     answers.append(exc)

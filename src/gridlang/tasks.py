@@ -125,8 +125,15 @@ _REQUIRED = {
 }
 _ALWAYS = _FIELDS[:6]  # id .. grammar_text: in every record
 _OPTIONAL = _FIELDS[6:13]  # candidate .. gold_ast: present by task kind
-_TEXT_FIELDS = ("id", "grammar_text", "candidate", "instruction",
-                "gold_code", "gold_ast")
+# field -> the type of its value; gold_label is checked against its two
+# values instead
+_TYPES = {
+    "id": str, "kind": TaskKind, "style": Style, "lexicon_mode": LexiconMode,
+    "params": GenParams, "grammar_text": str, "candidate": str,
+    "start_state": RobotState, "target_state": RobotState,
+    "instruction": str, "gold_code": str, "gold_ast": str,
+    "perturb_category": PerturbCategory,
+}
 
 # record field -> reader of its JSON value; other fields are read as is
 _READERS = {
@@ -154,11 +161,12 @@ class TaskInstance:
     perturb_category: PerturbCategory | None = None
 
     def __post_init__(self) -> None:
-        for name in _TEXT_FIELDS:  # id and grammar_text may not be None
+        for name, expected in _TYPES.items():  # _ALWAYS ones are never None
             value = getattr(self, name)
-            if not isinstance(value, str) and (value is not None
-                                               or name in _ALWAYS):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+            if not isinstance(value, expected) and (value is not None
+                                                    or name in _ALWAYS):
+                what = "string" if expected is str else expected.__name__
+                raise ValueError(f"{name} must be a {what}, got {value!r}")
         required = _REQUIRED[self.kind]
         for name in _OPTIONAL:
             value = getattr(self, name)

@@ -1,5 +1,6 @@
 """Prompt assembly, answer extraction, HTTP behavior, and caching."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import gc
@@ -70,7 +71,13 @@ from gridlang.prompts import (
     MAIN_HEADER,
 )
 from gridlang.sampler import GenParams, generate_instance
-from gridlang.tasks import TaskKind, make_dataset, perturb
+from gridlang.tasks import (
+    DATASET_FORMAT,
+    TaskKind,
+    make_dataset,
+    perturb,
+    write_dataset,
+)
 
 from conftest import (
     ALL_COMBOS,
@@ -537,6 +544,50 @@ class TestCallModel:
                                                "payload: .*surrogates"):
             call_model(_http_cfg(base), "x")
         assert len(_ScriptedHandler.requests_seen) == 1
+
+
+_COLD_START = """
+import json, sys
+from gridlang import harness
+from gridlang.tasks import read_dataset
+deferred = ("http.client", "urllib.request", "concurrent.futures", "logging")
+before = [name for name in deferred if name in sys.modules]
+cfg = harness.EndpointConfig(sys.argv[1], "test-model", parallelism=1,
+                             auth_token_env_var=sys.argv[2])
+answer = harness.call_model(cfg, "say VALID")
+run = harness.run_evaluation(read_dataset("data.jsonl"), cfg,
+                             harness.PromptConfig(), cache_dir="cache",
+                             permissive=True)
+print(json.dumps({"before": before, "answer": answer,
+                  "calls": run.model_calls,
+                  "after": [name for name in deferred
+                            if name in sys.modules]}))
+"""
+
+
+def test_a_fresh_interpreter_loads_the_transport_on_first_request(
+        tmp_path, scripted_server, api_token):
+    """``call_model``, the pool and the error log from a cold start; this
+    module cannot show it in process, since ``http.server`` loads
+    ``http.client`` itself."""
+    base = scripted_server([200, 401])
+    dataset = _dataset(TaskKind.JUDGMENT, n=2)
+    write_dataset(dataset, tmp_path / "data.jsonl",
+                  {"dataset_format": DATASET_FORMAT})
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    # -S: no site hook (a .pth file) may load a module before gridlang does
+    done = subprocess.run([sys.executable, "-S", "-c", _COLD_START, base,
+                           TOKEN_VAR], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "before": [], "answer": "VALID", "calls": 1,
+        "after": ["http.client", "urllib.request", "concurrent.futures",
+                  "logging"]}
+    # the refused fetch is the first instance's, logged as it is kept
+    assert done.stderr == (f"instance {dataset[0].id}: endpoint rejected "
+                           f"credentials with HTTP 401\n")
 
 
 class TestMockSchemes:
@@ -1100,7 +1151,7 @@ def _no_new_threads(monkeypatch):
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "ThreadPoolExecutor", refuse)
+        patch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         patch.setattr(harness, "build_prompt", counting_build_prompt)
         yield
     assert counts and max(counts) <= before

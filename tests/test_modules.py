@@ -1,12 +1,20 @@
-"""The package's import graph, read from the source with Python's ``ast``.
+"""The package's import graph, read from the source with Python's ``ast``,
+and what a fresh interpreter loads.
 
 ``ast``, ``grammar``, ``seeding`` and ``prompts`` are leaves that import no
 other gridlang module, the module-level graph has no cycle, and the only
-imports made inside a function are the two in the ``ast.canon_*``
-wrappers, which reach ``codec``.
+gridlang modules imported inside a function are the two in the
+``ast.canon_*`` wrappers, which reach ``codec``.  Standard-library modules
+may be imported inside a function: ``harness`` loads the HTTP transport,
+the thread pool and ``logging`` on the first real-endpoint request, so
+importing the command line loads none of them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gridlang
@@ -86,3 +94,21 @@ def test_module_level_graph_has_no_cycle():
 
     for module in MODULES:
         visit(module, ())
+
+
+def test_the_command_line_loads_no_transport():
+    # -S: no site hook (a .pth file) may load a module before gridlang does
+    code = ("import json, sys; import gridlang.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "gridlang.harness" in loaded
+    # loaded only by a request to a real endpoint
+    deferred = ("http.client", "urllib.request", "ssl", "email",
+                "concurrent.futures", "logging")
+    assert [name for name in deferred if name in loaded] == []
+    # argparse's first message lookup imports it in every command
+    assert "locale" in loaded

@@ -644,6 +644,18 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=f"^{name} must be a string"):
             TaskInstance(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("kind", None), ("kind", "goal"), ("style", None), ("style", "block"),
+        ("lexicon_mode", None), ("lexicon_mode", "block"), ("params", None),
+        ("params", {"max_depth": 4, "seed": 1}), ("start_state", {"x": 0}),
+        ("target_state", "(0, 0)"), ("gold_ast", 5),
+        ("perturb_category", "delimiter_delete"),
+    ])
+    def test_field_of_another_type_is_refused_by_name(self, name, value):
+        inst = TaskInstance(**self._goal_kwargs())
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            replace(inst, **{name: value})
+
     def test_goal_missing_required_field(self):
         kwargs = self._goal_kwargs()
         kwargs["target_state"] = None
