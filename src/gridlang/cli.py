@@ -30,6 +30,7 @@ from gridlang.harness import (
     EndpointConfig,
     HarnessError,
     PromptConfig,
+    RunResult,
     dataset_kind,
     read_responses,
     run_evaluation,
@@ -181,11 +182,11 @@ def cmd_gen(args) -> int:
 # --- eval / score ------------------------------------------------------------
 
 
-def _write_reports(out_dir: Path, model: str, kind: TaskKind,
-                   metrics: Metrics, provenance: dict) -> str:
-    """Write report.md and report.csv for one (model, task) cell; return
-    the report text without its provenance section."""
-    rows = [(model, kind, metrics)]
+def _write_reports(out_dir: Path, kind: TaskKind, metrics: Metrics,
+                   provenance: dict) -> str:
+    """Write report.md and report.csv for ``provenance``'s model on ``kind``;
+    return the report text without its provenance section."""
+    rows = [(provenance["model"], kind, metrics)]
     report = render_report(rows)
     (out_dir / "report.md").write_text(
         report + "\n## Provenance\n\n```json\n"
@@ -195,34 +196,37 @@ def _write_reports(out_dir: Path, model: str, kind: TaskKind,
     return report
 
 
+def _evaluate(args, dataset: list[TaskInstance], endpoint: EndpointConfig,
+              pc: PromptConfig, out_dir: Path,
+              provenance: dict) -> tuple[RunResult, str]:
+    """Run ``dataset`` against ``endpoint`` and write responses.jsonl,
+    results.jsonl and the reports under ``out_dir``, each headed by
+    ``provenance`` with the endpoint and prompt settings added; return
+    the run and its report text.  The one eval path of eval and sweep."""
+    provenance = {**provenance, "model": endpoint.model_id,
+                  "base_url": endpoint.base_url,
+                  "temperature": endpoint.temperature,
+                  "max_tokens": endpoint.max_tokens,
+                  "shots": pc.shots, "cot": pc.cot}
+    result = run_evaluation(dataset, endpoint, pc,
+                            cache_dir=_resolve(args, "cache_dir", "cache"),
+                            out_dir=out_dir, provenance=provenance,
+                            permissive=_resolve(args, "permissive", False))
+    return result, _write_reports(out_dir, dataset[0].kind, result.metrics,
+                                  provenance)
+
+
 def cmd_eval(args) -> int:
     dataset = read_dataset(args.dataset)
-    kind = dataset_kind(dataset)
     endpoint = _settings(EndpointConfig, args, _ENDPOINT_FLAGS)
     pc = _settings(PromptConfig, args, _ENDPOINT_FLAGS)
     out_dir = Path(_resolve(args, "out_dir"))
-    cache_dir = _resolve(args, "cache_dir", "cache")
-    provenance = {
-        "command": "eval",
-        "dataset": str(args.dataset),
-        "model": endpoint.model_id,
-        "base_url": endpoint.base_url,
-        "temperature": endpoint.temperature,
-        "max_tokens": endpoint.max_tokens,
-        "shots": pc.shots,
-        "cot": pc.cot,
-    }
-    result = run_evaluation(
-        dataset, endpoint, pc,
-        cache_dir=cache_dir,
-        out_dir=out_dir,
-        permissive=_resolve(args, "permissive", False),
-        provenance=provenance,
-    )
-    print(_write_reports(out_dir, endpoint.model_id, kind, result.metrics,
-                         provenance), end="")
+    result, report = _evaluate(args, dataset, endpoint, pc, out_dir,
+                               {"command": "eval",
+                                "dataset": str(args.dataset)})
+    print(report, end="")
     print(f"model calls: {result.model_calls}")
-    print(f"wrote {result.results_path} and reports under {out_dir}")
+    print(f"wrote {out_dir / 'results.jsonl'} and reports under {out_dir}")
     return 0
 
 
@@ -246,7 +250,7 @@ def cmd_score(args) -> int:
     }
     _records, metrics, _rows = score_answers(dataset, answers, out_dir,
                                              provenance)
-    print(_write_reports(out_dir, model, kind, metrics, provenance), end="")
+    print(_write_reports(out_dir, kind, metrics, provenance), end="")
     print(f"wrote {out_dir / 'results.jsonl'} and reports under {out_dir}")
     return 0
 
@@ -262,10 +266,8 @@ def cmd_sweep(args) -> int:
         raise CliError("no sweep values given")
     kind, n, _style, mode, _params = _gen_settings(args)
     out_dir = Path(_resolve(args, "out_dir"))
-    cache_dir = _resolve(args, "cache_dir", "cache")
     endpoint = (_settings(EndpointConfig, args, _ENDPOINT_FLAGS)
                 if args.base_url is not None else None)
-    permissive = _resolve(args, "permissive", False)
 
     def variant(value) -> tuple[Style, GenParams, PromptConfig]:
         """The settings of the same flags with the axis flag set to
@@ -297,15 +299,8 @@ def cmd_sweep(args) -> int:
         write_dataset(instances, dataset_path, config=provenance)
         print(f"wrote {dataset_path}")
         if endpoint is not None:
-            result = run_evaluation(
-                instances, endpoint, v_pc,
-                cache_dir=cache_dir,
-                out_dir=leaf,
-                permissive=permissive,
-                provenance=provenance,
-            )
-            _write_reports(leaf, endpoint.model_id, kind, result.metrics,
-                           provenance)
+            result, _report = _evaluate(args, instances, endpoint, v_pc,
+                                        leaf, provenance)
             entries.append((value, endpoint.model_id, kind.value,
                             result.metrics))
     if entries:

@@ -330,29 +330,25 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
 
 # --- answer extraction -------------------------------------------------------
 
-def _fenced_blocks(raw: str) -> list[str]:
-    """Bodies of the fenced blocks in ``raw``, left to right.
+def _last_fenced_block(raw: str) -> str | None:
+    """Body of the last fenced block in ``raw``, or None if it has none.
 
     A block opens at ```` ``` ````, skips the rest of that line (an info
     string) and ends at the next ```` ``` ````; scanning resumes after it.
-    This is what ``re.findall(r"```[^\n]*\n(.*?)```", raw, re.DOTALL)``
-    returns, found in one pass: once an opening has no newline after it,
-    or no closing after that newline, no later opening has either, so
+    This is the last of ``re.findall(r"```[^\n]*\n(.*?)```", raw,
+    re.DOTALL)``, found in one pass: once an opening has no newline after
+    it, or no closing after that newline, no later opening has either, so
     the scan stops instead of retrying at every backtick.
     """
-    blocks = []
+    last = None  # the bounds of the last body found
     pos = 0
     while True:
         start = raw.find("```", pos)
-        if start < 0:
-            return blocks
-        newline = raw.find("\n", start + 3)
-        if newline < 0:
-            return blocks
-        end = raw.find("```", newline + 1)
+        newline = raw.find("\n", start + 3) if start >= 0 else -1
+        end = raw.find("```", newline + 1) if newline >= 0 else -1
         if end < 0:
-            return blocks
-        blocks.append(raw[newline + 1:end])
+            return raw[last[0]:last[1]] if last else None
+        last = newline + 1, end
         pos = end + 3
 
 
@@ -364,9 +360,9 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
     text.  Extraction never fails; hopeless text simply fails to parse
     downstream.
     """
-    fences = _fenced_blocks(raw)
-    if fences:
-        return fences[-1].strip("\n")
+    fence = _last_fenced_block(raw)
+    if fence is not None:
+        return fence.strip("\n")
     return raw[code_start(raw, g):]
 
 
@@ -439,8 +435,6 @@ class RunResult:
     records: list[EvalRecord]
     metrics: Metrics
     model_calls: int
-    results_path: Path | None
-    responses_path: Path | None
 
 
 # One answer per instance: (prompt_sha256 or None, response), or the
@@ -683,18 +677,15 @@ def run_evaluation(
 
     records, metrics, rows = score_answers(dataset, answers, out_dir,
                                            provenance)
-    results_path = responses_path = None
     if out_dir is not None:
-        results_path = Path(out_dir) / "results.jsonl"
-        responses_path = Path(out_dir) / "responses.jsonl"
-        write_jsonl(responses_path, provenance, (
+        write_jsonl(Path(out_dir) / "responses.jsonl", provenance, (
             json.dumps({"instance_id": row["instance_id"],
                         "prompt_sha256": row["prompt_sha256"],
                         "response_sha256": row["response_sha256"],
                         "response": answer[1]})
             for row, answer in zip(rows, answers)
             if not isinstance(answer, HarnessError)))
-    return RunResult(records, metrics, calls, results_path, responses_path)
+    return RunResult(records, metrics, calls)
 
 
 def read_responses(path: str | Path) -> dict[str, dict]:

@@ -6,6 +6,8 @@ same tree as the gold program (semantics).  The layers strictly contain
 one another, so every record satisfies semantic => behavioral => parsed;
 aggregation re-asserts the containment on raw counts.  An answer that
 did not parse, or never arrived, fails every layer its task defines.
+A record stores only its verdicts: its failure stage, the first layer
+that failed, is derived from them, so the two cannot disagree.
 
 Aggregate rates are percentages with one decimal.  The conditional rates
 CBER and CSCR divide by the parsed count and are undefined (rendered
@@ -25,10 +27,9 @@ from gridlang.ast import canon_parse, canon_serialize
 from gridlang.codec import ParseError, parse
 from gridlang.grammar import GrammarSpec
 from gridlang.tasks import TaskInstance, TaskKind
-from gridlang.world import DEFAULT_BUDGET, Final, exec_program
+from gridlang.world import Final, exec_program
 
 __all__ = [
-    "STAGES",
     "EvalRecord",
     "Metrics",
     "score_judgment",
@@ -41,8 +42,6 @@ __all__ = [
     "render_long_csv",
 ]
 
-STAGES = ("syntax", "behavior", "semantics", "pass")
-
 _LABEL_RE = re.compile(r"\b(valid|invalid)\b", re.IGNORECASE)
 
 
@@ -54,12 +53,9 @@ class EvalRecord:
     parsed_ok: bool
     behavioral_ok: bool | None
     semantic_ok: bool | None
-    failure_stage: str
     raw_answer: str
 
     def __post_init__(self) -> None:
-        if self.failure_stage not in STAGES:
-            raise ValueError(f"bad failure stage {self.failure_stage!r}")
         if self.semantic_ok and not self.behavioral_ok:
             raise ValueError(
                 f"{self.instance_id}: semantic pass without behavioral pass"
@@ -68,6 +64,17 @@ class EvalRecord:
             raise ValueError(
                 f"{self.instance_id}: behavioral pass without parse"
             )
+
+    @property
+    def failure_stage(self) -> str:
+        """The first layer that failed, else "pass"."""
+        if not self.parsed_ok:
+            return "syntax"
+        if self.behavioral_ok is False:
+            return "behavior"
+        if self.semantic_ok is False:
+            return "semantics"
+        return "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +102,6 @@ def score_judgment(answer: str, gold: str, instance_id: str = "") -> EvalRecord:
         parsed_ok=correct,
         behavioral_ok=None,
         semantic_ok=None,
-        failure_stage="pass" if correct else "syntax",
         raw_answer=answer,
     )
 
@@ -105,7 +111,6 @@ def score_generation(
     inst: TaskInstance,
     g: GrammarSpec,
     raw_answer: str | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> EvalRecord:
     """Score extracted code through the parse/execute/tree-match layers.
 
@@ -119,7 +124,7 @@ def score_generation(
         tree = parse(answer_code, g)
     except ParseError:
         return syntax_failure(inst, raw)
-    result = exec_program(tree, inst.start_state, budget)
+    result = exec_program(tree, inst.start_state)
     behavioral = isinstance(result, Final) and result.state == inst.target_state
     semantic = None
     if inst.kind is TaskKind.INSTRUCTION:
@@ -132,8 +137,6 @@ def score_generation(
         parsed_ok=True,
         behavioral_ok=behavioral,
         semantic_ok=semantic,
-        failure_stage=("behavior" if not behavioral else
-                       "semantics" if semantic is False else "pass"),
         raw_answer=raw,
     )
 
@@ -146,7 +149,6 @@ def syntax_failure(inst: TaskInstance, raw: str) -> EvalRecord:
         parsed_ok=False,
         behavioral_ok=None if inst.kind is TaskKind.JUDGMENT else False,
         semantic_ok=False if inst.kind is TaskKind.INSTRUCTION else None,
-        failure_stage="syntax",
         raw_answer=raw,
     )
 
@@ -161,12 +163,6 @@ class Metrics:
     scr: float | None
     cber: float | None
     cscr: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "svr": self.svr, "ber": self.ber,
-            "scr": self.scr, "cber": self.cber, "cscr": self.cscr,
-        }
 
 
 def _rate(count: int, denom: int) -> float:

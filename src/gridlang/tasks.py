@@ -360,7 +360,6 @@ def make_dataset(
     style: Style,
     mode: LexiconMode,
     params: GenParams,
-    start_state: RobotState = START_STATE,
 ) -> list[TaskInstance]:
     """Build n instances of one task kind from a global seed.
 
@@ -380,9 +379,8 @@ def make_dataset(
         )
         identifier = f"{kind.value}-{i:05d}"
         if kind is not TaskKind.JUDGMENT:
-            instances.append(make_instance(
-                kind, style, mode, inst_params, identifier, start_state,
-            ))
+            instances.append(make_instance(kind, style, mode, inst_params,
+                                           identifier))
             continue
         if i % 2 == 0:
             g, candidate, _tree = generate_instance(style, mode, inst_params)

@@ -166,11 +166,11 @@ class TestAcceptance:
         # per-record containment violations abort at construction
         violations = 0
         try:
-            EvalRecord("x", False, True, None, "syntax", "")
+            EvalRecord("x", False, True, None, "")
         except ValueError:
             violations += 1
         try:
-            EvalRecord("x", True, False, True, "behavior", "")
+            EvalRecord("x", True, False, True, "")
         except ValueError:
             violations += 1
 
@@ -179,10 +179,8 @@ class TestAcceptance:
             parsed = i < 137
             behavioral = i < 120
             semantic = i < 79
-            stage = ("pass" if semantic else "semantics" if behavioral
-                     else "behavior" if parsed else "syntax")
             records.append(EvalRecord(f"r{i}", parsed, behavioral,
-                                      semantic, stage, ""))
+                                      semantic, ""))
         m = aggregate(records)
         contained = m.scr <= m.ber <= m.svr
         spot = (m.svr == 68.5 and m.ber == 60.0 and m.scr == 39.5

@@ -45,7 +45,7 @@ from gridlang.grammar import (
     grammar_from_text,
 )
 from gridlang.harness import (
-    _fenced_blocks,
+    _last_fenced_block,
     _flatten_program,
     _mock_answer,
     AuthFailedError,
@@ -213,7 +213,7 @@ class TestExtractCode:
     @given(st.lists(st.sampled_from(["`", "``", "```", "````", "\n", "a",
                                      "b"]), max_size=16).map("".join))
     def test_fence_scan_matches_the_regex(self, raw):
-        assert _fenced_blocks(raw) == FENCE_RE.findall(raw)
+        assert _last_fenced_block(raw) == (FENCE_RE.findall(raw) or [None])[-1]
 
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from(ALL_COMBOS), st.integers(0, 50), st.data())
@@ -741,7 +741,7 @@ class TestCaching:
         assert (cold.model_calls, warm.model_calls) == (2, 0)
         assert len(_ScriptedHandler.requests_seen) == 2
         assert [rec.raw_answer for rec in warm.records] == ["a\r\nb"] * 2
-        assert _artifacts(warm) == _artifacts(cold)
+        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
 
     def test_any_answer_text_replays_as_sent(self, tmp_path, scripted_server,
                                              api_token):
@@ -761,7 +761,7 @@ class TestCaching:
                                          out_dir=run / out_dir,
                                          permissive=True)
                           for out_dir in ("cold", "warm"))
-            assert _artifacts(warm) == _artifacts(cold)
+            assert _artifacts(run / "warm") == _artifacts(run / "cold")
             try:
                 text.encode("utf-8")
             except UnicodeEncodeError:  # an endpoint error, never cached
@@ -786,9 +786,9 @@ class TestCaching:
         assert "/" not in children[0] and ":" not in children[0]
 
 
-def _artifacts(result):
-    return (result.results_path.read_bytes(),
-            result.responses_path.read_bytes())
+def _artifacts(out_dir):
+    return ((out_dir / "results.jsonl").read_bytes(),
+            (out_dir / "responses.jsonl").read_bytes())
 
 
 def _sha256(text):
@@ -824,7 +824,7 @@ class TestPromptMemo:
                               cache_dir=cache, out_dir=tmp_path / "warm")
         assert prompt_builds == []
         assert (cold.model_calls, warm.model_calls) == (4, 0)
-        assert _artifacts(warm) == _artifacts(cold)
+        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
 
     def test_memo_entry_is_the_private_prompt_sha256(self, tmp_path):
         dataset = _dataset(TaskKind.GOAL, n=2)
@@ -843,10 +843,10 @@ class TestPromptMemo:
                    for shots in (1, 2) for cot in (True, False)]
         cache = tmp_path / "cache"
         for pc in configs * 2:  # cold, then warm
-            result = run_evaluation(dataset, _mock_cfg(), pc,
-                                    cache_dir=cache, out_dir=tmp_path / "out")
-            rows = [json.loads(line) for line in
-                    result.responses_path.read_text().splitlines()]
+            run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
+                           out_dir=tmp_path / "out")
+            rows = [json.loads(line) for line in (
+                tmp_path / "out" / "responses.jsonl").read_text().splitlines()]
             assert [row["prompt_sha256"] for row in rows] == [
                 _sha256(build_prompt(inst, pc)) for inst in dataset]
         assert len(list(cache.rglob("*.memo"))) == 8
@@ -865,7 +865,8 @@ class TestPromptMemo:
                                cache_dir=cache, out_dir=tmp_path / "again")
         assert prompt_builds == []
         assert again.model_calls == 3
-        assert _artifacts(again) == _artifacts(cold)
+        assert (_artifacts(tmp_path / "again")
+                == _artifacts(tmp_path / "cold"))
         assert len(list((cache / "mock-model").glob("*.txt"))) == 3
 
     def test_memo_hit_builds_what_a_real_endpoint_is_sent(
@@ -888,7 +889,8 @@ class TestPromptMemo:
                                       for inst in dataset)
         assert prompt_builds == [inst.id for inst in dataset]
         assert again.model_calls == 4
-        assert _artifacts(again) == _artifacts(cold)
+        assert (_artifacts(tmp_path / "again")
+                == _artifacts(tmp_path / "cold"))
 
     @pytest.mark.parametrize("data", [
         b"", b"ab" * 31, b"ab" * 33, b"AB" * 32, b"ab" * 31 + b"g0",
@@ -910,7 +912,7 @@ class TestPromptMemo:
                               out_dir=tmp_path / "warm")
         assert prompt_builds == [inst.id for inst in dataset]
         assert warm.model_calls == 0
-        assert _artifacts(warm) == _artifacts(cold)
+        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
         assert sorted(memo.read_text() for memo in memos) == shas
 
     def test_zero_shot_runs_write_no_memo(self, tmp_path, monkeypatch):
@@ -1031,12 +1033,11 @@ class TestRunArtifacts:
     def test_results_and_responses_written(self, tmp_path):
         dataset = _dataset(TaskKind.INSTRUCTION, n=3)
         out = tmp_path / "out"
-        result = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                                cache_dir=tmp_path / "cache", out_dir=out,
-                                provenance={"command": "test"})
-        assert result.results_path.exists()
-        assert result.responses_path.exists()
-        results_lines = result.results_path.read_text().splitlines()
+        run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                       cache_dir=tmp_path / "cache", out_dir=out,
+                       provenance={"command": "test"})
+        assert (out / "responses.jsonl").exists()
+        results_lines = (out / "results.jsonl").read_text().splitlines()
         assert json.loads(results_lines[0]) == {
             "_config": {"command": "test"}}
         assert len(results_lines) == 4
@@ -1091,7 +1092,7 @@ class TestRunArtifacts:
         for rec in result.records:
             assert rec.raw_answer.startswith(
                 "[endpoint error] malformed completion payload")
-        assert result.responses_path.read_text() == ""
+        assert (tmp_path / "out" / "responses.jsonl").read_text() == ""
         assert not list((tmp_path / "cache").rglob("*.txt"))
 
     def test_strict_mode_raises_unencodable_content(self, tmp_path,
@@ -1207,12 +1208,12 @@ class TestThreadsOnlyForTheNetwork:
                                       for inst in misses)
         ids = [inst.id for inst in dataset]
         responses = [json.loads(line) for line in
-                     result.responses_path.read_text().splitlines()]
+                     (out / "responses.jsonl").read_text().splitlines()]
         assert [row["instance_id"] for row in responses] == ids
         assert [row["response"] for row in responses] == [
             "INVALID", "VALID"] * 4
         results = [json.loads(line) for line in
-                   result.results_path.read_text().splitlines()]
+                   (out / "results.jsonl").read_text().splitlines()]
         assert [row["instance_id"] for row in results] == ids
         assert [rec.instance_id for rec in result.records] == ids
 

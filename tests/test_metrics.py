@@ -8,8 +8,18 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlang.ast import ITEM_VOCAB, MAX_NESTING, canon_parse
-from gridlang.codec import linearize
+from gridlang.ast import (
+    ITEM_VOCAB,
+    MAX_NESTING,
+    ActionStmt,
+    Literal,
+    Loop,
+    Program,
+    Turn,
+    TurnDir,
+    canon_parse,
+)
+from gridlang.codec import linearize, parse
 from gridlang.grammar import (
     LexiconMode,
     Style,
@@ -18,7 +28,6 @@ from gridlang.grammar import (
 )
 from gridlang.metrics import (
     EvalRecord,
-    Metrics,
     aggregate,
     format_rate,
     render_csv,
@@ -29,6 +38,7 @@ from gridlang.metrics import (
 )
 from gridlang.sampler import GenParams
 from gridlang.tasks import TaskKind, make_dataset, make_instance
+from gridlang.world import BudgetExceeded, exec_program
 
 from conftest import ALL_COMBOS, deep_surface
 
@@ -58,25 +68,51 @@ def _small_goal(style, mode):
 
 class TestEvalRecordContainment:
     def test_valid_shapes_construct(self):
-        EvalRecord("a", False, None, None, "syntax", "x")
-        EvalRecord("b", True, False, None, "behavior", "x")
-        EvalRecord("c", True, True, False, "semantics", "x")
-        EvalRecord("d", True, True, True, "pass", "x")
-        EvalRecord("e", True, None, None, "pass", "x")  # judgment shape
+        EvalRecord("a", False, None, None, "x")
+        EvalRecord("b", True, False, None, "x")
+        EvalRecord("c", True, True, False, "x")
+        EvalRecord("d", True, True, True, "x")
+        EvalRecord("e", True, None, None, "x")  # judgment shape
 
     def test_semantic_requires_behavioral(self):
         with pytest.raises(ValueError):
-            EvalRecord("a", True, False, True, "behavior", "x")
+            EvalRecord("a", True, False, True, "x")
         with pytest.raises(ValueError):
-            EvalRecord("a", True, None, True, "pass", "x")
+            EvalRecord("a", True, None, True, "x")
 
     def test_behavioral_requires_parsed(self):
         with pytest.raises(ValueError):
-            EvalRecord("a", False, True, None, "syntax", "x")
+            EvalRecord("a", False, True, None, "x")
 
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            EvalRecord("a", True, True, True, "triumph", "x")
+
+# every verdict triple a scorer can give, by task, and its failure stage
+REACHABLE_VERDICTS = [
+    ("judgment", (False, None, None), "syntax"),
+    ("judgment", (True, None, None), "pass"),
+    ("goal", (False, False, None), "syntax"),
+    ("goal", (True, False, None), "behavior"),
+    ("goal", (True, True, None), "pass"),
+    ("instruction", (False, False, False), "syntax"),
+    ("instruction", (True, False, False), "behavior"),
+    ("instruction", (True, True, False), "semantics"),
+    ("instruction", (True, True, True), "pass"),
+]
+
+
+class TestFailureStage:
+    @pytest.mark.parametrize("task,verdicts,stage", REACHABLE_VERDICTS)
+    def test_stage_is_the_first_failing_layer(self, task, verdicts, stage):
+        assert EvalRecord(task, *verdicts, "x").failure_stage == stage
+
+    def test_stage_cannot_be_given_or_set(self):
+        with pytest.raises(TypeError):
+            EvalRecord("a", False, None, None, "pass", "x")
+        with pytest.raises(TypeError):
+            EvalRecord("a", True, True, True, "x", failure_stage="syntax")
+        rec = EvalRecord("a", True, True, True, "x")
+        with pytest.raises(AttributeError):
+            rec.failure_stage = "syntax"
+        assert rec.failure_stage == "pass"
 
 
 class TestJudgmentScoring:
@@ -184,7 +220,15 @@ class TestGenerationScoring:
     def test_budget_exhaustion_scores_behavioral_false(self):
         inst = _goal_instance(seed=0, depth=3)
         g = _grammar(inst)
-        rec = score_generation(inst.gold_code, inst, g, budget=1)
+        # 5**9 turns: past the step budget, so the answer never finishes
+        nest = ActionStmt(Turn(TurnDir.LEFT))
+        for _ in range(9):
+            nest = Loop(Literal(5), (nest,))
+        tree = canon_parse(inst.gold_ast)
+        answer = linearize(Program(tree.body + (nest,)), g)
+        assert isinstance(exec_program(parse(answer, g), inst.start_state),
+                          BudgetExceeded)
+        rec = score_generation(answer, inst, g)
         assert rec.parsed_ok
         assert rec.behavioral_ok is False
         assert rec.failure_stage == "behavior"
@@ -267,13 +311,13 @@ def _instruction_population():
     records = []
     for i in range(200):
         if i < 79:
-            rec = EvalRecord(f"r{i}", True, True, True, "pass", "")
+            rec = EvalRecord(f"r{i}", True, True, True, "")
         elif i < 120:
-            rec = EvalRecord(f"r{i}", True, True, False, "semantics", "")
+            rec = EvalRecord(f"r{i}", True, True, False, "")
         elif i < 137:
-            rec = EvalRecord(f"r{i}", True, False, False, "behavior", "")
+            rec = EvalRecord(f"r{i}", True, False, False, "")
         else:
-            rec = EvalRecord(f"r{i}", False, False, False, "syntax", "")
+            rec = EvalRecord(f"r{i}", False, False, False, "")
         records.append(rec)
     return records
 
@@ -293,13 +337,13 @@ class TestAggregation:
             aggregate([])
 
     def test_mixed_layer_applicability_rejected(self):
-        goal = EvalRecord("g", True, True, None, "pass", "code")
-        instruction = EvalRecord("i", True, True, True, "pass", "code")
+        goal = EvalRecord("g", True, True, None, "code")
+        instruction = EvalRecord("i", True, True, True, "code")
         with pytest.raises(ValueError):
             aggregate([goal, instruction])
 
     def test_zero_parse_rate_leaves_conditionals_undefined(self):
-        records = [EvalRecord(f"r{i}", False, False, False, "syntax", "")
+        records = [EvalRecord(f"r{i}", False, False, False, "")
                    for i in range(5)]
         m = aggregate(records)
         assert m.svr == 0.0
@@ -307,8 +351,8 @@ class TestAggregation:
 
     def test_judgment_only_population(self):
         records = [
-            EvalRecord("a", True, None, None, "pass", "VALID"),
-            EvalRecord("b", False, None, None, "syntax", "nope"),
+            EvalRecord("a", True, None, None, "VALID"),
+            EvalRecord("b", False, None, None, "nope"),
         ]
         m = aggregate(records)
         assert m.svr == 50.0
@@ -317,9 +361,9 @@ class TestAggregation:
 
     def test_rounding_one_decimal(self):
         records = [
-            EvalRecord("a", True, True, None, "pass", ""),
-            EvalRecord("b", False, False, None, "syntax", ""),
-            EvalRecord("c", False, False, None, "syntax", ""),
+            EvalRecord("a", True, True, None, ""),
+            EvalRecord("b", False, False, None, ""),
+            EvalRecord("c", False, False, None, ""),
         ]
         m = aggregate(records)
         assert m.svr == 33.3
@@ -329,16 +373,16 @@ class TestAggregation:
 class TestRendering:
     def _rows(self):
         judgment = aggregate([
-            EvalRecord("a", True, None, None, "pass", "VALID"),
-            EvalRecord("b", False, None, None, "syntax", "nope"),
+            EvalRecord("a", True, None, None, "VALID"),
+            EvalRecord("b", False, None, None, "nope"),
         ])
         goal = aggregate([
-            EvalRecord("c", True, True, None, "pass", "x"),
-            EvalRecord("d", False, False, None, "syntax", "y"),
+            EvalRecord("c", True, True, None, "x"),
+            EvalRecord("d", False, False, None, "y"),
         ])
         instruction = aggregate([
-            EvalRecord("e", True, True, True, "pass", "x"),
-            EvalRecord("f", True, True, False, "semantics", "y"),
+            EvalRecord("e", True, True, True, "x"),
+            EvalRecord("f", True, True, False, "y"),
         ])
         return [("model-x", TaskKind.JUDGMENT, judgment),
                 ("model-x", TaskKind.GOAL, goal),
@@ -372,7 +416,7 @@ class TestRendering:
 
     def test_report_skips_absent_tasks(self):
         report = render_report([("m", TaskKind.GOAL, aggregate([
-            EvalRecord("a", True, True, None, "pass", "x")]))])
+            EvalRecord("a", True, True, None, "x")]))])
         assert "## Task 2" in report
         assert "## Task 1" not in report and "## Task 3" not in report
 
@@ -393,7 +437,7 @@ class TestRendering:
             render_csv([])
 
     def test_long_csv(self):
-        m = aggregate([EvalRecord("a", True, True, None, "pass", "x")])
+        m = aggregate([EvalRecord("a", True, True, None, "x")])
         text = render_long_csv("depth", [(5, "m", "goal", m),
                                          (10, "m", "goal", m)])
         lines = text.strip().splitlines()
@@ -404,15 +448,12 @@ class TestRendering:
         assert not any(",scr," in line for line in lines[1:])
 
 
-class TestMetricsToDict:
-    def test_metrics_fields(self):
-        m = Metrics(n=4, svr=75.0, ber=50.0, scr=25.0, cber=66.7, cscr=33.3)
-        assert m.to_dict() == {"n": 4, "svr": 75.0, "ber": 50.0,
-                               "scr": 25.0, "cber": 66.7, "cscr": 33.3}
-
+class TestRecordToDict:
     def test_record_to_dict(self):
-        rec = EvalRecord("id-1", True, True, None, "pass", "answer text")
+        rec = EvalRecord("id-1", True, True, None, "answer text")
         d = rec.to_dict()
+        assert list(d) == ["instance_id", "parsed_ok", "behavioral_ok",
+                           "semantic_ok", "failure_stage", "raw_answer"]
         assert d["instance_id"] == "id-1"
         assert d["failure_stage"] == "pass"
         assert d["raw_answer"] == "answer text"

@@ -97,18 +97,23 @@ def test_module_level_graph_has_no_cycle():
 
 
 def test_the_command_line_loads_no_transport():
-    # -S: no site hook (a .pth file) may load a module before gridlang does
-    code = ("import json, sys; import gridlang.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
+    # -S: no site hook (a .pth file) may load a module before gridlang
+    # does; what start-up loaded all the same is set apart
+    code = ("import json, sys; before = sorted(sys.modules); "
+            "import gridlang.cli; "
+            "print(json.dumps([before, sorted(sys.modules)]))")
     env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    loaded = set(json.loads(done.stdout))
+    before, after = map(set, json.loads(done.stdout))
+    loaded = after - before
     assert "gridlang.harness" in loaded
-    # loaded only by a request to a real endpoint
-    deferred = ("http.client", "urllib.request", "ssl", "email",
-                "concurrent.futures", "logging")
-    assert [name for name in deferred if name in loaded] == []
+    # no third-party HTTP package, and nothing that only a request to a
+    # real endpoint loads
+    forbidden = ("requests", "urllib3", "certifi", "idna",
+                 "charset_normalizer", "http.client", "urllib.request",
+                 "ssl", "email", "concurrent.futures", "logging")
+    assert [name for name in forbidden if name in loaded] == []
     # argparse's first message lookup imports it in every command
-    assert "locale" in loaded
+    assert "locale" in after
