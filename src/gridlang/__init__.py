@@ -15,7 +15,6 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithOp", "BinaryArith", "BinaryBool", "BoolOp", "Grab", "Holding",
-    "If", "ItemToken", "Literal", "Loop", "Move", "MoveDir", "Not",
+    "If", "Literal", "Loop", "Move", "MoveDir", "Not",
     "Program", "Turn", "TurnDir", "canon_parse",
     "canon_serialize", "control_depth", "expr_depth",
     "ParseError", "linearize", "parse", "tokenize",

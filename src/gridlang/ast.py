@@ -4,7 +4,8 @@ Programs are trees of statements (actions, counted loops, conditionals) over
 two expression sorts: integer arithmetic (loop and move counts) and boolean
 conditions (inventory predicates).  Nodes are immutable dataclasses; trees
 compare structurally with ``==``, and keep no record of their spelling, so
-equal trees render the same text in every form.
+equal trees render the same text in every form.  An item is its name, a
+plain string from ``ITEM_VOCAB``.
 
 A canonical single-line text form (``canon_serialize`` / ``canon_parse``)
 exists so gold trees can be stored in line-delimited datasets without
@@ -23,7 +24,6 @@ __all__ = [
     "BoolOp",
     "MoveDir",
     "TurnDir",
-    "ItemToken",
     "ITEM_BASES",
     "ITEM_VOCAB",
     "Literal",
@@ -78,52 +78,9 @@ class TurnDir(enum.Enum):
 
 ITEM_BASES = ("item", "key", "box", "ball", "cube")
 
-
-@dataclass(frozen=True)
-class ItemToken:
-    """An inventory item name: one of five bases, optionally suffixed 0-4.
-
-    Rendered ``key`` or ``key_2``.  The full vocabulary has 30 members.
-    """
-
-    base: str
-    suffix: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.base not in ITEM_BASES:
-            raise ValueError(f"unknown item base {self.base!r}")
-        if self.suffix is not None and not 0 <= self.suffix <= 4:
-            raise ValueError(f"item suffix out of range: {self.suffix!r}")
-
-    def render(self) -> str:
-        if self.suffix is None:
-            return self.base
-        return f"{self.base}_{self.suffix}"
-
-    @staticmethod
-    def parse(text: str) -> ItemToken:
-        """Inverse of ``render``: the shared ``ITEM_VOCAB`` member, not a
-        copy; raises ValueError for text that names no item.
-
-        Only the 30 rendered names are accepted, so ``key_`` or a suffix
-        in non-ASCII digits is not an item."""
-        item = _ITEMS_BY_TEXT.get(text)
-        if item is not None:
-            return item
-        base, sep, tail = text.partition("_")
-        if sep and not (len(tail) == 1 and tail in "0123456789"):
-            raise ValueError(f"not an item token: {text!r}")
-        if base not in ITEM_BASES:
-            raise ValueError(f"unknown item base {base!r}")
-        raise ValueError(f"item suffix out of range: {tail}")
-
-
-ITEM_VOCAB = tuple(
-    ItemToken(base, suffix)
-    for base in ITEM_BASES
-    for suffix in (None, 0, 1, 2, 3, 4)
-)
-_ITEMS_BY_TEXT = {item.render(): item for item in ITEM_VOCAB}
+# The 30 inventory item names, ``item`` to ``cube_4``.
+ITEM_VOCAB = tuple(base + suffix for base in ITEM_BASES
+                   for suffix in ("", "_0", "_1", "_2", "_3", "_4"))
 
 
 # --- expressions -----------------------------------------------------------
@@ -159,7 +116,7 @@ ArithExpr = Literal | BinaryArith
 class Holding:
     """True iff the inventory holds at least one copy of the item."""
 
-    item: ItemToken
+    item: str
 
 
 @dataclass(frozen=True)
@@ -196,7 +153,7 @@ class Turn:
 
 @dataclass(frozen=True)
 class Grab:
-    item: ItemToken
+    item: str
 
 
 Action = Move | Turn | Grab

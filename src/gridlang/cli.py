@@ -283,17 +283,11 @@ def cmd_sweep(args) -> int:
     # the constructors refuse a bad value before any leaf is written
     variants = [(value, *variant(value)) for value in values]
     entries = []
-    shared_dataset = None
     for value, v_style, v_params, v_pc in variants:
         leaf = out_dir / f"{axis}-{value}"
         leaf.mkdir(parents=True, exist_ok=True)
         dataset_path = leaf / "dataset.jsonl"
-        if axis == "shots" and shared_dataset is not None:
-            instances = shared_dataset
-        else:
-            instances = make_dataset(kind, n, v_style, mode, v_params)
-            if axis == "shots":
-                shared_dataset = instances
+        instances = make_dataset(kind, n, v_style, mode, v_params)
         provenance = _gen_provenance(kind, n, v_style, mode, v_params)
         provenance.update({"command": "sweep", "axis": axis, "value": value})
         write_dataset(instances, dataset_path, config=provenance)

@@ -65,7 +65,6 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -129,8 +128,9 @@ _LEAVES: dict[R, enum.Enum] = {
     R.OR: BoolOp.OR,
 }
 
-# Literal classes: (text -> value, value -> text).
-_LITERALS = {"INT": (int, str), "ITEM": (ItemToken.parse, ItemToken.render)}
+# Literal classes: (text -> value, value -> text).  An item is its name, and
+# the grammar's ITEM pattern admits exactly the ``ITEM_VOCAB`` names.
+_LITERALS = {"INT": (int, str), "ITEM": (str, str)}
 
 
 def _move(dir: MoveDir, steps) -> Move:

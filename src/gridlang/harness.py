@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from gridlang.ast import BinaryArith, ItemToken, Literal
+from gridlang.ast import BinaryArith, Literal
 from gridlang.codec import code_start, linearize, parse
 from gridlang.grammar import GrammarSpec, grammar_from_text, render_ebnf
 from gridlang.metrics import (
@@ -392,14 +392,14 @@ def _flatten_program(node):
 
     One walk over tuples and dataclass fields: a compound expression
     becomes ``Literal(eval_arith(e))``, a node is rebuilt from its folded
-    fields in order, and literals and items are leaves, so the shared
-    ``ITEM_VOCAB`` members stay in place."""
+    fields in order, and literals and non-node values (enum members, item
+    names) are leaves, so the shared ``ITEM_VOCAB`` names stay in place."""
     if isinstance(node, tuple):
         return tuple([_flatten_program(item) for item in node])
     if isinstance(node, BinaryArith):
         return Literal(eval_arith(node))
     names = getattr(node, "__dataclass_fields__", None)
-    if names is None or isinstance(node, (Literal, ItemToken)):
+    if names is None or isinstance(node, Literal):
         return node
     return type(node)(*[_flatten_program(getattr(node, name))
                         for name in names])

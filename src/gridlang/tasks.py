@@ -433,7 +433,7 @@ def _instr_stmt(stmt) -> str:
         if isinstance(action, Turn):
             word = "left" if action.dir is TurnDir.LEFT else "right"
             return f"Turn {word}."
-        return f"Grab the {action.item.render()}."
+        return f"Grab the {action.item}."
     if isinstance(stmt, Loop):
         return (f"Repeat {_instr_arith(stmt.count)} times: "
                 f"[ {_instr_block(stmt.body)} ]")
@@ -459,7 +459,7 @@ def _instr_arith(expr: ArithExpr) -> str:
 
 def _instr_cond(cond: BoolExpr) -> str:
     if isinstance(cond, Holding):
-        return f"holding {cond.item.render()}"
+        return f"holding {cond.item}"
     if isinstance(cond, Not):
         return f"not ({_instr_cond(cond.inner)})"
     word = "and" if cond.op is BoolOp.AND else "or"
@@ -472,7 +472,7 @@ def render_state(state: RobotState) -> str:
     held kind once, with ``xN`` after it when N > 1 copies are held."""
     if state.inventory:
         items = ", ".join(
-            item.render() if n == 1 else f"{item.render()} x{n}"
+            item if n == 1 else f"{item} x{n}"
             for item, n in state.inventory
         )
         inv = f"inventory [{items}]"

@@ -32,7 +32,6 @@ from gridlang.ast import (
     Holding,
     If,
     ITEM_VOCAB,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -71,36 +70,29 @@ _DELTA = ((0, 1), (1, 0), (0, -1), (-1, 0))
 DEFAULT_BUDGET = 1_000_000
 
 
-# render order: ``==`` and the serialized and prompt forms list kinds by name
-_ITEM_ORDER = {
-    item: rank
-    for rank, item in enumerate(sorted(ITEM_VOCAB, key=ItemToken.render))
-}
-
-
 @dataclass(frozen=True)
 class RobotState:
     """Position, facing, and an inventory multiset.
 
     The inventory is a tuple of ``(item, count)`` pairs, one per held kind
-    (so at most 30), each count an int of at least 1, sorted by the item's
-    rendered name so that ``==`` is multiset equality regardless of grab
-    order.  Its size follows the kinds held, not the copies.
+    (so at most 30), each count an int of at least 1, sorted by name so
+    that ``==`` is multiset equality regardless of grab order.  Its size
+    follows the kinds held, not the copies.
     """
 
     x: int
     y: int
     facing: Facing
-    inventory: tuple[tuple[ItemToken, int], ...] = ()
+    inventory: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         if type(self.x) is not int or type(self.y) is not int:
             raise ValueError(f"coordinates must be ints, got x={self.x!r}, "
                              f"y={self.y!r}")
-        ordered = tuple(sorted(self.inventory, key=_pair_rank))
+        ordered = tuple(sorted(self.inventory, key=_pair_item))
         for item, count in ordered:
             if type(count) is not int or count < 1:
-                raise ValueError(f"count of {item.render()} must be an int "
+                raise ValueError(f"count of {item} must be an int "
                                  f">= 1, got {count!r}")
         if len({item for item, _ in ordered}) < len(ordered):
             raise ValueError("an item kind is listed twice in the inventory")
@@ -111,7 +103,7 @@ class RobotState:
             "x": self.x,
             "y": self.y,
             "facing": self.facing.value,
-            "inventory": {item.render(): n for item, n in self.inventory},
+            "inventory": dict(self.inventory),
         }
 
     @staticmethod
@@ -126,9 +118,9 @@ class RobotState:
         try:
             held = data["inventory"]
             if isinstance(held, list):
-                held = Counter(_item(text) for text in held).items()
+                held = Counter(map(_item, held)).items()
             elif isinstance(held, dict):
-                held = [(_item(text), n) for text, n in held.items()]
+                held = held.items()
             else:
                 raise ValueError(
                     f"inventory must be an object or a list, got {held!r}")
@@ -142,17 +134,21 @@ class RobotState:
             raise ValueError(f"state missing field {exc.args[0]!r}") from exc
 
 
-def _pair_rank(pair) -> int:
-    if type(pair) is tuple and len(pair) == 2 and isinstance(pair[0],
-                                                             ItemToken):
-        return _ITEM_ORDER[pair[0]]
+def _pair_item(pair) -> str:
+    if type(pair) is tuple and len(pair) == 2:
+        return _item(pair[0])
     raise ValueError(f"not an (item, count) pair: {pair!r}")
 
 
-def _item(text) -> ItemToken:
-    if not isinstance(text, str):
-        raise ValueError(f"not an item token: {text!r}")
-    return ItemToken.parse(text)
+_ITEMS = frozenset(ITEM_VOCAB)
+
+
+def _item(text) -> str:
+    """The one check that a value is an item name; the type test comes
+    first, so an unhashable value is refused with ValueError too."""
+    if type(text) is str and text in _ITEMS:
+        return text
+    raise ValueError(f"not an item: {text!r}")
 
 
 START_STATE = RobotState(0, 0, Facing.N)

@@ -37,7 +37,6 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -88,6 +87,10 @@ from gridlang.world import (
 )
 
 ALL_COMBOS = tuple(itertools.product(Style, LexiconMode))
+
+# words that name no item; every door that reads an item refuses each one
+NON_ITEMS = ("key_9", "stone", "key_12", "key_x", "bogus", "key_\u0663",
+             "key_", "bogus_3", "rock", "key_5")
 
 _PUNCT_DEFAULTS = {R.LBR: "{", R.RBR: "}", R.PAR_L: "(", R.PAR_R: ")",
                    R.SEMI: ";"}
@@ -228,7 +231,7 @@ def oracle_exec(program: Program, state: RobotState = START_STATE,
 
 _ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_]+|\S")
 _ORACLE_PUNCT = frozenset("[]{}();")
-_ORACLE_ITEMS = frozenset(item.render() for item in ITEM_VOCAB)
+_ORACLE_ITEMS = frozenset(ITEM_VOCAB)
 
 
 class OracleWord(NamedTuple):
@@ -769,11 +772,11 @@ def oracle_canon_serialize(node) -> str:
     if isinstance(node, Turn):
         return f"(turn {node.dir.value})"
     if isinstance(node, Grab):
-        return f"(grab {node.item.render()})"
+        return f"(grab {node.item})"
     if isinstance(node, Literal):
         return f"(int {node.value})"
     if isinstance(node, Holding):
-        return f"(holding {node.item.render()})"
+        return f"(holding {node.item})"
     if isinstance(node, Not):
         return f"(not {oracle_canon_serialize(node.inner)})"
     if isinstance(node, (BinaryArith, BinaryBool)):
@@ -882,13 +885,12 @@ class _OracleCanonReader:
         self.expect(")")
         return tuple(stmts)
 
-    def item(self) -> ItemToken:
+    def item(self) -> str:
         tok = self.take()
-        try:
-            return ItemToken.parse(tok)
-        except ValueError:
+        if tok not in _ORACLE_ITEMS:
             self.pos -= 1
             self.fail(f"expected item token, found {tok!r}")
+        return tok
 
     def arith(self):
         self.expect("(")

@@ -16,9 +16,7 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ITEM_BASES,
     ITEM_VOCAB,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -32,13 +30,14 @@ from gridlang.ast import (
     control_depth,
     expr_depth,
 )
-from gridlang.codec import linearize, parse, tokenize
+from gridlang.codec import ParseError, linearize, parse, tokenize
 from gridlang.grammar import LexiconMode, Style, TerminalRole as R
 from gridlang.grammar import build_grammar
 from gridlang.sampler import GenParams, generate_instance
 
 from conftest import (
     ALL_COMBOS,
+    NON_ITEMS,
     fixed_grammar,
     oracle_canon_parse,
     oracle_canon_serialize,
@@ -62,50 +61,50 @@ NINETEEN = BinaryArith(ArithOp.ADD,
                        Literal(3))
 
 
+_GRAB_KEY_2 = Program((ActionStmt(Turn(TurnDir.LEFT)),
+                       ActionStmt(Grab("key_2"))))
+
+
 class TestItems:
-    def test_render_parse_round_trip(self):
-        for item in ITEM_VOCAB:
-            assert ItemToken.parse(item.render()) == item
+    """An item is its name: the surface and canonical parsers yield one of
+    the 30 ``ITEM_VOCAB`` strings and refuse any other word at its token
+    (``test_world`` holds the state reader's case)."""
 
-    def test_parse_returns_the_shared_vocabulary_member(self):
-        for item in ITEM_VOCAB:
-            assert ItemToken.parse(item.render()) is item
+    def test_vocabulary_is_five_bases_by_six_names(self):
+        assert ITEM_VOCAB[:7] == ("item", "item_0", "item_1", "item_2",
+                                  "item_3", "item_4", "key")
+        assert ITEM_VOCAB[-1] == "cube_4"
+        assert len(set(ITEM_VOCAB)) == 30
+        assert all(type(item) is str for item in ITEM_VOCAB)
 
-    @pytest.mark.parametrize("text, message", [
-        ("key_9", "item suffix out of range: 9"),
-        ("stone", "unknown item base 'stone'"),
-        ("key_12", "not an item token: 'key_12'"),
-    ])
-    def test_non_items_keep_their_messages(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            ItemToken.parse(text)
+    @pytest.mark.parametrize("style", list(Style))
+    def test_parse_yields_plain_names(self, style):
+        g = fixed_grammar(style)
+        tree = parse(linearize(_GRAB_KEY_2, g), g)
+        assert tree.body[1] == ActionStmt(Grab("key_2"))
+        assert type(tree.body[1].action.item) is str
 
-    @pytest.mark.parametrize("text, message", [
-        ("key_x", "not an item token: 'key_x'"),
-        ("bogus", "unknown item base 'bogus'"),
-        ("key_\u0663", "not an item token: 'key_\u0663'"),
-        ("key_", "not an item token: 'key_'"),
-        ("bogus_3", "unknown item base 'bogus'"),
-    ])
-    def test_only_rendered_names_are_items(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            ItemToken.parse(text)
+    def test_canon_parse_yields_plain_names(self):
+        tree = canon_parse("(prog (grab key_2) (if (holding box) ((turn L))))")
+        assert tree.body[0] == ActionStmt(Grab("key_2"))
+        assert tree.body[1].cond == Holding("box")
+        assert type(tree.body[0].action.item) is str
+        assert type(tree.body[1].cond.item) is str
 
-    def test_vocabulary_is_five_bases_by_six_variants(self):
-        assert len(ITEM_VOCAB) == 30
-        assert len(set(i.render() for i in ITEM_VOCAB)) == 30
-        assert ItemToken("key", None).render() == "key"
-        assert ItemToken("key", 2).render() == "key_2"
+    @pytest.mark.parametrize("text", NON_ITEMS)
+    @pytest.mark.parametrize("style", list(Style))
+    def test_parse_refuses_non_items(self, style, text):
+        g = fixed_grammar(style)
+        good = linearize(_GRAB_KEY_2, g)
+        with pytest.raises(ParseError) as info:
+            parse(good.replace("key_2", text), g)
+        assert info.value.position == tokenize(good, g)[0].index("key_2")
 
-    def test_bad_items_rejected(self):
-        with pytest.raises(ValueError):
-            ItemToken("rock", None)
-        with pytest.raises(ValueError):
-            ItemToken("key", 5)
-        with pytest.raises(ValueError):
-            ItemToken.parse("key_9")
-        with pytest.raises(ValueError):
-            ItemToken.parse("stone")
+    @pytest.mark.parametrize("text", NON_ITEMS)
+    def test_canon_parse_refuses_non_items(self, text):
+        with pytest.raises(CanonParseError, match="at token 8: expected "
+                                                  "ITEM"):
+            canon_parse(f"(prog (turn L) (grab {text}))")
 
 
 class TestDepthMetrics:
@@ -117,7 +116,7 @@ class TestDepthMetrics:
 
     def test_control_depth_counts_deepest_branch(self):
         prog = Program((
-            If(Holding(ItemToken("key", None)),
+            If(Holding("key"),
                (turn(),),
                (Loop(Literal(1), (Loop(Literal(1), (turn(),)),)),)),
         ))
@@ -132,12 +131,12 @@ class TestDepthMetrics:
         assert expr_depth(BinaryArith(ArithOp.ADD, Literal(3),
                                       Literal(4))) == 2
         assert expr_depth(NINETEEN) == 3
-        assert expr_depth(Holding(ItemToken("key", None))) == 1
-        assert expr_depth(Not(Holding(ItemToken("key", None)))) == 2
+        assert expr_depth(Holding("key")) == 1
+        assert expr_depth(Not(Holding("key"))) == 2
         assert expr_depth(
             BinaryBool(BoolOp.AND,
-                       Not(Holding(ItemToken("key", None))),
-                       Holding(ItemToken("box", 0)))
+                       Not(Holding("key")),
+                       Holding("box_0"))
         ) == 3
 
 
@@ -148,7 +147,7 @@ class TestEquality:
                 != Program((Loop(NINETEEN, (turn(),)),)))
 
     def test_else_presence_distinguishes(self):
-        cond = Holding(ItemToken("key", None))
+        cond = Holding("key")
         with_else = Program((If(cond, (turn(),), (turn(),)),))
         without = Program((If(cond, (turn(),), None),))
         assert with_else != without
@@ -185,9 +184,9 @@ class TestCanonicalForm:
         prog = Program((
             ActionStmt(Move(MoveDir.FORWARD, Literal(2))),
             ActionStmt(Move(MoveDir.BACKWARD, Literal(1))),
-            ActionStmt(Grab(ItemToken("key", 2))),
+            ActionStmt(Grab("key_2")),
             Loop(NINETEEN, (turn(),)),
-            If(Not(Holding(ItemToken("cube", None))), (turn(),), (turn(),)),
+            If(Not(Holding("cube")), (turn(),), (turn(),)),
         ))
         text = canon_serialize(prog)
         assert text.startswith("(prog ")
@@ -201,8 +200,8 @@ class TestCanonicalForm:
     def test_round_trip_hand_built(self):
         prog = Program((
             If(BinaryBool(BoolOp.OR,
-                          Holding(ItemToken("ball", 3)),
-                          Not(Holding(ItemToken("item", None)))),
+                          Holding("ball_3"),
+                          Not(Holding("item"))),
                (Loop(Literal(0), (turn(),)),),
                None),
             ActionStmt(Move(MoveDir.BACKWARD, NINETEEN)),
@@ -376,7 +375,7 @@ _SUBSTITUTES = ["\u0663", "\u00b2", "key-2", "[", "]", "{", "}", "@", "zz",
                 ")"]
 _CANON_WORDS = ["(", ")", "prog", "loop", "if", "move", "turn", "grab", "int",
                 "add", "mul", "holding", "not", "and", "or", "F", "B", "L", "R",
-                "0", "12"] + [item.render() for item in ITEM_VOCAB]
+                "0", "12", *ITEM_VOCAB]
 
 
 class TestCanonicalDifferential:

@@ -22,7 +22,6 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -71,14 +70,12 @@ SEXPR_G = fixed_grammar(Style.SEXPR)
 REFERENCE_PROGRAM = Program((
     ActionStmt(Turn(TurnDir.LEFT)),
     ActionStmt(Move(MoveDir.FORWARD, Literal(1))),
-    ActionStmt(Grab(ItemToken("key", 2))),
+    ActionStmt(Grab("key_2")),
     Loop(BinaryArith(ArithOp.ADD,
                      BinaryArith(ArithOp.MUL, Literal(4), Literal(4)),
                      Literal(3)),
          (ActionStmt(Turn(TurnDir.LEFT)),)),
-    If(Not(BinaryBool(BoolOp.AND,
-                      Holding(ItemToken("cube", 0)),
-                      Holding(ItemToken("cube", 4)))),
+    If(Not(BinaryBool(BoolOp.AND, Holding("cube_0"), Holding("cube_4"))),
        (ActionStmt(Move(MoveDir.BACKWARD,
                         BinaryArith(ArithOp.MUL, Literal(2), Literal(4)))),),
        (ActionStmt(Turn(TurnDir.RIGHT)),)),
@@ -190,10 +187,10 @@ class TestFrozenSurfaces:
         # binary condition children keep their own parentheses
         prog = Program((
             If(BinaryBool(BoolOp.OR,
-                          Not(Holding(ItemToken("ball", 3))),
+                          Not(Holding("ball_3")),
                           BinaryBool(BoolOp.AND,
-                                     Holding(ItemToken("item", None)),
-                                     Holding(ItemToken("ball", 2)))),
+                                     Holding("item"),
+                                     Holding("ball_2"))),
                (ActionStmt(Turn(TurnDir.LEFT)),),
                None),
         ))
@@ -295,8 +292,8 @@ def _small_programs():
     actions = [
         ActionStmt(Turn(TurnDir.LEFT)),
         ActionStmt(Turn(TurnDir.RIGHT)),
-        ActionStmt(Grab(ItemToken("key", None))),
-        ActionStmt(Grab(ItemToken("key", 1))),
+        ActionStmt(Grab("key")),
+        ActionStmt(Grab("key_1")),
         ActionStmt(Move(MoveDir.FORWARD, Literal(2))),
         ActionStmt(Move(MoveDir.BACKWARD, Literal(2))),
         ActionStmt(Move(MoveDir.FORWARD, Literal(3))),
@@ -309,11 +306,9 @@ def _small_programs():
     stmts = list(actions)
     for action in actions[:4]:
         stmts.append(Loop(Literal(2), (action,)))
-        stmts.append(If(Holding(ItemToken("box", None)), (action,), None))
-        stmts.append(If(Holding(ItemToken("box", None)), (action,),
-                        (actions[0],)))
-        stmts.append(If(Not(Holding(ItemToken("box", None))), (action,),
-                        None))
+        stmts.append(If(Holding("box"), (action,), None))
+        stmts.append(If(Holding("box"), (action,), (actions[0],)))
+        stmts.append(If(Not(Holding("box")), (action,), None))
     programs = [Program((s,)) for s in stmts]
     programs += [Program(pair) for pair in
                  itertools.product(actions[:5], repeat=2)]
@@ -485,8 +480,7 @@ class TestReferenceParser:
             )
         elif base == "soup":
             g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
-            vocabulary = sorted(g.terminals.values()) + sorted(
-                item.render() for item in ITEM_VOCAB) + [
+            vocabulary = sorted(g.terminals.values()) + sorted(ITEM_VOCAB) + [
                 "0", "7", "12", "\u0663", "\u00b2", "9" * 5000, "(" * 150,
                 "zz", "@", "[", "]", "{", "}", "(", ")", ";"]
             text = " ".join(data.draw(st.lists(st.sampled_from(vocabulary),

@@ -295,8 +295,7 @@ class TestScoringIsTotal:
     def test_token_soup_scores_within_a_second(self, combo, data):
         inst = _small_goal(*combo)
         g = _grammar(inst)
-        vocabulary = sorted(g.terminals.values()) + sorted(
-            item.render() for item in ITEM_VOCAB) + [
+        vocabulary = sorted(g.terminals.values()) + sorted(ITEM_VOCAB) + [
             "0", "7", "12", "\u0663", "\u00b2", "\uff15", "9" * 5000,
             "(" * 150, "zz", "@", "[", "]", "{", "}", "(", ")", ";"]
         words = data.draw(st.lists(st.sampled_from(vocabulary), max_size=60))

@@ -18,7 +18,6 @@ from gridlang.ast import (
     Grab,
     Holding,
     If,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -152,8 +151,7 @@ class TestPerturbMatchesReference:
         style, mode = combo
         if data.draw(st.booleans(), label="word soup"):
             g = build_grammar(style, mode, data.draw(st.integers(0, 10 ** 6)))
-            vocabulary = sorted(g.terminals.values()) + sorted(
-                item.render() for item in ITEM_VOCAB) + [
+            vocabulary = sorted(g.terminals.values()) + sorted(ITEM_VOCAB) + [
                 "0", "7", "12", "9" * 5000, "\u0663", "zz", "@"]
             spaces = st.sampled_from(["", " ", "\n", "\t", "\r\n", "\x1c",
                                       "\u00a0", "\u2003", "\u2028",
@@ -270,19 +268,19 @@ A2_PROGRAM = Program((
                      BinaryArith(ArithOp.MUL, Literal(4), Literal(0)),
                      Literal(4)),
          (If(BinaryBool(BoolOp.AND,
-                        Not(Holding(ItemToken("key", None))),
+                        Not(Holding("key")),
                         BinaryBool(BoolOp.AND,
-                                   Holding(ItemToken("box", 0)),
-                                   Holding(ItemToken("cube", None)))),
+                                   Holding("box_0"),
+                                   Holding("cube"))),
              (ActionStmt(Turn(TurnDir.LEFT)),),
              (ActionStmt(Move(MoveDir.BACKWARD, Literal(3))),)),)),
     If(Not(BinaryBool(BoolOp.AND,
-                      Holding(ItemToken("box", 2)),
-                      Holding(ItemToken("ball", 0)))),
+                      Holding("box_2"),
+                      Holding("ball_0"))),
        (If(Not(BinaryBool(BoolOp.AND,
-                          Holding(ItemToken("box", None)),
-                          Holding(ItemToken("key", None)))),
-           (ActionStmt(Grab(ItemToken("key", 2))),),
+                          Holding("box"),
+                          Holding("key"))),
+           (ActionStmt(Grab("key_2")),),
            None),),
        (ActionStmt(Turn(TurnDir.RIGHT)),)),
 ))
@@ -333,15 +331,13 @@ class TestInstructionRendering:
         empty = RobotState(x=0, y=0, facing=Facing.N, inventory=())
         assert render_state(empty) == "pos (0, 0), facing N, inventory empty"
         loaded = RobotState(x=-2, y=7, facing=Facing.W,
-                            inventory=((ItemToken("ball", 1), 1),
-                                       (ItemToken("key", None), 1)))
+                            inventory=(("ball_1", 1), ("key", 1)))
         assert render_state(loaded) == \
             "pos (-2, 7), facing W, inventory [ball_1, key]"
 
     def test_repeats_are_spelled_once_with_a_count(self):
         state = RobotState(x=2, y=-1, facing=Facing.W,
-                           inventory=((ItemToken("key", 2), 3),
-                                      (ItemToken("box", None), 1)))
+                           inventory=(("key_2", 3), ("box", 1)))
         assert render_state(state) == \
             "pos (2, -1), facing W, inventory [box, key_2 x3]"
 

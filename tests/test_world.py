@@ -18,7 +18,6 @@ from gridlang.ast import (
     Holding,
     If,
     ITEM_VOCAB,
-    ItemToken,
     Literal,
     Loop,
     Move,
@@ -41,11 +40,11 @@ from gridlang.world import (
     step_bound,
 )
 
-from conftest import oracle_exec, oracle_sample_block
+from conftest import NON_ITEMS, oracle_exec, oracle_sample_block
 
-KEY = ItemToken("key", None)
-BOX = ItemToken("box", None)
-BALL = ItemToken("ball", None)
+KEY = "key"
+BOX = "box"
+BALL = "ball"
 
 
 def run(program, state=START_STATE, budget=DEFAULT_BUDGET):
@@ -102,8 +101,8 @@ class TestPredicates:
             ) is (has_key or has_box)
 
     def test_holding_distinguishes_suffixed_variants(self):
-        state = RobotState(0, 0, Facing.N, ((ItemToken("key", 2), 1),))
-        assert holds(Holding(ItemToken("key", 2)), state)
+        state = RobotState(0, 0, Facing.N, (("key_2", 1),))
+        assert holds(Holding("key_2"), state)
         assert not holds(Holding(KEY), state)
 
 
@@ -421,12 +420,12 @@ class TestStateSerialization:
         with pytest.raises(ValueError, match="count of key"):
             RobotState.from_dict(data)
 
-    @pytest.mark.parametrize("name", ["rock", "key_9", "key_\u0663", "key_"])
+    @pytest.mark.parametrize("name", NON_ITEMS)
     @pytest.mark.parametrize("form", [list, dict])
     def test_unknown_items_rejected_in_either_form(self, name, form):
         held = [name] if form is list else {name: 1}
         data = {**START_STATE.to_dict(), "inventory": held}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an item"):
             RobotState.from_dict(data)
 
     @pytest.mark.parametrize("held", [None, "key", 3, [["key"]], [3]])
@@ -441,11 +440,23 @@ class TestStateSerialization:
         ((KEY, True),),
         (KEY,),
         ((KEY, 1, 1),),
-        (("key", 1),),
+        (("rock", 1),),
+        ((5, 1),),
+        ((["key"], 1),),
     ])
     def test_constructor_checks_pairs(self, inventory):
         with pytest.raises(ValueError):
             RobotState(0, 0, Facing.N, inventory)
+
+    def test_items_are_plain_names(self):
+        read = RobotState.from_dict(
+            {**START_STATE.to_dict(), "inventory": {"key_2": 1, "box": 3}})
+        grabs = Program((ActionStmt(Grab("cube_4")), ActionStmt(Grab(KEY))))
+        final = exec_program(grabs, read).state
+        assert final.inventory == (("box", 3), ("cube_4", 1), ("key", 1),
+                                   ("key_2", 1))
+        for state in (read, final):
+            assert all(type(item) is str for item, _ in state.inventory)
 
     @pytest.mark.parametrize("value", [1.9, True, " 7 ", None, "7", 2.0])
     @pytest.mark.parametrize("name", ["x", "y"])
