@@ -47,7 +47,6 @@ __all__ = [
     "expr_depth",
     "canon_serialize",
     "canon_parse",
-    "CanonParseError",
     "MAX_NESTING",
 ]
 
@@ -232,14 +231,6 @@ def expr_depth(expr: ArithExpr | BoolExpr) -> int:
 # --- canonical text form ----------------------------------------------------
 
 
-class CanonParseError(ValueError):
-    """Raised on malformed canonical AST text; carries the token position."""
-
-    def __init__(self, position: int, message: str) -> None:
-        super().__init__(f"at token {position}: {message}")
-        self.position = position
-
-
 def canon_serialize(node: Program) -> str:
     """Render a program as one line of parenthesized prefix text.
 
@@ -254,8 +245,8 @@ def canon_serialize(node: Program) -> str:
 
 
 def canon_parse(text: str) -> Program:
-    """Inverse of canon_serialize.  Raises CanonParseError on bad input,
-    including parentheses nested deeper than ``MAX_NESTING``, at the
+    """Inverse of canon_serialize.  Raises ``codec.ParseError`` on bad
+    input, including parentheses nested deeper than ``MAX_NESTING``, at the
     furthest token the parse reached."""
     from gridlang import codec
 

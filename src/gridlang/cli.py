@@ -48,13 +48,11 @@ from gridlang.tasks import (
     DATASET_FORMAT,
     TaskInstance,
     TaskKind,
+    check_utf8,
     make_dataset,
     read_dataset,
     write_dataset,
 )
-
-class CliError(ValueError):
-    pass
 
 
 def _load_config(path: str | None) -> dict:
@@ -63,23 +61,27 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     config = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, 1):
+            try:
+                check_utf8(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             if "=" not in text:
-                raise CliError(f"{path}:{line_no}: expected key = value")
+                raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = text.partition("=")
             key = key.strip().replace("-", "_")
             # a key of another subcommand is allowed, so one file serves all
             if key not in _OPTIONS:
-                raise CliError(f"{path}:{line_no}: no option is named "
-                               f"{key!r}")
+                raise ValueError(f"{path}:{line_no}: no option is named "
+                                 f"{key!r}")
             try:
                 config[key] = _read_value(_OPTIONS[key], value.strip())
             except ValueError as exc:
-                raise CliError(f"{path}:{line_no}: {key}: {exc}") from None
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return config
 
 
@@ -113,7 +115,7 @@ def _resolve(args, name: str, default=MISSING):
     if value is not None:
         return value
     if default is MISSING:
-        raise CliError(f"missing required option --{name.replace('_', '-')}")
+        raise ValueError(f"missing required option --{name.replace('_', '-')}")
     return default
 
 
@@ -238,7 +240,7 @@ def cmd_score(args) -> int:
     answers = []
     for inst in dataset:
         if inst.id not in responses:
-            raise CliError(f"no captured response for instance {inst.id}")
+            raise ValueError(f"no captured response for instance {inst.id}")
         row = responses[inst.id]
         answers.append((row.get("prompt_sha256"), row["response"]))
     model = _resolve(args, "model", "captured")
@@ -263,7 +265,12 @@ def cmd_sweep(args) -> int:
     values = [_read_value(_OPTIONS[axis], v.strip())
               for v in args.values.split(",") if v.strip()]
     if not values:
-        raise CliError("no sweep values given")
+        raise ValueError("no sweep values given")
+    # a value read twice would write one leaf twice
+    repeated = [value for value, count in Counter(values).items()
+                if count > 1]
+    if repeated:
+        raise ValueError(f"sweep value {repeated[0]} is given more than once")
     kind, n, _style, mode, _params = _gen_settings(args)
     out_dir = Path(_resolve(args, "out_dir"))
     endpoint = (_settings(EndpointConfig, args, _ENDPOINT_FLAGS)

@@ -61,7 +61,6 @@ from gridlang.ast import (
     BinaryArith,
     BinaryBool,
     BoolOp,
-    CanonParseError,
     Grab,
     Holding,
     If,
@@ -245,15 +244,11 @@ def parse(code: str, g: GrammarSpec) -> Program:
 
 
 def parse_canonical(text: str) -> Program:
-    """The tree of canonical text; raises CanonParseError to reject."""
+    """The tree of canonical text; raises ParseError to reject."""
     if not isinstance(text, str):
-        raise CanonParseError(0, f"expected text, found {type(text).__name__}")
-    try:
-        return _parse(text, _CANON_PARSER, CANON_RULES.classes, _CANON_ROLES,
-                      CANON_TERMINALS)
-    except ParseError as exc:
-        raise CanonParseError(exc.position, f"expected {exc.expected}, "
-                              f"found {exc.found}") from None
+        raise ParseError(0, "text", type(text).__name__)
+    return _parse(text, _CANON_PARSER, CANON_RULES.classes, _CANON_ROLES,
+                  CANON_TERMINALS)
 
 
 def _parse(code: str, parse_words: Callable,

@@ -78,6 +78,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_jsonl",
+    "check_utf8",
     "write_jsonl",
     "DATASET_FORMAT",
 ]
@@ -493,22 +494,40 @@ def write_jsonl(path, config: dict | None, lines) -> None:
         handle.writelines(line + "\n" for line in lines)
 
 
+def check_utf8(line: str) -> None:
+    """Refuse a line, read with ``errors="surrogateescape"``, that holds a
+    byte UTF-8 could not decode: that error handler keeps each such byte
+    as a lone surrogate, which decoded text never holds."""
+    if not line.isascii():
+        try:
+            line.encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"not UTF-8 text: byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                f"at column {exc.start + 1}") from None
+
+
 def read_jsonl(path, id_field: str):
     """Read a JSON Lines file written by ``write_jsonl``, one line at a time.
 
     The first value yielded is the provenance of a ``{"_config": ...}``
     line on physical line 1, else None; then comes ``(line_no, row)`` for
     every other non-blank line, each decoded once.  A line that is not a
-    JSON object, a provenance line anywhere below line 1, and a row whose
-    string ``id_field`` an earlier row used, raise MalformedRecordError.
+    JSON object or holds bytes that are not UTF-8, a provenance line
+    anywhere below line 1, and a row whose string ``id_field`` an earlier
+    row used, raise MalformedRecordError.
     """
     first_line: dict[str, int] = {}  # id -> the line that first used it
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, 1):
             if not line.strip():
                 if line_no == 1:
                     yield None
                 continue
+            try:
+                check_utf8(line)
+            except ValueError as exc:
+                raise MalformedRecordError(line_no, str(exc)) from None
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -33,7 +33,6 @@ from gridlang.ast import (
     BinaryArith,
     BinaryBool,
     BoolOp,
-    CanonParseError,
     Grab,
     Holding,
     If,
@@ -789,8 +788,16 @@ def _oracle_canon_block(block) -> str:
     return "(" + " ".join(map(oracle_canon_serialize, block)) + ")"
 
 
+class OracleRejection(ValueError):
+    """The reference reader's rejection, at a token position."""
+
+    def __init__(self, position: int, message: str) -> None:
+        super().__init__(f"at token {position}: {message}")
+        self.position = position
+
+
 def oracle_canon_parse(text: str) -> Program:
-    """Reference reader; raises CanonParseError, or ValueError where an
+    """Reference reader; raises OracleRejection, or ValueError where an
     integer is past ``int()``'s digit limit."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if tokens.count("(") > MAX_NESTING:
@@ -798,12 +805,12 @@ def oracle_canon_parse(text: str) -> Program:
         for position, tok in enumerate(tokens):
             depth += (tok == "(") - (tok == ")")
             if depth > MAX_NESTING:
-                raise CanonParseError(position, f"more than {MAX_NESTING} "
+                raise OracleRejection(position, f"more than {MAX_NESTING} "
                                       "nested parentheses")
     reader = _OracleCanonReader(tokens)
     program = reader.program()
     if reader.pos != len(tokens):
-        raise CanonParseError(reader.pos, "trailing tokens after program")
+        raise OracleRejection(reader.pos, "trailing tokens after program")
     return program
 
 
@@ -813,7 +820,7 @@ class _OracleCanonReader:
         self.pos = 0
 
     def fail(self, message: str):
-        raise CanonParseError(self.pos, message)
+        raise OracleRejection(self.pos, message)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

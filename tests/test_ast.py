@@ -12,7 +12,6 @@ from gridlang.ast import (
     BinaryArith,
     BinaryBool,
     BoolOp,
-    CanonParseError,
     Grab,
     Holding,
     If,
@@ -102,8 +101,8 @@ class TestItems:
 
     @pytest.mark.parametrize("text", NON_ITEMS)
     def test_canon_parse_refuses_non_items(self, text):
-        with pytest.raises(CanonParseError, match="at token 8: expected "
-                                                  "ITEM"):
+        with pytest.raises(ParseError, match="at token 8: expected "
+                                             "ITEM"):
             canon_parse(f"(prog (turn L) (grab {text}))")
 
 
@@ -218,11 +217,11 @@ class TestCanonicalForm:
 
     def test_parse_rejects_trailing_tokens(self):
         text = canon_serialize(loop_tower(1)) + " (turn L)"
-        with pytest.raises(CanonParseError):
+        with pytest.raises(ParseError):
             canon_parse(text)
 
     def test_parse_error_carries_token_position(self):
-        with pytest.raises(CanonParseError) as info:
+        with pytest.raises(ParseError) as info:
             canon_parse("(prog (loop banana (turn L)))")
         assert "token" in str(info.value)
 
@@ -236,18 +235,18 @@ class TestCanonicalForm:
         at_limit = nested(MAX_NESTING - 3)
         assert canon_parse(canon_serialize(at_limit)) == at_limit
         text = canon_serialize(nested(MAX_NESTING - 2))
-        with pytest.raises(CanonParseError) as info:
+        with pytest.raises(ParseError) as info:
             canon_parse(text)
         tokens = text.replace("(", " ( ").replace(")", " ) ").split()
         assert tokens[:info.value.position + 1].count("(") == MAX_NESTING + 1
         assert tokens[info.value.position] == "("
 
     def test_non_ascii_digits_rejected(self):
-        with pytest.raises(CanonParseError):
+        with pytest.raises(ParseError):
             canon_parse("(prog (move F (int \u00b2)))")
 
     def test_non_ascii_item_suffix_rejected(self):
-        with pytest.raises(CanonParseError):
+        with pytest.raises(ParseError):
             canon_parse("(prog (grab key_\u0663))")
 
     def test_omitted_move_count_survives_round_trip(self):
@@ -365,7 +364,7 @@ def _outcome(parser, text):
     """The tree with its reference text, or None for a rejection."""
     try:
         tree = parser(text)
-    except ValueError:  # CanonParseError, or int()'s digit limit
+    except ValueError:  # ParseError, or int()'s digit limit
         return None
     return tree, oracle_canon_serialize(tree)
 
@@ -422,7 +421,7 @@ class TestCanonicalDifferential:
             words)
         expected = _outcome(oracle_canon_parse, text)
         if expected is None:
-            with pytest.raises(CanonParseError):
+            with pytest.raises(ParseError):
                 canon_parse(text)
         else:
             assert _outcome(canon_parse, text) == expected
@@ -430,8 +429,28 @@ class TestCanonicalDifferential:
     @pytest.mark.parametrize("argument", [5, None, b"(prog (turn L))",
                                           ["(prog (turn L))"]])
     def test_non_text_is_a_parse_error(self, argument):
-        with pytest.raises(CanonParseError, match="at token 0"):
+        with pytest.raises(ParseError) as info:
             canon_parse(argument)
+        found = type(argument).__name__
+        assert (info.value.position, info.value.expected,
+                info.value.found) == (0, "text", found)
+        assert str(info.value) == f"at token 0: expected text, found {found}"
+
+    @pytest.mark.parametrize("text", [
+        "(prog (loop banana (turn L)))", "(prog (turn L)", "(prog) x", "",
+        "(prog (grab key_9))", "(" * (MAX_NESTING + 1)])
+    def test_canon_parse_rejects_as_parse_does(self, text):
+        """One class for every grammar's rejection, with its fields set."""
+        with pytest.raises(ParseError) as canon:
+            canon_parse(text)
+        with pytest.raises(ParseError) as styled:
+            parse(text, fixed_grammar(Style.SEXPR))
+        assert type(canon.value) is type(styled.value) is ParseError
+        err = canon.value
+        assert isinstance(err.position, int)
+        assert err.expected and err.found
+        assert str(err) == (f"at token {err.position}: expected "
+                            f"{err.expected}, found {err.found}")
 
 
 def _respelled(text, g):

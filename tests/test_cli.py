@@ -147,6 +147,15 @@ class TestConfigPrecedence:
             f"error: {cfg}:3: no option is named 'detph'\n")
         assert not out.exists()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 3\n")
+        out = tmp_path / "x.jsonl"
+        assert _run("gen", "--task", "goal", "--depth", "3", "--config",
+                    str(cfg), "--out", str(out)) == 0
+        assert json.loads(out.read_text().splitlines()[0])["_config"][
+            "n"] == 3
+
     def test_one_config_serves_gen_and_eval(self, tmp_path):
         dataset, run = tmp_path / "data.jsonl", tmp_path / "run"
         cfg = tmp_path / "run.cfg"
@@ -202,6 +211,8 @@ _CONFIG_COMMANDS = {
      "style: invalid choice: 'zzz' (choose from 'block', 'c', 'sexpr')"),
     ("axis = speed", "axis: invalid choice: 'speed' (choose from 'depth', "
                      "'p', 'E', 'shots', 'style')"),
+    # written as the byte 0xff, which is not UTF-8
+    ("seed = \udcff1", "not UTF-8 text: byte 0xff at column 8"),
 ])
 def test_bad_config_value_refused_with_its_line(command, line, message,
                                                 tmp_path, monkeypatch,
@@ -209,7 +220,8 @@ def test_bad_config_value_refused_with_its_line(command, line, message,
     monkeypatch.chdir(tmp_path)
     _gen(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# a bad value on line 2\n{line}\n")
+    cfg.write_text(f"# a bad value on line 2\n{line}\n", encoding="utf-8",
+                   errors="surrogateescape")
     capsys.readouterr()
     assert _run(*_CONFIG_COMMANDS[command], "--config", str(cfg)) == 1
     assert capsys.readouterr() == ("", f"error: {cfg}:2: {message}\n")
@@ -281,6 +293,21 @@ def test_bad_gold_ast_names_its_instance(tmp_path, capsys):
     err = _eval_error(tmp_path, dataset, capsys)
     assert err == ("error: instance instruction-00001: at token 2: "
                    "expected '(', found end of input\n")
+
+
+def _spoil_bytes_of_line_3(path):
+    """Put a byte that is not UTF-8 into line 3 of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b" \xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_dataset_bytes_that_are_not_utf8_refused_with_their_line(tmp_path,
+                                                                 capsys):
+    dataset = _gen(tmp_path)
+    _spoil_bytes_of_line_3(dataset)
+    err = _eval_error(tmp_path, dataset, capsys)
+    assert err == "error: line 3: not UTF-8 text: byte 0xff at column 3\n"
 
 
 class TestEval:
@@ -416,6 +443,40 @@ class TestScore:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+
+    def test_response_bytes_that_are_not_utf8_refused_with_their_line(
+            self, tmp_path, capsys):
+        dataset, run_dir = self._evaluated(tmp_path)
+        responses = run_dir / "responses.jsonl"
+        _spoil_bytes_of_line_3(responses)
+        capsys.readouterr()
+        rc = _run("score", "--dataset", str(dataset),
+                  "--responses", str(responses),
+                  "--out-dir", str(tmp_path / "scored"))
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: line 3: not UTF-8 text: byte 0xff at column 3\n")
+
+    def test_permissive_eval_with_a_failed_request_does_not_rescore(
+            self, tmp_path, capsys, monkeypatch):
+        """A permissive eval writes no responses row for a request that
+        failed, so its responses file cannot be scored."""
+        monkeypatch.delenv("GRIDLANG_UNSET_TOKEN", raising=False)
+        dataset = _gen(tmp_path)
+        run_dir = tmp_path / "run"
+        assert _run("eval", "--dataset", str(dataset),
+                    "--base-url", "http://127.0.0.1:9", "--model", "m",
+                    "--auth-env", "GRIDLANG_UNSET_TOKEN",
+                    "--max-retries", "0", "--permissive",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out-dir", str(run_dir)) == 0
+        capsys.readouterr()
+        rc = _run("score", "--dataset", str(dataset),
+                  "--responses", str(run_dir / "responses.jsonl"),
+                  "--out-dir", str(tmp_path / "scored"))
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: no captured response for instance goal-00000\n")
 
     def test_repeated_ids_exit_nonzero(self, tmp_path, capsys):
         # a second instance under the first one's id, and a responses file
@@ -633,6 +694,31 @@ class TestSweep:
             "error: invalid choice: 'foo' (choose from 'block', 'c', "
             "'sexpr')\n")
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("depth", "3,3", "3"), ("depth", "2,3,03", "3"), ("style", "c,c", "c"),
+        ("p", "0.5,.50", "0.5")])
+    def test_repeated_value_refused_before_any_leaf_is_written(
+            self, tmp_path, capsys, axis, values, repeated):
+        out_dir = tmp_path / "sw"
+        rc = _run("sweep", "--task", "goal", "--n", "2", "--axis", axis,
+                  "--values", values, "--seed", "1",
+                  "--base-url", "mock://perfect", "--model", "m",
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "--out-dir", str(out_dir))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: sweep value {repeated} is given more than once\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_no_values_refused(self, tmp_path, capsys, values):
+        out_dir = tmp_path / "sw"
+        rc = _run("sweep", "--task", "goal", "--n", "2", "--axis", "depth",
+                  "--values", values, "--out-dir", str(out_dir))
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no sweep values given\n"
+        assert not out_dir.exists()
 
     def test_bad_axis_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -71,8 +71,10 @@ from gridlang.prompts import (
     MAIN_HEADER,
 )
 from gridlang.sampler import GenParams, generate_instance
+from gridlang.seeding import derive_seed
 from gridlang.tasks import (
     DATASET_FORMAT,
+    PerturbationError,
     TaskKind,
     make_dataset,
     perturb,
@@ -373,6 +375,24 @@ class TestJudgmentGeneration:
         prompt = build_prompt(instances[0], PromptConfig(shots=2))
         # the second demo is perturbed
         assert f"{DEMO_ANSWER_HEADER}\nINVALID" in prompt
+
+    def test_demo_whose_perturbation_fails_stays_valid(self, monkeypatch):
+        inst = _dataset(TaskKind.JUDGMENT)[0]
+
+        def no_site(*_args):
+            raise PerturbationError("no viable site")
+
+        monkeypatch.setattr(harness, "perturb", no_site)
+        section, answer = harness._demo(inst, 1)
+        assert answer == "VALID"
+        # the candidate shown is the demo's own program, unperturbed
+        params = dataclasses.replace(
+            inst.params, seed=derive_seed(inst.params.seed, "demo", 1))
+        _g, code, _tree = generate_instance(inst.style, inst.lexicon_mode,
+                                            params)
+        assert code in section
+        prompt = build_prompt(inst, PromptConfig(shots=2))
+        assert f"{DEMO_ANSWER_HEADER}\nINVALID" not in prompt
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):

@@ -1,6 +1,7 @@
 """Dataset construction: perturbations, labels, instruction templating."""
 
 import difflib
+import functools
 import json
 import random
 from dataclasses import replace
@@ -35,7 +36,9 @@ from gridlang.grammar import (
     build_grammar,
     grammar_from_text,
 )
+from gridlang import tasks
 from gridlang.sampler import GenParams, generate_instance
+from gridlang.seeding import derive_seed
 from gridlang.harness import PromptConfig, build_prompt, read_responses
 from gridlang.tasks import (
     DATASET_FORMAT,
@@ -208,6 +211,39 @@ class TestJudgmentSets:
             with pytest.raises(ValueError):
                 make_dataset(TaskKind.JUDGMENT, bad, Style.BLOCK,
                              LexiconMode.NATURAL, params)
+
+    @pytest.mark.parametrize("failures", [3, 10])
+    def test_degenerate_base_program_is_resampled(self, monkeypatch,
+                                                  failures):
+        """Each base program ``perturb`` gives up on is drawn again from a
+        derived seed, ten times at most."""
+        bases, real = [], tasks.perturb
+
+        def flaky(code, g, rng, category):
+            bases.append(code)
+            if len(bases) <= failures:
+                raise PerturbationError("no viable site")
+            return real(code, g, rng, category)
+
+        monkeypatch.setattr(tasks, "perturb", flaky)
+        params = GenParams(max_depth=4, seed=9)
+        build = functools.partial(
+            tasks._perturbed_candidate, Style.BLOCK, LexiconMode.NATURAL,
+            params, PerturbCategory.DELIMITER_DELETE)
+        if failures == 10:
+            with pytest.raises(PerturbationError, match="^could not build a "
+                               "delimiter_delete perturbation near seed 9$"):
+                build()
+            assert len(bases) == 10
+        else:
+            g, text = build()
+            assert len(bases) == failures + 1
+            retry = replace(params, seed=derive_seed(9, "retry", failures))
+            assert bases[-1] == generate_instance(
+                Style.BLOCK, LexiconMode.NATURAL, retry)[1]
+            with pytest.raises(ParseError):
+                parse(text, g)
+        assert len(set(bases)) == len(bases)
 
     def test_valid_candidates_keep_gold_fields_empty(self):
         params = GenParams(max_depth=4, seed=6)
@@ -589,6 +625,8 @@ class TestOneReader:
                   "quotes at column 2"),
         ("5", "not a JSON object"),
         ('{"_config": {}}', "a _config line must be the first line"),
+        # written as the byte 0xff, which is not UTF-8
+        ('{"\udcff": 1}', "not UTF-8 text: byte 0xff at column 3"),
         (None, "duplicate {id_field} 'goal-00000', first used on line 2"),
     ])
     @pytest.mark.parametrize("reader", ["dataset", "responses"])
@@ -603,12 +641,46 @@ class TestOneReader:
             read, id_field = read_responses, "instance_id"
         path = tmp_path / f"{reader}.jsonl"
         path.write_text('{"_config": {}}\n' + row + "\n"
-                        + (row if fault is None else fault) + "\n")
+                        + (row if fault is None else fault) + "\n",
+                        encoding="utf-8", errors="surrogateescape")
         with pytest.raises(MalformedRecordError) as info:
             read(path)
         assert str(info.value) == "line 3: " + message.format(
             id_field=id_field)
         assert info.value.line_no == 3
+
+    def test_reads_utf8_text_with_any_newline(self, tmp_path):
+        rows = [json.dumps({"instance_id": f"i{k}", "response": text},
+                           ensure_ascii=False)
+                for k, text in enumerate(["caf\u00e9", "\u2192 \U0001f600",
+                                          "x"])]
+        path = tmp_path / "responses.jsonl"
+        path.write_bytes("\r\n".join(rows[:2]).encode() + b"\r"
+                         + rows[2].encode() + b"\n")
+        assert {key: row["response"] for key, row
+                in read_responses(path).items()} == {
+            "i0": "caf\u00e9", "i1": "\u2192 \U0001f600", "i2": "x"}
+
+    def test_blank_first_line_reads_with_no_provenance(self, tmp_path):
+        row = make_instance(TaskKind.GOAL, Style.C, LexiconMode.NATURAL,
+                            self.GOAL).to_json()
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n" + row + "\n")
+        rows = read_jsonl(path, "id")
+        assert next(rows) is None
+        assert [line_no for line_no, _row in rows] == [2]
+        assert [inst.id for inst in read_dataset(path)] == ["goal-00000"]
+
+    def test_state_that_is_no_object_refused_with_its_line(self, tmp_path):
+        row = json.loads(make_instance(TaskKind.GOAL, Style.C,
+                                       LexiconMode.NATURAL,
+                                       self.GOAL).to_json())
+        row["start_state"] = 5
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"_config": {}}\n' + json.dumps(row) + "\n")
+        with pytest.raises(MalformedRecordError,
+                           match="^line 2: state is not an object: 5$"):
+            read_dataset(path)
 
     @pytest.mark.parametrize("first", ["{oops", "[1]"])
     def test_config_reader_refuses_a_first_line_that_is_no_object(

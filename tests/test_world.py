@@ -225,6 +225,12 @@ class TestBudget:
         assert isinstance(exec_program(prog, START_STATE, budget=10),
                           BudgetExceeded)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_refused(self, budget):
+        prog = Program((ActionStmt(Turn(TurnDir.LEFT)),))
+        with pytest.raises(ValueError, match="^budget must be at least 1$"):
+            exec_program(prog, START_STATE, budget=budget)
+
     def test_move_is_one_step_regardless_of_distance(self):
         prog = Program((ActionStmt(Move(MoveDir.FORWARD, Literal(1000))),))
         result = exec_program(prog, START_STATE, budget=1)
