@@ -9,16 +9,19 @@ variable.  Two built-in test doubles short-circuit the network:
 collapsed to its evaluated literal (a known failure shape worth keeping as
 a regression oracle).
 
-Responses are cached content-addressed under ``cache/<model>/<key>.txt``,
-where the key hashes the endpoint URL, the model, the sampling settings
+Answers are cached in one append-only log per model,
+``cache/<model>/cache.jsonl``, each line a JSON array ``[key, text]``.  An
+answer's key hashes the endpoint URL, the model, the sampling settings
 (temperature, max_tokens), the prompt's sha256 and a cache-format version,
 so interrupted runs resume, replay runs touch the network zero times, and
-a hit is never another endpoint's or setting's answer.  Beside the entries,
-``cache/<model>/<key>.memo`` holds the sha256 of a prompt with demos, its
-key hashing the instance record, the shot count, the cot switch and a
-digest of this package's source and the Python version.  A warm few-shot
-replay thus finds its answers without building a prompt, and any edit to
-the package reads as a memo miss, which builds the prompt again.
+a hit is never another endpoint's or setting's answer.  A few-shot memo
+entry holds the sha256 of a prompt with demos, its key hashing the
+instance record, the shot count, the cot switch and a digest of this
+package's source and the Python version.  A warm few-shot replay thus
+finds its answers without building a prompt, and any edit to the package
+reads as a memo miss, which builds the prompt again.  A run indexes the
+log once, keeping each key's line offset rather than its text, so its
+start-up time grows with the log's size and its memory with its lines.
 
 An evaluation finds prompt hashes, reads cache hits and makes mock
 answers in the calling thread, in dataset order; only cache misses to a real
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -483,7 +485,7 @@ def score_answers(
 
 # Versions what a cache key hashes: bumped whenever that changes, so entries
 # written under an older key read as misses.
-_CACHE_FORMAT = "gridlang-cache-3"
+_CACHE_FORMAT = "gridlang-cache-4"
 
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
@@ -516,58 +518,26 @@ def _memo_key(inst: TaskInstance, pc: PromptConfig) -> str:
     return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 
 
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
+def _model_dir_name(model_id: str) -> str:
+    """The model's directory name: characters outside ``[A-Za-z0-9._-]``
+    and a leading dot become ``_``, so ``.``, ``..`` or ``../x`` name one
+    child of the cache directory."""
+    return re.sub(r"^\.|[^A-Za-z0-9._-]", "_", model_id)
 
 
-def _read_entry(path: Path) -> str | None:
-    """The cache entry at ``path``, or None if there is none; one that
-    another run removes before it is read is a miss too."""
-    try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            return handle.read()
-    except FileNotFoundError:
-        return None
-
-
-def _read_memo(path: Path) -> str | None:
-    """The prompt sha256 memoised at ``path``; anything but 64 lowercase
-    hex characters, or no file, reads as a miss."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read(65)
-    except FileNotFoundError:
-        return None
-    text = data.decode("latin-1")  # any bytes; the pattern refuses non-hex
-    return text if _SHA256_RE.fullmatch(text) else None
-
-
-_write_count = itertools.count()
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to a private temp file beside ``path`` (mode 0600),
-    then rename it over ``path``; no temp file is left on failure."""
-    data = text.encode("utf-8")
-    while True:
-        tmp = (f"{path}.{os.getpid()}.{threading.get_ident()}."
-               f"{next(_write_count)}.tmp")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            break
-        except FileExistsError:
-            continue
-    try:
-        try:
-            view = memoryview(data)
-            while view:  # one write, unless the kernel takes less
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+def _index_log(log: int) -> dict[str, tuple[int, int]]:
+    """Key -> (offset, length) of the key's last line in the cache log
+    open as ``log``.  Only a line opening as an entry does, ``["<64-char
+    key>", "``, is indexed, and its text is read and checked on lookup, so
+    a run holds an index entry per line rather than the log's texts."""
+    index = {}
+    offset = 0
+    with open(log, "rb", closefd=False) as handle:
+        for line in handle:
+            if line[:2] == b'["' and line[66:70] == b'", "':
+                index[line[2:66].decode("latin-1")] = (offset, len(line))
+            offset += len(line)
+    return index
 
 
 def run_evaluation(
@@ -581,14 +551,17 @@ def run_evaluation(
 ) -> RunResult:
     """Fetch (or replay) an answer per instance, then ``score_answers``.
 
-    The caller walks the dataset in order, finding each prompt's sha256,
-    reading its cache hit and making a mock answer.  A prompt with demos
-    has its sha256 memoised beside the cache, so it is built only on a
-    memo miss, or to be sent to a real endpoint; a 0-shot prompt costs
-    less to build than to look up, and is always built.  Only a cache
-    miss to a real endpoint goes to a pool of ``cfg.parallelism``
-    threads, created on the first such miss, so a mock or fully warm run
-    starts no thread.
+    The model's cache log is indexed once, and each new answer or memo is
+    appended to it as one line as soon as it is known, so an interrupted
+    run resumes; mock answers are cached too, so a warm mock replay
+    reports zero model calls, as a real one does.  The caller walks the
+    dataset in order, finding each prompt's sha256, looking up its answer
+    and making a mock answer.  A prompt with demos has its sha256
+    memoised in the log, so it is built only on a memo miss, or to be sent
+    to a real endpoint; a 0-shot prompt costs less to build than to look
+    up, and is always built.  Only a cache miss to a real endpoint goes to
+    a pool of ``cfg.parallelism`` threads, created on the first such miss,
+    so a mock or fully warm run starts no thread.
 
     model_calls counts cache misses that actually invoked the model, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
@@ -600,13 +573,33 @@ def run_evaluation(
     ``out_dir`` also receives ``responses.jsonl``, one row per response.
     """
     dataset_kind(dataset)  # before any model call
-    cache_root = Path(cache_dir) / _sanitize(cfg.model_id)
-    cache_root.mkdir(parents=True, exist_ok=True)
+    log_path = Path(cache_dir) / _model_dir_name(cfg.model_id) / "cache.jsonl"
+    log_path.parent.mkdir(parents=True, exist_ok=True)
     scheme = cfg.mock_scheme
     calls = 0
     failed = threading.Event()  # set by a strict run's first failure
 
-    def fetch(prompt: str, path: Path) -> str | None:
+    def keep(key: str, text: str) -> None:
+        # one write of one line: appends of concurrent runs never interleave
+        line = (json.dumps([key, text]) + "\n").encode("utf-8")
+        written = os.write(log, line)
+        if written != len(line):  # a torn line, say on a full disk
+            raise OSError(f"cache log {log_path}: wrote {written} of "
+                          f"{len(line)} bytes")
+        cached[key] = text
+
+    def lookup(key: str) -> str | None:  # a torn or foreign line misses
+        at = cached.get(key)
+        if not isinstance(at, tuple):  # a miss, or appended by this run
+            return at
+        try:
+            entry = json.loads(os.pread(log, at[1], at[0]))
+        except ValueError:  # not JSON, or not UTF-8
+            return None
+        # a line that opens as an entry and parses is a list of strings
+        return entry[1] if len(entry) == 2 else None
+
+    def fetch(prompt: str, key: str) -> str | None:
         if failed.is_set():  # the run is aborting; this result is unread
             return None
         try:
@@ -615,45 +608,45 @@ def run_evaluation(
             if not permissive:
                 failed.set()
             raise
-        _atomic_write(path, raw)
+        keep(key, raw)
         return raw
-
-    def entry(prompt_sha256: str) -> tuple[Path, str | None]:
-        path = cache_root / f"{_cache_key(cfg, prompt_sha256)}.txt"
-        return path, _read_entry(path)
 
     # (prompt_sha256, response or the pool's future of it), in dataset order
     fetched: list[tuple[str, object]] = []
     pool = None
+    log = os.open(log_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
     try:
+        # key -> where the log keeps its text, or the text appended here
+        cached: dict[str, tuple[int, int] | str] = _index_log(log)
         for inst in dataset:
             if failed.is_set():  # the error is raised below
                 break
-            memo = (cache_root / f"{_memo_key(inst, pc)}.memo"
-                    if pc.shots else None)
+            memo_key = _memo_key(inst, pc) if pc.shots else None
+            memo = lookup(memo_key) if memo_key is not None else None
             prompt_sha256 = raw = prompt = None
-            if memo is not None:
-                prompt_sha256 = _read_memo(memo)
-                if prompt_sha256 is not None:
-                    path, raw = entry(prompt_sha256)
+            if _SHA256_RE.fullmatch(memo or ""):  # any other text misses
+                prompt_sha256 = memo
+                key = _cache_key(cfg, prompt_sha256)
+                raw = lookup(key)
             # a mock answers from the instance; a real endpoint needs the text
             if raw is None and (prompt_sha256 is None or scheme is None):
                 prompt = build_prompt(inst, pc)
                 built = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
                 if built != prompt_sha256:
                     prompt_sha256 = built
-                    if memo is not None:
-                        _atomic_write(memo, prompt_sha256)
-                    path, raw = entry(prompt_sha256)
+                    if memo_key is not None:
+                        keep(memo_key, prompt_sha256)
+                    key = _cache_key(cfg, prompt_sha256)
+                    raw = lookup(key)
             if raw is None and scheme is not None:
                 raw = _mock_answer(scheme, inst)
-                _atomic_write(path, raw)
+                keep(key, raw)
                 calls += 1
             elif raw is None:
                 if pool is None:
                     from concurrent.futures import ThreadPoolExecutor
                     pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
-                raw = pool.submit(fetch, prompt, path)
+                raw = pool.submit(fetch, prompt, key)
             fetched.append((prompt_sha256, raw))
 
         answers: list[Answer] = []
@@ -674,6 +667,7 @@ def run_evaluation(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        os.close(log)
 
     records, metrics, rows = score_answers(dataset, answers, out_dir,
                                            provenance)

@@ -1,8 +1,9 @@
 """Shared test helpers: pinned lexicons, independent tree walkers, a
 reference word splitter, a reference answer extractor, a reference parser
 and linearizer, a hand-written reference for the canonical tree form, a
-reference sampler, a reference perturber, and a random derivation
-generator that reads the rendered EBNF text.
+reference sampler, a reference perturber, a random derivation generator
+that reads the rendered EBNF text, and a strict reader of the answer
+cache's logs.
 
 The walkers here deliberately reimplement traversal (iteratively, with an
 explicit stack), the reference splitter has its own word pattern and its
@@ -18,11 +19,13 @@ itself.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from collections import Counter
 from dataclasses import fields
 from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple
 
 from gridlang.ast import (
@@ -1048,3 +1051,22 @@ def deep_surface(g: GrammarSpec, depth: int) -> str:
     text = linearize(program(depth - offset), g)
     assert bracket_depth(text) == depth
     return text
+
+
+def cache_entries(cache_dir) -> list[tuple[str, str]]:
+    """Every ``(key, text)`` entry of the cache logs under ``cache_dir``, in
+    file then line order, read strictly: each file there must be a model
+    directory's ``cache.jsonl`` of complete ASCII lines, each a JSON array
+    of two strings.  No cache directory holds no entry."""
+    root = Path(cache_dir)
+    entries = []
+    for path in sorted(p for p in root.rglob("*") if not p.is_dir()):
+        assert path.relative_to(root).parts[1:] == ("cache.jsonl",), path
+        data = path.read_bytes()
+        assert data.isascii() and data.endswith(b"\n") or not data, path
+        for line in data.split(b"\n")[:-1]:
+            entry = json.loads(line)
+            assert isinstance(entry, list) and len(entry) == 2, line
+            assert all(isinstance(part, str) for part in entry), line
+            entries.append(tuple(entry))
+    return entries

@@ -12,6 +12,8 @@ from gridlang.cli import build_parser, main
 from gridlang.seeding import derive_seed
 from gridlang.tasks import DATASET_FORMAT, read_jsonl
 
+from conftest import cache_entries
+
 
 def _run(*argv):
     return main(list(argv))
@@ -374,7 +376,7 @@ class TestEval:
                   "--cache-dir", str(tmp_path / "cache"))
         assert rc == 1
         assert "mixes task kinds" in capsys.readouterr().err
-        assert not list(tmp_path.glob("cache/**/*.txt"))
+        assert cache_entries(tmp_path / "cache") == []
         rc = _run("score", "--dataset", str(mixed),
                   "--responses", str(tmp_path / "absent.jsonl"),
                   "--out-dir", str(tmp_path / "scored"))

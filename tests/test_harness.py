@@ -84,6 +84,7 @@ from gridlang.tasks import (
 from conftest import (
     ALL_COMBOS,
     FENCE_RE,
+    cache_entries,
     fixed_grammar,
     oracle_extract_code,
 )
@@ -661,15 +662,15 @@ class TestCaching:
         assert second.model_calls == 0
         assert second.metrics == first.metrics
 
-    def test_one_file_per_model_prompt_pair(self, tmp_path):
+    def test_one_entry_per_model_prompt_pair(self, tmp_path):
         dataset = _dataset(TaskKind.GOAL, n=3)
         cache = tmp_path / "cache"
         run_evaluation(dataset, _mock_cfg(), PromptConfig(),
                        cache_dir=cache)
         run_evaluation(dataset, _mock_cfg(), PromptConfig(),
                        cache_dir=cache)
-        files = list((cache / "mock-model").glob("*.txt"))
-        assert len(files) == 3
+        entries = cache_entries(cache)
+        assert len(entries) == len(dict(entries)) == 3
 
     def test_distinct_prompts_get_distinct_entries(self, tmp_path):
         dataset = _dataset(TaskKind.GOAL, n=2)
@@ -678,8 +679,8 @@ class TestCaching:
                        cache_dir=cache)
         run_evaluation(dataset, _mock_cfg(), PromptConfig(shots=1),
                        cache_dir=cache)
-        files = list((cache / "mock-model").glob("*.txt"))
-        assert len(files) == 4
+        answers = _answers(cache_entries(cache))
+        assert len(answers) == len(set(answers)) == 4
 
     def test_other_endpoint_with_the_same_model_is_a_miss(self, tmp_path):
         params = GenParams(max_depth=6, seed=3, expr_depth=2)
@@ -711,42 +712,56 @@ class TestCaching:
         cache = tmp_path / "cache"
         run_evaluation(_dataset(TaskKind.GOAL, n=3), _mock_cfg(),
                        PromptConfig(), cache_dir=cache)
-        entries = list((cache / "mock-model").iterdir())
-        assert len(entries) == 3
-        for entry in entries:
-            assert entry.suffix == ".txt"
-            assert entry.stat().st_mode & 0o777 == 0o600
+        assert len(cache_entries(cache)) == 3
+        assert [p.name for p in cache.rglob("*")] == ["mock-model",
+                                                      "cache.jsonl"]
+        log = cache / "mock-model" / "cache.jsonl"
+        assert log.stat().st_mode & 0o777 == 0o600
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        (tmp_path / "entry.txt").mkdir()  # the rename onto it fails
-        with pytest.raises(OSError):
-            harness._atomic_write(tmp_path / "entry.txt", "answer")
-        with pytest.raises(UnicodeEncodeError):
-            harness._atomic_write(tmp_path / "other.txt", "\ud800")
-        assert [p.name for p in tmp_path.iterdir()] == ["entry.txt"]
-
-    def test_write_keeps_the_answer_bytes(self, tmp_path):
-        text = "line\r\nnext\n\u00e9 tail"
-        harness._atomic_write(tmp_path / "entry.txt", text)
-        assert (tmp_path / "entry.txt").read_bytes() == text.encode()
-
-    def test_entry_removed_before_it_is_read_is_a_miss(self, tmp_path,
-                                                        monkeypatch):
+    def test_entry_removed_after_it_was_indexed_is_a_miss(self, tmp_path,
+                                                           monkeypatch):
         dataset = _dataset(TaskKind.GOAL, n=3)
         cache = tmp_path / "cache"
         first = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
                                cache_dir=cache)
+        index_log = harness._index_log
 
-        def racing_open(path, *args, **kwargs):
-            # another run removes the entry after it was found
-            os.unlink(path)
-            return open(path, *args, **kwargs)
+        def racing_index(log):
+            index = index_log(log)
+            assert len(index) == 3
+            os.truncate(log, 0)  # another run clears the log
+            return index
 
-        monkeypatch.setattr(harness, "open", racing_open, raising=False)
+        monkeypatch.setattr(harness, "_index_log", racing_index)
         again = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
                                cache_dir=cache)
         assert again.model_calls == 3
         assert again.metrics == first.metrics
+        assert len(cache_entries(cache)) == 3
+
+    def test_a_short_append_fails_the_run(self, tmp_path, monkeypatch):
+        dataset = _dataset(TaskKind.GOAL, n=3)
+        cache = tmp_path / "cache"
+        write = os.write
+
+        def short_write(fd, data):  # the disk fills up mid-line
+            return write(fd, data[:10])
+
+        monkeypatch.setattr(harness.os, "write", short_write)
+        with pytest.raises(OSError, match=r"cache\.jsonl: wrote 10 of \d+"):
+            run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                           cache_dir=cache, out_dir=tmp_path / "torn")
+        monkeypatch.undo()
+        assert not (tmp_path / "torn").exists()
+        log = cache / "mock-model" / "cache.jsonl"
+        assert len(log.read_bytes()) == 10
+        cold = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                              cache_dir=cache, out_dir=tmp_path / "cold")
+        warm = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                              cache_dir=cache, out_dir=tmp_path / "warm")
+        # the first entry after the torn line is glued onto it
+        assert (cold.model_calls, warm.model_calls) == (3, 1)
+        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_crlf_answer_replays_as_sent(self, tmp_path, scripted_server,
@@ -788,22 +803,31 @@ class TestCaching:
                 assert (cold.model_calls, warm.model_calls) == (0, 0)
                 assert cold.records[0].raw_answer.startswith(
                     "[endpoint error] malformed completion payload")
-                assert not list((run / "cache").rglob("*.txt"))
+                assert cache_entries(run / "cache") == []
             else:
                 assert (cold.model_calls, warm.model_calls) == (1, 0)
                 assert warm.records[0].raw_answer == text
 
         replays()
 
-    def test_model_id_sanitized_for_path(self, tmp_path):
+    @pytest.mark.parametrize("model_id", ["org/model:v1", ".", "..",
+                                          "../x", ".hidden"])
+    def test_model_id_sanitized_for_path(self, tmp_path, model_id):
         dataset = _dataset(TaskKind.JUDGMENT, n=2)
-        cfg = EndpointConfig(base_url="mock://perfect",
-                             model_id="org/model:v1")
-        run_evaluation(dataset, cfg, PromptConfig(),
-                       cache_dir=tmp_path / "cache")
-        children = [p.name for p in (tmp_path / "cache").iterdir()]
+        cfg = EndpointConfig(base_url="mock://perfect", model_id=model_id)
+        cache = tmp_path / "work" / "cache"
+        for calls in (2, 0):  # cold, then warm
+            result = run_evaluation(dataset, cfg, PromptConfig(),
+                                    cache_dir=cache)
+            assert result.model_calls == calls
+        children = [p.name for p in cache.iterdir()]
         assert len(children) == 1
         assert "/" not in children[0] and ":" not in children[0]
+        assert not children[0].startswith(".")
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")
+                if not p.is_dir()] == [Path("work", "cache", children[0],
+                                            "cache.jsonl")]
+        assert len(cache_entries(cache)) == 2
 
 
 def _artifacts(out_dir):
@@ -813,6 +837,22 @@ def _artifacts(out_dir):
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_is_memo = re.compile(r"[0-9a-f]{64}").fullmatch  # no test answer is one
+
+
+def _answers(entries):
+    return [entry for entry in entries if not _is_memo(entry[1])]
+
+
+def _memos(entries):
+    return [entry for entry in entries if _is_memo(entry[1])]
+
+
+def _write_log(cache, model, entries):
+    (cache / model / "cache.jsonl").write_text(
+        "".join(json.dumps(entry) + "\n" for entry in entries))
 
 
 @pytest.fixture
@@ -851,11 +891,12 @@ class TestPromptMemo:
         pc = PromptConfig(shots=1, cot=False)
         cache = tmp_path / "cache"
         run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
-        memos = list((cache / "mock-model").glob("*.memo"))
-        assert sorted(memo.read_text() for memo in memos) == sorted(
+        entries = cache_entries(cache)
+        assert sorted(text for _key, text in _memos(entries)) == sorted(
             _sha256(build_prompt(inst, pc)) for inst in dataset)
-        for memo in memos:
-            assert memo.stat().st_mode & 0o777 == 0o600
+        assert len(_answers(entries)) == 2
+        log = cache / "mock-model" / "cache.jsonl"
+        assert log.stat().st_mode & 0o777 == 0o600
 
     def test_memo_tells_shots_and_cot_apart(self, tmp_path):
         dataset = _dataset(TaskKind.GOAL, n=2)
@@ -869,7 +910,8 @@ class TestPromptMemo:
                 tmp_path / "out" / "responses.jsonl").read_text().splitlines()]
             assert [row["prompt_sha256"] for row in rows] == [
                 _sha256(build_prompt(inst, pc)) for inst in dataset]
-        assert len(list(cache.rglob("*.memo"))) == 8
+        memos = _memos(cache_entries(cache))
+        assert len(memos) == len(dict(memos)) == 8
 
     def test_memo_hit_answers_a_mock_without_its_cache_entry(
             self, tmp_path, prompt_builds):
@@ -878,8 +920,7 @@ class TestPromptMemo:
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
                               cache_dir=cache, out_dir=tmp_path / "cold")
-        for entry in (cache / "mock-model").glob("*.txt"):
-            entry.unlink()
+        _write_log(cache, "mock-model", _memos(cache_entries(cache)))
         prompt_builds.clear()
         again = run_evaluation(dataset, _mock_cfg("flatten"), pc,
                                cache_dir=cache, out_dir=tmp_path / "again")
@@ -887,7 +928,7 @@ class TestPromptMemo:
         assert again.model_calls == 3
         assert (_artifacts(tmp_path / "again")
                 == _artifacts(tmp_path / "cold"))
-        assert len(list((cache / "mock-model").glob("*.txt"))) == 3
+        assert len(_answers(cache_entries(cache))) == 3
 
     def test_memo_hit_builds_what_a_real_endpoint_is_sent(
             self, tmp_path, scripted_server, api_token, prompt_builds):
@@ -897,8 +938,7 @@ class TestPromptMemo:
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _http_cfg(base), pc, cache_dir=cache,
                               out_dir=tmp_path / "cold")
-        for entry in (cache / "test-model").glob("*.txt"):
-            entry.unlink()
+        _write_log(cache, "test-model", _memos(cache_entries(cache)))
         _ScriptedHandler.requests_seen = []
         prompt_builds.clear()
         again = run_evaluation(dataset, _http_cfg(base), pc,
@@ -913,8 +953,8 @@ class TestPromptMemo:
                 == _artifacts(tmp_path / "cold"))
 
     @pytest.mark.parametrize("data", [
-        b"", b"ab" * 31, b"ab" * 33, b"AB" * 32, b"ab" * 31 + b"g0",
-        b"ab" * 32 + b"\n", "\u0661".encode() * 64, b"\xff" * 64])
+        "", "ab" * 31, "ab" * 33, "AB" * 32, "ab" * 31 + "g0",
+        "ab" * 32 + "\n", "\u0661" * 64, "\xff" * 64])
     def test_malformed_memo_entry_is_a_miss(self, tmp_path, data,
                                             prompt_builds):
         dataset = _dataset(TaskKind.GOAL, n=2)
@@ -922,18 +962,19 @@ class TestPromptMemo:
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
                               out_dir=tmp_path / "cold")
-        memos = list((cache / "mock-model").glob("*.memo"))
+        entries = cache_entries(cache)
+        memos = dict(_memos(entries))
         assert len(memos) == 2
-        shas = sorted(memo.read_text() for memo in memos)
-        for memo in memos:
-            memo.write_bytes(data)
+        _write_log(cache, "mock-model", [
+            (key, data if key in memos else text) for key, text in entries])
         prompt_builds.clear()
         warm = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
                               out_dir=tmp_path / "warm")
         assert prompt_builds == [inst.id for inst in dataset]
         assert warm.model_calls == 0
         assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
-        assert sorted(memo.read_text() for memo in memos) == shas
+        replayed = dict(cache_entries(cache))
+        assert {key: replayed[key] for key in memos} == memos
 
     def test_zero_shot_runs_write_no_memo(self, tmp_path, monkeypatch):
         def refuse(*args):
@@ -945,8 +986,8 @@ class TestPromptMemo:
             for _ in range(2):  # cold, then warm
                 run_evaluation(_dataset(kind), _mock_cfg(), PromptConfig(),
                                cache_dir=cache)
-        assert len(list(cache.rglob("*.txt"))) == 6
-        assert not list(cache.rglob("*.memo"))
+        entries = cache_entries(cache)
+        assert len(entries) == len(_answers(entries)) == 6
 
 
 _CLI = "import sys; from gridlang.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -1016,7 +1057,7 @@ class TestMemoFollowsTheSource:
                      "--out", "data.jsonl")
 
         def memos():
-            return len(list((tmp_path / "cache").rglob("*.memo")))
+            return len(_memos(cache_entries(tmp_path / "cache")))
 
         cold = self._eval(tmp_path, "cold")
         assert (cold[0], memos()) == (3, 3)
@@ -1047,6 +1088,124 @@ class TestMemoFollowsTheSource:
         done = self._python(tmp_path, _DIGEST_READS)
         # nothing at import, gen, 0-shot eval or score; once at 1 shot
         assert done.stderr.strip() == "[0, 0, 0, 0, 1]"
+
+
+# lines that are no cache entry, each made from an entry's key
+_FOREIGN_LINES = {
+    "torn": lambda key: json.dumps([key, "WRONG"])[:-3],
+    "not-json": lambda key: f"{key} WRONG",
+    "object": lambda key: json.dumps({key: "WRONG"}),
+    "three-members": lambda key: json.dumps([key, "WRONG", "WRONG"]),
+    "list-text": lambda key: json.dumps([key, ["WRONG"]]),
+    "null-text": lambda key: json.dumps([key, None]),
+    "number-text": lambda key: json.dumps([key, 5]),
+    "list-key": lambda key: json.dumps([[key], "WRONG"]),
+}
+
+
+class TestCacheLog:
+    def test_concurrent_runs_append_to_one_log(self, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(harness.__file__).parents[1]))
+
+        def start(*argv):
+            return subprocess.Popen([sys.executable, "-c", _CLI, *argv],
+                                    env=env, cwd=tmp_path, text=True,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+
+        def calls(proc):
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            return [int(n) for n in re.findall(r"model calls: (\d+)", out)]
+
+        for seed in (1, 2):
+            assert calls(start("gen", "--task", "goal", "--n", "40",
+                               "--depth", "4", "--seed", str(seed),
+                               "--out", f"data{seed}.jsonl")) == []
+
+        def evals(run):  # both datasets at once, one cache and model
+            return [calls(proc) for proc in [
+                start("eval", "--dataset", f"data{seed}.jsonl",
+                      "--base-url", "mock://perfect", "--model", "m",
+                      "--shots", "1", "--cache-dir", "cache",
+                      "--out-dir", f"{run}{seed}") for seed in (1, 2)]]
+
+        assert evals("cold") == [[40], [40]]
+        entries = cache_entries(tmp_path / "cache")
+        # an answer and a memo per instance, none lost or torn
+        assert len(entries) == len(dict(entries)) == 160
+        assert evals("warm") == [[0], [0]]
+        assert cache_entries(tmp_path / "cache") == entries
+        for seed in (1, 2):
+            assert (_artifacts(tmp_path / f"warm{seed}")
+                    == _artifacts(tmp_path / f"cold{seed}"))
+
+    def test_fetch_threads_append_whole_lines(self, tmp_path,
+                                              scripted_server, api_token):
+        base = scripted_server([], content="INVALID\n" * 512)
+        dataset = _dataset(TaskKind.JUDGMENT, n=24)
+        cfg = _http_cfg(base, parallelism=8)
+        cache = tmp_path / "cache"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cold = run_evaluation(dataset, cfg, PromptConfig(),
+                                  cache_dir=cache, out_dir=tmp_path / "cold")
+        finally:
+            sys.setswitchinterval(interval)
+        entries = cache_entries(cache)
+        assert len(entries) == len(dict(entries)) == 24
+        _ScriptedHandler.requests_seen = []
+        warm = run_evaluation(dataset, cfg, PromptConfig(), cache_dir=cache,
+                              out_dir=tmp_path / "warm")
+        assert (cold.model_calls, warm.model_calls) == (24, 0)
+        assert _ScriptedHandler.requests_seen == []
+        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+
+    @pytest.mark.parametrize("foreign", list(_FOREIGN_LINES.values()),
+                             ids=list(_FOREIGN_LINES))
+    def test_foreign_lines_are_misses(self, tmp_path, foreign):
+        dataset = _dataset(TaskKind.GOAL, n=3)
+        pc = PromptConfig(shots=1)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
+                              out_dir=tmp_path / "cold")
+        keys = [key for key, _text in cache_entries(cache)]
+        assert len(keys) == 6  # an answer and a memo per instance
+        (cache / "mock-model" / "cache.jsonl").write_text(
+            "".join(foreign(key) + "\n" for key in keys))
+        for calls in (3, 0):  # every entry missed, then replayed
+            again = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
+                                   out_dir=tmp_path / "again")
+            assert (cold.model_calls, again.model_calls) == (3, calls)
+            assert (_artifacts(tmp_path / "again")
+                    == _artifacts(tmp_path / "cold"))
+
+    @pytest.mark.parametrize("kept", [lambda n: n, lambda n: n // 2,
+                                      lambda n: 1],
+                             ids=["newline", "half", "first-byte"])
+    def test_a_torn_last_line_loses_at_most_the_entry_glued_to_it(
+            self, tmp_path, kept):
+        first = _dataset(TaskKind.GOAL, n=3, seed=5)
+        second = _dataset(TaskKind.GOAL, n=3, seed=6)
+        cache = tmp_path / "cache"
+
+        def run(dataset, out_dir):
+            return run_evaluation(dataset, _mock_cfg(), PromptConfig(),
+                                  cache_dir=cache, out_dir=tmp_path / out_dir)
+
+        assert run(first, "first").model_calls == 3
+        log = cache / "mock-model" / "cache.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        last = lines[-1].rstrip(b"\n")
+        log.write_bytes(b"".join(lines[:-1]) + last[:kept(len(last))])
+        assert run(second, "second").model_calls == 3
+        assert run(second, "second-again").model_calls <= 1
+        assert run(first, "first-again").model_calls <= 1
+        for name in ("first", "second"):
+            assert (_artifacts(tmp_path / f"{name}-again")
+                    == _artifacts(tmp_path / name))
 
 
 class TestRunArtifacts:
@@ -1098,7 +1257,7 @@ class TestRunArtifacts:
             assert not rec.parsed_ok
             assert rec.raw_answer.startswith(
                 "[endpoint error] malformed completion payload")
-        assert not list((tmp_path / "cache").rglob("*.txt"))
+        assert cache_entries(tmp_path / "cache") == []
 
     def test_permissive_records_unencodable_content(self, tmp_path,
                                                     scripted_server,
@@ -1113,7 +1272,7 @@ class TestRunArtifacts:
             assert rec.raw_answer.startswith(
                 "[endpoint error] malformed completion payload")
         assert (tmp_path / "out" / "responses.jsonl").read_text() == ""
-        assert not list((tmp_path / "cache").rglob("*.txt"))
+        assert cache_entries(tmp_path / "cache") == []
 
     def test_strict_mode_raises_unencodable_content(self, tmp_path,
                                                     scripted_server,
@@ -1124,7 +1283,7 @@ class TestRunArtifacts:
                            match="^malformed completion payload"):
             run_evaluation(dataset, _http_cfg(base), PromptConfig(),
                            cache_dir=tmp_path / "cache")
-        assert not list((tmp_path / "cache").rglob("*.txt"))
+        assert cache_entries(tmp_path / "cache") == []
 
     def test_strict_mode_stops_at_the_first_failure(self, tmp_path,
                                                      scripted_server,
@@ -1148,7 +1307,7 @@ class TestRunArtifacts:
             run_evaluation(dataset, _mock_cfg(), PromptConfig(),
                            cache_dir=tmp_path / "cache",
                            out_dir=tmp_path / "out")
-        assert not list(tmp_path.rglob("*.txt"))
+        assert cache_entries(tmp_path / "cache") == []
         assert not (tmp_path / "out").exists()
         answers = [(None, "VALID")] * len(dataset)
         with pytest.raises(ValueError, match="mixes task kinds"):
@@ -1247,7 +1406,7 @@ class TestThreadsOnlyForTheNetwork:
         result = run_evaluation(dataset, cfg, PromptConfig(),
                                 cache_dir=tmp_path / "cache")
         assert result.model_calls == 1
-        assert len(list((tmp_path / "cache").rglob("*.txt"))) == 1
+        assert len(cache_entries(tmp_path / "cache")) == 1
         assert result.metrics.svr == 100.0
 
 
