@@ -81,9 +81,6 @@ from gridlang.world import Final, eval_arith, exec_program
 
 __all__ = [
     "HarnessError",
-    "EndpointUnreachableError",
-    "AuthFailedError",
-    "RetriesExhaustedError",
     "EndpointConfig",
     "PromptConfig",
     "build_prompt",
@@ -101,19 +98,7 @@ MOCK_PREFIX = "mock://"
 
 
 class HarnessError(RuntimeError):
-    pass
-
-
-class EndpointUnreachableError(HarnessError):
-    pass
-
-
-class AuthFailedError(HarnessError):
-    pass
-
-
-class RetriesExhaustedError(HarnessError):
-    pass
+    """An endpoint failure; its message says which."""
 
 
 @dataclass(frozen=True)
@@ -254,11 +239,10 @@ def _demo(inst: TaskInstance, j: int) -> tuple[str, str]:
 def call_model(cfg: EndpointConfig, prompt: str) -> str:
     """POST one chat-completion request, retrying 429/5xx/transport faults.
 
-    Raises AuthFailedError (unset token or 401/403, never retried),
-    EndpointUnreachableError (transport faults persisted through every
-    retry), RetriesExhaustedError (retryable HTTP statuses persisted), or
-    HarnessError (any other status, or a completion without text content
-    or with text that UTF-8 cannot encode).
+    Raises HarnessError for an unset token or a 401/403 (never retried),
+    for transport faults or retryable statuses that persisted through every
+    retry, and for any other status or a completion without text content
+    or with text that UTF-8 cannot encode.
     """
     import http.client  # the transport loads on the first real request
     import urllib.error
@@ -266,7 +250,7 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
 
     token = os.environ.get(cfg.auth_token_env_var)
     if not token:
-        raise AuthFailedError(
+        raise HarnessError(
             f"auth token environment variable {cfg.auth_token_env_var!r} "
             f"is unset or empty"
         )
@@ -302,8 +286,8 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
             transport_fault = True
             continue
         if status in (401, 403):
-            raise AuthFailedError(f"endpoint rejected credentials with "
-                                  f"HTTP {status}")
+            raise HarnessError(f"endpoint rejected credentials with "
+                               f"HTTP {status}")
         if status == 429 or status >= 500:
             failure = f"HTTP {status}"
             transport_fault = False
@@ -320,11 +304,11 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
             raise HarnessError(f"malformed completion payload: {exc}")
         return content
     if transport_fault:
-        raise EndpointUnreachableError(
+        raise HarnessError(
             f"{url} unreachable after {cfg.max_retries + 1} attempts "
             f"({failure})"
         )
-    raise RetriesExhaustedError(
+    raise HarnessError(
         f"{url} still failing after {cfg.max_retries + 1} attempts "
         f"({failure})"
     )
@@ -561,9 +545,11 @@ def run_evaluation(
     to a real endpoint; a 0-shot prompt costs less to build than to look
     up, and is always built.  Only a cache miss to a real endpoint goes to
     a pool of ``cfg.parallelism`` threads, created on the first such miss,
-    so a mock or fully warm run starts no thread.
+    so a mock or fully warm run starts no thread.  A miss whose key already
+    has a fetch pending joins that fetch, so a prompt repeated within the
+    run is sent once.
 
-    model_calls counts cache misses that actually invoked the model, so a
+    model_calls counts the fetches and mock answers that succeeded, so a
     warm-cache replay reports zero.  Endpoint failures abort the run
     unless permissive, in which case the instance scores a syntax failure
     with the error text preserved as its raw answer.  A strict run raises
@@ -613,6 +599,7 @@ def run_evaluation(
 
     # (prompt_sha256, response or the pool's future of it), in dataset order
     fetched: list[tuple[str, object]] = []
+    pending = {}  # key -> the pool's future of its answer, one per key
     pool = None
     log = os.open(log_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
     try:
@@ -643,10 +630,12 @@ def run_evaluation(
                 keep(key, raw)
                 calls += 1
             elif raw is None:
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-                    pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
-                raw = pool.submit(fetch, prompt, key)
+                raw = pending.get(key)
+                if raw is None:
+                    if pool is None:
+                        from concurrent.futures import ThreadPoolExecutor
+                        pool = ThreadPoolExecutor(max_workers=cfg.parallelism)
+                    raw = pending[key] = pool.submit(fetch, prompt, key)
             fetched.append((prompt_sha256, raw))
 
         answers: list[Answer] = []
@@ -662,8 +651,9 @@ def run_evaluation(
                         raise
                     answers.append(exc)
                     continue
-                calls += 1
             answers.append((prompt_sha256, raw))
+        calls += sum(future.exception() is None
+                     for future in pending.values())
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -5,7 +5,8 @@ root-to-leaf control "spine" planted so the program's control depth equals
 the requested D exactly (free sampling alone rarely lands on an exact target
 depth).  Every embedded expression is sampled to an exact node depth E, and
 loop counts draw literals in [0, 5] (a zero count leaves dead code in the
-program on purpose).
+program on purpose).  The kind weights are fixed, so a tree is a function of
+the five dials a dataset record stores: D, p, E, B_max and the seed.
 
 Ground truth must execute comfortably inside the interpreter budget: a
 candidate tree whose static step bound exceeds half the budget is resampled,
@@ -63,21 +64,13 @@ _PARAM_KEYS = (("D", "max_depth"), ("p", "else_prob"), ("E", "expr_depth"),
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generation dials.
-
-    node_weights orders (action, loop, if).  The default is deliberately
-    action-heavy: equal weights make free growth supercritical (expected
-    branching 5/3), which at D = 20 yields programs of ~1e5 statements —
-    useless as prompts and hopeless for throughput.  The default sits at the
-    critical branching point instead, so instance size grows linearly in D.
-    """
+    """Generation dials: exactly the fields a record's ``params`` holds."""
 
     max_depth: int = 10
     else_prob: float = 0.5
     expr_depth: int = 2
     max_block: int = 3
     seed: int = 0
-    node_weights: tuple[float, float, float] = (0.7, 0.15, 0.15)
 
     def __post_init__(self) -> None:
         for name in ("max_depth", "expr_depth", "max_block", "seed"):
@@ -99,11 +92,6 @@ class GenParams:
                              f"got {self.expr_depth}")
         if self.max_block < 1:
             raise ValueError(f"max_block must be >= 1, got {self.max_block}")
-        if len(self.node_weights) != 3 or any(
-            w < 0 for w in self.node_weights
-        ) or sum(self.node_weights) <= 0:
-            raise ValueError("node_weights must be three non-negative "
-                             "values with a positive sum")
 
     def to_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in _PARAM_KEYS}
@@ -138,8 +126,21 @@ class ResampleLimitError(RuntimeError):
 #   the turn and grab statements.  Nodes are immutable and compare by
 #   value, so sharing one is invisible to every reader of a tree.
 # - A statement kind is picked by comparing ``rand() * sum(weights)`` with
-#   cumulative thresholds summed once, in the order a loop over the weights
-#   would add them, so every float and every branch is that loop's.
+#   cumulative thresholds summed once at import, in the order a loop over
+#   the weights would add them, so every float and every branch is that loop's.
+
+# Statement kind weights (action, loop, if).  They are deliberately
+# action-heavy: equal weights make free growth supercritical (expected
+# branching 5/3), which at D = 20 yields programs of ~1e5 statements,
+# useless as prompts and hopeless for throughput.  These sit at the critical
+# branching point instead, so instance size grows linearly in D.
+_W_ACTION, _W_LOOP, _W_IF = 0.7, 0.15, 0.15
+_TOTAL = sum((_W_ACTION, _W_LOOP, _W_IF))
+_TO_ACTION = 0.0 + _W_ACTION
+_TO_LOOP = _TO_ACTION + _W_LOOP
+# the spine draws loop or if alone, by their weights
+_SPINE_TOTAL = sum((_W_LOOP, _W_IF))
+_SPINE_TO_LOOP = 0.0 + _W_LOOP
 
 _LITERALS = tuple(Literal(value) for value in range(LITERAL_MAX + 1))
 _HOLDINGS = tuple(Holding(item) for item in ITEM_VOCAB)
@@ -149,23 +150,15 @@ _GRABS = tuple(ActionStmt(Grab(item)) for item in ITEM_VOCAB)
 
 
 class _Plan:
-    """One generator's draw methods, the dials and the kind thresholds."""
+    """One generator's draw methods and the dials."""
 
     __slots__ = ("below", "rand", "max_depth", "expr_depth", "max_block",
-                 "else_prob", "total", "to_action", "to_loop",
-                 "spine_total", "spine_to_loop")
+                 "else_prob")
 
     def __init__(self, params: GenParams, rng: random.Random) -> None:
         self.below, self.rand = rng._randbelow, rng.random
         self.max_depth, self.expr_depth = params.max_depth, params.expr_depth
         self.max_block, self.else_prob = params.max_block, params.else_prob
-        w_action, w_loop, w_if = params.node_weights
-        self.total = sum(params.node_weights)
-        self.to_action = 0.0 + w_action
-        self.to_loop = self.to_action + w_loop
-        # the spine draws loop or if alone, by their weights
-        self.spine_total = sum((w_loop, w_if))
-        self.spine_to_loop = 0.0 + w_loop
 
 
 def _arith_at(depth: int, below) -> ArithExpr:
@@ -211,10 +204,10 @@ def _action(plan: _Plan) -> ActionStmt:
 def _node(d: int, plan: _Plan) -> Stmt:
     if d >= plan.max_depth:
         return _action(plan)
-    r = plan.rand() * plan.total
-    if r < plan.to_action:
+    r = plan.rand() * _TOTAL
+    if r < _TO_ACTION:
         return _action(plan)
-    if r < plan.to_loop:
+    if r < _TO_LOOP:
         return Loop(_arith_at(plan.expr_depth, plan.below),
                     _block(d + 1, plan))
     return _if(d, plan, _block)
@@ -237,11 +230,7 @@ def _block(d: int, plan: _Plan) -> Block:
 
 def _spine_node(d: int, plan: _Plan) -> Stmt:
     # control node at depth d < D whose body carries the spine downward
-    if plan.spine_total <= 0:
-        is_loop = plan.below(2) == 0
-    else:
-        is_loop = plan.rand() * plan.spine_total < plan.spine_to_loop
-    if is_loop:
+    if plan.rand() * _SPINE_TOTAL < _SPINE_TO_LOOP:
         return Loop(_arith_at(plan.expr_depth, plan.below),
                     _spine_block(d + 1, plan))
     return _if(d, plan, _spine_block)

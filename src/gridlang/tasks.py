@@ -8,10 +8,11 @@ Three task kinds share one record schema:
 * goal — start and target world states, code withheld;
 * instruction — templated English steps to translate back into code.
 
-``make_dataset`` draws every kind in one loop.  Records serialize with
-fixed key order; a state's inventory is an object of counts,
-``{"box": 1, "key_2": 3}``, and reads ``inventory [box, key_2 x3]`` in
-prompts.
+``make_instance`` builds instance i of any kind from the five dials its
+record stores, and ``make_dataset`` makes one such call per index.
+Records serialize with fixed key order; a state's inventory is an object
+of counts, ``{"box": 1, "key_2": 3}``, and reads ``inventory [box, key_2
+x3]`` in prompts.
 
 Datasets, results and responses are written by ``write_jsonl`` and read
 by ``read_jsonl``: an optional ``{"_config": ...}`` provenance line on
@@ -326,33 +327,37 @@ def make_instance(
     style: Style,
     mode: LexiconMode,
     params: GenParams,
-    identifier: str | None = None,
-    start_state: RobotState = START_STATE,
+    i: int = 0,
 ) -> TaskInstance:
-    """One goal or instruction instance; the target is the gold final state.
+    """Instance ``i`` of a ``kind`` set, drawn from its own ``params``.
 
-    Only instruction instances carry the program as English steps.  The id
-    defaults to the kind's first dataset id.
+    The id is the set's i-th.  A goal or instruction instance starts at
+    ``START_STATE`` and targets the gold final state; only instruction
+    instances carry the program as English steps.  A judgment instance is
+    valid for even i, its label re-verified by parse, and perturbed for odd
+    i, the categories cycling uniformly.
     """
-    g, code, tree = generate_instance(style, mode, params)
-    result = exec_program(tree, start_state)
-    assert isinstance(result, Final), "generator admitted over-budget gold"
-    instruction = None
-    if kind is TaskKind.INSTRUCTION:
-        instruction = render_instruction(tree)
-    return TaskInstance(
-        id=identifier or f"{kind.value}-00000",
-        kind=kind,
-        style=style,
-        lexicon_mode=mode,
-        params=params,
-        grammar_text=render_ebnf(g),
-        start_state=start_state,
-        target_state=result.state,
-        instruction=instruction,
-        gold_code=code,
-        gold_ast=canon_serialize(tree),
-    )
+    if kind is TaskKind.JUDGMENT:
+        if i % 2 == 0:
+            g, candidate, _tree = generate_instance(style, mode, params)
+            parse(candidate, g)  # re-verify the gold label
+            fields = {"candidate": candidate, "gold_label": "VALID"}
+        else:
+            category = _CATEGORIES[(i // 2) % len(_CATEGORIES)]
+            g, candidate = _perturbed_candidate(style, mode, params, category)
+            fields = {"candidate": candidate, "gold_label": "INVALID",
+                      "perturb_category": category}
+    else:
+        g, code, tree = generate_instance(style, mode, params)
+        result = exec_program(tree, START_STATE)
+        assert isinstance(result, Final), "generator admitted over-budget gold"
+        fields = {"start_state": START_STATE, "target_state": result.state,
+                  "gold_code": code, "gold_ast": canon_serialize(tree)}
+        if kind is TaskKind.INSTRUCTION:
+            fields["instruction"] = render_instruction(tree)
+    return TaskInstance(id=f"{kind.value}-{i:05d}", kind=kind, style=style,
+                        lexicon_mode=mode, params=params,
+                        grammar_text=render_ebnf(g), **fields)
 
 
 def make_dataset(
@@ -362,49 +367,18 @@ def make_dataset(
     mode: LexiconMode,
     params: GenParams,
 ) -> list[TaskInstance]:
-    """Build n instances of one task kind from a global seed.
-
-    Instance i draws from ``derive_seed(params.seed, kind, i)``.  A judgment
-    set alternates valid instances (even i), their labels re-verified by
-    parse, with perturbed ones whose categories cycle uniformly.
-    """
+    """Build n instances of one task kind from a global seed: instance i is
+    ``make_instance`` of i with the seed ``derive_seed(params.seed,
+    kind.value, i)``, so a judgment set alternates valid and perturbed
+    candidates."""
     if kind is TaskKind.JUDGMENT and (n <= 0 or n % 2):
         raise ValueError(f"judgment set size must be positive and even, "
                          f"got {n}")
     if n <= 0:
         raise ValueError(f"dataset size must be positive, got {n}")
-    instances = []
-    for i in range(n):
-        inst_params = replace(
-            params, seed=derive_seed(params.seed, kind.value, i)
-        )
-        identifier = f"{kind.value}-{i:05d}"
-        if kind is not TaskKind.JUDGMENT:
-            instances.append(make_instance(kind, style, mode, inst_params,
-                                           identifier))
-            continue
-        if i % 2 == 0:
-            g, candidate, _tree = generate_instance(style, mode, inst_params)
-            parse(candidate, g)  # re-verify the gold label
-            label, category = "VALID", None
-        else:
-            category = _CATEGORIES[(i // 2) % len(_CATEGORIES)]
-            g, candidate = _perturbed_candidate(
-                style, mode, inst_params, category
-            )
-            label = "INVALID"
-        instances.append(TaskInstance(
-            id=identifier,
-            kind=kind,
-            style=style,
-            lexicon_mode=mode,
-            params=inst_params,
-            grammar_text=render_ebnf(g),
-            candidate=candidate,
-            gold_label=label,
-            perturb_category=category,
-        ))
-    return instances
+    seeds = (derive_seed(params.seed, kind.value, i) for i in range(n))
+    return [make_instance(kind, style, mode, replace(params, seed=seed), i)
+            for i, seed in enumerate(seeds)]
 
 
 # --- instruction and state rendering ---------------------------------------

@@ -538,6 +538,10 @@ _ORACLE_CANON_LAYOUT = _oracle_layout(CANON_RULES, CANON_TERMINALS,
 # sampler`` must return the same trees and leave the generator in the same
 # state.
 
+# the sampler's statement kind weights (action, loop, if); the free draws
+# take others too, to fuzz the interpreter over other tree shapes
+ORACLE_WEIGHTS = (0.7, 0.15, 0.15)
+
 
 def _oracle_weighted_index(rng: random.Random, weights: tuple) -> int:
     r = rng.random() * sum(weights)
@@ -596,35 +600,33 @@ def _oracle_action(params, rng: random.Random):
     return Grab(ITEM_VOCAB[rng.randrange(len(ITEM_VOCAB))])
 
 
-def oracle_sample_node(d: int, params, rng: random.Random):
+def oracle_sample_node(d: int, params, rng: random.Random,
+                       weights=ORACLE_WEIGHTS):
     if d >= params.max_depth:
         return ActionStmt(_oracle_action(params, rng))
-    kind = _oracle_weighted_index(rng, params.node_weights)
+    kind = _oracle_weighted_index(rng, weights)
     if kind == 0:
         return ActionStmt(_oracle_action(params, rng))
     if kind == 1:
         return Loop(oracle_sample_expr(params, rng),
-                    oracle_sample_block(d + 1, params, rng))
+                    oracle_sample_block(d + 1, params, rng, weights))
     cond = oracle_sample_cond(params, rng)
-    then = oracle_sample_block(d + 1, params, rng)
+    then = oracle_sample_block(d + 1, params, rng, weights)
     orelse = None
     if rng.random() < params.else_prob:
-        orelse = oracle_sample_block(d + 1, params, rng)
+        orelse = oracle_sample_block(d + 1, params, rng, weights)
     return If(cond, then, orelse)
 
 
-def oracle_sample_block(d: int, params, rng: random.Random) -> tuple:
+def oracle_sample_block(d: int, params, rng: random.Random,
+                        weights=ORACLE_WEIGHTS) -> tuple:
     n = rng.randint(1, params.max_block)
-    return tuple(oracle_sample_node(d, params, rng) for _ in range(n))
+    return tuple(oracle_sample_node(d, params, rng, weights)
+                 for _ in range(n))
 
 
 def _oracle_spine_node(d: int, params, rng: random.Random):
-    loop_w, if_w = params.node_weights[1], params.node_weights[2]
-    if loop_w + if_w <= 0:
-        is_loop = rng.randrange(2) == 0
-    else:
-        is_loop = _oracle_weighted_index(rng, (loop_w, if_w)) == 0
-    if is_loop:
+    if _oracle_weighted_index(rng, ORACLE_WEIGHTS[1:]) == 0:
         return Loop(oracle_sample_expr(params, rng),
                     _oracle_spine_block(d + 1, params, rng))
     cond = oracle_sample_cond(params, rng)

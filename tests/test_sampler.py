@@ -14,6 +14,7 @@ from gridlang.ast import (
     control_depth,
     expr_depth,
 )
+from gridlang import sampler
 from gridlang.grammar import LexiconMode, Style
 from gridlang.sampler import (
     LITERAL_MAX,
@@ -58,8 +59,6 @@ class TestGenParams:
         {"max_depth": 5, "expr_depth": 0},
         {"max_depth": 5, "expr_depth": 4},
         {"max_depth": 5, "max_block": 0},
-        {"max_depth": 5, "node_weights": (0.5, 0.5)},
-        {"max_depth": 5, "node_weights": (-1.0, 1.0, 1.0)},
     ])
     def test_invalid_params_rejected(self, kwargs):
         kwargs.setdefault("seed", 0)
@@ -203,22 +202,23 @@ class TestDeterminism:
 
 
 class TestBudgetRejection:
-    # with loops excluded every tree costs at least one step (the spine
-    # bottoms out in an action), so cap = budget // 2 = 0 rejects all
-    # attempts regardless of seed
-    LOOP_FREE = GenParams(max_depth=3, seed=5, node_weights=(0.7, 0.0, 0.3))
+    PARAMS = GenParams(max_depth=3, seed=5)
 
-    def test_tiny_budget_exhausts_resampling(self):
+    @pytest.fixture
+    def over_cap(self, monkeypatch):
+        # every tree's step bound exceeds the cap, so each attempt misses
+        monkeypatch.setattr(sampler, "step_bound", lambda tree, cap: cap + 1)
+
+    def test_every_miss_exhausts_resampling(self, over_cap):
         with pytest.raises(ResampleLimitError):
-            generate_instance(Style.BLOCK, LexiconMode.NATURAL,
-                              self.LOOP_FREE, budget=1)
+            generate_instance(Style.BLOCK, LexiconMode.NATURAL, self.PARAMS)
 
-    def test_error_is_deterministic(self):
+    def test_error_is_deterministic(self, over_cap):
         messages = set()
         for _ in range(3):
             try:
                 generate_instance(Style.BLOCK, LexiconMode.NATURAL,
-                                  self.LOOP_FREE, budget=1)
+                                  self.PARAMS)
             except ResampleLimitError as exc:
                 messages.add(str(exc))
         assert len(messages) == 1
@@ -245,15 +245,11 @@ class TestStreamMatchesReference:
     the generator in the same state, so a caller's own draws around them
     are unchanged too."""
 
-    # the default, a spine with neither loop nor if weight, no actions
-    WEIGHTS = [(0.7, 0.15, 0.15), (1, 0, 0), (0, 1, 1)]
-
     @pytest.mark.parametrize("max_block", [1, 3])
     @pytest.mark.parametrize("expr_depth", [1, 2, 3])
-    @pytest.mark.parametrize("weights", WEIGHTS)
-    def test_sample_functions(self, weights, expr_depth, max_block):
+    def test_sample_functions(self, expr_depth, max_block):
         params = GenParams(max_depth=3, expr_depth=expr_depth,
-                           max_block=max_block, node_weights=weights)
+                           max_block=max_block)
         pairs = [
             (lambda rng: _block(1, _Plan(params, rng)),
              lambda rng: oracle_sample_block(1, params, rng)),
@@ -273,14 +269,11 @@ class TestStreamMatchesReference:
                 assert rng.getstate() == ref.getstate()
                 assert rng.randrange(7) == ref.randrange(7)
 
-    # loop-free trees cost a step at least, so budget 1 exhausts resampling
-    @pytest.mark.parametrize("weights", WEIGHTS + [(0.7, 0, 0.3)])
     @pytest.mark.parametrize("combo", ALL_COMBOS)
-    def test_generate_instance(self, combo, weights):
+    def test_generate_instance(self, combo):
         style, mode = combo
         for depth, seed in ((1, 0), (2, 1), (4, 2), (6, 3)):
-            params = GenParams(max_depth=depth, seed=seed,
-                               node_weights=weights)
+            params = GenParams(max_depth=depth, seed=seed)
             for budget in (1, 100, 1_000_000):
                 try:
                     expected = oracle_generate_instance(style, mode, params,
@@ -295,28 +288,23 @@ class TestStreamMatchesReference:
 
 class TestStreamPinned:
     """One sha256 over the code and canonical tree of every instance in a
-    seed x depth x weights matrix, recorded before the draw functions were
-    last reworked.  The all-if and equal weights are supercritical, so they
-    stop at the depths whose trees stay small enough to draw 50 times; the
-    equal-weights cell at budget 100 resamples most attempts."""
+    seed x depth x budget matrix, recorded before the kind weights became
+    constants.  At budget 100 most seeds reject their first attempt, so the
+    resampling path is pinned too."""
 
     CELLS = [
-        ((0.7, 0.15, 0.15), (1, 5, 10, 20), DEFAULT_BUDGET),
-        ((1, 0, 0), (1, 5, 10, 20), DEFAULT_BUDGET),
-        ((0, 0, 1), (1, 5), DEFAULT_BUDGET),
-        ((1, 1, 1), (1, 5, 10), DEFAULT_BUDGET),
-        ((1, 1, 1), (5,), 100),
+        ((1, 5, 10, 20), DEFAULT_BUDGET),
+        ((5, 10, 20), 100),
     ]
     SHA256 = (
-        "3e84965d85e9e90f234ee4be42ec4164d92c55aeaaeaeb8aaa86b804d100c763")
+        "894d15df46d7e375c30c6e62cf87f9bd07422e731e96c226e84d057de667c3ea")
 
     def test_matrix_digest(self):
         digest = hashlib.sha256()
-        for weights, depths, budget in self.CELLS:
+        for depths, budget in self.CELLS:
             for depth, seed in itertools.product(depths, range(50)):
                 style, mode = ALL_COMBOS[seed % len(ALL_COMBOS)]
-                params = GenParams(max_depth=depth, seed=seed,
-                                   node_weights=weights)
+                params = GenParams(max_depth=depth, seed=seed)
                 try:
                     _g, code, tree = generate_instance(style, mode, params,
                                                        budget)

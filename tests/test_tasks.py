@@ -269,13 +269,6 @@ class TestGoalInstances:
         assert isinstance(result, Final)
         assert result.state == inst.target_state
 
-    def test_custom_start_state(self):
-        params = GenParams(max_depth=4, seed=12)
-        start = RobotState(x=5, y=-3, facing=Facing.E, inventory=())
-        inst = make_instance(TaskKind.GOAL, Style.BLOCK, LexiconMode.NATURAL,
-                             params, start_state=start)
-        assert inst.start_state == start
-
     def test_deep_goal_states_and_prompts_stay_small(self):
         # deep programs grab thousands of copies; states and prompts must
         # grow with the kinds held, not the copies
@@ -402,6 +395,22 @@ class TestDatasets:
         write_dataset(data, path, config)
         assert read_dataset(path) == data
         assert next(read_jsonl(path, "id"), None) == config
+
+    @pytest.mark.parametrize("depth", [2, 10])
+    @pytest.mark.parametrize("combo", ALL_COMBOS)
+    @pytest.mark.parametrize("kind", list(TaskKind))
+    def test_every_instance_regenerates_from_its_record(self, tmp_path,
+                                                        kind, combo, depth):
+        # eight judgment instances cycle through every perturb category
+        style, mode = combo
+        path = tmp_path / "data.jsonl"
+        write_dataset(make_dataset(kind, 8, style, mode,
+                                   GenParams(max_depth=depth, seed=depth)),
+                      path)
+        records = read_dataset(path)
+        assert len(records) == 8
+        for i, rec in enumerate(records):
+            assert make_instance(kind, style, mode, rec.params, i) == rec
 
     def test_round_trip_without_config(self, tmp_path):
         data = self._dataset(TaskKind.GOAL, n=2)

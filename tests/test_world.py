@@ -334,8 +334,9 @@ class TestLoopSummary:
                                                 block, state):
         # literal counts (E = 1) keep the naive walk short
         params = GenParams(max_depth=depth, max_block=block, expr_depth=1,
-                           node_weights=weights, seed=0)
-        prog = Program(oracle_sample_block(0, params, random.Random(seed)))
+                           seed=0)
+        prog = Program(oracle_sample_block(0, params, random.Random(seed),
+                                           weights))
         assert_matches_oracle(prog, state)
 
     @settings(max_examples=300, deadline=None)
