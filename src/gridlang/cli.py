@@ -2,7 +2,7 @@
 
 Option precedence is flags over config file over defaults.  The config
 file is plain ``key = value`` lines (``#`` comments allowed) using the
-flag names of any subcommand; a key that names no flag, or a value that
+flag names of any subcommand but ``config``; any other key, or a value
 its flag would refuse, is refused with its line when the file is loaded.
 ``main`` loads it once and fills each flag left unset, so a command reads
 one namespace.
@@ -74,6 +74,9 @@ def _load_config(path: str | None) -> dict:
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = text.partition("=")
             key = key.strip().replace("-", "_")
+            if key == "config":
+                raise ValueError(f"{path}:{line_no}: config cannot be set "
+                                 f"in a config file")
             # a key of another subcommand is allowed, so one file serves all
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{line_no}: no option is named "
@@ -219,13 +222,14 @@ def _evaluate(args, dataset: list[TaskInstance], endpoint: EndpointConfig,
 
 
 def cmd_eval(args) -> int:
-    dataset = read_dataset(args.dataset)
+    dataset_path = _resolve(args, "dataset")
+    dataset = read_dataset(dataset_path)
     endpoint = _settings(EndpointConfig, args, _ENDPOINT_FLAGS)
     pc = _settings(PromptConfig, args, _ENDPOINT_FLAGS)
     out_dir = Path(_resolve(args, "out_dir"))
     result, report = _evaluate(args, dataset, endpoint, pc, out_dir,
                                {"command": "eval",
-                                "dataset": str(args.dataset)})
+                                "dataset": str(dataset_path)})
     print(report, end="")
     print(f"model calls: {result.model_calls}")
     print(f"wrote {out_dir / 'results.jsonl'} and reports under {out_dir}")
@@ -233,9 +237,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
-    dataset = read_dataset(args.dataset)
+    dataset_path = _resolve(args, "dataset")
+    responses_path = _resolve(args, "responses")
+    dataset = read_dataset(dataset_path)
     kind = dataset_kind(dataset)
-    responses = read_responses(args.responses)
+    responses = read_responses(responses_path)
     out_dir = Path(_resolve(args, "out_dir"))
     answers = []
     for inst in dataset:
@@ -246,8 +252,8 @@ def cmd_score(args) -> int:
     model = _resolve(args, "model", "captured")
     provenance = {
         "command": "score",
-        "dataset": str(args.dataset),
-        "responses": str(args.responses),
+        "dataset": str(dataset_path),
+        "responses": str(responses_path),
         "model": model,
     }
     _records, metrics, _rows = score_answers(dataset, answers, out_dir,
@@ -261,9 +267,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axis = args.axis
+    axis = _resolve(args, "axis")
     values = [_read_value(_OPTIONS[axis], v.strip())
-              for v in args.values.split(",") if v.strip()]
+              for v in _resolve(args, "values").split(",") if v.strip()]
     if not values:
         raise ValueError("no sweep values given")
     # a value read twice would write one leaf twice
@@ -360,23 +366,21 @@ _SUBCOMMANDS = {
         "generate (and optionally evaluate) a dataset family "
         "along one axis",
         _GEN_FLAGS + (
-            ("--axis", {"choices": _SWEEP_AXES, "required": True}, None),
-            ("--values", {"required": True,
-                          "help": "comma-separated axis values"}, None),
+            ("--axis", {"choices": _SWEEP_AXES}, None),
+            ("--values", {"help": "comma-separated axis values"}, None),
             ("--out-dir", {}, None),
         ) + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_sweep,
     ),
     "eval": (
         "run a model over a dataset",
-        (("--dataset", {"required": True}, None), ("--out-dir", {}, None))
+        (("--dataset", {}, None), ("--out-dir", {}, None))
         + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_eval,
     ),
     "score": (
         "re-score captured responses without network",
-        (("--dataset", {"required": True}, None),
-         ("--responses", {"required": True}, None),
+        (("--dataset", {}, None), ("--responses", {}, None),
          ("--out-dir", {}, None), ("--model", {}, None),
          ("--config", {}, None)),
         cmd_score,

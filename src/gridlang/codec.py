@@ -78,11 +78,11 @@ from gridlang.grammar import (
     CANON_TERMINALS,
     PUNCT_CHARS,
     RULE_TABLES,
+    USED_ROLES,
     GrammarSpec,
     RuleTable,
     Symbol,
     TerminalRole as R,
-    used_roles,
 )
 
 __all__ = [
@@ -553,9 +553,9 @@ def _separator(table: RuleTable, a: Symbol, b: Symbol,
     return " "
 
 
-_LINEARIZERS = {style: _compile_linearizer(table, used_roles(style))
+_LINEARIZERS = {style: _compile_linearizer(table, USED_ROLES[style])
                 for style, table in RULE_TABLES.items()}
-_TOKENS = {style: itemgetter(*used_roles(style)) for style in RULE_TABLES}
+_TOKENS = {style: itemgetter(*USED_ROLES[style]) for style in RULE_TABLES}
 _CANON_LINEARIZER = _compile_linearizer(CANON_RULES, tuple(CANON_TERMINALS),
                                         one_line=True)
 _CANON_TOKENS = tuple(CANON_TERMINALS.values())

@@ -39,7 +39,7 @@ __all__ = [
     "RULE_TABLES",
     "CANON_RULES",
     "CANON_TERMINALS",
-    "used_roles",
+    "USED_ROLES",
     "build_grammar",
     "render_ebnf",
     "grammar_from_text",
@@ -258,17 +258,12 @@ RULE_TABLES: dict[Style, RuleTable] = {
 CANON_RULES = _compile_rules(_CANON_PRODUCTIONS + _CLASS_LINES)
 
 # per style, the roles that occur in its rule table, in enum order
-_USED_ROLES = {
+USED_ROLES: dict[Style, tuple[TerminalRole, ...]] = {
     style: tuple(r for r in TerminalRole if r in {
         sym.ref for alts in table.rules.values() for alt in alts
         for sym in alt if sym.kind == "role"})
     for style, table in RULE_TABLES.items()
 }
-
-
-def used_roles(style: Style) -> tuple[TerminalRole, ...]:
-    """Roles that actually occur in the style's rule table, in enum order."""
-    return _USED_ROLES[style]
 
 
 @dataclass(frozen=True)
@@ -297,7 +292,7 @@ class GrammarSpec:
                                      f"{role.name} is not v_xxxx shaped")
             elif token not in NATURAL_POOLS.get(role, ()):
                 raise ValueError(f"{token!r} is outside the {role.name} pool")
-        missing = [r.name for r in used_roles(self.style)
+        missing = [r.name for r in USED_ROLES[self.style]
                    if r not in self.terminals]
         if missing:
             raise ValueError(f"style {self.style.value} needs bindings for "
@@ -309,6 +304,7 @@ class GrammarSpec:
         )
 
     def token(self, role: TerminalRole) -> str:
+        """``terminals[role]``; kept while ``perfbench/synth.py`` calls it."""
         return self.terminals[role]
 
 
@@ -329,7 +325,7 @@ def build_grammar(style: Style, mode: LexiconMode, seed: int) -> GrammarSpec:
     punct = {R.LBR: lbr, R.RBR: rbr, R.PAR_L: "(", R.PAR_R: ")", R.SEMI: ";"}
     terminals: dict[TerminalRole, str] = {}
     taken: set[str] = set()
-    for role in used_roles(style):
+    for role in USED_ROLES[style]:
         if role in PUNCT_ROLES:
             token = punct[role]
         elif mode is LexiconMode.ALIEN:
@@ -351,7 +347,7 @@ def render_ebnf(g: GrammarSpec) -> str:
     """
     lines = list(_PRODUCTIONS[g.style])
     lines.extend(_CLASS_LINES)
-    for role in used_roles(g.style):
+    for role in USED_ROLES[g.style]:
         lines.append(f'{role.name}: "{g.terminals[role]}"')
     return "\n".join(lines) + "\n"
 

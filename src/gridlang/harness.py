@@ -71,6 +71,7 @@ from gridlang.tasks import (
     PerturbationError,
     TaskInstance,
     TaskKind,
+    check_text,
     perturb,
     read_jsonl,
     render_instruction,
@@ -269,7 +270,6 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
                  "User-Agent": "gridlang"},
     )
     failure = ""
-    transport_fault = False
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             time.sleep(cfg.retry_backoff * 2 ** (attempt - 1))
@@ -283,14 +283,12 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
                     status, data = exc.code, exc.read()
         except (OSError, http.client.HTTPException) as exc:
             failure = f"transport fault: {exc}"
-            transport_fault = True
             continue
         if status in (401, 403):
             raise HarnessError(f"endpoint rejected credentials with "
                                f"HTTP {status}")
         if status == 429 or status >= 500:
             failure = f"HTTP {status}"
-            transport_fault = False
             continue
         if status != 200:
             text = data.decode("utf-8", "replace")
@@ -303,15 +301,8 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise HarnessError(f"malformed completion payload: {exc}")
         return content
-    if transport_fault:
-        raise HarnessError(
-            f"{url} unreachable after {cfg.max_retries + 1} attempts "
-            f"({failure})"
-        )
     raise HarnessError(
-        f"{url} still failing after {cfg.max_retries + 1} attempts "
-        f"({failure})"
-    )
+        f"{url} failed after {cfg.max_retries + 1} attempts ({failure})")
 
 
 # --- answer extraction -------------------------------------------------------
@@ -691,11 +682,9 @@ def read_responses(path: str | Path) -> dict[str, dict]:
                 line_no, "responses row needs string instance_id and "
                          "response")
         try:
-            row["response"].encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise MalformedRecordError(
-                line_no, f"response is not UTF-8 text: {exc.reason} at "
-                         f"character {exc.start}") from None
+            check_text("response", row["response"])
+        except ValueError as exc:
+            raise MalformedRecordError(line_no, str(exc)) from None
         if "prompt_sha256" in row and not (
                 isinstance(row["prompt_sha256"], str)
                 and _SHA256_RE.fullmatch(row["prompt_sha256"])):

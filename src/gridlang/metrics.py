@@ -165,6 +165,10 @@ class Metrics:
     cscr: float | None
 
 
+# Metrics' rate fields, in column order
+_RATES = ("svr", "ber", "scr", "cber", "cscr")
+
+
 def _rate(count: int, denom: int) -> float:
     return round(100.0 * count / denom, 1)
 
@@ -247,13 +251,10 @@ def render_csv(rows: Sequence[tuple[str, TaskKind, Metrics]]) -> str:
         raise ValueError("no metrics to report")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", "task", "n", "svr", "ber", "scr", "cber",
-                     "cscr"])
+    writer.writerow(["model", "task", "n", *_RATES])
     for model, kind, m in rows:
-        writer.writerow([
-            model, kind.value, m.n, format_rate(m.svr), format_rate(m.ber),
-            format_rate(m.scr), format_rate(m.cber), format_rate(m.cscr),
-        ])
+        writer.writerow([model, kind.value, m.n,
+                         *(format_rate(getattr(m, name)) for name in _RATES)])
     return out.getvalue()
 
 
@@ -269,7 +270,7 @@ def render_long_csv(
     writer.writerow(["axis", "value", "model", "task", "metric",
                      "percentage"])
     for value, model, task, m in entries:
-        for name in ("svr", "ber", "scr", "cber", "cscr"):
+        for name in _RATES:
             rate = getattr(m, name)
             if rate is None:
                 continue

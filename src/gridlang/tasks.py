@@ -20,8 +20,8 @@ line 1 (a dataset's records its ``dataset_format``), then one JSON object
 per line.  Invalid JSON, a line that is no object, a late provenance line
 and a repeated id are refused in the same words in every file, with the
 line number; so is a malformed dataset record (an unknown or missing
-field, a text field that is no string, a coordinate that is no int, a bad
-inventory count).
+field, a text field that is no UTF-8 string, a coordinate that is no int,
+a bad inventory count).
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_jsonl",
+    "check_text",
     "check_utf8",
     "write_jsonl",
     "DATASET_FORMAT",
@@ -113,36 +114,40 @@ class MalformedRecordError(ValueError):
         self.line_no = line_no
 
 
-_FIELDS = (
-    "id", "kind", "style", "lexicon_mode", "params", "grammar_text",
-    "candidate", "gold_label", "start_state", "target_state",
-    "instruction", "gold_code", "gold_ast", "perturb_category",
-)
+_EVERY_KIND = tuple(TaskKind)
+_GOAL_KINDS = (TaskKind.GOAL, TaskKind.INSTRUCTION)
 
-_REQUIRED = {
-    TaskKind.JUDGMENT: ("candidate", "gold_label"),
-    TaskKind.GOAL: ("start_state", "target_state", "gold_code", "gold_ast"),
-    TaskKind.INSTRUCTION: ("instruction", "start_state", "target_state",
-                           "gold_code", "gold_ast"),
+# Each record field, in record order: the type of its value, and the kinds
+# whose records must carry it, which records of other kinds must not.  No
+# kind needs the last field: INVALID judgment records carry it.  gold_label
+# is also checked against its two values.
+_FIELDS = {
+    "id": (str, _EVERY_KIND),
+    "kind": (TaskKind, _EVERY_KIND),
+    "style": (Style, _EVERY_KIND),
+    "lexicon_mode": (LexiconMode, _EVERY_KIND),
+    "params": (GenParams, _EVERY_KIND),
+    "grammar_text": (str, _EVERY_KIND),
+    "candidate": (str, (TaskKind.JUDGMENT,)),
+    "gold_label": (str, (TaskKind.JUDGMENT,)),
+    "start_state": (RobotState, _GOAL_KINDS),
+    "target_state": (RobotState, _GOAL_KINDS),
+    "instruction": (str, (TaskKind.INSTRUCTION,)),
+    "gold_code": (str, _GOAL_KINDS),
+    "gold_ast": (str, _GOAL_KINDS),
+    "perturb_category": (PerturbCategory, ()),
 }
-_ALWAYS = _FIELDS[:6]  # id .. grammar_text: in every record
-_OPTIONAL = _FIELDS[6:13]  # candidate .. gold_ast: present by task kind
-# field -> the type of its value; gold_label is checked against its two
-# values instead
-_TYPES = {
-    "id": str, "kind": TaskKind, "style": Style, "lexicon_mode": LexiconMode,
-    "params": GenParams, "grammar_text": str, "candidate": str,
-    "start_state": RobotState, "target_state": RobotState,
-    "instruction": str, "gold_code": str, "gold_ast": str,
-    "perturb_category": PerturbCategory,
-}
-
-# record field -> reader of its JSON value; other fields are read as is
-_READERS = {
-    "kind": TaskKind, "style": Style, "lexicon_mode": LexiconMode,
-    "params": GenParams.from_dict, "start_state": RobotState.from_dict,
-    "target_state": RobotState.from_dict, "perturb_category": PerturbCategory,
-}
+# Derived from _FIELDS: the fields every record carries; per kind, each
+# field that only some kinds need, with whether this kind needs it; and the
+# reader of each field whose JSON value is no string.
+_IN_EVERY_RECORD = tuple(name for name, (_type, kinds) in _FIELDS.items()
+                         if kinds == _EVERY_KIND)
+_NEEDS = {kind: tuple((name, kind in kinds)
+                      for name, (_type, kinds) in _FIELDS.items()
+                      if kinds not in (_EVERY_KIND, ()))
+          for kind in TaskKind}
+_FROM_JSON = {name: getattr(type_, "from_dict", type_)
+              for name, (type_, _kinds) in _FIELDS.items() if type_ is not str}
 
 
 @dataclass(frozen=True)
@@ -163,24 +168,22 @@ class TaskInstance:
     perturb_category: PerturbCategory | None = None
 
     def __post_init__(self) -> None:
-        for name, expected in _TYPES.items():  # _ALWAYS ones are never None
+        for name, (expected, _kinds) in _FIELDS.items():
             value = getattr(self, name)
-            if not isinstance(value, expected) and (value is not None
-                                                    or name in _ALWAYS):
+            if isinstance(value, expected):
+                if expected is str and not value.isascii():
+                    check_text(name, value)
+            elif value is not None or name in _IN_EVERY_RECORD:
                 what = "string" if expected is str else expected.__name__
                 raise ValueError(f"{name} must be a {what}, got {value!r}")
-        required = _REQUIRED[self.kind]
-        for name in _OPTIONAL:
-            value = getattr(self, name)
-            if name in required and value is None:
+        for name, needed in _NEEDS[self.kind]:
+            if needed and getattr(self, name) is None:
                 raise ValueError(f"{self.kind.value} instance {self.id} "
                                  f"is missing {name}")
-            if name not in required and value is not None:
+            if not needed and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind.value} instance {self.id} "
                                  f"must not carry {name}")
-        if self.gold_label is not None and self.gold_label not in (
-            "VALID", "INVALID"
-        ):
+        if self.gold_label not in (None, "VALID", "INVALID"):
             raise ValueError(f"bad gold_label {self.gold_label!r}")
         if self.perturb_category is not None and self.gold_label != "INVALID":
             raise ValueError("perturb_category only applies to INVALID")
@@ -203,14 +206,14 @@ class TaskInstance:
     def from_dict(record: dict) -> TaskInstance:
         """The instance a decoded record holds; ``ValueError`` or
         ``KeyError`` names what is malformed."""
-        extra = set(record) - set(_FIELDS)
+        extra = record.keys() - _FIELDS.keys()
         if extra:
             raise ValueError(f"unknown field {sorted(extra)[0]!r}")
-        for name in _ALWAYS:
+        for name in _IN_EVERY_RECORD:
             if name not in record:
                 raise ValueError(f"missing field {name!r}")
         return TaskInstance(**{
-            name: _READERS[name](value) if name in _READERS else value
+            name: _FROM_JSON[name](value) if name in _FROM_JSON else value
             for name, value in record.items()})
 
 
@@ -277,10 +280,10 @@ def _replacement(cat: PerturbCategory, sym, g: GrammarSpec,
     if cat is PerturbCategory.DELIMITER_DELETE:
         return ""
     if cat is PerturbCategory.DELIMITER_SWAP:
-        return g.token(_SWAP[sym])
+        return g.terminals[_SWAP[sym]]
     if cat is PerturbCategory.KEYWORD_CORRUPT:
         return _fresh_token(g, rng)
-    return g.token(R.IF if sym is R.HOLDING else R.LOOP)
+    return g.terminals[R.IF if sym is R.HOLDING else R.LOOP]
 
 
 def _fresh_token(g: GrammarSpec, rng: random.Random) -> str:
@@ -466,6 +469,16 @@ def write_jsonl(path, config: dict | None, lines) -> None:
         if config is not None:
             handle.write(json.dumps({"_config": config}) + "\n")
         handle.writelines(line + "\n" for line in lines)
+
+
+def check_text(name: str, text: str) -> None:
+    """Refuse ``text``, the value of ``name``, if UTF-8 cannot encode it:
+    JSON can spell a lone surrogate (``"\\ud800"``), which it cannot."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name} is not UTF-8 text: {exc.reason} at "
+                         f"character {exc.start}") from None
 
 
 def check_utf8(line: str) -> None:

@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Final",
     "BudgetExceeded",
-    "ExecResult",
     "eval_arith",
     "exec_program",
     "step_bound",
@@ -163,9 +162,6 @@ class Final:
 @dataclass(frozen=True)
 class BudgetExceeded:
     pass
-
-
-ExecResult = Final | BudgetExceeded
 
 
 def eval_arith(expr: ArithExpr) -> int:
@@ -290,7 +286,7 @@ def exec_program(
     program: Program,
     state: RobotState = START_STATE,
     budget: int = DEFAULT_BUDGET,
-) -> ExecResult:
+) -> Final | BudgetExceeded:
     """Run a program to completion or until the step budget is exhausted.
 
     Returns ``BudgetExceeded`` exactly when running every iteration would

@@ -65,6 +65,7 @@ from gridlang.grammar import (
     CANON_RULES,
     CANON_TERMINALS,
     RULE_TABLES,
+    USED_ROLES,
     GrammarSpec,
     LexiconMode,
     NATURAL_POOLS,
@@ -73,7 +74,6 @@ from gridlang.grammar import (
     Style,
     TerminalRole as R,
     build_grammar,
-    used_roles,
 )
 from gridlang.sampler import LITERAL_MAX, RESAMPLE_LIMIT, ResampleLimitError
 from gridlang.seeding import derive_seed
@@ -101,7 +101,7 @@ _PUNCT_DEFAULTS = {R.LBR: "{", R.RBR: "}", R.PAR_L: "(", R.PAR_R: ")",
 def fixed_terminals(style: Style, **overrides: str) -> dict:
     """First pool option per role, punctuation structural; overridable."""
     terminals = {}
-    for role in used_roles(style):
+    for role in USED_ROLES[style]:
         if role in _PUNCT_DEFAULTS:
             terminals[role] = _PUNCT_DEFAULTS[role]
         else:
@@ -413,7 +413,7 @@ _NODE, _TEXT, _BLOCK, _OPTIONAL = range(4)
 def oracle_linearize(program: Program, g: GrammarSpec) -> str:
     """``linearize`` by interpreting the layout pieces."""
     text = _oracle_render(program, _ORACLE_LAYOUTS[g.style]).format(
-        *[g.terminals[role] for role in used_roles(g.style)])
+        *[g.terminals[role] for role in USED_ROLES[g.style]])
     return text.strip("\n")
 
 
@@ -527,7 +527,7 @@ def _oracle_merge(pieces: list) -> tuple:
 
 
 _ORACLE_LAYOUTS = {style: _oracle_layout(RULE_TABLES[style], {
-    role: "{%d}" % k for k, role in enumerate(used_roles(style))})
+    role: "{%d}" % k for k, role in enumerate(USED_ROLES[style])})
     for style in RULE_TABLES}
 _ORACLE_CANON_LAYOUT = _oracle_layout(CANON_RULES, CANON_TERMINALS,
                                       one_line=True)

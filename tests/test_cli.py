@@ -169,6 +169,40 @@ class TestConfigPrecedence:
                     "--dataset", str(dataset)) == 0
         assert (run / "results.jsonl").exists()
 
+    def test_config_gives_the_options_a_command_requires(self, tmp_path):
+        dataset, run = _gen(tmp_path), tmp_path / "run"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset = {dataset}\nbase-url = mock://perfect\n"
+                       f"model = m\nout-dir = {run}\n"
+                       f"cache-dir = {tmp_path / 'c'}\n")
+        assert _run("eval", "--config", str(cfg)) == 0
+        cfg.write_text(f"dataset = {dataset}\n"
+                       f"responses = {run / 'responses.jsonl'}\n"
+                       f"out-dir = {tmp_path / 'scored'}\n")
+        assert _run("score", "--config", str(cfg)) == 0
+        cfg.write_text(f"task = goal\nn = 2\naxis = depth\nvalues = 2,3\n"
+                       f"out-dir = {tmp_path / 'sweep'}\n")
+        assert _run("sweep", "--config", str(cfg)) == 0
+        assert (run / "results.jsonl").exists()
+        assert (tmp_path / "scored" / "results.jsonl").exists()
+        assert (tmp_path / "sweep" / "depth-3" / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval"], "--dataset"),
+        (["score", "--responses", "r.jsonl"], "--dataset"),
+        (["score", "--dataset", "d.jsonl"], "--responses"),
+        (["sweep", "--values", "2"], "--axis"),
+        (["sweep", "--axis", "depth"], "--values"),
+    ])
+    def test_missing_required_option_exits_1_naming_it(self, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert _run(*argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: missing required option {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("setting, status", [
         ("permissive = true", 0), ("permissive = no", 1), ("", 1)])
     def test_permissive_read_from_config(self, tmp_path, monkeypatch,
@@ -215,6 +249,7 @@ _CONFIG_COMMANDS = {
                      "'p', 'E', 'shots', 'style')"),
     # written as the byte 0xff, which is not UTF-8
     ("seed = \udcff1", "not UTF-8 text: byte 0xff at column 8"),
+    ("config = other.cfg", "config cannot be set in a config file"),
 ])
 def test_bad_config_value_refused_with_its_line(command, line, message,
                                                 tmp_path, monkeypatch,
@@ -277,6 +312,17 @@ def test_null_field_refused_with_its_line(tmp_path, capsys, field):
     _spoil_line_3(dataset, field, None)
     err = _eval_error(tmp_path, dataset, capsys)
     assert err == f"error: line 3: {field} must be a string, got None\n"
+
+
+@pytest.mark.parametrize("task, field", [("goal", "gold_code"),
+                                         ("judgment", "candidate")])
+def test_lone_surrogate_refused_with_its_line(tmp_path, capsys, task, field):
+    dataset = _gen(tmp_path, "data.jsonl", "--task", task)
+    at = len(json.loads(dataset.read_text().splitlines()[2])[field])
+    _spoil_line_3(dataset, field, lambda text: text + "\ud800")
+    err = _eval_error(tmp_path, dataset, capsys)
+    assert err == (f"error: line 3: {field} is not UTF-8 text: surrogates "
+                   f"not allowed at character {at}\n")
 
 
 @pytest.mark.parametrize("mock", ["perfect", "flatten"])
@@ -746,7 +792,7 @@ def _parse_outcome(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--help"], ["eval", "--help"], ["gen", "-h"], ["sweep", "--help"],
-    ["score", "--help"], ["evl"], [], ["eval"], ["sweep", "--axis", "zz"],
+    ["score", "--help"], ["evl"], [], ["sweep", "--axis", "zz"],
     ["gen", "--n", "x"],
 ])
 def test_help_and_usage_errors_match_the_full_parser(argv, capsys,

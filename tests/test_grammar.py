@@ -9,6 +9,7 @@ from gridlang.ast import ITEM_VOCAB
 from gridlang.grammar import (
     CANON_RULES,
     RULE_TABLES,
+    USED_ROLES,
     GrammarSpec,
     LexiconMode,
     NATURAL_POOLS,
@@ -18,7 +19,6 @@ from gridlang.grammar import (
     build_grammar,
     grammar_from_text,
     render_ebnf,
-    used_roles,
 )
 
 from conftest import ALL_COMBOS, fixed_terminals
@@ -73,13 +73,13 @@ class TestBinding:
     def test_every_used_role_is_bound(self):
         for style, mode in ALL_COMBOS:
             g = build_grammar(style, mode, 7)
-            assert set(g.terminals) == set(used_roles(style))
+            assert set(g.terminals) == set(USED_ROLES[style])
 
     def test_semi_only_in_c_style(self):
-        assert R.SEMI in used_roles(Style.C)
-        assert R.SEMI not in used_roles(Style.BLOCK)
-        assert R.SEMI not in used_roles(Style.SEXPR)
-        assert R.LBR not in used_roles(Style.SEXPR)
+        assert R.SEMI in USED_ROLES[Style.C]
+        assert R.SEMI not in USED_ROLES[Style.BLOCK]
+        assert R.SEMI not in USED_ROLES[Style.SEXPR]
+        assert R.LBR not in USED_ROLES[Style.SEXPR]
 
     def test_documented_synonyms_are_reachable(self):
         # bindings seen in worked examples must be drawable options
@@ -149,7 +149,7 @@ class TestValidation:
         refused = 0
         for style, mode in ALL_COMBOS:
             terminals = build_grammar(style, mode, 0).terminals
-            for role in used_roles(style):
+            for role in USED_ROLES[style]:
                 for word in words:
                     with pytest.raises(ValueError):
                         GrammarSpec(style, mode, {**terminals, role: word})
@@ -255,8 +255,8 @@ class TestGrammarFromText:
 
     def test_canonical_roles_bind_in_no_style(self):
         for style in Style:
-            assert R.PROG not in used_roles(style)
-            assert R.NUM not in used_roles(style)
+            assert R.PROG not in USED_ROLES[style]
+            assert R.NUM not in USED_ROLES[style]
 
 
 

@@ -515,7 +515,7 @@ class TestCallModel:
         base = scripted_server([500] * 10)
         cfg = _http_cfg(base, max_retries=3)
         with pytest.raises(HarnessError, match=(
-                r"/chat/completions still failing after 4 attempts "
+                r"/chat/completions failed after 4 attempts "
                 r"\(HTTP 500\)$")):
             call_model(cfg, "x")
         assert len(_ScriptedHandler.requests_seen) == 4  # initial + retries
@@ -523,7 +523,7 @@ class TestCallModel:
     def test_closed_port_unreachable(self, api_token):
         cfg = _http_cfg("http://127.0.0.1:9", max_retries=1)
         with pytest.raises(HarnessError, match=(
-                r"^http://127\.0\.0\.1:9/chat/completions unreachable after "
+                r"^http://127\.0\.0\.1:9/chat/completions failed after "
                 r"2 attempts \(transport fault: ")):
             call_model(cfg, "x")
 
@@ -538,7 +538,7 @@ class TestCallModel:
         monkeypatch.setattr(_RawReplyHandler, "reply", reply)
         base = scripted_server([], handler=_RawReplyHandler)
         with pytest.raises(HarnessError, match=(
-                r"unreachable after 2 attempts \(transport fault: ")):
+                r"failed after 2 attempts \(transport fault: ")):
             call_model(_http_cfg(base, max_retries=1), "x")
 
     def test_unexpected_status_is_plain_error(self, scripted_server,
@@ -1295,7 +1295,7 @@ class TestRunArtifacts:
         dataset = _dataset(TaskKind.GOAL, n=20)
         cfg = _http_cfg(base, max_retries=0, parallelism=1)
         with pytest.raises(HarnessError, match=(
-                r"still failing after 1 attempts \(HTTP 500\)$")):
+                r"failed after 1 attempts \(HTTP 500\)$")):
             run_evaluation(dataset, cfg, PromptConfig(),
                            cache_dir=tmp_path / "cache")
         assert len(_ScriptedHandler.requests_seen) == 1

@@ -4,7 +4,7 @@ import difflib
 import functools
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -566,6 +566,28 @@ class TestDatasets:
             read_dataset(path)
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize("kind, name", [
+        (TaskKind.GOAL, "id"), (TaskKind.GOAL, "grammar_text"),
+        (TaskKind.JUDGMENT, "candidate"), (TaskKind.INSTRUCTION, "instruction"),
+        (TaskKind.GOAL, "gold_code"), (TaskKind.GOAL, "gold_ast"),
+    ])
+    def test_text_field_with_a_lone_surrogate_reported_with_its_line(
+            self, tmp_path, kind, name):
+        path = tmp_path / "surrogate.jsonl"
+        data = self._dataset(kind, n=2)
+        write_dataset(data, path, {"dataset_format": DATASET_FORMAT})
+
+        def spoil(rows):
+            # JSON spells it as the escape \ud800, so the file is ASCII
+            rows[2][name] += "\ud800"
+
+        self._rewrite(path, spoil)
+        with pytest.raises(MalformedRecordError) as info:
+            read_dataset(path)
+        assert str(info.value) == (
+            f"line 3: {name} is not UTF-8 text: surrogates not allowed at "
+            f"character {len(getattr(data[1], name))}")
+
     @pytest.mark.parametrize("kind", list(TaskKind))
     @pytest.mark.parametrize("name", ["id", "kind", "style", "lexicon_mode",
                                       "params", "grammar_text"])
@@ -701,6 +723,10 @@ class TestOneReader:
 
 
 class TestInstanceValidation:
+    def test_field_table_follows_the_dataclass(self):
+        # a record's key order, and so every dataset byte, follows _FIELDS
+        assert list(tasks._FIELDS) == [f.name for f in fields(TaskInstance)]
+
     def _goal_kwargs(self):
         params = GenParams(max_depth=4, seed=1)
         inst = make_instance(TaskKind.GOAL, Style.BLOCK,
