@@ -355,28 +355,38 @@ _ENDPOINT_FLAGS = (
 # the datasets are meant to span
 _SWEEP_AXES = ("depth", "p", "E", "shots", "style")
 
-# subcommand -> (help, its flag rows in help order, handler)
+_REQUIRED = "required unless set in --config"
+
+# subcommand -> (help, its flag rows in help order, handler, the help text
+# of each option it refuses to run without, by dest)
 _SUBCOMMANDS = {
     "gen": (
         "generate a dataset file",
         _GEN_FLAGS + (("--out", {}, None), ("--config", {}, None)),
         cmd_gen,
+        {"task": _REQUIRED, "n": _REQUIRED, "out": _REQUIRED},
     ),
     "sweep": (
         "generate (and optionally evaluate) a dataset family "
         "along one axis",
         _GEN_FLAGS + (
             ("--axis", {"choices": _SWEEP_AXES}, None),
-            ("--values", {"help": "comma-separated axis values"}, None),
+            ("--values", {}, None),
             ("--out-dir", {}, None),
         ) + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_sweep,
+        {"task": _REQUIRED, "n": _REQUIRED, "axis": _REQUIRED,
+         "values": f"comma-separated axis values; {_REQUIRED}",
+         "out_dir": _REQUIRED,
+         "model": "required with --base-url, unless set in --config"},
     ),
     "eval": (
         "run a model over a dataset",
         (("--dataset", {}, None), ("--out-dir", {}, None))
         + _ENDPOINT_FLAGS + (("--config", {}, None),),
         cmd_eval,
+        {"dataset": _REQUIRED, "out_dir": _REQUIRED,
+         "base_url": _REQUIRED, "model": _REQUIRED},
     ),
     "score": (
         "re-score captured responses without network",
@@ -384,6 +394,7 @@ _SUBCOMMANDS = {
          ("--out-dir", {}, None), ("--model", {}, None),
          ("--config", {}, None)),
         cmd_score,
+        {"dataset": _REQUIRED, "responses": _REQUIRED, "out_dir": _REQUIRED},
     ),
 }
 
@@ -394,16 +405,16 @@ def _dest(flag: str) -> str:
 
 # every flag's dest -> its argparse options; a config file may set any of
 # them
-_OPTIONS = {_dest(flag): options for _help, flags, _func in
+_OPTIONS = {_dest(flag): options for _help, flags, _func, _notes in
             _SUBCOMMANDS.values() for flag, options, _field in flags}
 
 
 _PROG = "gridlang"
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+def _add_flags(parser: argparse.ArgumentParser, flags, notes) -> None:
     for flag, options, _field in flags:
-        parser.add_argument(flag, **options)
+        parser.add_argument(flag, **options, help=notes.get(_dest(flag)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "model answers on them.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, flags, func) in _SUBCOMMANDS.items():
+    for name, (help_text, flags, func, notes) in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_flags(sub, flags)
+        _add_flags(sub, flags, notes)
         sub.set_defaults(func=func)
     return parser
 
@@ -428,9 +439,9 @@ def main(argv=None) -> int:
     if argv and argv[0] in _SUBCOMMANDS:
         # the parser ``build_parser`` hands this subcommand's flags to, so
         # its help and its errors read the same
-        _help, flags, func = _SUBCOMMANDS[argv[0]]
+        _help, flags, func, notes = _SUBCOMMANDS[argv[0]]
         parser = argparse.ArgumentParser(prog=f"{_PROG} {argv[0]}")
-        _add_flags(parser, flags)
+        _add_flags(parser, flags, notes)
         parser.set_defaults(func=func)
         args, rest = parser.parse_known_args(argv[1:])
     if args is None or rest:

@@ -44,7 +44,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import re
 import sys
 import threading
@@ -54,7 +53,7 @@ from pathlib import Path
 
 from gridlang.ast import BinaryArith, Literal
 from gridlang.codec import code_start, linearize, parse
-from gridlang.grammar import GrammarSpec, grammar_from_text, render_ebnf
+from gridlang.grammar import GrammarSpec, grammar_from_text
 from gridlang.metrics import (
     EvalRecord,
     Metrics,
@@ -64,21 +63,18 @@ from gridlang.metrics import (
     syntax_failure,
 )
 from gridlang import prompts
-from gridlang.sampler import generate_instance
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
     MalformedRecordError,
-    PerturbationError,
     TaskInstance,
     TaskKind,
     check_text,
-    perturb,
+    make_instance,
     read_jsonl,
-    render_instruction,
     render_state,
     write_jsonl,
 )
-from gridlang.world import Final, eval_arith, exec_program
+from gridlang.world import eval_arith
 
 __all__ = [
     "HarnessError",
@@ -171,16 +167,22 @@ _WORDING = {
 def build_prompt(inst: TaskInstance, pc: PromptConfig) -> str:
     """Assemble the full prompt; a pure function of (instance, config).
 
-    Few-shot demonstrations are sampled from a seed namespace disjoint
-    from every dataset namespace, each with its own grammar, and show the
-    same input sections followed by a worked answer.
+    Few-shot demo ``j`` is instance ``j`` of a set drawn like the dataset
+    (``tasks.make_instance``), from a seed namespace disjoint from every
+    dataset namespace, so it has its own grammar, program and states, and
+    a judgment demo is valid for even ``j`` and perturbed for odd ``j``.
+    Each shows the same input sections followed by its gold answer.
     """
     opener, task_line, cot_directive, direct_directive = _WORDING[inst.kind]
     parts = [opener]
     for j in range(pc.shots):
-        demo_input, demo_answer = _demo(inst, j)
-        parts += ["", prompts.DEMO_HEADER.format(index=j + 1), demo_input,
-                  prompts.DEMO_ANSWER_HEADER, demo_answer]
+        seed = derive_seed(inst.params.seed, "demo", j)
+        demo = make_instance(inst.kind, inst.style, inst.lexicon_mode,
+                             replace(inst.params, seed=seed), j)
+        # a demo's EBNF keeps its final newline, unlike the instance's
+        parts += ["", prompts.DEMO_HEADER.format(index=j + 1),
+                  _input_section(demo, demo.grammar_text),
+                  prompts.DEMO_ANSWER_HEADER, _gold_answer(demo)]
     if pc.shots:
         parts += ["", prompts.MAIN_HEADER]
     parts += [_input_section(inst, inst.grammar_text.rstrip("\n")), "",
@@ -204,34 +206,12 @@ def _input_section(inst: TaskInstance, ebnf: str) -> str:
     return "\n".join(lines)
 
 
-def _demo(inst: TaskInstance, j: int) -> tuple[str, str]:
-    """Demo ``j``'s input section and answer.  The input is shown as
-    ``inst`` with the demo's program in place of its own, so it keeps the
-    instance's start state."""
-    params = replace(
-        inst.params, seed=derive_seed(inst.params.seed, "demo", j)
-    )
-    g, code, tree = generate_instance(inst.style, inst.lexicon_mode, params)
+def _gold_answer(inst: TaskInstance) -> str:
+    """The answer a perfect model gives: the gold label, or the gold code
+    fenced."""
     if inst.kind is TaskKind.JUDGMENT:
-        candidate, answer = code, "VALID"
-        if j % 2:
-            rng = random.Random(derive_seed(params.seed, "demo-perturb"))
-            try:
-                candidate, _cat = perturb(code, g, rng)
-                answer = "INVALID"
-            except PerturbationError:
-                pass  # keep the valid demo; labels stay correct
-        shown = replace(inst, candidate=candidate)
-    else:
-        answer = f"```\n{code}\n```"
-        if inst.kind is TaskKind.GOAL:
-            result = exec_program(tree, inst.start_state)
-            assert isinstance(result, Final)
-            shown = replace(inst, target_state=result.state)
-        else:
-            shown = replace(inst, instruction=render_instruction(tree))
-    # the EBNF keeps its final newline here, unlike the instance's
-    return _input_section(shown, render_ebnf(g)), answer
+        return inst.gold_label
+    return f"```\n{inst.gold_code}\n```"
 
 
 # --- transport ---------------------------------------------------------------
@@ -348,9 +328,7 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
 
 def _mock_answer(scheme: str, inst: TaskInstance) -> str:
     if scheme == "perfect":
-        if inst.kind is TaskKind.JUDGMENT:
-            return inst.gold_label
-        return f"```\n{inst.gold_code}\n```"
+        return _gold_answer(inst)
     if scheme == "flatten":
         if inst.kind is TaskKind.JUDGMENT:
             return inst.gold_label

@@ -38,7 +38,7 @@ DATASET_SHA256 = {
 }
 PROMPT_SHA256 = {
     TaskKind.JUDGMENT:
-        "c4e4d8b3200c4d9f55a32b2b295f7559a049265e55aa5192bd3f6daff5bd1c2c",
+        "377eabab1827493e5d9828b12f3d6a23ba9bce842f12b308c6fc8bb67831750a",
     TaskKind.GOAL:
         "4fb4a60a3616663826e93e7089f0a5cd2b1772a79611d3f2b2d78660c57daa14",
     TaskKind.INSTRUCTION:
@@ -49,7 +49,7 @@ PROMPT_SHA256 = {
 # the artifacts record is relative to the run directory
 EVAL_SHA256 = {
     TaskKind.JUDGMENT:
-        "19ddb2b6e930bf1da75efc7dbbf78232109c8c64686d2ca6f0079b9afd2ad588",
+        "8196b475b5bbec7ac51780625a938b83f97d989f875428b9b976c76c50622dde",
     TaskKind.GOAL:
         "260255ef02f79f2ec10daed88fb206d589b4391fcdca8224fcbffca8a51c4cac",
     TaskKind.INSTRUCTION:

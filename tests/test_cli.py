@@ -840,10 +840,11 @@ def test_texts_and_settings_match_the_full_parser(argv, capsys, monkeypatch):
     status and settings equal those of ``build_parser().parse_args``."""
     monkeypatch.setenv("COLUMNS", "80")
     seen = []
-    for name, (help_text, flags, _func) in list(cli._SUBCOMMANDS.items()):
+    for name, (help_text, flags, _func, notes) in list(
+            cli._SUBCOMMANDS.items()):
         monkeypatch.setitem(cli._SUBCOMMANDS, name,
                             (help_text, flags, lambda args: seen.append(
-                                vars(args)) or 0))
+                                vars(args)) or 0, notes))
 
     def outcome(parse):
         try:
@@ -872,3 +873,61 @@ def test_gen_constructs_one_argument_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     _gen(tmp_path)
     assert made == ["gridlang gen"]
+
+
+def _help_notes(name, capsys, monkeypatch) -> dict[str, str]:
+    """Each option's help text in ``gridlang <name> --help``, by flag."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([name, "--help"])
+    notes = {}
+    for line in capsys.readouterr().out.split("options:\n")[1].splitlines():
+        if line.startswith("  -"):  # an option's row, maybe with its help
+            flag, *note = re.split(r"\s{2,}", line.strip(), maxsplit=1)
+            flag = flag.split()[0].rstrip(",")
+            notes[flag] = "".join(note)
+        else:  # its help, on the next line
+            notes[flag] += line.strip()
+    return notes
+
+
+# a value of every option some command refuses to run without
+_REQUIRED_VALUES = {
+    "--task": "goal", "--n": "2", "--out": "new.jsonl", "--axis": "depth",
+    "--values": "1", "--out-dir": "out", "--dataset": "data.jsonl",
+    "--base-url": "mock://perfect", "--model": "m",
+    "--responses": "run/responses.jsonl",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen"], ["sweep"], ["sweep", "--base-url", "mock://perfect"], ["eval"],
+    ["score"],
+], ids=" ".join)
+def test_help_marks_exactly_the_options_a_command_requires(
+        argv, tmp_path, capsys, monkeypatch):
+    """The options ``--help`` marks required are those whose omission
+    exits 1 with ``missing required option``: given only them, the
+    command runs."""
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path)
+    assert _run("eval", "--dataset", "data.jsonl", "--base-url",
+                "mock://perfect", "--model", "m", "--out-dir", "run") == 0
+    notes = _help_notes(argv[0], capsys, monkeypatch)
+    marks = ["required unless set in --config"]
+    if "--base-url" in argv:
+        marks.append("required with --base-url, unless set in --config")
+    required = [flag for flag, note in notes.items()
+                if any(mark in note for mark in marks)]
+    assert required
+    for omitted in [None, *required]:
+        given = [item for flag in required if flag != omitted
+                 for item in (flag, _REQUIRED_VALUES[flag])]
+        capsys.readouterr()
+        status = main([*argv, *given])
+        if omitted is None:
+            assert status == 0
+        else:
+            assert status == 1
+            assert capsys.readouterr().err == \
+                f"error: missing required option {omitted}\n"

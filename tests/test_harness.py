@@ -61,22 +61,26 @@ from gridlang.harness import (
 )
 from gridlang.metrics import _LABEL_RE
 from gridlang.prompts import (
+    CANDIDATE_HEADER,
     DEMO_ANSWER_HEADER,
+    EBNF_HEADER,
     GENERATION_OPENER,
+    INSTRUCTION_HEADER,
     JUDGMENT_OPENER,
     JUDGMENT_TASK_LINE,
     MAIN_HEADER,
 )
 from gridlang.sampler import GenParams, generate_instance
-from gridlang.seeding import derive_seed
 from gridlang.tasks import (
     DATASET_FORMAT,
-    PerturbationError,
     TaskKind,
     make_dataset,
     perturb,
+    render_instruction,
+    render_state,
     write_dataset,
 )
+from gridlang.world import START_STATE, Final, exec_program
 
 from conftest import (
     ALL_COMBOS,
@@ -374,23 +378,66 @@ class TestJudgmentGeneration:
         # the second demo is perturbed
         assert f"{DEMO_ANSWER_HEADER}\nINVALID" in prompt
 
-    def test_demo_whose_perturbation_fails_stays_valid(self, monkeypatch):
-        inst = _dataset(TaskKind.JUDGMENT)[0]
 
-        def no_site(*_args):
-            raise PerturbationError("no viable site")
+def _demos(prompt: str) -> list[tuple[str, str, str]]:
+    """(grammar text, input, answer) of each demo a prompt shows."""
+    region = prompt.split(f"\n\n{MAIN_HEADER}\n")[0]
+    demos = []
+    for block in re.split(r"\n\nExample \d+:\n", region)[1:]:
+        assert block.startswith(EBNF_HEADER + "\n")
+        # the demo's grammar text keeps its final newline
+        ebnf, shown = block[len(EBNF_HEADER) + 1:].split("\n\n\n", 1)
+        shown, answer = shown.split(f"\n{DEMO_ANSWER_HEADER}\n")
+        demos.append((ebnf + "\n", shown, answer))
+    return demos
 
-        monkeypatch.setattr(harness, "perturb", no_site)
-        section, answer = harness._demo(inst, 1)
-        assert answer == "VALID"
-        # the candidate shown is the demo's own program, unperturbed
-        params = dataclasses.replace(
-            inst.params, seed=derive_seed(inst.params.seed, "demo", 1))
-        _g, code, _tree = generate_instance(inst.style, inst.lexicon_mode,
-                                            params)
-        assert code in section
-        prompt = build_prompt(inst, PromptConfig(shots=2))
-        assert f"{DEMO_ANSWER_HEADER}\nINVALID" not in prompt
+
+def _fenced(answer: str) -> str:
+    assert answer.startswith("```\n") and answer.endswith("\n```")
+    return answer[4:-4]
+
+
+class TestDemoAnswers:
+    """Every few-shot demo's answer is right under the grammar its own
+    section shows."""
+
+    @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("style", list(Style))
+    @pytest.mark.parametrize("mode", list(LexiconMode))
+    def test_demo_answers_hold_under_their_own_grammar(self, kind, style,
+                                                       mode):
+        inst = make_dataset(kind, 2, style, mode,
+                            GenParams(max_depth=4, seed=7))[0]
+        demos = _demos(build_prompt(inst, PromptConfig(shots=5)))
+        assert len(demos) == 5
+        labels = []
+        for ebnf, shown, answer in demos:
+            g = grammar_from_text(style, mode, ebnf)
+            if kind is TaskKind.JUDGMENT:
+                header, candidate = shown.split("\n", 1)
+                assert header == CANDIDATE_HEADER
+                try:
+                    parse(candidate, g)
+                    verdict = "VALID"
+                except ValueError:
+                    verdict = "INVALID"
+                assert answer == verdict
+                labels.append(answer)
+            elif kind is TaskKind.GOAL:
+                start, target = re.fullmatch(
+                    r"Start state: (.*)\. Target final state: (.*)\.",
+                    shown).groups()
+                assert start == render_state(START_STATE)
+                result = exec_program(parse(_fenced(answer), g), START_STATE)
+                assert isinstance(result, Final)
+                assert render_state(result.state) == target
+            else:
+                header, instruction = shown.split("\n", 1)
+                assert header == INSTRUCTION_HEADER
+                assert render_instruction(
+                    parse(_fenced(answer), g)) == instruction
+        if kind is TaskKind.JUDGMENT:
+            assert labels == ["VALID", "INVALID"] * 2 + ["VALID"]
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
