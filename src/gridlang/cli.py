@@ -36,12 +36,7 @@ from gridlang.harness import (
     run_evaluation,
     score_answers,
 )
-from gridlang.metrics import (
-    Metrics,
-    render_csv,
-    render_long_csv,
-    render_report,
-)
+from gridlang.metrics import render_csv, render_long_csv, render_report
 from gridlang.sampler import GenParams
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
@@ -52,6 +47,7 @@ from gridlang.tasks import (
     make_dataset,
     read_dataset,
     write_dataset,
+    write_jsonl,
 )
 
 
@@ -187,11 +183,16 @@ def cmd_gen(args) -> int:
 # --- eval / score ------------------------------------------------------------
 
 
-def _write_reports(out_dir: Path, kind: TaskKind, metrics: Metrics,
-                   provenance: dict) -> str:
-    """Write report.md and report.csv for ``provenance``'s model on ``kind``;
-    return the report text without its provenance section."""
-    rows = [(provenance["model"], kind, metrics)]
+def _write_run(out_dir: Path, kind: TaskKind, result: RunResult,
+               provenance: dict) -> str:
+    """Write results.jsonl, report.md and report.csv of ``result`` under
+    ``out_dir``, each headed by ``provenance``; the reports name its model
+    on ``kind``.  Return the report text without its provenance section.
+    The one writer of eval, score and every sweep leaf."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_jsonl(out_dir / "results.jsonl", provenance,
+                map(json.dumps, result.rows))
+    rows = [(provenance["model"], kind, result.metrics)]
     report = render_report(rows)
     (out_dir / "report.md").write_text(
         report + "\n## Provenance\n\n```json\n"
@@ -204,10 +205,11 @@ def _write_reports(out_dir: Path, kind: TaskKind, metrics: Metrics,
 def _evaluate(args, dataset: list[TaskInstance], endpoint: EndpointConfig,
               pc: PromptConfig, out_dir: Path,
               provenance: dict) -> tuple[RunResult, str]:
-    """Run ``dataset`` against ``endpoint`` and write responses.jsonl,
-    results.jsonl and the reports under ``out_dir``, each headed by
-    ``provenance`` with the endpoint and prompt settings added; return
-    the run and its report text.  The one eval path of eval and sweep."""
+    """Run ``dataset`` against ``endpoint``; under ``out_dir`` write
+    ``_write_run``'s files and responses.jsonl, the results rows that hold
+    a response, each headed by ``provenance`` with the endpoint and prompt
+    settings added.  Return the run and its report text.  The one eval
+    path of eval and sweep."""
     provenance = {**provenance, "model": endpoint.model_id,
                   "base_url": endpoint.base_url,
                   "temperature": endpoint.temperature,
@@ -215,10 +217,15 @@ def _evaluate(args, dataset: list[TaskInstance], endpoint: EndpointConfig,
                   "shots": pc.shots, "cot": pc.cot}
     result = run_evaluation(dataset, endpoint, pc,
                             cache_dir=_resolve(args, "cache_dir", "cache"),
-                            out_dir=out_dir, provenance=provenance,
                             permissive=_resolve(args, "permissive", False))
-    return result, _write_reports(out_dir, dataset[0].kind, result.metrics,
-                                  provenance)
+    report = _write_run(out_dir, dataset[0].kind, result, provenance)
+    write_jsonl(out_dir / "responses.jsonl", provenance, (
+        json.dumps({"instance_id": row["instance_id"],
+                    "prompt_sha256": row["prompt_sha256"],
+                    "response_sha256": row["response_sha256"],
+                    "response": row["raw_answer"]})
+        for row in result.rows if "response_sha256" in row))
+    return result, report
 
 
 def cmd_eval(args) -> int:
@@ -256,9 +263,8 @@ def cmd_score(args) -> int:
         "responses": str(responses_path),
         "model": model,
     }
-    _records, metrics, _rows = score_answers(dataset, answers, out_dir,
-                                             provenance)
-    print(_write_reports(out_dir, kind, metrics, provenance), end="")
+    print(_write_run(out_dir, kind, score_answers(dataset, answers),
+                     provenance), end="")
     print(f"wrote {out_dir / 'results.jsonl'} and reports under {out_dir}")
     return 0
 

@@ -72,7 +72,6 @@ from gridlang.tasks import (
     make_instance,
     read_jsonl,
     render_state,
-    write_jsonl,
 )
 from gridlang.world import eval_arith
 
@@ -113,6 +112,9 @@ class EndpointConfig:
     def __post_init__(self) -> None:
         if not self.base_url.startswith(("http://", "https://", MOCK_PREFIX)):
             raise ValueError("base_url needs an http, https or mock scheme")
+        scheme = self.mock_scheme
+        if scheme is not None and scheme not in _MOCK_ANSWERS:
+            raise ValueError(f"unknown mock scheme {scheme!r}")
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
@@ -326,20 +328,23 @@ def extract_code(raw: str, g: GrammarSpec) -> str:
 # --- mock models -------------------------------------------------------------
 
 
-def _mock_answer(scheme: str, inst: TaskInstance) -> str:
-    if scheme == "perfect":
-        return _gold_answer(inst)
-    if scheme == "flatten":
-        if inst.kind is TaskKind.JUDGMENT:
-            return inst.gold_label
-        try:  # a fault of the record's own grammar or gold code
-            g = grammar_from_text(inst.style, inst.lexicon_mode,
-                                  inst.grammar_text)
-            flat = _flatten_program(parse(inst.gold_code, g))
-        except ValueError as exc:
-            raise ValueError(f"instance {inst.id}: {exc}") from exc
-        return f"```\n{linearize(flat, g)}\n```"
-    raise ValueError(f"unknown mock scheme {scheme!r}")
+def _flatten_answer(inst: TaskInstance) -> str:
+    """``mock://flatten``'s answer: the gold label, or the gold code with
+    its arithmetic folded, fenced."""
+    if inst.kind is TaskKind.JUDGMENT:
+        return inst.gold_label
+    try:  # a fault of the record's own grammar or gold code
+        g = grammar_from_text(inst.style, inst.lexicon_mode,
+                              inst.grammar_text)
+        flat = _flatten_program(parse(inst.gold_code, g))
+    except ValueError as exc:
+        raise ValueError(f"instance {inst.id}: {exc}") from exc
+    return f"```\n{linearize(flat, g)}\n```"
+
+
+# mock scheme -> its answer to an instance; ``EndpointConfig`` refuses
+# any other scheme
+_MOCK_ANSWERS = {"perfect": _gold_answer, "flatten": _flatten_answer}
 
 
 def _flatten_program(node):
@@ -387,7 +392,9 @@ def dataset_kind(dataset: list[TaskInstance]) -> TaskKind:
 
 @dataclass(frozen=True)
 class RunResult:
-    records: list[EvalRecord]
+    """A scored run: its results rows in dataset order, their metrics and
+    the model calls made."""
+    rows: list[dict]
     metrics: Metrics
     model_calls: int
 
@@ -397,19 +404,14 @@ class RunResult:
 Answer = tuple[str | None, str] | HarnessError
 
 
-def score_answers(
-    dataset: list[TaskInstance],
-    answers: list[Answer],
-    out_dir: str | Path | None = None,
-    provenance: dict | None = None,
-) -> tuple[list[EvalRecord], Metrics, list[dict]]:
-    """Score ``answers[i]`` against ``dataset[i]``, aggregate, and write
-    ``results.jsonl`` under ``out_dir`` when one is given.
+def score_answers(dataset: list[TaskInstance],
+                  answers: list[Answer]) -> RunResult:
+    """Score ``answers[i]`` against ``dataset[i]`` and aggregate; no model
+    is called.
 
     An endpoint error scores a syntax failure with its text preserved as
     the raw answer.  A response's row adds its prompt hash, when known,
-    and its response hash.  Returns the records, their metrics and the
-    rows written.
+    and its response hash.
     """
     dataset_kind(dataset)  # a mixed set's records could not be aggregated
     records = []
@@ -428,12 +430,7 @@ def score_answers(
                 response.encode("utf-8")).hexdigest()
         records.append(record)
         rows.append(row)
-    metrics = aggregate(records)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_jsonl(out / "results.jsonl", provenance, map(json.dumps, rows))
-    return records, metrics, rows
+    return RunResult(rows, aggregate(records), 0)
 
 
 # Versions what a cache key hashes: bumped whenever that changes, so entries
@@ -498,9 +495,7 @@ def run_evaluation(
     cfg: EndpointConfig,
     pc: PromptConfig,
     cache_dir: str | Path = "cache",
-    out_dir: str | Path | None = None,
     permissive: bool = False,
-    provenance: dict | None = None,
 ) -> RunResult:
     """Fetch (or replay) an answer per instance, then ``score_answers``.
 
@@ -525,12 +520,11 @@ def run_evaluation(
     its first failure in dataset order and stops there: no further prompt
     is built, and fetches not yet started are cancelled or skip the
     endpoint, so no further retries or backoff delay the error.
-    ``out_dir`` also receives ``responses.jsonl``, one row per response.
     """
     dataset_kind(dataset)  # before any model call
     log_path = Path(cache_dir) / _model_dir_name(cfg.model_id) / "cache.jsonl"
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    scheme = cfg.mock_scheme
+    mock = _MOCK_ANSWERS.get(cfg.mock_scheme)  # None for a real endpoint
     calls = 0
     failed = threading.Event()  # set by a strict run's first failure
 
@@ -585,7 +579,7 @@ def run_evaluation(
                 key = _cache_key(cfg, prompt_sha256)
                 raw = lookup(key)
             # a mock answers from the instance; a real endpoint needs the text
-            if raw is None and (prompt_sha256 is None or scheme is None):
+            if raw is None and (prompt_sha256 is None or mock is None):
                 prompt = build_prompt(inst, pc)
                 built = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
                 if built != prompt_sha256:
@@ -594,8 +588,8 @@ def run_evaluation(
                         keep(memo_key, prompt_sha256)
                     key = _cache_key(cfg, prompt_sha256)
                     raw = lookup(key)
-            if raw is None and scheme is not None:
-                raw = _mock_answer(scheme, inst)
+            if raw is None and mock is not None:
+                raw = mock(inst)
                 keep(key, raw)
                 calls += 1
             elif raw is None:
@@ -628,17 +622,7 @@ def run_evaluation(
             pool.shutdown(cancel_futures=True)
         os.close(log)
 
-    records, metrics, rows = score_answers(dataset, answers, out_dir,
-                                           provenance)
-    if out_dir is not None:
-        write_jsonl(Path(out_dir) / "responses.jsonl", provenance, (
-            json.dumps({"instance_id": row["instance_id"],
-                        "prompt_sha256": row["prompt_sha256"],
-                        "response_sha256": row["response_sha256"],
-                        "response": answer[1]})
-            for row, answer in zip(rows, answers)
-            if not isinstance(answer, HarnessError)))
-    return RunResult(records, metrics, calls)
+    return replace(score_answers(dataset, answers), model_calls=calls)
 
 
 def read_responses(path: str | Path) -> dict[str, dict]:

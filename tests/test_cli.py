@@ -1,14 +1,17 @@
 """Command-line behavior: precedence, artifacts, determinism, exit codes."""
 
 import argparse
+import hashlib
+import itertools
 import json
 import re
 import sys
 
 import pytest
 
-from gridlang import cli
+from gridlang import cli, harness
 from gridlang.cli import build_parser, main
+from gridlang.harness import HarnessError
 from gridlang.seeding import derive_seed
 from gridlang.tasks import DATASET_FORMAT, read_jsonl
 
@@ -428,6 +431,84 @@ class TestEval:
                   "--out-dir", str(tmp_path / "scored"))
         assert rc == 1
         assert "mixes task kinds" in capsys.readouterr().err
+
+    def test_results_and_responses_written(self, tmp_path):
+        dataset = _gen(tmp_path, "inst.jsonl", "--task", "instruction",
+                       "--n", "3")
+        out = tmp_path / "run"
+        assert _run("eval", "--dataset", str(dataset),
+                    "--base-url", "mock://perfect", "--model", "mock-model",
+                    "--out-dir", str(out),
+                    "--cache-dir", str(tmp_path / "cache")) == 0
+        assert (out / "responses.jsonl").exists()
+        results_lines = (out / "results.jsonl").read_text().splitlines()
+        assert json.loads(results_lines[0]) == {"_config": {
+            "command": "eval", "dataset": str(dataset),
+            "model": "mock-model", "base_url": "mock://perfect",
+            "temperature": 0.0, "max_tokens": 4096, "shots": 0,
+            "cot": True}}
+        assert len(results_lines) == 4
+        row = json.loads(results_lines[1])
+        assert row["instance_id"] == json.loads(
+            dataset.read_text().splitlines()[1])["id"]
+        assert len(row["prompt_sha256"]) == 64
+        assert len(row["response_sha256"]) == 64
+
+    @pytest.mark.parametrize("run", ["0-shot", "2-shot", "permissive-lost"])
+    def test_responses_are_the_results_rows_that_hold_a_response(
+            self, tmp_path, monkeypatch, run):
+        argv = ["eval", "--dataset", str(_gen(tmp_path)), "--model", "m",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out-dir", str(tmp_path / "run")]
+        if run == "permissive-lost":
+            sent = itertools.count()
+
+            def second_request_lost(cfg, prompt):
+                if next(sent) == 1:
+                    raise HarnessError("lost")
+                return "move"
+
+            monkeypatch.setattr(harness, "call_model", second_request_lost)
+            # one fetch thread sends the requests in dataset order
+            argv += ["--base-url", "http://127.0.0.1:9", "--parallelism",
+                     "1", "--permissive"]
+        else:
+            argv += ["--base-url", "mock://flatten", "--shots", run[0]]
+        assert _run(*argv) == 0
+
+        def read(name):
+            lines = (tmp_path / "run" / name).read_text().splitlines()
+            return lines[0], [json.loads(line) for line in lines[1:]]
+
+        results_config, results = read("results.jsonl")
+        responses_config, responses = read("responses.jsonl")
+        assert responses_config == results_config
+        assert responses == [
+            {"instance_id": row["instance_id"],
+             "prompt_sha256": row["prompt_sha256"],
+             "response_sha256": row["response_sha256"],
+             "response": row["raw_answer"]}
+            for row in results if "response_sha256" in row]
+        assert len(responses) == 4 - (run == "permissive-lost")
+        assert all(row["response_sha256"] == hashlib.sha256(
+            row["response"].encode("utf-8")).hexdigest() for row in responses)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_unknown_mock_scheme_refused_before_any_file_is_written(
+            self, tmp_path, capsys, command):
+        dataset = _gen(tmp_path)
+        written = sorted(tmp_path.rglob("*"))
+        argv = (["eval", "--dataset", str(dataset)] if command == "eval"
+                else ["sweep", "--task", "goal", "--n", "2", "--axis",
+                      "depth", "--values", "2,3"])
+        capsys.readouterr()
+        rc = _run(*argv, "--base-url", "mock://typo", "--model", "m",
+                  "--cache-dir", str(tmp_path / "cache"),
+                  "--out-dir", str(tmp_path / "run"))
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: unknown mock scheme 'typo'\n")
+        assert sorted(tmp_path.rglob("*")) == written
 
 
 class TestScore:

@@ -46,8 +46,8 @@ from gridlang.grammar import (
 )
 from gridlang.harness import (
     _last_fenced_block,
+    _flatten_answer,
     _flatten_program,
-    _mock_answer,
     EndpointConfig,
     HarnessError,
     PromptConfig,
@@ -800,18 +800,17 @@ class TestCaching:
         monkeypatch.setattr(harness.os, "write", short_write)
         with pytest.raises(OSError, match=r"cache\.jsonl: wrote 10 of \d+"):
             run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                           cache_dir=cache, out_dir=tmp_path / "torn")
+                           cache_dir=cache)
         monkeypatch.undo()
-        assert not (tmp_path / "torn").exists()
         log = cache / "mock-model" / "cache.jsonl"
         assert len(log.read_bytes()) == 10
         cold = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                              cache_dir=cache, out_dir=tmp_path / "cold")
+                              cache_dir=cache)
         warm = run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                              cache_dir=cache, out_dir=tmp_path / "warm")
+                              cache_dir=cache)
         # the first entry after the torn line is glued onto it
         assert (cold.model_calls, warm.model_calls) == (3, 1)
-        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+        assert warm.rows == cold.rows
 
     @pytest.mark.parametrize("shots", [0, 2])
     def test_crlf_answer_replays_as_sent(self, tmp_path, scripted_server,
@@ -820,13 +819,13 @@ class TestCaching:
         dataset = _dataset(TaskKind.GOAL, n=2)
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _http_cfg(base), PromptConfig(shots),
-                              cache_dir=cache, out_dir=tmp_path / "cold")
+                              cache_dir=cache)
         warm = run_evaluation(dataset, _http_cfg(base), PromptConfig(shots),
-                              cache_dir=cache, out_dir=tmp_path / "warm")
+                              cache_dir=cache)
         assert (cold.model_calls, warm.model_calls) == (2, 0)
         assert len(_ScriptedHandler.requests_seen) == 2
-        assert [rec.raw_answer for rec in warm.records] == ["a\r\nb"] * 2
-        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+        assert [row["raw_answer"] for row in warm.rows] == ["a\r\nb"] * 2
+        assert warm.rows == cold.rows
 
     def test_any_answer_text_replays_as_sent(self, tmp_path, scripted_server,
                                              api_token):
@@ -843,20 +842,19 @@ class TestCaching:
             cold, warm = (run_evaluation(dataset, _http_cfg(base),
                                          PromptConfig(),
                                          cache_dir=run / "cache",
-                                         out_dir=run / out_dir,
                                          permissive=True)
-                          for out_dir in ("cold", "warm"))
-            assert _artifacts(run / "warm") == _artifacts(run / "cold")
+                          for _ in range(2))
+            assert warm.rows == cold.rows
             try:
                 text.encode("utf-8")
             except UnicodeEncodeError:  # an endpoint error, never cached
                 assert (cold.model_calls, warm.model_calls) == (0, 0)
-                assert cold.records[0].raw_answer.startswith(
+                assert cold.rows[0]["raw_answer"].startswith(
                     "[endpoint error] malformed completion payload")
                 assert cache_entries(run / "cache") == []
             else:
                 assert (cold.model_calls, warm.model_calls) == (1, 0)
-                assert warm.records[0].raw_answer == text
+                assert warm.rows[0]["raw_answer"] == text
 
         replays()
 
@@ -927,14 +925,14 @@ class TestPromptMemo:
         pc = PromptConfig(shots=2)
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
-                              cache_dir=cache, out_dir=tmp_path / "cold")
+                              cache_dir=cache)
         assert prompt_builds == [inst.id for inst in dataset]
         prompt_builds.clear()
         warm = run_evaluation(dataset, _mock_cfg("flatten"), pc,
-                              cache_dir=cache, out_dir=tmp_path / "warm")
+                              cache_dir=cache)
         assert prompt_builds == []
         assert (cold.model_calls, warm.model_calls) == (4, 0)
-        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+        assert warm.rows == cold.rows
 
     def test_memo_entry_is_the_private_prompt_sha256(self, tmp_path):
         dataset = _dataset(TaskKind.GOAL, n=2)
@@ -954,11 +952,9 @@ class TestPromptMemo:
                    for shots in (1, 2) for cot in (True, False)]
         cache = tmp_path / "cache"
         for pc in configs * 2:  # cold, then warm
-            run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
-                           out_dir=tmp_path / "out")
-            rows = [json.loads(line) for line in (
-                tmp_path / "out" / "responses.jsonl").read_text().splitlines()]
-            assert [row["prompt_sha256"] for row in rows] == [
+            result = run_evaluation(dataset, _mock_cfg(), pc,
+                                    cache_dir=cache)
+            assert [row["prompt_sha256"] for row in result.rows] == [
                 _sha256(build_prompt(inst, pc)) for inst in dataset]
         memos = _memos(cache_entries(cache))
         assert len(memos) == len(dict(memos)) == 8
@@ -969,15 +965,14 @@ class TestPromptMemo:
         pc = PromptConfig(shots=2)
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
-                              cache_dir=cache, out_dir=tmp_path / "cold")
+                              cache_dir=cache)
         _write_log(cache, "mock-model", _memos(cache_entries(cache)))
         prompt_builds.clear()
         again = run_evaluation(dataset, _mock_cfg("flatten"), pc,
-                               cache_dir=cache, out_dir=tmp_path / "again")
+                               cache_dir=cache)
         assert prompt_builds == []
         assert again.model_calls == 3
-        assert (_artifacts(tmp_path / "again")
-                == _artifacts(tmp_path / "cold"))
+        assert again.rows == cold.rows
         assert len(_answers(cache_entries(cache))) == 3
 
     def test_memo_hit_builds_what_a_real_endpoint_is_sent(
@@ -986,21 +981,18 @@ class TestPromptMemo:
         dataset = _dataset(TaskKind.JUDGMENT, n=4)
         pc = PromptConfig(shots=1)
         cache = tmp_path / "cache"
-        cold = run_evaluation(dataset, _http_cfg(base), pc, cache_dir=cache,
-                              out_dir=tmp_path / "cold")
+        cold = run_evaluation(dataset, _http_cfg(base), pc, cache_dir=cache)
         _write_log(cache, "test-model", _memos(cache_entries(cache)))
         _ScriptedHandler.requests_seen = []
         prompt_builds.clear()
-        again = run_evaluation(dataset, _http_cfg(base), pc,
-                               cache_dir=cache, out_dir=tmp_path / "again")
+        again = run_evaluation(dataset, _http_cfg(base), pc, cache_dir=cache)
         sent = [body["messages"][0]["content"]
                 for body in _ScriptedHandler.requests_seen]
         assert sorted(sent) == sorted(build_prompt(inst, pc)
                                       for inst in dataset)
         assert prompt_builds == [inst.id for inst in dataset]
         assert again.model_calls == 4
-        assert (_artifacts(tmp_path / "again")
-                == _artifacts(tmp_path / "cold"))
+        assert again.rows == cold.rows
 
     @pytest.mark.parametrize("data", [
         "", "ab" * 31, "ab" * 33, "AB" * 32, "ab" * 31 + "g0",
@@ -1010,19 +1002,17 @@ class TestPromptMemo:
         dataset = _dataset(TaskKind.GOAL, n=2)
         pc = PromptConfig(shots=1)
         cache = tmp_path / "cache"
-        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
-                              out_dir=tmp_path / "cold")
+        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
         entries = cache_entries(cache)
         memos = dict(_memos(entries))
         assert len(memos) == 2
         _write_log(cache, "mock-model", [
             (key, data if key in memos else text) for key, text in entries])
         prompt_builds.clear()
-        warm = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
-                              out_dir=tmp_path / "warm")
+        warm = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
         assert prompt_builds == [inst.id for inst in dataset]
         assert warm.model_calls == 0
-        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+        assert warm.rows == cold.rows
         replayed = dict(cache_entries(cache))
         assert {key: replayed[key] for key in memos} == memos
 
@@ -1201,17 +1191,16 @@ class TestCacheLog:
         sys.setswitchinterval(1e-6)
         try:
             cold = run_evaluation(dataset, cfg, PromptConfig(),
-                                  cache_dir=cache, out_dir=tmp_path / "cold")
+                                  cache_dir=cache)
         finally:
             sys.setswitchinterval(interval)
         entries = cache_entries(cache)
         assert len(entries) == len(dict(entries)) == 24
         _ScriptedHandler.requests_seen = []
-        warm = run_evaluation(dataset, cfg, PromptConfig(), cache_dir=cache,
-                              out_dir=tmp_path / "warm")
+        warm = run_evaluation(dataset, cfg, PromptConfig(), cache_dir=cache)
         assert (cold.model_calls, warm.model_calls) == (24, 0)
         assert _ScriptedHandler.requests_seen == []
-        assert _artifacts(tmp_path / "warm") == _artifacts(tmp_path / "cold")
+        assert warm.rows == cold.rows
 
     @pytest.mark.parametrize("foreign", list(_FOREIGN_LINES.values()),
                              ids=list(_FOREIGN_LINES))
@@ -1219,18 +1208,15 @@ class TestCacheLog:
         dataset = _dataset(TaskKind.GOAL, n=3)
         pc = PromptConfig(shots=1)
         cache = tmp_path / "cache"
-        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
-                              out_dir=tmp_path / "cold")
+        cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
         keys = [key for key, _text in cache_entries(cache)]
         assert len(keys) == 6  # an answer and a memo per instance
         (cache / "mock-model" / "cache.jsonl").write_text(
             "".join(foreign(key) + "\n" for key in keys))
         for calls in (3, 0):  # every entry missed, then replayed
-            again = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache,
-                                   out_dir=tmp_path / "again")
+            again = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
             assert (cold.model_calls, again.model_calls) == (3, calls)
-            assert (_artifacts(tmp_path / "again")
-                    == _artifacts(tmp_path / "cold"))
+            assert again.rows == cold.rows
 
     @pytest.mark.parametrize("kept", [lambda n: n, lambda n: n // 2,
                                       lambda n: 1],
@@ -1241,40 +1227,25 @@ class TestCacheLog:
         second = _dataset(TaskKind.GOAL, n=3, seed=6)
         cache = tmp_path / "cache"
 
-        def run(dataset, out_dir):
+        def run(dataset):
             return run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                                  cache_dir=cache, out_dir=tmp_path / out_dir)
+                                  cache_dir=cache)
 
-        assert run(first, "first").model_calls == 3
+        first_run = run(first)
+        assert first_run.model_calls == 3
         log = cache / "mock-model" / "cache.jsonl"
         lines = log.read_bytes().splitlines(keepends=True)
         last = lines[-1].rstrip(b"\n")
         log.write_bytes(b"".join(lines[:-1]) + last[:kept(len(last))])
-        assert run(second, "second").model_calls == 3
-        assert run(second, "second-again").model_calls <= 1
-        assert run(first, "first-again").model_calls <= 1
-        for name in ("first", "second"):
-            assert (_artifacts(tmp_path / f"{name}-again")
-                    == _artifacts(tmp_path / name))
+        second_run = run(second)
+        assert second_run.model_calls == 3
+        for dataset, cold in ((second, second_run), (first, first_run)):
+            again = run(dataset)
+            assert again.model_calls <= 1
+            assert again.rows == cold.rows
 
 
 class TestRunArtifacts:
-    def test_results_and_responses_written(self, tmp_path):
-        dataset = _dataset(TaskKind.INSTRUCTION, n=3)
-        out = tmp_path / "out"
-        run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                       cache_dir=tmp_path / "cache", out_dir=out,
-                       provenance={"command": "test"})
-        assert (out / "responses.jsonl").exists()
-        results_lines = (out / "results.jsonl").read_text().splitlines()
-        assert json.loads(results_lines[0]) == {
-            "_config": {"command": "test"}}
-        assert len(results_lines) == 4
-        row = json.loads(results_lines[1])
-        assert row["instance_id"] == dataset[0].id
-        assert len(row["prompt_sha256"]) == 64
-        assert len(row["response_sha256"]) == 64
-
     def test_permissive_records_endpoint_failures(self, tmp_path,
                                                   monkeypatch):
         monkeypatch.delenv(TOKEN_VAR, raising=False)
@@ -1284,9 +1255,9 @@ class TestRunArtifacts:
                                 cache_dir=tmp_path / "cache",
                                 permissive=True)
         assert result.metrics.svr == 0.0
-        for rec in result.records:
-            assert not rec.parsed_ok
-            assert rec.raw_answer.startswith("[endpoint error]")
+        for row in result.rows:
+            assert not row["parsed_ok"]
+            assert row["raw_answer"].startswith("[endpoint error]")
 
     def test_strict_mode_propagates_failures(self, tmp_path, monkeypatch):
         monkeypatch.delenv(TOKEN_VAR, raising=False)
@@ -1303,9 +1274,9 @@ class TestRunArtifacts:
         result = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
                                 cache_dir=tmp_path / "cache",
                                 permissive=True)
-        for rec in result.records:
-            assert not rec.parsed_ok
-            assert rec.raw_answer.startswith(
+        for row in result.rows:
+            assert not row["parsed_ok"]
+            assert row["raw_answer"].startswith(
                 "[endpoint error] malformed completion payload")
         assert cache_entries(tmp_path / "cache") == []
 
@@ -1316,12 +1287,12 @@ class TestRunArtifacts:
         dataset = _dataset(TaskKind.GOAL, n=2)
         result = run_evaluation(dataset, _http_cfg(base), PromptConfig(),
                                 cache_dir=tmp_path / "cache",
-                                out_dir=tmp_path / "out", permissive=True)
+                                permissive=True)
         assert result.model_calls == 0
-        for rec in result.records:
-            assert rec.raw_answer.startswith(
+        for row in result.rows:
+            assert row["raw_answer"].startswith(
                 "[endpoint error] malformed completion payload")
-        assert (tmp_path / "out" / "responses.jsonl").read_text() == ""
+            assert "response_sha256" not in row  # so no responses row
         assert cache_entries(tmp_path / "cache") == []
 
     def test_strict_mode_raises_unencodable_content(self, tmp_path,
@@ -1356,14 +1327,11 @@ class TestRunArtifacts:
         dataset = _dataset(TaskKind.JUDGMENT) + _dataset(TaskKind.GOAL)
         with pytest.raises(ValueError, match="mixes task kinds"):
             run_evaluation(dataset, _mock_cfg(), PromptConfig(),
-                           cache_dir=tmp_path / "cache",
-                           out_dir=tmp_path / "out")
+                           cache_dir=tmp_path / "cache")
         assert cache_entries(tmp_path / "cache") == []
-        assert not (tmp_path / "out").exists()
         answers = [(None, "VALID")] * len(dataset)
         with pytest.raises(ValueError, match="mixes task kinds"):
-            score_answers(dataset, answers, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+            score_answers(dataset, answers)
 
 
 @contextlib.contextmanager
@@ -1400,7 +1368,7 @@ class TestThreadsOnlyForTheNetwork:
             warm = run_evaluation(dataset, _mock_cfg(scheme), PromptConfig(),
                                   cache_dir=cache)
         assert (cold.model_calls, warm.model_calls) == (4, 0)
-        assert warm.records == cold.records
+        assert warm.rows == cold.rows
 
     def test_warm_http_replay_starts_no_thread(self, tmp_path, monkeypatch,
                                                scripted_server, api_token):
@@ -1415,7 +1383,7 @@ class TestThreadsOnlyForTheNetwork:
                                   cache_dir=cache)
         assert (cold.model_calls, warm.model_calls) == (4, 0)
         assert len(_ScriptedHandler.requests_seen) == requests == 4
-        assert warm.records == cold.records
+        assert warm.rows == cold.rows
 
     def test_only_misses_are_sent_and_rows_keep_dataset_order(
             self, tmp_path, scripted_server, api_token):
@@ -1427,25 +1395,17 @@ class TestThreadsOnlyForTheNetwork:
         run_evaluation(dataset[::2], cfg, pc, cache_dir=cache)
         _ScriptedHandler.content = "VALID"
         _ScriptedHandler.requests_seen = []
-        out = tmp_path / "out"
-        result = run_evaluation(dataset, cfg, pc, cache_dir=cache,
-                                out_dir=out)
+        result = run_evaluation(dataset, cfg, pc, cache_dir=cache)
         misses = dataset[1::2]
         assert result.model_calls == len(misses)
         sent = [body["messages"][0]["content"]
                 for body in _ScriptedHandler.requests_seen]
         assert sorted(sent) == sorted(build_prompt(inst, pc)
                                       for inst in misses)
-        ids = [inst.id for inst in dataset]
-        responses = [json.loads(line) for line in
-                     (out / "responses.jsonl").read_text().splitlines()]
-        assert [row["instance_id"] for row in responses] == ids
-        assert [row["response"] for row in responses] == [
+        assert [row["instance_id"] for row in result.rows] == [
+            inst.id for inst in dataset]
+        assert [row["raw_answer"] for row in result.rows] == [
             "INVALID", "VALID"] * 4
-        results = [json.loads(line) for line in
-                   (out / "results.jsonl").read_text().splitlines()]
-        assert [row["instance_id"] for row in results] == ids
-        assert [rec.instance_id for rec in result.records] == ids
 
     @pytest.mark.parametrize("endpoint", ["mock", "http"])
     @pytest.mark.parametrize("parallelism", [1, 4])
@@ -1464,16 +1424,13 @@ class TestThreadsOnlyForTheNetwork:
         else:
             cfg = _http_cfg(scripted_server([], content=answer),
                             parallelism=parallelism)
-        out = tmp_path / "out"
         result = run_evaluation(dataset, cfg, PromptConfig(),
-                                cache_dir=tmp_path / "cache", out_dir=out)
+                                cache_dir=tmp_path / "cache")
         assert result.model_calls == 1
         assert len(cache_entries(tmp_path / "cache")) == 1
         if endpoint == "http":
             assert len(_ScriptedHandler.requests_seen) == 1
-        responses = [json.loads(line) for line in
-                     (out / "responses.jsonl").read_text().splitlines()]
-        assert [(row["instance_id"], row["response"]) for row in responses
+        assert [(row["instance_id"], row["raw_answer"]) for row in result.rows
                 ] == [(copy.id, answer) for copy in dataset]
         assert result.metrics.svr == 100.0
 
@@ -1498,7 +1455,7 @@ class TestEndpointConfigValidation:
                     {"retry_backoff": float("inf")},
                     {"max_tokens": 0}, {"base_url": "ftp://x"},
                     {"base_url": "api.example.com/v1"},
-                    {"base_url": "file:///etc"}):
+                    {"base_url": "file:///etc"}, {"base_url": "mock://typo"}):
             with pytest.raises(ValueError):
                 EndpointConfig(**{"base_url": "http://x", "model_id": "m",
                                   **bad})
@@ -1598,7 +1555,7 @@ class TestNoCyclicGarbage:
             runs += [lambda inst=inst, shots=shots: build_prompt(
                 inst, PromptConfig(shots=shots)) for shots in (0, 5)]
             runs.append(lambda inst=inst: score_instance(
-                inst, _mock_answer("flatten", inst)))
+                inst, _flatten_answer(inst)))
         runs += [lambda: linearize(tree, g), lambda: parse(goal.gold_code, g),
                  lambda: canon_parse(canon_serialize(tree))]
         for run in runs:  # first calls may fill caches, e.g. of patterns

@@ -117,3 +117,15 @@ def test_the_command_line_loads_no_transport():
     assert [name for name in forbidden if name in loaded] == []
     # argparse's first message lookup imports it in every command
     assert "locale" in after
+
+
+def test_only_the_command_line_writes_run_files():
+    """``tasks`` defines the one JSON Lines writer and writes datasets with
+    it; results and responses are written by ``cli`` alone."""
+    def names(module: str):  # each name read, bound, defined or imported
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            yield getattr(node, "id", None) or getattr(node, "name", None)
+
+    assert [module for module in MODULES
+            if "write_jsonl" in set(names(module))] == ["cli", "tasks"]
