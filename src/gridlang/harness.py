@@ -14,14 +14,17 @@ Answers are cached in one append-only log per model,
 answer's key hashes the endpoint URL, the model, the sampling settings
 (temperature, max_tokens), the prompt's sha256 and a cache-format version,
 so interrupted runs resume, replay runs touch the network zero times, and
-a hit is never another endpoint's or setting's answer.  A few-shot memo
-entry holds the sha256 of a prompt with demos, its key hashing the
-instance record, the shot count, the cot switch and a digest of this
-package's source and the Python version.  A warm few-shot replay thus
-finds its answers without building a prompt, and any edit to the package
-reads as a memo miss, which builds the prompt again.  A run indexes the
-log once, keeping each key's line offset rather than its text, so its
-start-up time grows with the log's size and its memory with its lines.
+a hit is never another endpoint's or setting's answer.  Every prompt of a
+cell shows the same demos (``build_prompt``), each built once per process,
+so a cold few-shot eval draws a demo once rather than once per prompt.  A
+few-shot memo entry holds the sha256 of a prompt with demos, its key
+hashing the instance record, the shot count, the cot switch and a digest
+of this package's source and the Python version.  A warm few-shot replay
+thus finds its answers without building a prompt, and any edit to the
+package reads as a memo miss, which builds the prompt again.  A run
+indexes the log once, keeping each key's line offset rather than its
+text, so its start-up time grows with the log's size and its memory with
+its lines.
 
 An evaluation finds prompt hashes, reads cache hits and makes mock
 answers in the calling thread, in dataset order; only cache misses to a real
@@ -48,7 +51,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 from gridlang.ast import BinaryArith, Literal
@@ -63,6 +66,7 @@ from gridlang.metrics import (
     syntax_failure,
 )
 from gridlang import prompts
+from gridlang.sampler import GenParams
 from gridlang.seeding import derive_seed
 from gridlang.tasks import (
     MalformedRecordError,
@@ -170,26 +174,46 @@ def build_prompt(inst: TaskInstance, pc: PromptConfig) -> str:
     """Assemble the full prompt; a pure function of (instance, config).
 
     Few-shot demo ``j`` is instance ``j`` of a set drawn like the dataset
-    (``tasks.make_instance``), from a seed namespace disjoint from every
-    dataset namespace, so it has its own grammar, program and states, and
-    a judgment demo is valid for even ``j`` and perturbed for odd ``j``.
-    Each shows the same input sections followed by its gold answer.
+    (``tasks.make_instance``) from the record's dials with its seed set to
+    0, in a seed namespace disjoint from every dataset namespace.  So every
+    instance of a cell (kind, style, lexicon and dials, any seed) shows the
+    same demos, and fewer shots show the first of them.  Each has its own
+    grammar, program and states; a judgment demo is valid for even ``j``
+    and perturbed for odd ``j``.  Each shows the same input sections
+    followed by its gold answer.
     """
     opener, task_line, cot_directive, direct_directive = _WORDING[inst.kind]
     parts = [opener]
-    for j in range(pc.shots):
-        seed = derive_seed(inst.params.seed, "demo", j)
-        demo = make_instance(inst.kind, inst.style, inst.lexicon_mode,
-                             replace(inst.params, seed=seed), j)
-        # a demo's EBNF keeps its final newline, unlike the instance's
-        parts += ["", prompts.DEMO_HEADER.format(index=j + 1),
-                  _input_section(demo, demo.grammar_text),
-                  prompts.DEMO_ANSWER_HEADER, _gold_answer(demo)]
     if pc.shots:
+        # p as a float: params equal but spelled 1 or 1.0 show one demo set
+        dials = astuple(replace(inst.params,
+                                else_prob=float(inst.params.else_prob),
+                                seed=0))
+        for j in range(pc.shots):
+            parts += ["", prompts.DEMO_HEADER.format(index=j + 1),
+                      _demo(inst.kind, inst.style, inst.lexicon_mode,
+                            *dials, j)]
         parts += ["", prompts.MAIN_HEADER]
     parts += [_input_section(inst, inst.grammar_text.rstrip("\n")), "",
               task_line, cot_directive if pc.cot else direct_directive]
     return "\n".join(parts)
+
+
+@functools.lru_cache(maxsize=16)
+def _demo(*key) -> str:
+    """The text of the demo whose seed hashes ``key``: (kind, style,
+    lexicon, the five dials of ``GenParams`` with seed 0, j).
+
+    A cell's prompts need at most five such texts, so the bound holds
+    every demo of a run over a few cells and keeps a sweep's memory flat.
+    """
+    kind, style, mode, *dials, j = key
+    seed = derive_seed(0, "demo", *key)
+    demo = make_instance(kind, style, mode,
+                         replace(GenParams(*dials), seed=seed), j)
+    # a demo's EBNF keeps its final newline, unlike the instance's
+    return "\n".join([_input_section(demo, demo.grammar_text),
+                      prompts.DEMO_ANSWER_HEADER, _gold_answer(demo)])
 
 
 def _input_section(inst: TaskInstance, ebnf: str) -> str:
@@ -225,7 +249,9 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     Raises HarnessError for an unset token or a 401/403 (never retried),
     for transport faults or retryable statuses that persisted through every
     retry, and for any other status or a completion without text content
-    or with text that UTF-8 cannot encode.
+    or with text that UTF-8 cannot encode.  A reply body, error replies'
+    too, longer than 1 MiB plus 64 bytes per ``max_tokens`` is refused
+    unread past that cap, and is not retried.
     """
     import http.client  # the transport loads on the first real request
     import urllib.error
@@ -238,6 +264,20 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
             f"is unset or empty"
         )
     url = cfg.base_url.rstrip("/") + "/chat/completions"
+    # a body may hold 64 bytes per requested token, plus 1 MiB for the
+    # JSON around the completion: 1.25 MiB at 4096 tokens
+    cap = (1 << 20) + 64 * cfg.max_tokens
+
+    def read(reply) -> bytes:
+        """The body, refused once ``cap + 1`` bytes of it are read; one
+        cut short of its declared length raises as ``read()`` does."""
+        data = reply.read(cap + 1)
+        if len(data) > cap:
+            raise HarnessError(f"reply body exceeds the {cap}-byte cap")
+        if getattr(reply, "length", None):  # declared bytes never sent
+            raise http.client.IncompleteRead(data, reply.length)
+        return data
+
     body = {
         "model": cfg.model_id,
         "messages": [{"role": "user", "content": prompt}],
@@ -259,10 +299,10 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
             try:
                 with urllib.request.urlopen(request,
                                             timeout=cfg.timeout) as resp:
-                    status, data = resp.status, resp.read()
+                    status, data = resp.status, read(resp)
             except urllib.error.HTTPError as exc:  # a non-2xx reply
                 with exc:
-                    status, data = exc.code, exc.read()
+                    status, data = exc.code, read(exc)
         except (OSError, http.client.HTTPException) as exc:
             failure = f"transport fault: {exc}"
             continue

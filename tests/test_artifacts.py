@@ -4,9 +4,11 @@ Small datasets for every task, style and lexicon at D in {2, 10, 20}, and
 the 0- and 5-shot prompts of one instance per set, must hash to the values
 recorded here.  So must the files and stdout of ``eval`` against both mock
 models at 0 and 2 shots and of the ``score`` re-run of each, a permissive
-eval whose every request fails, and a sweep's ``sweep.csv``.  A deliberate
-format change updates the constants and says so in CHANGES.md; any other
-change to these bytes is a regression.
+eval whose every request fails, and a sweep's ``sweep.csv``.  Prompts and
+evals are pinned per shot count, so a change to the few-shot demos leaves
+the 0-shot pins as they are.  A deliberate format change updates the
+constants and says so in CHANGES.md; any other change to these bytes is a
+regression.
 """
 
 from __future__ import annotations
@@ -36,24 +38,46 @@ DATASET_SHA256 = {
     TaskKind.INSTRUCTION:
         "b4c02cc3a24b77a85b01806ce8622bfa48b3859bf5eda286a88ff10843c2bfae",
 }
+# sha256 over the first instance's prompt of every set, per shot count
 PROMPT_SHA256 = {
-    TaskKind.JUDGMENT:
-        "377eabab1827493e5d9828b12f3d6a23ba9bce842f12b308c6fc8bb67831750a",
-    TaskKind.GOAL:
-        "4fb4a60a3616663826e93e7089f0a5cd2b1772a79611d3f2b2d78660c57daa14",
-    TaskKind.INSTRUCTION:
-        "4e86cf7d9a5e452ec499e51870bb395d1c3b945aa7efa10ea51cdfd04de5388c",
+    0: {
+        TaskKind.JUDGMENT:
+            "202881d00918ee0aeb7d1a5b78c3c21308c2a9bb94850e4282a89bb91665db1c",
+        TaskKind.GOAL:
+            "5a0e3de64baad4a0ae2a46a7ac5b44f0daef8edab111253d6aaaac941ae5a23b",
+        TaskKind.INSTRUCTION:
+            "6ad4a972456de658a2a5fac29a24871c67d362c221271ca8e5b370c6c978ea67",
+    },
+    5: {
+        TaskKind.JUDGMENT:
+            "5f91fa739d874ce0cff925aeb9e4ada07d5882f7786350a43285215092936b22",
+        TaskKind.GOAL:
+            "199df0d1459d2a8a36c4e839b56b956feabdbba301e4cac17b320ece11dfc056",
+        TaskKind.INSTRUCTION:
+            "7e267e27f06dcb13b14ff38e920eb87b41a1e42acb929c466775efb0d81bde5b",
+    },
 }
 
-# sha256 over eval's and score's files and stdout, per task; every path
-# the artifacts record is relative to the run directory
+# sha256 over eval's and score's files and stdout, per task and shot
+# count; the 0-shot digest also covers gen's stdout.  Every path the
+# artifacts record is relative to the run directory
 EVAL_SHA256 = {
-    TaskKind.JUDGMENT:
-        "8196b475b5bbec7ac51780625a938b83f97d989f875428b9b976c76c50622dde",
-    TaskKind.GOAL:
-        "260255ef02f79f2ec10daed88fb206d589b4391fcdca8224fcbffca8a51c4cac",
-    TaskKind.INSTRUCTION:
-        "768e9bab3eeef3487691bbbf32546d2c6e30143220ad7e8c5212798a8b2966a1",
+    0: {
+        TaskKind.JUDGMENT:
+            "c95565324fb8a3dcb426255f5f89b7a174fad84ea6c2132db4e14ec25f449ebc",
+        TaskKind.GOAL:
+            "31f7d994b3f99c5db8ba284832d79df00d0bb8e527af86b7f925d4804a53eb72",
+        TaskKind.INSTRUCTION:
+            "ca85e78c9b1cb6876bd43d6457f17d9db03004b6eabf98ebd481a1f5cfb6d454",
+    },
+    2: {
+        TaskKind.JUDGMENT:
+            "27178e1567ab293c07493b41f9be40bcfeb4a3be163f6e8d7aae82cb286d1f6d",
+        TaskKind.GOAL:
+            "4415aef16ef24712a2b3cd9db124d73e5d3725109dc70fb7aee0b36536469599",
+        TaskKind.INSTRUCTION:
+            "cde2faedbcfe51a8358f61dac61cb232c1bdd45aeaad73f2a592526345dd0d39",
+    },
 }
 PERMISSIVE_SHA256 = {
     TaskKind.JUDGMENT:
@@ -67,25 +91,28 @@ SWEEP_SHA256 = (
     "10f2a1ceed5c52278b50f8d7757305b2f4db7d5911077eb4a97f4dd8812ead12")
 
 
-def _artifacts(kind: TaskKind) -> tuple[str, str]:
-    datasets, prompts = hashlib.sha256(), hashlib.sha256()
+def _artifacts(kind: TaskKind) -> tuple[str, dict[int, str]]:
+    datasets = hashlib.sha256()
+    prompts = {shots: hashlib.sha256() for shots in PROMPT_SHA256}
     for style, mode, depth in itertools.product(Style, LexiconMode, DEPTHS):
         instances = make_dataset(kind, SIZE, style, mode,
                                  GenParams(max_depth=depth, seed=SEED))
         for inst in instances:
             datasets.update(inst.to_json().encode() + b"\n")
-        for shots in (0, 5):
-            prompts.update(build_prompt(instances[0],
-                                        PromptConfig(shots=shots)).encode())
-            prompts.update(b"\0")
-    return datasets.hexdigest(), prompts.hexdigest()
+        for shots, digest in prompts.items():
+            digest.update(build_prompt(instances[0],
+                                       PromptConfig(shots=shots)).encode())
+            digest.update(b"\0")
+    return datasets.hexdigest(), {shots: digest.hexdigest()
+                                  for shots, digest in prompts.items()}
 
 
 @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)
 def test_datasets_and_prompts_are_byte_identical(kind):
-    dataset_digest, prompt_digest = _artifacts(kind)
+    dataset_digest, prompt_digests = _artifacts(kind)
     assert dataset_digest == DATASET_SHA256[kind]
-    assert prompt_digest == PROMPT_SHA256[kind]
+    assert prompt_digests == {shots: pins[kind]
+                              for shots, pins in PROMPT_SHA256.items()}
 
 
 _STYLES = {TaskKind.JUDGMENT: "c", TaskKind.GOAL: "block",
@@ -116,10 +143,10 @@ _REPORTS = ("results.jsonl", "report.md", "report.csv")
 def test_eval_and_score_artifacts_are_byte_identical(kind, tmp_path,
                                                      monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    digest = hashlib.sha256()
-    _gen(digest, capsys, kind)
+    digests = {shots: hashlib.sha256() for shots in EVAL_SHA256}
+    _gen(digests[0], capsys, kind)
     for scheme, shots in itertools.product(("perfect", "flatten"), (0, 2)):
-        run = f"{scheme}-{shots}"
+        run, digest = f"{scheme}-{shots}", digests[shots]
         _run(digest, capsys, "eval", "--dataset", "data.jsonl",
              "--base-url", f"mock://{scheme}", "--model", f"mock-{scheme}",
              "--shots", str(shots), "--cache-dir", "cache",
@@ -129,7 +156,8 @@ def test_eval_and_score_artifacts_are_byte_identical(kind, tmp_path,
              "--responses", f"{run}/responses.jsonl",
              "--model", f"mock-{scheme}", "--out-dir", f"{run}-scored")
         _files(digest, f"{run}-scored", *_REPORTS)
-    assert digest.hexdigest() == EVAL_SHA256[kind]
+    assert {shots: digest.hexdigest() for shots, digest in digests.items()} \
+        == {shots: pins[kind] for shots, pins in EVAL_SHA256.items()}
 
 
 @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)

@@ -440,6 +440,81 @@ class TestDemoAnswers:
             assert labels == ["VALID", "INVALID"] * 2 + ["VALID"]
 
 
+@pytest.fixture
+def demo_draws(monkeypatch):
+    """The demos ``build_prompt`` draws, as (kind, j), on a fresh demo
+    cache."""
+    drawn = []
+    real_make_instance = harness.make_instance
+
+    def counting_make_instance(kind, style, mode, params, i=0):
+        drawn.append((kind, i))
+        return real_make_instance(kind, style, mode, params, i)
+
+    harness._demo.cache_clear()
+    monkeypatch.setattr(harness, "make_instance", counting_make_instance)
+    yield drawn
+    harness._demo.cache_clear()
+
+
+class TestOneDemoSetPerCell:
+    """Every instance of a cell (kind, style, lexicon and dials, any seed)
+    shows the same demos, drawn once per process."""
+
+    @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)
+    def test_a_cell_shares_its_demos_and_other_dials_do_not(self, kind):
+        pc = PromptConfig(shots=5)
+        first, second = (_demos(build_prompt(inst, pc)) for inst in
+                         make_dataset(kind, 2, Style.C, LexiconMode.NATURAL,
+                                      GenParams(max_depth=4, seed=3)))
+        assert first == second
+        other = make_dataset(kind, 2, Style.C, LexiconMode.NATURAL,
+                             GenParams(max_depth=5, seed=3))[0]
+        assert _demos(build_prompt(other, pc))[0] != first[0]
+
+    def test_a_cold_eval_draws_each_demo_once(self, tmp_path, demo_draws):
+        dataset = make_dataset(TaskKind.INSTRUCTION, 3, Style.C,
+                               LexiconMode.NATURAL,
+                               GenParams(max_depth=4, seed=9))
+        pc = PromptConfig(shots=5)
+        cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=tmp_path / "cache")
+        assert demo_draws == [(TaskKind.INSTRUCTION, j) for j in range(5)]
+        warm = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=tmp_path / "cache")
+        assert len(demo_draws) == 5  # the memo finds every prompt
+        assert (cold.model_calls, warm.model_calls) == (3, 0)
+
+    @pytest.mark.parametrize("kind", list(TaskKind), ids=lambda k: k.value)
+    def test_fewer_shots_show_the_first_demos(self, kind):
+        inst = _dataset(kind)[0]
+        five = _demos(build_prompt(inst, PromptConfig(shots=5)))
+        for shots in (1, 2):
+            assert _demos(build_prompt(inst, PromptConfig(shots=shots))) \
+                == five[:shots]
+
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_p_spelled_1_or_1_0_shows_the_same_demos(self, order,
+                                                      demo_draws):
+        # equal params: a record of "p": 1 and one of "p": 1.0
+        demos = [
+            _demos(build_prompt(
+                make_dataset(TaskKind.GOAL, 1, Style.BLOCK,
+                             LexiconMode.NATURAL,
+                             GenParams(max_depth=4, else_prob=p,
+                                       seed=2))[0],
+                PromptConfig(shots=2)))
+            for p in order]
+        assert demos[0] == demos[1]
+        assert len(demo_draws) == 2
+        harness._demo.cache_clear()
+        alone = make_dataset(TaskKind.GOAL, 1, Style.BLOCK,
+                             LexiconMode.NATURAL,
+                             GenParams(max_depth=4, else_prob=order[1],
+                                       seed=2))[0]
+        assert _demos(build_prompt(alone, PromptConfig(shots=2))) == demos[0]
+
+
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
     """Serves scripted status codes, then 200s with a canned completion."""
 
@@ -480,7 +555,8 @@ class _RawReplyHandler(http.server.BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        self.wfile.write(type(self).reply)
+        with contextlib.suppress(ConnectionError):  # a client that hung up
+            self.wfile.write(type(self).reply)
 
     def log_message(self, *args):
         pass
@@ -615,6 +691,47 @@ class TestCallModel:
                                                "payload: .*surrogates"):
             call_model(_http_cfg(base), "x")
         assert len(_ScriptedHandler.requests_seen) == 1
+
+
+class TestBodyCap:
+    """A reply body is read to at most 1 MiB plus 64 bytes per requested
+    token; a longer one is refused at once."""
+
+    def test_an_oversize_completion_is_refused_after_one_request(
+            self, scripted_server, api_token):
+        cap = (1 << 20) + 64 * 16
+        base = scripted_server([], content="x" * cap)
+        with pytest.raises(HarnessError, match=(
+                f"^reply body exceeds the {cap}-byte cap$")):
+            call_model(_http_cfg(base, max_tokens=16), "x")
+        assert len(_ScriptedHandler.requests_seen) == 1
+
+    def test_an_oversize_error_body_is_refused_unread_past_the_cap(
+            self, scripted_server, api_token, monkeypatch):
+        cap = (1 << 20) + 64
+        size = 16 * cap
+        monkeypatch.setattr(_RawReplyHandler, "reply", (
+            f"HTTP/1.0 500 Oops\r\nContent-Length: {size}\r\n\r\n"
+            .encode() + b"x" * size))
+        base = scripted_server([], handler=_RawReplyHandler)
+        tracemalloc.start()
+        try:
+            with pytest.raises(HarnessError,
+                               match=f"exceeds the {cap}-byte cap$"):
+                call_model(_http_cfg(base, max_tokens=1), "x")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cap  # the body is 16 caps long
+
+    def test_a_body_of_exactly_the_cap_is_read(self, scripted_server,
+                                               api_token):
+        cap = (1 << 20) + 64
+        envelope = len(json.dumps(
+            {"choices": [{"message": {"content": ""}}]}))
+        base = scripted_server([], content="x" * (cap - envelope))
+        assert call_model(_http_cfg(base, max_tokens=1), "x") == \
+            "x" * (cap - envelope)
 
 
 _COLD_START = """
