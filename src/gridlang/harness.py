@@ -21,10 +21,12 @@ few-shot memo entry holds the sha256 of a prompt with demos, its key
 hashing the instance record, the shot count, the cot switch and a digest
 of this package's source and the Python version.  A warm few-shot replay
 thus finds its answers without building a prompt, and any edit to the
-package reads as a memo miss, which builds the prompt again.  A run
-indexes the log once, keeping each key's line offset rather than its
-text, so its start-up time grows with the log's size and its memory with
-its lines.
+package reads as a memo miss, which builds the prompt again.  Beside it,
+a few-shot goal or instruction answer's failure stage is memoised under
+a key hashing its memo key and the answer, so a warm replay rebuilds each
+record and scores no answer.  A run indexes the log once, keeping each
+key's line offset rather than its text, so its start-up time grows with
+the log's size and its memory with its lines.
 
 An evaluation finds prompt hashes, reads cache hits and makes mock
 answers in the calling thread, in dataset order; only cache misses to a real
@@ -251,7 +253,11 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     retry, and for any other status or a completion without text content
     or with text that UTF-8 cannot encode.  A reply body, error replies'
     too, longer than 1 MiB plus 64 bytes per ``max_tokens`` is refused
-    unread past that cap, and is not retried.
+    unread past that cap, and is not retried.  Each attempt has one
+    deadline, ``timeout`` seconds after it starts: the body is read in
+    chunks, each under a socket timeout of the time left, and a reply not
+    read in full by then is a transport fault.  The status line and
+    headers are read under ``urlopen``'s timeout, ``timeout`` per read.
     """
     import http.client  # the transport loads on the first real request
     import urllib.error
@@ -268,12 +274,32 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     # JSON around the completion: 1.25 MiB at 4096 tokens
     cap = (1 << 20) + 64 * cfg.max_tokens
 
-    def read(reply) -> bytes:
+    def read(reply, deadline: float) -> bytes:
         """The body, refused once ``cap + 1`` bytes of it are read; one
-        cut short of its declared length raises as ``read()`` does."""
-        data = reply.read(cap + 1)
-        if len(data) > cap:
+        cut short of its declared length raises as ``read()`` does, and
+        one not read by ``deadline`` raises TimeoutError."""
+        # a reply reads its socket through ``sock.makefile("rb")``, a
+        # buffered SocketIO, and holds none once closed; an HTTPError's fp
+        # is the reply it wraps
+        fp = reply.fp
+        if isinstance(fp, http.client.HTTPResponse):
+            fp = fp.fp
+        sock = getattr(getattr(fp, "raw", None), "_sock", None)
+        chunks, size = [], 0
+        while size <= cap:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"reply not read within {cfg.timeout} s")
+            if sock is not None:
+                sock.settimeout(left)
+            chunk = reply.read1(min(cap + 1 - size, 1 << 16))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            size += len(chunk)
+        if size > cap:
             raise HarnessError(f"reply body exceeds the {cap}-byte cap")
+        data = b"".join(chunks)
         if getattr(reply, "length", None):  # declared bytes never sent
             raise http.client.IncompleteRead(data, reply.length)
         return data
@@ -295,14 +321,15 @@ def call_model(cfg: EndpointConfig, prompt: str) -> str:
     for attempt in range(cfg.max_retries + 1):
         if attempt:
             time.sleep(cfg.retry_backoff * 2 ** (attempt - 1))
+        deadline = time.monotonic() + cfg.timeout
         try:  # the outer handler also covers a fault reading an error body
             try:
                 with urllib.request.urlopen(request,
                                             timeout=cfg.timeout) as resp:
-                    status, data = resp.status, read(resp)
+                    status, data = resp.status, read(resp, deadline)
             except urllib.error.HTTPError as exc:  # a non-2xx reply
                 with exc:
-                    status, data = exc.code, read(exc)
+                    status, data = exc.code, read(exc, deadline)
         except (OSError, http.client.HTTPException) as exc:
             failure = f"transport fault: {exc}"
             continue
@@ -451,18 +478,30 @@ def score_answers(dataset: list[TaskInstance],
 
     An endpoint error scores a syntax failure with its text preserved as
     the raw answer.  A response's row adds its prompt hash, when known,
-    and its response hash.
+    and its response hash.  Every response is scored afresh
+    (``score_instance``), so this is the reference a replayed verdict is
+    checked against.
     """
+    def score(i: int, response: str) -> EvalRecord:
+        return score_instance(dataset[i], response)
+
+    return _score_answers(dataset, answers, score)
+
+
+def _score_answers(dataset: list[TaskInstance], answers: list[Answer],
+                   score) -> RunResult:
+    """``score_answers`` with ``score(i, response)`` giving the record of
+    ``dataset[i]``'s response; the one place results rows are built."""
     dataset_kind(dataset)  # a mixed set's records could not be aggregated
     records = []
     rows = []
-    for inst, answer in zip(dataset, answers, strict=True):
+    for i, (inst, answer) in enumerate(zip(dataset, answers, strict=True)):
         if isinstance(answer, HarnessError):
             record = syntax_failure(inst, f"[endpoint error] {answer}")
             row = record.to_dict()
         else:
             prompt_sha256, response = answer
-            record = score_instance(inst, response)
+            record = score(i, response)
             row = record.to_dict()
             if prompt_sha256 is not None:
                 row["prompt_sha256"] = prompt_sha256
@@ -508,6 +547,39 @@ def _memo_key(inst: TaskInstance, pc: PromptConfig) -> str:
     return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 
 
+def _verdict_key(memo_key: str, response: str) -> str:
+    """The key of a response's verdict: its own domain tag, so no answer
+    or memo key is ever one, the instance's memo key, which hashes the
+    whole record and this package's source, and the response."""
+    parts = ("gridlang-verdict", memo_key, response)
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
+
+
+# a code answer's failure stage -> its (parsed, behavioral, semantic)
+# verdicts; semantic is defined on instruction records only
+_STAGE_VERDICTS = {
+    "syntax": (False, False, False),
+    "behavior": (True, False, False),
+    "semantics": (True, True, False),
+    "pass": (True, True, True),
+}
+
+
+def _replayed_record(inst: TaskInstance, response: str,
+                     stage: str | None) -> EvalRecord | None:
+    """The record ``score_instance(inst, response)`` returns when its
+    failure stage is ``stage``, or None if ``stage`` names no stage of a
+    goal or instruction record: a goal record has no semantic layer."""
+    verdicts = _STAGE_VERDICTS.get(stage)
+    if verdicts is None or (inst.kind is TaskKind.GOAL
+                            and stage == "semantics"):
+        return None
+    parsed, behavioral, semantic = verdicts
+    return EvalRecord(inst.id, parsed, behavioral,
+                      semantic if inst.kind is TaskKind.INSTRUCTION else None,
+                      response)
+
+
 def _model_dir_name(model_id: str) -> str:
     """The model's directory name: characters outside ``[A-Za-z0-9._-]``
     and a leading dot become ``_``, so ``.``, ``..`` or ``../x`` name one
@@ -537,7 +609,8 @@ def run_evaluation(
     cache_dir: str | Path = "cache",
     permissive: bool = False,
 ) -> RunResult:
-    """Fetch (or replay) an answer per instance, then ``score_answers``.
+    """Fetch (or replay) an answer per instance, then score it as
+    ``score_answers`` does.
 
     The model's cache log is indexed once, and each new answer or memo is
     appended to it as one line as soon as it is known, so an interrupted
@@ -547,7 +620,13 @@ def run_evaluation(
     and making a mock answer.  A prompt with demos has its sha256
     memoised in the log, so it is built only on a memo miss, or to be sent
     to a real endpoint; a 0-shot prompt costs less to build than to look
-    up, and is always built.  Only a cache miss to a real endpoint goes to
+    up, and is always built.  Beside each such memo, a goal or instruction
+    answer's failure stage is memoised under a key hashing the memo key
+    and the answer, so a warm replay rebuilds the record ``score_instance``
+    would return without parsing, running or tree-matching; any text but
+    a stage of the record's task misses, and the answer is scored again.
+    Judgment answers (one regex search) and 0-shot runs (no memo key) are
+    always scored.  Only a cache miss to a real endpoint goes to
     a pool of ``cfg.parallelism`` threads, created on the first such miss,
     so a mock or fully warm run starts no thread.  A miss whose key already
     has a fetch pending joins that fetch, so a prompt repeated within the
@@ -602,6 +681,7 @@ def run_evaluation(
 
     # (prompt_sha256, response or the pool's future of it), in dataset order
     fetched: list[tuple[str, object]] = []
+    memo_keys: list[str | None] = []  # each instance's, in dataset order
     pending = {}  # key -> the pool's future of its answer, one per key
     pool = None
     log = os.open(log_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
@@ -612,6 +692,7 @@ def run_evaluation(
             if failed.is_set():  # the error is raised below
                 break
             memo_key = _memo_key(inst, pc) if pc.shots else None
+            memo_keys.append(memo_key)
             memo = lookup(memo_key) if memo_key is not None else None
             prompt_sha256 = raw = prompt = None
             if _SHA256_RE.fullmatch(memo or ""):  # any other text misses
@@ -657,12 +738,27 @@ def run_evaluation(
             answers.append((prompt_sha256, raw))
         calls += sum(future.exception() is None
                      for future in pending.values())
+
+        def score(i: int, response: str) -> EvalRecord:
+            # a code answer's verdict is memoised beside its prompt memo; a
+            # judgment's regex costs less than a lookup
+            inst, memo_key = dataset[i], memo_keys[i]
+            if memo_key is None or inst.kind is TaskKind.JUDGMENT:
+                return score_instance(inst, response)
+            key = _verdict_key(memo_key, response)
+            record = _replayed_record(inst, response, lookup(key))
+            if record is None:  # any text but a stage of its kind misses
+                record = score_instance(inst, response)
+                keep(key, record.failure_stage)
+            return record
+
+        result = _score_answers(dataset, answers, score)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         os.close(log)
 
-    return replace(score_answers(dataset, answers), model_calls=calls)
+    return replace(result, model_calls=calls)
 
 
 def read_responses(path: str | Path) -> dict[str, dict]:

@@ -36,7 +36,7 @@ from gridlang.ast import (
     canon_parse,
     canon_serialize,
 )
-from gridlang import codec, harness
+from gridlang import cli, codec, harness
 from gridlang.codec import linearize, parse, tokenize
 from gridlang.grammar import (
     LexiconMode,
@@ -516,10 +516,14 @@ class TestOneDemoSetPerCell:
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    """Serves scripted status codes, then 200s with a canned completion."""
+    """Serves scripted status codes, then 200s with a canned completion:
+    ``content``, or ``content(body)`` of the request's body when callable.
+    With ``drip`` set, a 200's body is sent one byte per ``drip`` seconds
+    after its headers."""
 
     script: list[int] = []
     content: object = "VALID"
+    drip: float | None = None
     requests_seen: list[dict] = []
     auth_headers: list[str | None] = []
     headers_seen: list = []
@@ -536,13 +540,22 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"{}")
             return
-        payload = {"choices": [{"message": {"content": type(self).content}}]}
+        content = type(self).content
+        if callable(content):
+            content = content(body)
+        payload = {"choices": [{"message": {"content": content}}]}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
+        if type(self).drip is None:
+            self.wfile.write(data)
+            return
+        with contextlib.suppress(ConnectionError):  # a client that hung up
+            for k in range(len(data)):
+                time.sleep(type(self).drip)
+                self.wfile.write(data[k:k + 1])
 
     def log_message(self, *args):
         pass
@@ -566,9 +579,10 @@ class _RawReplyHandler(http.server.BaseHTTPRequestHandler):
 def scripted_server():
     servers = []
 
-    def start(script, content="VALID", handler=_ScriptedHandler):
+    def start(script, content="VALID", handler=_ScriptedHandler, drip=None):
         _ScriptedHandler.script = list(script)
         _ScriptedHandler.content = content
+        _ScriptedHandler.drip = drip
         _ScriptedHandler.requests_seen = []
         _ScriptedHandler.auth_headers = []
         _ScriptedHandler.headers_seen = []
@@ -734,6 +748,41 @@ class TestBodyCap:
             "x" * (cap - envelope)
 
 
+class TestDeadline:
+    """An attempt ends ``timeout`` seconds after it starts, however slowly
+    its reply body arrives; at most ``SLACK`` seconds late here."""
+
+    SLACK = 0.4
+
+    # a byte per 0.1 s never lets one read wait out the timeout; a byte per
+    # 0.9 s has the second read start 0.1 s before the deadline
+    @pytest.mark.parametrize("drip, timeout", [(0.1, 0.5), (0.9, 1.0)])
+    def test_a_dripped_body_ends_at_the_deadline(self, scripted_server,
+                                                 api_token, drip, timeout):
+        base = scripted_server([], drip=drip)
+        start = time.monotonic()
+        with pytest.raises(HarnessError, match=(
+                r"failed after 1 attempts \(transport fault: ")):
+            call_model(_http_cfg(base, timeout=timeout, max_retries=0), "x")
+        assert time.monotonic() - start < timeout + self.SLACK
+        assert len(_ScriptedHandler.requests_seen) == 1
+
+    def test_a_missed_deadline_is_retried(self, scripted_server, api_token):
+        base = scripted_server([], drip=0.1)
+        start = time.monotonic()
+        with pytest.raises(HarnessError, match=(
+                r"failed after 2 attempts \(transport fault: ")):
+            call_model(_http_cfg(base, timeout=0.5, max_retries=1), "x")
+        # two attempts and a 0.01 s backoff
+        assert time.monotonic() - start < 2 * (0.5 + self.SLACK) + 0.01
+        assert len(_ScriptedHandler.requests_seen) == 2
+
+    def test_a_body_dripped_within_the_deadline_is_read(self, scripted_server,
+                                                        api_token):
+        base = scripted_server([], drip=0.002)
+        assert call_model(_http_cfg(base, timeout=5.0), "x") == "VALID"
+
+
 _COLD_START = """
 import json, sys
 from gridlang import harness
@@ -848,6 +897,8 @@ class TestCaching:
                        cache_dir=cache)
         answers = _answers(cache_entries(cache))
         assert len(answers) == len(set(answers)) == 4
+        # and a verdict per 1-shot code answer
+        assert len(_verdicts(cache_entries(cache))) == 2
 
     def test_other_endpoint_with_the_same_model_is_a_miss(self, tmp_path):
         params = GenParams(max_depth=6, seed=3, expr_depth=2)
@@ -1005,14 +1056,20 @@ def _sha256(text):
 
 
 _is_memo = re.compile(r"[0-9a-f]{64}").fullmatch  # no test answer is one
+_STAGES = ("syntax", "behavior", "semantics", "pass")  # nor one of these
 
 
 def _answers(entries):
-    return [entry for entry in entries if not _is_memo(entry[1])]
+    return [entry for entry in entries
+            if not _is_memo(entry[1]) and entry[1] not in _STAGES]
 
 
 def _memos(entries):
     return [entry for entry in entries if _is_memo(entry[1])]
+
+
+def _verdicts(entries):
+    return [entry for entry in entries if entry[1] in _STAGES]
 
 
 def _write_log(cache, model, entries):
@@ -1032,6 +1089,20 @@ def prompt_builds(monkeypatch):
 
     monkeypatch.setattr(harness, "build_prompt", counting_build_prompt)
     return built
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """The ids of the instances whose answers ``score_instance`` scores."""
+    ids = []
+    real_score_instance = harness.score_instance
+
+    def counting_score_instance(inst, raw):
+        ids.append(inst.id)
+        return real_score_instance(inst, raw)
+
+    monkeypatch.setattr(harness, "score_instance", counting_score_instance)
+    return ids
 
 
 class TestPromptMemo:
@@ -1060,6 +1131,8 @@ class TestPromptMemo:
         assert sorted(text for _key, text in _memos(entries)) == sorted(
             _sha256(build_prompt(inst, pc)) for inst in dataset)
         assert len(_answers(entries)) == 2
+        assert len(_verdicts(entries)) == 2
+        assert len(entries) == 6
         log = cache / "mock-model" / "cache.jsonl"
         assert log.stat().st_mode & 0o777 == 0o600
 
@@ -1091,6 +1164,8 @@ class TestPromptMemo:
         assert again.model_calls == 3
         assert again.rows == cold.rows
         assert len(_answers(cache_entries(cache))) == 3
+        # the verdicts were dropped with the answers, so scored again
+        assert len(_verdicts(cache_entries(cache))) == 3
 
     def test_memo_hit_builds_what_a_real_endpoint_is_sent(
             self, tmp_path, scripted_server, api_token, prompt_builds):
@@ -1145,6 +1220,125 @@ class TestPromptMemo:
                                cache_dir=cache)
         entries = cache_entries(cache)
         assert len(entries) == len(_answers(entries)) == 6
+
+
+def _perturbed_gold(inst) -> str:
+    """The gold code with one word deleted or replaced: it fails to
+    parse."""
+    g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+    return perturb(inst.gold_code, g, random.Random(inst.id))[0]
+
+
+def _gold_over_budget(inst) -> str:
+    """The gold code, then a 5**9-turn loop nest: it parses and runs past
+    the step budget."""
+    g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+    nest = ActionStmt(Turn(TurnDir.LEFT))
+    for _ in range(9):
+        nest = Loop(Literal(5), (nest,))
+    return linearize(Program(parse(inst.gold_code, g).body + (nest,)), g)
+
+
+class TestVerdictMemo:
+    """A few-shot run keeps each code answer's verdict beside its prompt
+    memo; a warm replay rebuilds the record from it and scores nothing."""
+
+    @pytest.mark.parametrize("kind", [TaskKind.GOAL, TaskKind.INSTRUCTION],
+                             ids=lambda k: k.value)
+    def test_a_warm_replay_scores_nothing_and_matches_score(
+            self, tmp_path, kind, scored, scripted_server, api_token,
+            capsys):
+        params = GenParams(max_depth=6, seed=3, expr_depth=2)
+        dataset = make_dataset(kind, 4, Style.C, LexiconMode.NATURAL, params)
+        data = tmp_path / "data.jsonl"
+        write_dataset(dataset, data)
+        pc = PromptConfig(shots=2)
+        by_prompt = {build_prompt(inst, pc): inst for inst in dataset}
+        wrong = {"perturbed": _perturbed_gold,
+                 "over-budget": _gold_over_budget}
+
+        def answer(body):  # the wrong code the requested model writes
+            inst = by_prompt[body["messages"][0]["content"]]
+            return f"```\n{wrong[body['model']](inst)}\n```"
+
+        base = scripted_server([], content=answer)
+
+        def run(command, out, *argv):
+            assert cli.main([command, "--dataset", str(data), *argv,
+                             "--out-dir", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "results.jsonl").read_bytes()
+
+        stages = set()
+        for url, model in (("mock://perfect", "perfect"),
+                           ("mock://flatten", "flatten"),
+                           (base, "perturbed"), (base, "over-budget")):
+            flags = ("--base-url", url, "--model", model, "--auth-env",
+                     TOKEN_VAR, "--shots", "2", "--cache-dir",
+                     str(tmp_path / "cache"))
+            scored.clear()
+            cold = run("eval", f"{model}-cold", *flags)
+            assert scored == [inst.id for inst in dataset]
+            scored.clear()
+            warm = run("eval", f"{model}-warm", *flags)
+            assert scored == []
+            assert "model calls: 0" in capsys.readouterr().out
+            assert warm == cold
+            rescored = run("score", f"{model}-score", "--responses",
+                           str(tmp_path / f"{model}-cold/responses.jsonl"))
+            assert warm.splitlines()[1:] == rescored.splitlines()[1:]
+            stages |= {json.loads(line)["failure_stage"]
+                       for line in warm.splitlines()[1:]}
+        assert stages == {"syntax", "behavior", "pass"} | (
+            {"semantics"} if kind is TaskKind.INSTRUCTION else set())
+        verdicts = _verdicts(cache_entries(tmp_path / "cache"))
+        assert len(verdicts) == len(dict(verdicts)) == 4 * len(dataset)
+
+    @pytest.mark.parametrize("field", ["gold_ast", "target_state"])
+    def test_the_key_covers_gold_fields_the_prompt_never_shows(
+            self, tmp_path, field, scored):
+        params = GenParams(max_depth=6, seed=3, expr_depth=2)
+        dataset = make_dataset(TaskKind.INSTRUCTION, 6, Style.BLOCK,
+                               LexiconMode.NATURAL, params)
+        pc = PromptConfig(shots=2)
+        cache = tmp_path / "cache"
+        cold = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                              cache_dir=cache)
+        k = [row["failure_stage"] for row in cold.rows].index("semantics")
+        inst = dataset[k]
+        g = grammar_from_text(inst.style, inst.lexicon_mode, inst.grammar_text)
+        folded = parse(extract_code(cold.rows[k]["raw_answer"], g), g)
+        if field == "gold_ast":  # another valid tree: the folded answer's
+            edited, stage = dataclasses.replace(
+                inst, gold_ast=canon_serialize(folded)), "pass"
+        else:  # a target the folded answer misses
+            target = inst.target_state
+            edited, stage = dataclasses.replace(inst, target_state=(
+                dataclasses.replace(target, x=target.x + 1))), "behavior"
+        assert build_prompt(edited, pc) == build_prompt(inst, pc)
+        dataset[k] = edited
+        answers = [(row["prompt_sha256"], row["raw_answer"])
+                   for row in cold.rows]
+        for scores in ([inst.id], []):  # a miss, then a hit
+            scored.clear()
+            warm = run_evaluation(dataset, _mock_cfg("flatten"), pc,
+                                  cache_dir=cache)
+            assert scored == scores
+            assert warm.model_calls == 0
+            assert warm.rows[k]["failure_stage"] == stage
+            assert warm.rows == score_answers(dataset, answers).rows
+
+    def test_judgment_and_zero_shot_answers_are_scored_afresh(
+            self, tmp_path, scored):
+        cache = tmp_path / "cache"
+        for kind, shots in ((TaskKind.JUDGMENT, 2), (TaskKind.GOAL, 0),
+                            (TaskKind.INSTRUCTION, 0)):
+            dataset = _dataset(kind)
+            for _ in range(2):  # cold, then warm
+                scored.clear()
+                run_evaluation(dataset, _mock_cfg(), PromptConfig(shots),
+                               cache_dir=cache)
+                assert scored == [inst.id for inst in dataset]
+        assert _verdicts(cache_entries(cache)) == []
 
 
 _CLI = "import sys; from gridlang.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -1240,6 +1434,27 @@ class TestMemoFollowsTheSource:
         assert not set(shas) & set(json.loads(line).get("prompt_sha256")
                                    for line in cold[2].splitlines())
 
+    def test_the_code_digest_moves_with_any_modules_bytes(self, tmp_path):
+        # prompt and verdict memos are sound only if every module scoring
+        # reads is in the digest, not only those that build prompts
+        package = self._copy(tmp_path)
+
+        def digest():
+            return self._python(tmp_path, "from gridlang import harness; "
+                                "print(harness._code_digest())").stdout
+
+        first = digest()
+        assert digest() == first  # nothing changed
+        for name in ("world.py", "metrics.py"):
+            module = package / name
+            source = module.read_bytes()
+            assert source.startswith(b'"""')  # a docstring letter flips
+            module.write_bytes(source[:3] + source[3:4].swapcase()
+                               + source[4:])
+            assert digest() != first
+            module.write_bytes(source)
+            assert digest() == first
+
     def test_only_a_memo_lookup_reads_the_source(self, tmp_path):
         self._copy(tmp_path)
         done = self._python(tmp_path, _DIGEST_READS)
@@ -1257,6 +1472,14 @@ _FOREIGN_LINES = {
     "null-text": lambda key: json.dumps([key, None]),
     "number-text": lambda key: json.dumps([key, 5]),
     "list-key": lambda key: json.dumps([[key], "WRONG"]),
+}
+
+# verdict texts that name no stage of a goal record; as an answer's or a
+# memo's text each is an entry, so they stand in for verdict lines only
+_FOREIGN_VERDICTS = {
+    "upper-case": lambda key: json.dumps([key, "PASS"]),
+    "empty": lambda key: json.dumps([key, ""]),
+    "instruction-stage": lambda key: json.dumps([key, "semantics"]),
 }
 
 
@@ -1290,8 +1513,8 @@ class TestCacheLog:
 
         assert evals("cold") == [[40], [40]]
         entries = cache_entries(tmp_path / "cache")
-        # an answer and a memo per instance, none lost or torn
-        assert len(entries) == len(dict(entries)) == 160
+        # an answer, a memo and a verdict per instance, none lost or torn
+        assert len(entries) == len(dict(entries)) == 240
         assert evals("warm") == [[0], [0]]
         assert cache_entries(tmp_path / "cache") == entries
         for seed in (1, 2):
@@ -1319,21 +1542,38 @@ class TestCacheLog:
         assert _ScriptedHandler.requests_seen == []
         assert warm.rows == cold.rows
 
-    @pytest.mark.parametrize("foreign", list(_FOREIGN_LINES.values()),
-                             ids=list(_FOREIGN_LINES))
-    def test_foreign_lines_are_misses(self, tmp_path, foreign):
+    @pytest.mark.parametrize("foreign, verdicts_only", [
+        *((line, False) for line in _FOREIGN_LINES.values()),
+        *((line, True) for line in _FOREIGN_VERDICTS.values())],
+        ids=[*_FOREIGN_LINES, *_FOREIGN_VERDICTS])
+    def test_foreign_lines_are_misses(self, tmp_path, foreign, verdicts_only,
+                                      scored):
         dataset = _dataset(TaskKind.GOAL, n=3)
         pc = PromptConfig(shots=1)
         cache = tmp_path / "cache"
         cold = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
-        keys = [key for key, _text in cache_entries(cache)]
-        assert len(keys) == 6  # an answer and a memo per instance
-        (cache / "mock-model" / "cache.jsonl").write_text(
-            "".join(foreign(key) + "\n" for key in keys))
-        for calls in (3, 0):  # every entry missed, then replayed
+        entries = cache_entries(cache)
+        # an answer, a memo and a verdict per instance
+        assert len(entries) == 9
+        verdicts = dict(_verdicts(entries))
+        assert len(verdicts) == 3
+        log = cache / "mock-model" / "cache.jsonl"
+        log.write_text("".join(
+            (foreign(key) if key in verdicts or not verdicts_only
+             else json.dumps([key, text])) + "\n"
+            for key, text in entries))
+        # every foreign entry missed, each answer was scored again, then
+        # everything replayed
+        for calls, scores in ((0 if verdicts_only else 3, 3), (0, 0)):
+            scored.clear()
             again = run_evaluation(dataset, _mock_cfg(), pc, cache_dir=cache)
             assert (cold.model_calls, again.model_calls) == (3, calls)
+            assert len(scored) == scores
             assert again.rows == cold.rows
+        # the fresh verdicts, appended last
+        assert [tuple(json.loads(line))
+                for line in log.read_text().splitlines()[-3:]] == \
+            list(verdicts.items())
 
     @pytest.mark.parametrize("kept", [lambda n: n, lambda n: n // 2,
                                       lambda n: 1],
